@@ -1,12 +1,12 @@
 //! Regenerates the paper's figures from the command line.
 //!
 //! ```text
-//! experiments <target> [--seeds N] [--timeout-ms T] [--max-tuples M] [--full] [--quick] [--free F] [--plot] [--threads N] [--pipeline N] [--connections N]
+//! experiments <target> [--seeds N] [--timeout-ms T] [--max-tuples M] [--full] [--quick] [--free F] [--plot] [--pipeline N] [--connections N]
 //!
 //! targets: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //!          sat3 sat2 theorems
 //!          ablation-orders ablation-pipeline ablation-minibucket
-//!          ablation-distinct ablation-join ablation-parallel
+//!          ablation-distinct ablation-join
 //!          serve-throughput durability semijoin all
 //!
 //! experiments bench-gate [--baseline PATH] --fresh PATH
@@ -25,12 +25,6 @@
 //! backend and reports reqs/sec plus exact p50/p99 latency in the
 //! `connections` array of `results/BENCH_serve.json`. Linux-only; the
 //! array is empty elsewhere.
-//!
-//! `--threads N` switches every sweep to the partitioned parallel executor
-//! with `N` worker threads (`0` = all cores; results are byte-identical to
-//! serial). `ablation-parallel` compares serial against 2/4/`N` threads on
-//! the figure-4 and figure-8 workloads and writes the machine-readable
-//! report to `results/BENCH_parallel.json`.
 //!
 //! `durability` sweeps the persistence axis (memory-only / WAL /
 //! WAL+fsync-every-commit) on the catalog mutation path and measures
@@ -92,9 +86,6 @@ fn main() {
             "--quick" => {
                 cfg.quick = true;
                 i += 1;
-            }
-            "--threads" => {
-                cfg.threads = next_val(&args, &mut i);
             }
             "--pipeline" => {
                 cfg.pipeline = next_val(&args, &mut i);
@@ -241,24 +232,9 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
         "ablation-minibucket" => figures::ablation_minibucket(&mut w, cfg),
         "ablation-distinct" => figures::ablation_distinct(&mut w, cfg),
         "ablation-join" => figures::ablation_join(&mut w, cfg),
-        "ablation-parallel" => {
+        "serve-throughput" => {
             // Persist the machine-readable report before printing: a
             // downstream pipe closing stdout must not lose the artifact.
-            let rows = figures::ablation_parallel_rows(cfg);
-            let json = figures::parallel_report_json(cfg, &rows);
-            let path = std::path::Path::new("results");
-            if std::fs::create_dir_all(path).is_ok() {
-                let file = path.join("BENCH_parallel.json");
-                match std::fs::write(&file, &json) {
-                    Ok(()) => eprintln!("wrote {}", file.display()),
-                    Err(e) => eprintln!("could not write {}: {e}", file.display()),
-                }
-            }
-            figures::print_parallel_rows(&mut w, &rows);
-        }
-        "serve-throughput" => {
-            // Persist the machine-readable report before printing, like
-            // ablation-parallel: a closed stdout must not lose the artifact.
             let rows = ppr_bench::serve::serve_throughput_rows(cfg);
             let conns = ppr_bench::serve::connection_sweep_rows(cfg);
             let json = ppr_bench::serve::serve_report_json(cfg, &rows, &conns);
@@ -309,7 +285,6 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
                 "ablation-minibucket",
                 "ablation-distinct",
                 "ablation-join",
-                "ablation-parallel",
                 "serve-throughput",
                 "durability",
                 "semijoin",
@@ -331,7 +306,7 @@ fn usage_and_exit() -> ! {
     eprintln!(
         "usage: experiments <fig1..fig9|sat3|sat2|theorems|ablation-*|all> \
          [--seeds N] [--timeout-ms T] [--max-tuples M] [--full] [--quick] [--free F] \
-         [--threads N] [--pipeline N] [--connections N]\n       \
+         [--pipeline N] [--connections N]\n       \
          experiments bench-gate [--baseline PATH] --fresh PATH"
     );
     std::process::exit(2)

@@ -327,8 +327,8 @@ pub fn print_durability_rows(w: &mut impl std::io::Write, report: &DurabilityRep
 }
 
 /// Machine-readable report for `results/BENCH_durability.json`
-/// (hand-rolled, like the serve and parallel reports — no JSON dependency
-/// in the tree).
+/// (hand-rolled, like the serve report — no JSON dependency in the
+/// tree).
 pub fn durability_report_json(cfg: &Config, report: &DurabilityReport) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"benchmark\": \"durability\",\n");

@@ -37,8 +37,7 @@ pub struct MethodOutcome {
 }
 
 /// Plans and executes `method` on one instance under `budget`; `seed`
-/// drives the method's tie-breaking randomness. Serial execution; see
-/// [`run_method_threads`] for the parallel executor.
+/// drives the method's tie-breaking randomness.
 pub fn run_method(
     method: Method,
     query: &ConjunctiveQuery,
@@ -46,31 +45,10 @@ pub fn run_method(
     budget: &Budget,
     seed: u64,
 ) -> MethodOutcome {
-    run_method_threads(method, query, db, budget, seed, 1)
-}
-
-/// [`run_method`] with an executor-thread count: `threads == 1` runs the
-/// serial streaming executor (push-based, over cached secondary indexes),
-/// anything else the partitioned parallel executor (`0` = all available
-/// cores). Both produce byte-identical relations, so sweeps stay
-/// comparable across thread counts.
-pub fn run_method_threads(
-    method: Method,
-    query: &ConjunctiveQuery,
-    db: &Database,
-    budget: &Budget,
-    seed: u64,
-    threads: usize,
-) -> MethodOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let started = Instant::now();
     let plan = build_plan(method, query, db, &mut rng);
-    let result = if threads == 1 {
-        exec::execute(&plan, budget)
-    } else {
-        ppr_relalg::parallel::execute_parallel(&plan, budget, threads)
-    };
-    match result {
+    match exec::execute(&plan, budget) {
         Ok((rel, stats)) => MethodOutcome {
             method,
             status: RunStatus::Ok,
@@ -89,9 +67,8 @@ pub fn run_method_threads(
     }
 }
 
-/// Logical CPUs on this host, as seen by the executor's `0 = all cores`
-/// resolution; recorded in benchmark reports so numbers are interpretable
-/// on other machines.
+/// Logical CPUs on this host; recorded in benchmark reports so numbers
+/// are interpretable on other machines.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -130,7 +130,7 @@ pub struct ServeRow {
     /// Warm-plan reqs/sec over the baseline's (only when `pipeline > 1`).
     pub speedup_warm_plan: Option<f64>,
     /// Timed cold phase against a second server running with
-    /// `profile_ops` on: every serial execution builds its operator
+    /// `profile_ops` on: every execution builds its operator
     /// profile, so `cold` vs this column is the profiler's overhead.
     pub profiled_cold: Option<PhaseStats>,
     /// Profiling overhead in percent: `100 * (1 - profiled/plain)` cold
@@ -453,7 +453,6 @@ fn drive_method(
     let mut engine_cfg = EngineConfig::default();
     engine_cfg.workers = 2;
     engine_cfg.queue_capacity = 256;
-    engine_cfg.exec_threads = cfg.threads.max(1);
     engine_cfg.max_budget = cfg.budget();
     // Size both caches for the workload: every cold request inserts a
     // fresh-seed plan and result, and the warm phase needs the whole
@@ -539,7 +538,6 @@ fn drive_profiled_cold(
     let mut engine_cfg = EngineConfig::default();
     engine_cfg.workers = 2;
     engine_cfg.queue_capacity = 256;
-    engine_cfg.exec_threads = cfg.threads.max(1);
     engine_cfg.max_budget = cfg.budget();
     engine_cfg.cache_capacity = 4 * requests_per_phase(cfg);
     engine_cfg.result_cache_bytes = 64 << 20;
@@ -679,7 +677,6 @@ pub fn connection_sweep_rows(cfg: &Config) -> Vec<ConnRow> {
             let mut engine_cfg = EngineConfig::default();
             engine_cfg.workers = 2;
             engine_cfg.queue_capacity = CONN_WINDOW * n + 64;
-            engine_cfg.exec_threads = cfg.threads.max(1);
             engine_cfg.max_budget = cfg.budget();
             engine_cfg.result_cache_bytes = 64 << 20;
             let engine = Engine::start(Catalog::with_default(db), engine_cfg);
@@ -791,10 +788,9 @@ pub fn print_serve_rows(w: &mut impl std::io::Write, rows: &[ServeRow]) {
     }
 }
 
-/// Machine-readable report for `results/BENCH_serve.json` (hand-rolled,
-/// like the parallel report — no JSON dependency in the tree). `conns`
-/// is the `--connections` axis; it serializes as an empty array where
-/// the sweep did not run.
+/// Machine-readable report for `results/BENCH_serve.json` (hand-rolled
+/// — no JSON dependency in the tree). `conns` is the `--connections`
+/// axis; it serializes as an empty array where the sweep did not run.
 pub fn serve_report_json(cfg: &Config, rows: &[ServeRow], conns: &[ConnRow]) -> String {
     fn quantiles_json(q: &Quantiles) -> String {
         format!(
@@ -856,10 +852,6 @@ pub fn serve_report_json(cfg: &Config, rows: &[ServeRow], conns: &[ConnRow]) -> 
     ));
     s.push_str("  \"phases\": [\"warmup\", \"cold\", \"warm\", \"warm_plan\"],\n");
     s.push_str(&format!("  \"timeout_ms\": {},\n", cfg.timeout.as_millis()));
-    s.push_str(&format!(
-        "  \"exec_threads_requested\": {},\n",
-        cfg.threads.max(1)
-    ));
     if conns.is_empty() {
         s.push_str("  \"connections\": [],\n");
     } else {
@@ -925,7 +917,6 @@ mod tests {
             max_tuples: 20_000_000,
             full: false,
             quick: false,
-            threads: 1,
             pipeline: 4,
             connections: None,
         };

@@ -13,16 +13,6 @@
 //! NP-hard, so the paper numbers variables by maximum-cardinality search
 //! with the free variables first ([`bucket_order`]); min-degree and
 //! min-fill variants feed the ablation benches.
-//!
-//! Buckets that drain into the *same* destination bucket are mutually
-//! independent: each is a `ProjectDistinct` subtree over disjoint sets of
-//! processed atoms, joined only at the destination. The plan tree
-//! preserves that independence ([`ppr_relalg::Plan::independent_subqueries`]
-//! counts the sibling subqueries at each join chain), and the partitioned
-//! parallel executor ([`ppr_relalg::parallel::execute_parallel`])
-//! materializes sibling subqueries in concurrent lanes — plan-level
-//! parallelism that falls straight out of bucket elimination's structure,
-//! with results byte-identical to serial execution.
 
 use rand::Rng;
 
@@ -241,39 +231,6 @@ mod tests {
         let mut order = q.all_vars();
         order.pop();
         plan_with_order(&q, &db, &order);
-    }
-
-    #[test]
-    fn bucket_plans_expose_sibling_subqueries_to_the_parallel_executor() {
-        use ppr_relalg::parallel::execute_parallel;
-        // A dense instance produces several buckets whose results meet in
-        // a later bucket — sibling subqueries the parallel executor runs
-        // in concurrent lanes.
-        let (q, db) = k4();
-        let p = plan(&q, &db, OrderHeuristic::Mcs, &mut rng());
-        let siblings: usize = {
-            // Count sibling subqueries anywhere in the tree: the executor
-            // applies lane parallelism at every materialization boundary.
-            fn walk(plan: &ppr_relalg::Plan) -> usize {
-                let here = plan.independent_subqueries();
-                match plan {
-                    ppr_relalg::Plan::Scan { .. } => 0,
-                    ppr_relalg::Plan::Join { left, right } => here.max(walk(left)).max(walk(right)),
-                    ppr_relalg::Plan::ProjectDistinct { input, .. } => here.max(walk(input)),
-                }
-            }
-            walk(&p)
-        };
-        assert!(siblings >= 1, "bucket plan has materialized subqueries");
-        // Parallel execution of the bucket plan is byte-identical to
-        // serial, for every thread count.
-        let (serial, _) = exec::execute(&p, &Budget::unlimited()).unwrap();
-        for threads in [2usize, 4] {
-            let (par, stats) = execute_parallel(&p, &Budget::unlimited(), threads).unwrap();
-            assert_eq!(serial.schema(), par.schema(), "threads={threads}");
-            assert_eq!(serial.tuples(), par.tuples(), "threads={threads}");
-            assert!(stats.threads_used >= 1);
-        }
     }
 
     #[test]

@@ -38,8 +38,6 @@ use crate::stats::ExecStats;
 use crate::value::{Tuple, Value};
 use crate::Result;
 
-pub use crate::parallel::{execute_parallel, execute_parallel_with};
-
 /// Which executor variant [`execute_with`] runs. All three return the
 /// same rows; the two pipelined modes are byte-identical (same row order,
 /// same `tuples_flowed`).
@@ -56,11 +54,10 @@ pub enum ExecMode {
     Materialized,
 }
 
-/// Options for the serial executors.
+/// Options for [`execute_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Which executor variant runs (ignored by the parallel executor,
-    /// which is its own partitioned pipeline).
+    /// Which executor variant runs.
     pub mode: ExecMode,
     /// Whether `ProjectDistinct` nodes de-duplicate (`SELECT DISTINCT`).
     /// Disabling turns every subquery into a plain `SELECT` — the
@@ -99,7 +96,7 @@ pub fn execute(plan: &Plan, budget: &Budget) -> Result<(Relation, ExecStats)> {
 }
 
 /// [`execute`] with explicit [`ExecOptions`] — the one entry point every
-/// serial mode routes through.
+/// mode routes through.
 pub fn execute_with(
     plan: &Plan,
     budget: &Budget,

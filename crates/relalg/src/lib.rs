@@ -5,7 +5,7 @@
 //!
 //! This crate plays the role PostgreSQL played in the paper's experiments:
 //! it stores small relations in memory and evaluates project-join plans with
-//! hash joins. Three serial evaluation styles are provided (selected by
+//! hash joins. Three evaluation styles are provided (selected by
 //! [`exec::ExecMode`]), mirroring and then improving on how PostgreSQL
 //! executes the paper's generated SQL:
 //!
@@ -39,7 +39,6 @@ pub mod exec;
 pub mod index;
 pub mod key;
 pub mod ops;
-pub mod parallel;
 pub mod pipelined;
 pub mod plan;
 pub mod relation;

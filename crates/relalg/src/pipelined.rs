@@ -31,8 +31,7 @@
 //! per-query build table would have recorded), repeated-attribute filters
 //! drop exactly the rows `bind` would have dropped, and the meter is
 //! ticked at the same points. `tests/streaming.rs` asserts all of it by
-//! proptest against the pipelined oracle, the materializing ablation, and
-//! the parallel executor.
+//! proptest against the pipelined oracle and the materializing ablation.
 //!
 //! What changes is the *physical* work, visible in
 //! [`ExecStats::rows_scanned`] / [`ExecStats::index_probes`] /

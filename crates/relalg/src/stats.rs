@@ -32,16 +32,12 @@ pub struct ExecStats {
     pub join_stages: u64,
     /// Wall-clock execution time.
     pub elapsed: Duration,
-    /// Worker threads the executor ran with (1 for the serial executors).
+    /// Worker threads the executor ran with. Every executor is serial, so
+    /// this is always 1; kept because the wire protocol reports it
+    /// (`threads=`).
     pub threads_used: u64,
-    /// Tuples flowed by each probe worker of the parallel executor
-    /// (empty for the serial executors). Sums to the top-level pipeline's
-    /// share of [`ExecStats::tuples_flowed`]; the spread shows partition
-    /// balance.
-    pub shard_tuples: Vec<u64>,
-    /// Total busy time summed across worker threads. Equals `elapsed` for
-    /// serial execution; the `cpu_time / elapsed` ratio is the effective
-    /// parallel speedup.
+    /// Total busy time. Equals `elapsed` (execution is serial); kept
+    /// because the wire protocol reports it (`cpu_us=`).
     pub cpu_time: Duration,
     /// Physical input rows read: base rows streamed by scans, rows hashed
     /// into per-query build tables, base rows read while building a
@@ -67,8 +63,8 @@ pub struct ExecStats {
 
 /// Fixed-width summary of an execution — the quantities a trace span or
 /// slow-query-log entry carries to explain a request without hauling the
-/// full [`ExecStats`] (whose `shard_tuples` vector is unbounded) across a
-/// metrics boundary.
+/// full [`ExecStats`] (whose profile tree is unbounded) across a metrics
+/// boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecDigest {
     /// Tuples emitted by all join stages.
@@ -77,7 +73,7 @@ pub struct ExecDigest {
     pub peak_materialized: u64,
     /// Number of join stages executed.
     pub join_stages: u64,
-    /// Worker threads the executor ran with (1 = serial).
+    /// Worker threads the executor ran with (always 1).
     pub threads_used: u64,
     /// Physical input rows read (see [`ExecStats::rows_scanned`]).
     pub rows_scanned: u64,
@@ -118,12 +114,6 @@ impl ExecStats {
         self.join_stages += other.join_stages;
         self.elapsed += other.elapsed;
         self.threads_used = self.threads_used.max(other.threads_used);
-        if self.shard_tuples.len() < other.shard_tuples.len() {
-            self.shard_tuples.resize(other.shard_tuples.len(), 0);
-        }
-        for (mine, theirs) in self.shard_tuples.iter_mut().zip(&other.shard_tuples) {
-            *mine += theirs;
-        }
         self.cpu_time += other.cpu_time;
         self.rows_scanned += other.rows_scanned;
         self.rows_emitted += other.rows_emitted;

@@ -3,18 +3,17 @@
 //! On random project-join plans — including the paper's 3-COLOR and path
 //! queries, empty relations, and Boolean (empty-keep) projections — the
 //! streaming executor must return **byte-identical** relations and
-//! identical `tuples_flowed` to the classic pipelined oracle and to the
-//! partitioned parallel executor, and set-equal results to the fully
-//! materialized ablation executor (which joins bottom-up, so its row
-//! order legitimately differs). A tuple budget must trip mid-stream at
-//! exactly the same flow point as the oracle, and a warm second run over
-//! the same snapshot must build no secondary indexes.
+//! identical `tuples_flowed` to the classic pipelined oracle, and
+//! set-equal results to the fully materialized ablation executor (which
+//! joins bottom-up, so its row order legitimately differs). A tuple budget
+//! must trip mid-stream at exactly the same flow point as the oracle, and
+//! a warm second run over the same snapshot must build no secondary
+//! indexes.
 
 use std::sync::Arc;
 
 use ppr_relalg::budget::BudgetKind;
 use ppr_relalg::exec::{self, ExecMode, ExecOptions};
-use ppr_relalg::parallel::execute_parallel;
 use ppr_relalg::stats::ExecStats;
 use ppr_relalg::{AttrId, Budget, Plan, RelalgError, Relation, Schema, Value};
 use proptest::prelude::*;
@@ -40,10 +39,9 @@ fn base_relation(rows: Vec<Vec<Value>>) -> Arc<Relation> {
 /// kept attributes).
 type AtomSpec = (u8, u8, bool, u8);
 
-/// Deterministically assembles a valid plan from the random specs — the
-/// same construction the parallel suite uses: a left-deep join chain over
-/// scans, with `ProjectDistinct` nodes inserted where flagged. An empty
-/// keep is a legal Boolean projection.
+/// Deterministically assembles a valid plan from the random specs: a
+/// left-deep join chain over scans, with `ProjectDistinct` nodes inserted
+/// where flagged. An empty keep is a legal Boolean projection.
 fn assemble(specs: &[AtomSpec], base: &Arc<Relation>) -> Plan {
     let scan_of = |a: u8, b: u8| {
         Plan::scan(
@@ -161,8 +159,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole guarantee on fully random plans (row counts start at
-    /// zero, so empty relations are in scope): streaming ≡ pipelined ≡
-    /// parallel byte-for-byte, and set-equal to the materialized ablation.
+    /// zero, so empty relations are in scope): streaming ≡ pipelined
+    /// byte-for-byte, and set-equal to the materialized ablation.
     #[test]
     fn streaming_matches_every_oracle_on_random_plans(
         rows in prop::collection::vec(prop::collection::vec(0u32..5, 2), 0..=24),
@@ -179,11 +177,6 @@ proptest! {
 
         let (mat, _) = run(&plan, &budget, ExecMode::Materialized, true).expect("materialized");
         prop_assert!(streaming.0.set_eq(&mat));
-
-        for threads in [1usize, 2] {
-            let par = execute_parallel(&plan, &budget, threads).expect("parallel");
-            check_identical(&streaming, &par)?;
-        }
     }
 
     /// Dedup ablation (`dedup_subqueries = false` turns every subquery
@@ -243,17 +236,12 @@ proptest! {
         check_identical(&streaming, &pipelined)?;
         let (mat, _) = run(&plan, &budget, ExecMode::Materialized, true).expect("materialized");
         prop_assert!(streaming.0.set_eq(&mat));
-        for threads in [1usize, 2] {
-            let par = execute_parallel(&plan, &budget, threads).expect("parallel");
-            check_identical(&streaming, &par)?;
-        }
     }
 
     /// Budget exhaustion mid-stream: because the streaming executor meters
     /// the exact same tuple-flow sequence as the pipelined oracle, a tuple
     /// budget below the full flow trips both with the **same** error —
-    /// same kind and same `tuples_flowed` at the trip point. The parallel
-    /// executor trips cooperatively, so only its kind is pinned.
+    /// same kind and same `tuples_flowed` at the trip point.
     #[test]
     fn tuple_budgets_trip_at_the_same_flow(
         rows in prop::collection::vec(prop::collection::vec(0u32..4, 2), 1..=16),
@@ -272,12 +260,6 @@ proptest! {
         prop_assert_eq!(&s_err, &p_err);
         prop_assert!(matches!(
             s_err,
-            RelalgError::BudgetExceeded { kind: BudgetKind::Tuples, .. }
-        ));
-
-        let par_err = execute_parallel(&plan, &budget, 2).expect_err("parallel trips");
-        prop_assert!(matches!(
-            par_err,
             RelalgError::BudgetExceeded { kind: BudgetKind::Tuples, .. }
         ));
     }
@@ -318,6 +300,4 @@ fn empty_base_is_empty_everywhere() {
     assert_eq!(streaming.tuples(), pipelined.tuples());
     assert_eq!(s_stats.tuples_flowed, 0);
     assert_eq!(p_stats.tuples_flowed, 0);
-    let (par, _) = execute_parallel(&plan, &budget, 2).expect("parallel");
-    assert!(par.is_empty());
 }

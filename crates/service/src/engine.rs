@@ -27,10 +27,9 @@
 //!    the shared `Arc<Plan>`; a miss builds the plan and publishes it.
 //!    The plan key carries the same `(db, version)` prefix, because plans
 //!    embed `Arc<Relation>` scans of the snapshot they were built on.
-//! 6. **Execute + publish** — serial or partitioned-parallel executor
-//!    under the request budget clamped by the server maximum; a
-//!    successful result is offered to the result cache (byte-budgeted,
-//!    LRU).
+//! 6. **Execute + publish** — the streaming executor under the request
+//!    budget clamped by the server maximum; a successful result is
+//!    offered to the result cache (byte-budgeted, LRU).
 //!
 //! Shutdown is graceful: the queue closes, workers drain every admitted
 //! request (each waiting client still gets its answer), then exit.
@@ -44,7 +43,7 @@ use ppr_core::methods::{Method, OrderHeuristic};
 use ppr_core::passes::plan_query;
 use ppr_obs::{OpNode, PassSpan, Phase, ProfileMode, Quantiles, SlowEntry, TraceSpans, PHASES};
 use ppr_query::{ConjunctiveQuery, Database, QueryIdentity};
-use ppr_relalg::{exec, parallel, streaming_shape, Budget, ExecStats, Value};
+use ppr_relalg::{exec, streaming_shape, Budget, ExecStats, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -122,8 +121,8 @@ pub struct Request {
     pub seed: Option<u64>,
     /// Explain mode. Anything but [`ExplainMode::None`] bypasses both
     /// caches (the report must describe a fresh planner run) and returns
-    /// [`Response::explain`] data; `Analyze` additionally forces the
-    /// serial streaming executor with per-operator profiling on.
+    /// [`Response::explain`] data; `Analyze` additionally turns
+    /// per-operator profiling on for its execution.
     pub explain: ExplainMode,
 }
 
@@ -259,10 +258,6 @@ pub struct EngineConfig {
     /// Result-cache byte budget; 0 disables result caching (every request
     /// executes, as in PR 2).
     pub result_cache_bytes: usize,
-    /// Threads per request inside the executor: 1 = the serial push-based
-    /// streaming executor (probing secondary indexes cached on the
-    /// snapshot), else [`parallel::execute_parallel`] (0 = all cores).
-    pub exec_threads: usize,
     /// Server-side budget ceiling; request overrides are clamped to it.
     pub max_budget: Budget,
     /// Planner seed used when a request does not carry one.
@@ -270,7 +265,7 @@ pub struct EngineConfig {
     /// Slow-query-log entries retained (worst-N by latency); 0 selects
     /// [`crate::metrics::DEFAULT_SLOWLOG_CAPACITY`].
     pub slowlog_capacity: usize,
-    /// Run every serial execution with per-operator profiling on, feeding
+    /// Run every execution with per-operator profiling on, feeding
     /// the `ppr_op_*` metrics and slow-log operator digests. Costs a few
     /// clock reads per row on the streaming executor's hot path, so it is
     /// off by default; `explain analyze` profiles its own request
@@ -286,7 +281,6 @@ impl Default for EngineConfig {
             max_inflight: 0,
             cache_capacity: 256,
             result_cache_bytes: 8 << 20,
-            exec_threads: 1,
             max_budget: Budget::tuples(u64::MAX).with_timeout(Duration::from_secs(60)),
             default_seed: 0,
             slowlog_capacity: 0,
@@ -318,7 +312,6 @@ struct Shared {
     max_inflight: usize,
     served: AtomicU64,
     rejected: AtomicU64,
-    exec_threads: usize,
     max_budget: Budget,
     default_seed: u64,
     profile_ops: bool,
@@ -676,7 +669,6 @@ impl Engine {
             max_inflight,
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            exec_threads: cfg.exec_threads,
             max_budget: cfg.max_budget,
             default_seed: cfg.default_seed,
             profile_ops: cfg.profile_ops,
@@ -1082,33 +1074,26 @@ fn process(
     let budget = budget.clamp(&shared.max_budget);
 
     let started = Instant::now();
-    // Serial requests take the streaming executor (`ExecMode::Streaming`,
+    // Every request takes the streaming executor (`ExecMode::Streaming`,
     // the `exec::execute` default): per-column indexes are built lazily
     // and cached on the pinned snapshot's `Arc`-shared relations, so
     // every later request against the same catalog version probes them
     // for free — copy-on-write catalog updates clone the relation and
     // start cold, which keeps sharing sound.
-    // `explain analyze` forces the serial streaming path: the parallel
-    // executor has no profiling hooks, and an annotated tree is the whole
-    // point of the request.
     let analyze = request.explain == ExplainMode::Analyze;
-    let profile = if analyze || (shared.profile_ops && shared.exec_threads == 1) {
+    let profile = if analyze || shared.profile_ops {
         ProfileMode::On
     } else {
         ProfileMode::Off
     };
-    let executed = if shared.exec_threads == 1 || analyze {
-        exec::execute_with(
-            &plan,
-            &budget,
-            exec::ExecOptions {
-                profile,
-                ..Default::default()
-            },
-        )
-    } else {
-        parallel::execute_parallel(&plan, &budget, shared.exec_threads)
-    };
+    let executed = exec::execute_with(
+        &plan,
+        &budget,
+        exec::ExecOptions {
+            profile,
+            ..Default::default()
+        },
+    );
     spans.set(Phase::Exec, started.elapsed().as_micros() as u64);
     let (rel, stats) = executed.map_err(ServiceError::Exec)?;
 

@@ -32,9 +32,9 @@
 //!   repeated query skips re-decomposition because the optimizer pipeline
 //!   ([`ppr_core::passes`], docs/PLANNING.md) consumes the cached order
 //!   as a pass hint.
-//! * [`engine::Engine`] — a worker pool executing requests over the
-//!   serial or partitioned-parallel executor, with per-request tuple/time
-//!   budgets clamped by a server-side maximum, **admission control**
+//! * [`engine::Engine`] — a worker pool executing requests on the
+//!   streaming executor, with per-request tuple/time budgets clamped by a
+//!   server-side maximum, **admission control**
 //!   (bounded queue + max in-flight; saturation fast-fails with
 //!   [`ServiceError::Overloaded`] instead of queueing unboundedly), and
 //!   graceful drain-and-shutdown. Requests are built fluently:

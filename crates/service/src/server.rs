@@ -30,7 +30,7 @@
 
 use std::collections::HashSet;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -405,22 +405,6 @@ impl Server {
     /// [`start`](ServerBuilder::start).
     pub fn builder() -> ServerBuilder {
         ServerBuilder::default()
-    }
-
-    /// Binds `addr` and serves `engine` with default settings.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use Server::builder().addr(..).engine(..).start()"
-    )]
-    pub fn start(addr: impl ToSocketAddrs, engine: EngineHandle) -> std::io::Result<Server> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::other("address resolved to nothing"))?;
-        Server::builder()
-            .addr(addr.to_string())
-            .engine(engine)
-            .start()
     }
 
     /// The bound address — read this after `.addr("127.0.0.1:0")` to

@@ -57,14 +57,11 @@ pub use ppr_core::methods::{Method, OrderHeuristic};
 use ppr_query::{ConjunctiveQuery, Database};
 use ppr_relalg::{exec, Budget, ExecStats, Relation};
 
-/// Everything a typical user needs. The deprecated free-function
-/// `evaluate*` trio is intentionally **not** here — reach it through the
-/// crate root while migrating to [`Eval`].
+/// Everything a typical user needs.
 pub mod prelude {
     pub use crate::{graph, Eval, Method, OrderHeuristic};
     pub use ppr_core::methods::{build_plan, emit_sql};
     pub use ppr_query::{Atom, ConjunctiveQuery, Database, Vars};
-    pub use ppr_relalg::parallel::execute_parallel;
     pub use ppr_relalg::{Budget, Plan};
     pub use ppr_service::{
         Catalog, Client, Engine, EngineConfig, Pipeline, Request, Server, ServiceError, Ticket,
@@ -76,7 +73,7 @@ pub mod prelude {
 /// fluently.
 ///
 /// Defaults: bucket elimination under the MCS order (the paper's winning
-/// method), seed 0, one executor thread, unlimited budget.
+/// method), seed 0, unlimited budget.
 ///
 /// ```
 /// # use projection_pushing::prelude::*;
@@ -88,7 +85,6 @@ pub mod prelude {
 /// let (rows, stats) = Eval::new(&q, &db)
 ///     .method(Method::EarlyProjection)
 ///     .seed(7)
-///     .threads(4)
 ///     .budget(Budget::tuples(1_000_000))
 ///     .run()
 ///     .unwrap();
@@ -100,7 +96,6 @@ pub struct Eval<'a> {
     db: &'a Database,
     method: Method,
     seed: u64,
-    threads: usize,
     budget: Budget,
 }
 
@@ -112,7 +107,6 @@ impl<'a> Eval<'a> {
             db,
             method: Method::BucketElimination(OrderHeuristic::Mcs),
             seed: 0,
-            threads: 1,
             budget: Budget::unlimited(),
         }
     }
@@ -131,14 +125,6 @@ impl<'a> Eval<'a> {
         self
     }
 
-    /// Executor threads: `1` (default) runs the serial pipelined
-    /// executor, any other value the partitioned-parallel executor
-    /// (`0` = all cores). Rows are byte-identical either way.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Bounds execution by tuples flowed and/or wall clock (default
     /// unlimited). Exhaustion is an error, never a truncated result.
     pub fn budget(mut self, budget: Budget) -> Self {
@@ -151,11 +137,7 @@ impl<'a> Eval<'a> {
     pub fn run(&self) -> ppr_relalg::Result<(Relation, ExecStats)> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let plan = build_plan(self.method, self.query, self.db, &mut rng);
-        if self.threads == 1 {
-            exec::execute(&plan, &self.budget)
-        } else {
-            ppr_relalg::parallel::execute_parallel(&plan, &self.budget, self.threads)
-        }
+        exec::execute(&plan, &self.budget)
     }
 
     /// Runs and reports only whether the result is non-empty — the
@@ -163,65 +145,6 @@ impl<'a> Eval<'a> {
     pub fn nonempty(&self) -> ppr_relalg::Result<bool> {
         self.run().map(|(rel, _)| !rel.is_empty())
     }
-}
-
-/// Evaluates `query` over `db` with `method` under `budget`. Returns the
-/// result relation and execution statistics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(query, db).method(m).seed(s).budget(b).run()`"
-)]
-pub fn evaluate(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    method: Method,
-    budget: &Budget,
-    seed: u64,
-) -> ppr_relalg::Result<(Relation, ExecStats)> {
-    Eval::new(query, db)
-        .method(method)
-        .budget(budget.clone())
-        .seed(seed)
-        .run()
-}
-
-/// [`Eval`] on the partitioned parallel executor with `threads` worker
-/// threads (`0` = all cores, `1` = one worker). The result relation is
-/// byte-identical to the serial executor's; only wall-clock time and the
-/// thread-related [`ExecStats`] fields differ.
-#[deprecated(since = "0.2.0", note = "use `Eval::new(query, db).threads(n).run()`")]
-pub fn evaluate_parallel(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    method: Method,
-    budget: &Budget,
-    seed: u64,
-    threads: usize,
-) -> ppr_relalg::Result<(Relation, ExecStats)> {
-    // `threads == 1` historically still meant the parallel executor with
-    // one worker (rows are byte-identical to serial either way), so this
-    // wrapper keeps calling it directly rather than routing through the
-    // builder's serial shortcut.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = build_plan(method, query, db, &mut rng);
-    ppr_relalg::parallel::execute_parallel(&plan, budget, threads)
-}
-
-/// Decides 3-colorability of `graph` by evaluating the paper's Boolean
-/// project-join query with `method`. `Ok(true)` means colorable.
-#[deprecated(
-    since = "0.2.0",
-    note = "build the query with `workload::color_query` and use `Eval::new(&q, &db).method(m).seed(s).nonempty()`"
-)]
-pub fn evaluate_3color(
-    graph: &ppr_graph::Graph,
-    method: Method,
-    seed: u64,
-) -> ppr_relalg::Result<bool> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (q, db) =
-        ppr_workload::color_query(graph, &ppr_workload::ColorQueryOptions::boolean(), &mut rng);
-    Eval::new(&q, &db).method(method).seed(seed).nonempty()
 }
 
 #[cfg(test)]
@@ -250,24 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_threads_match_serial() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = graph::families::augmented_ladder(4);
-        let (q, db) =
-            ppr_workload::color_query(&g, &ppr_workload::ColorQueryOptions::boolean(), &mut rng);
-        let eval = Eval::new(&q, &db)
-            .method(Method::BucketElimination(OrderHeuristic::Mcs))
-            .seed(7);
-        let (serial, _) = eval.run().unwrap();
-        for threads in [2usize, 4] {
-            let (par, stats) = eval.clone().threads(threads).run().unwrap();
-            assert_eq!(serial.schema(), par.schema());
-            assert_eq!(serial.tuples(), par.tuples());
-            assert!(stats.threads_used >= 1);
-        }
-    }
-
-    #[test]
     fn eval_returns_stats_and_respects_budget() {
         let mut rng = StdRng::seed_from_u64(0);
         let g = graph::families::ladder(4);
@@ -282,22 +187,5 @@ mod tests {
 
         let starved = Eval::new(&q, &db).budget(Budget::tuples(1)).run();
         assert!(starved.is_err(), "budget exhaustion must be an error");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_agree_with_the_builder() {
-        let c5 = graph::families::cycle(5);
-        let method = Method::BucketElimination(OrderHeuristic::Mcs);
-        assert!(evaluate_3color(&c5, method, 1).unwrap());
-
-        let mut rng = StdRng::seed_from_u64(1);
-        let (q, db) =
-            ppr_workload::color_query(&c5, &ppr_workload::ColorQueryOptions::boolean(), &mut rng);
-        let (old, _) = evaluate(&q, &db, method, &Budget::unlimited(), 1).unwrap();
-        let (new, _) = Eval::new(&q, &db).method(method).seed(1).run().unwrap();
-        assert_eq!(old.tuples(), new.tuples());
-        let (par, _) = evaluate_parallel(&q, &db, method, &Budget::unlimited(), 1, 2).unwrap();
-        assert_eq!(old.tuples(), par.tuples());
     }
 }

@@ -1,12 +1,61 @@
 //! Cross-method correctness: every optimization method must compute
-//! exactly the same result as the unoptimized baseline, and the Boolean
-//! answer must match an independent reference solver.
+//! exactly the same result as the unoptimized baseline, and the baseline
+//! must match an independent reference — a backtracking solver for the
+//! Boolean answer, the benchmark's assignment enumerator for the rows.
+
+use std::collections::HashMap;
 
 use projection_pushing::prelude::*;
+use projection_pushing::relalg::{AttrId, Relation};
 use projection_pushing::workload::{color::is_colorable, random_sat, sat_query};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The backtracking enumerator the benchmark checks replies against:
+/// std-only, shares no code with `relalg`.
+#[path = "../benchmark/src/oracle.rs"]
+mod oracle;
+
+/// The answer rows of `q` over `db` (columns in `q.free` order, sorted)
+/// straight from the conjunctive-query semantics.
+fn oracle_rows(q: &ConjunctiveQuery, db: &Database) -> Vec<Vec<u32>> {
+    let mut index: HashMap<AttrId, usize> = HashMap::new();
+    let atoms: Vec<oracle::Atom> = q
+        .atoms
+        .iter()
+        .map(|atom| {
+            let args = atom
+                .args
+                .iter()
+                .map(|&v| {
+                    let next = index.len();
+                    *index.entry(v).or_insert(next)
+                })
+                .collect();
+            (atom.relation.clone(), args)
+        })
+        .collect();
+    let free: Vec<usize> = q.free.iter().map(|v| index[v]).collect();
+    let rels: oracle::Relations = atoms
+        .iter()
+        .map(|(name, _)| {
+            let rel = db.expect(name);
+            (
+                name.clone(),
+                rel.tuples().iter().map(|t| t.to_vec()).collect(),
+            )
+        })
+        .collect();
+    oracle::answers(index.len(), &atoms, &free, &rels)
+}
+
+/// `rel`'s rows, sorted, for comparison with [`oracle_rows`].
+fn sorted_rows(rel: &Relation) -> Vec<Vec<u32>> {
+    let mut rows: Vec<Vec<u32>> = rel.tuples().iter().map(|t| t.to_vec()).collect();
+    rows.sort_unstable();
+    rows
+}
 
 fn all_methods() -> Vec<Method> {
     vec![
@@ -40,7 +89,8 @@ proptest! {
     }
 
     /// Non-Boolean 3-COLOR: all methods return the same relation (as a
-    /// set) as the straightforward baseline.
+    /// set) as the straightforward baseline, whose rows are exactly the
+    /// oracle's.
     #[test]
     fn non_boolean_color_results_match(order in 4usize..9, extra in 0usize..8, seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -54,6 +104,8 @@ proptest! {
             .seed(seed)
             .run()
             .unwrap();
+        prop_assert_eq!(baseline.schema().attrs(), &q.free[..]);
+        prop_assert_eq!(sorted_rows(&baseline), oracle_rows(&q, &db));
         for method in all_methods() {
             let (rel, _) = Eval::new(&q, &db).method(method).seed(seed).run().unwrap();
             prop_assert!(rel.set_eq(&baseline), "{} differs", method.name());
@@ -89,8 +141,8 @@ proptest! {
         prop_assert_eq!(!rel.is_empty(), expected);
     }
 
-    /// The pipelined and the fully materialized executor agree on every
-    /// method's plan.
+    /// The streaming and the fully materialized executor agree on every
+    /// method's plan, and the materialized reference with the oracle.
     #[test]
     fn executors_agree(order in 4usize..8, extra in 0usize..6, seed in 0u64..1000) {
         use projection_pushing::core::methods::build_plan;
@@ -101,11 +153,13 @@ proptest! {
         let g = projection_pushing::graph::generate::random_graph(order, m, &mut rng);
         prop_assume!(!g.edges().is_empty());
         let (q, db) = color_query(&g, &ColorQueryOptions::boolean(), &mut rng);
+        let expected = oracle_rows(&q, &db);
         for method in all_methods() {
             let plan = build_plan(method, &q, &db, &mut rng);
             let (a, _) = exec::execute(&plan, &Budget::unlimited()).unwrap();
             let (b, _) = exec::execute_materialized(&plan, &Budget::unlimited()).unwrap();
             prop_assert!(a.set_eq(&b), "{} executors disagree", method.name());
+            prop_assert_eq!(&sorted_rows(&b), &expected, "{} vs oracle", method.name());
         }
     }
 }
