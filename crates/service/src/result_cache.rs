@@ -17,9 +17,10 @@
 //! both.
 //!
 //! Results (unlike plans) have data-dependent size, so the budget is in
-//! **bytes**, not entries: strict LRU eviction runs until the cache fits,
-//! and an entry bigger than the whole budget is refused outright (counted
-//! in [`ResultCacheStats::oversized`]) rather than flushing everything
+//! **bytes** (rows plus the cache's own per-entry bookkeeping), not
+//! entries: strict LRU eviction runs until the cache fits, and an entry
+//! bigger than the whole budget is refused outright (counted in
+//! [`ResultCacheStats::oversized`]) rather than flushing everything
 //! else. Fingerprints are 1-WL invariants with constructible collisions,
 //! so — exactly like the plan cache — every entry stores the
 //! [`QueryShape`] that built it and a lookup only hits on a shape match;
@@ -68,9 +69,10 @@ pub struct CachedResult {
 }
 
 impl CachedResult {
-    /// Approximate heap footprint, used for the byte budget. Counts the
-    /// row payload exactly and the per-row/column overheads approximately;
-    /// the budget is a sizing knob, not an allocator audit.
+    /// Approximate footprint as a cache entry, used for the byte budget.
+    /// Counts the row payload exactly, the per-row/column overheads
+    /// approximately, and the cache's own `ENTRY_OVERHEAD`; the budget
+    /// is a sizing knob, not an allocator audit.
     pub fn approx_bytes(&self) -> usize {
         let row_overhead = std::mem::size_of::<Box<[Value]>>();
         let rows: usize = self
@@ -79,9 +81,17 @@ impl CachedResult {
             .map(|r| r.len() * std::mem::size_of::<Value>() + row_overhead)
             .sum();
         let columns: usize = self.columns.iter().map(|c| c.len() + 24).sum();
-        rows + columns + std::mem::size_of::<Self>()
+        rows + columns + std::mem::size_of::<Self>() + ENTRY_OVERHEAD
     }
 }
+
+/// What the cache spends on an entry beside the result: its LRU node and
+/// its slot in the key map. A Boolean result is smaller than this, so a
+/// budget that left it out would be spent mostly on bookkeeping it never
+/// counted — and how far the key map has to grow under a stream of such
+/// results would hang on a few bytes of `CachedResult` layout.
+const ENTRY_OVERHEAD: usize =
+    std::mem::size_of::<Node>() + std::mem::size_of::<(ResultKey, usize)>();
 
 const NIL: usize = usize::MAX;
 
@@ -390,6 +400,16 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= s.capacity_bytes);
+    }
+
+    #[test]
+    fn budget_counts_the_entry_bookkeeping() {
+        let boolean = CachedResult {
+            columns: Vec::new(),
+            rows: vec![Vec::new().into_boxed_slice()],
+            stats: ExecStats::default(),
+        };
+        assert!(boolean.approx_bytes() > std::mem::size_of::<CachedResult>() + ENTRY_OVERHEAD);
     }
 
     #[test]
