@@ -23,19 +23,30 @@
 //! before the enclosing pipeline consumes it — the only materialization
 //! boundary the two pipelined modes have.
 //!
+//! In those two modes a boundary is a flat row buffer, not a [`Relation`]:
+//! the sink appends each projected row to one `Vec<Value>` and
+//! de-duplicates through a table of row ids into it, and the pipeline above
+//! either streams that buffer or takes it by value as the build side of a
+//! hash-join stage (row ids grouped by join key, CSR layout, no copy).
+//! Bucket elimination materializes many small intermediates, so what a
+//! boundary costs per row decides whether keeping them small pays off. The
+//! per-row allocation is paid once per request, where [`execute_with`]
+//! turns the plan root's rows into the returned [`Relation`].
+//!
 //! Execution time is therefore proportional to the number of tuples that
 //! flow through probe stages plus the cost of each materialization — the
 //! same quantities that drove the paper's measurements.
 
-use crate::budget::{Budget, Meter};
+use crate::budget::{Budget, BudgetKind, Meter};
 use crate::error::RelalgError;
-use crate::key::{KeyedMap, KeyedSet};
 use crate::ops;
+use crate::pipelined::bind_rows;
 use crate::plan::Plan;
 use crate::relation::Relation;
-use crate::schema::Schema;
+use crate::rows::{GroupIndex, RowSet, Rows, MAX_ROWS};
+use crate::schema::{AttrId, Schema};
 use crate::stats::ExecStats;
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 use crate::Result;
 
 /// Which executor variant [`execute_with`] runs. All three return the
@@ -105,11 +116,19 @@ pub fn execute_with(
     plan.validate()?;
     let mut stats = ExecStats::default();
     let mut meter = budget.start();
-    let rel = match options.mode {
-        ExecMode::Streaming => {
-            crate::pipelined::materialize_streaming(plan, &mut meter, &mut stats, options)?
+    // Inside the plan rows stay flat: this is the request's one `Relation`.
+    let root = |(schema, rows): SubResult| {
+        let mut rel = Relation::new("result", schema, rows.into_tuples());
+        if matches!(plan, Plan::ProjectDistinct { .. }) && options.dedup_subqueries {
+            rel.assume_deduped();
         }
-        ExecMode::Pipelined => materialize(plan, &mut meter, &mut stats, options)?,
+        rel
+    };
+    let rel = match options.mode {
+        ExecMode::Streaming => root(crate::pipelined::materialize_streaming(
+            plan, &mut meter, &mut stats, options,
+        )?),
+        ExecMode::Pipelined => root(materialize(plan, &mut meter, &mut stats, options)?),
         ExecMode::Materialized => materialize_all(plan, &mut meter, &mut stats)?,
     };
     stats.tuples_flowed = meter.tuples_flowed;
@@ -145,16 +164,13 @@ pub fn execute_materialized(plan: &Plan, budget: &Budget) -> Result<(Relation, E
     )
 }
 
-/// One probe stage of a pipeline: a hash table over one join input.
-///
-/// The table is a [`KeyedMap`], so probing allocates nothing per tuple:
-/// join keys of ≤ 2 values are packed into a `u64` inline, and wider keys
-/// are looked up through a reused scratch buffer.
+/// One probe stage of a pipeline: one join input, grouped by its join-key
+/// columns. Probing allocates nothing: the key is hashed straight out of
+/// the accumulated tuple buffer and compared against the input's rows in
+/// place.
 pub(crate) struct Stage {
-    /// Join key → row indices of this input.
-    pub(crate) table: KeyedMap<Vec<usize>>,
-    /// This input's rows.
-    pub(crate) rows: Vec<Tuple>,
+    /// This input's rows and their join-key groups.
+    pub(crate) build: GroupIndex,
     /// Positions *within the accumulated tuple buffer* of the join-key
     /// values to probe with.
     pub(crate) key_pos_in_buf: Vec<usize>,
@@ -163,57 +179,68 @@ pub(crate) struct Stage {
     pub(crate) extra_pos: Vec<usize>,
 }
 
+/// What a pipeline leaves at its materialization boundary, and what the next
+/// pipeline up streams or builds a [`Stage`] from: flat rows, never a
+/// [`Relation`].
+pub(crate) type SubResult = (Schema, Rows);
+
 /// Where pipeline output goes (shared by the pipelined and streaming
-/// executors).
-pub(crate) enum Sink {
-    /// Keep full tuples (bag semantics) — a pipeline with no projection.
-    Bag(Vec<Tuple>),
-    /// `SELECT DISTINCT keep` — project then de-duplicate. With `dedup`
-    /// off this degrades to a plain projection (bag semantics).
-    Distinct {
-        keep_pos: Vec<usize>,
-        seen: KeyedSet,
-        rows: Vec<Tuple>,
-        dedup: bool,
-    },
+/// executors): a materialization boundary.
+pub(crate) struct Sink {
+    /// `SELECT [DISTINCT] keep`: buffer positions projected into each
+    /// output row. `None` keeps full tuples (bag semantics) — a pipeline
+    /// with no projection.
+    keep_pos: Option<Vec<usize>>,
+    /// The de-duplicating table of a `DISTINCT` projection; `None` degrades
+    /// it to a plain projection (bag semantics).
+    seen: Option<RowSet>,
+    rows: Rows,
 }
 
 impl Sink {
+    /// The sink of a pipeline whose accumulated schema is `acc`.
+    pub(crate) fn new(acc: &Schema, keep: Option<&[AttrId]>, dedup: bool) -> Sink {
+        Sink {
+            keep_pos: keep.map(|attrs| acc.positions(attrs)),
+            seen: (keep.is_some() && dedup).then(RowSet::default),
+            rows: Rows::new(keep.map_or(acc.arity(), <[AttrId]>::len)),
+        }
+    }
+
     pub(crate) fn emit(
         &mut self,
         buf: &[Value],
-        scratch: &mut Vec<Value>,
         meter: &Meter,
         stats: &mut ExecStats,
     ) -> Result<()> {
         stats.rows_emitted += 1;
-        let rows = match self {
-            Sink::Bag(rows) => {
-                rows.push(buf.to_vec().into_boxed_slice());
-                rows.len()
-            }
-            Sink::Distinct {
-                keep_pos,
-                seen,
-                rows,
-                dedup,
-            } => {
+        match &self.keep_pos {
+            None => self.rows.push(buf.iter().copied()),
+            Some(keep_pos) => {
                 stats.materialized_rows_in += 1;
-                // Duplicates cost a set probe only; the projected row is
-                // allocated just for first occurrences.
-                if !*dedup || seen.insert(keep_pos, buf, scratch) {
-                    rows.push(keep_pos.iter().map(|&p| buf[p]).collect());
+                // Project in place at the end of the buffer; a duplicate is
+                // popped again, so it costs a table probe and no allocation.
+                self.rows.push(keep_pos.iter().map(|&p| buf[p]));
+                if let Some(seen) = &mut self.seen {
+                    seen.keep_last_if_new(&mut self.rows);
                 }
-                rows.len()
             }
-        };
-        if let Some(kind) = meter.on_materialized_rows(rows as u64) {
+        }
+        let rows = self.rows.len();
+        // A boundary that outgrows its row ids is over budget, not wrapped.
+        let over_ids = (rows > MAX_ROWS).then_some(BudgetKind::Materialized);
+        if let Some(kind) = meter.on_materialized_rows(rows as u64).or(over_ids) {
             return Err(RelalgError::BudgetExceeded {
                 kind,
                 tuples_flowed: 0,
             });
         }
         Ok(())
+    }
+
+    /// The materialized output.
+    pub(crate) fn into_rows(self) -> Rows {
+        self.rows
     }
 }
 
@@ -241,16 +268,15 @@ fn materialize(
     meter: &mut Meter,
     stats: &mut ExecStats,
     options: ExecOptions,
-) -> Result<Relation> {
+) -> Result<SubResult> {
     match plan {
-        Plan::Scan { .. } => pipeline(plan, None, meter, stats, options),
-        Plan::Join { .. } => pipeline(plan, None, meter, stats, options),
+        Plan::Scan { .. } | Plan::Join { .. } => pipeline(plan, None, meter, stats, options),
         Plan::ProjectDistinct { input, keep } => {
-            let rel = pipeline(input, Some(keep.clone()), meter, stats, options)?;
+            let (schema, rows) = pipeline(input, Some(keep), meter, stats, options)?;
             stats.materializations += 1;
-            stats.peak_materialized = stats.peak_materialized.max(rel.len() as u64);
-            stats.materialized_rows_out += rel.len() as u64;
-            Ok(rel)
+            stats.peak_materialized = stats.peak_materialized.max(rows.len() as u64);
+            stats.materialized_rows_out += rows.len() as u64;
+            Ok((schema, rows))
         }
     }
 }
@@ -260,139 +286,97 @@ fn materialize(
 /// is given.
 fn pipeline(
     plan: &Plan,
-    keep: Option<Vec<crate::schema::AttrId>>,
+    keep: Option<&[AttrId]>,
     meter: &mut Meter,
     stats: &mut ExecStats,
     options: ExecOptions,
-) -> Result<Relation> {
-    let chain = join_chain(plan);
+) -> Result<SubResult> {
     // Materialize each input: scans bind base relations; subqueries recurse.
-    let mut inputs: Vec<Relation> = Vec::with_capacity(chain.len());
-    for node in &chain {
-        match node {
+    let mut inputs = Vec::new();
+    for node in join_chain(plan) {
+        inputs.push(match node {
             Plan::Scan { base, binding } => {
                 stats.rows_scanned += base.len() as u64;
-                inputs.push(ops::bind(base, binding));
+                bind_rows(base, binding)
             }
-            Plan::ProjectDistinct { .. } => inputs.push(materialize(node, meter, stats, options)?),
+            Plan::ProjectDistinct { .. } => materialize(node, meter, stats, options)?,
             Plan::Join { .. } => unreachable!("join_chain flattens both spines"),
-        }
+        });
     }
+    let mut inputs = inputs.into_iter();
+    let (mut acc, first) = inputs.next().expect("a join chain has an input");
 
     // Accumulated schema after each stage.
-    let mut acc = inputs[0].schema().clone();
     stats.max_intermediate_arity = stats.max_intermediate_arity.max(acc.arity());
-    let mut scratch: Vec<Value> = Vec::new();
-    let mut stages: Vec<Stage> = Vec::with_capacity(inputs.len().saturating_sub(1));
-    for input in &inputs[1..] {
-        stats.rows_scanned += input.len() as u64;
-        let stage = build_stage(&acc, input, &mut scratch);
-        acc = acc.join(input.schema());
+    let mut stages: Vec<Stage> = Vec::with_capacity(inputs.len());
+    for (schema, rows) in inputs {
+        stats.rows_scanned += rows.len() as u64;
+        stages.push(build_stage(&acc, &schema, rows));
+        acc = acc.join(&schema);
         stats.max_intermediate_arity = stats.max_intermediate_arity.max(acc.arity());
-        stages.push(stage);
     }
     stats.join_stages += stages.len() as u64;
 
-    let distinct = keep.is_some() && options.dedup_subqueries;
-    let out_schema = match &keep {
-        Some(attrs) => acc.project(attrs),
-        None => acc.clone(),
-    };
-    let mut sink = match keep {
-        Some(attrs) => {
-            let keep_pos = acc.positions(&attrs);
-            Sink::Distinct {
-                seen: KeyedSet::with_capacity(keep_pos.len(), 0),
-                keep_pos,
-                rows: Vec::new(),
-                dedup: options.dedup_subqueries,
-            }
-        }
-        None => Sink::Bag(Vec::new()),
-    };
+    let out_schema = keep.map_or_else(|| acc.clone(), |attrs| acc.project(attrs));
+    let mut sink = Sink::new(&acc, keep, options.dedup_subqueries);
 
     // Depth-first streaming: probe stage by stage, never materializing the
     // intermediate tuple.
     let mut buf: Vec<Value> = Vec::with_capacity(acc.arity());
-    let first =
-        std::mem::replace(&mut inputs[0], Relation::empty("", Schema::empty())).into_tuples();
     stats.rows_scanned += first.len() as u64;
-    for t in &first {
+    for t in first.iter() {
         if let Some(kind) = meter.on_tuple() {
             return Err(budget_err(kind, meter));
         }
         buf.clear();
         buf.extend_from_slice(t);
-        probe(&stages, 0, &mut buf, &mut scratch, &mut sink, meter, stats)
-            .map_err(|e| attach_flow(e, meter))?;
+        probe(&stages, &mut buf, &mut sink, meter, stats).map_err(|e| attach_flow(e, meter))?;
     }
-
-    let rows = match sink {
-        Sink::Bag(rows) => rows,
-        Sink::Distinct { rows, .. } => rows,
-    };
-    let mut rel = Relation::new("result", out_schema, rows);
-    if distinct {
-        rel.assume_deduped();
-    }
-    Ok(rel)
+    Ok((out_schema, sink.into_rows()))
 }
 
-/// Builds one probe stage: a keyed hash table over `input`, joined against
-/// the accumulated schema `acc`. `scratch` is reused across build tuples.
-pub(crate) fn build_stage(acc: &Schema, input: &Relation, scratch: &mut Vec<Value>) -> Stage {
-    let keys = acc.common(input.schema());
-    let key_pos_in_buf = acc.positions(&keys);
-    let key_pos_in_rel = input.schema().positions(&keys);
+/// Builds one probe stage over `rows` (taken by value, not copied), an
+/// input of schema `input` joined against the accumulated schema `acc`.
+pub(crate) fn build_stage(acc: &Schema, input: &Schema, rows: Rows) -> Stage {
+    let keys = acc.common(input);
     let extra_pos: Vec<usize> = input
-        .schema()
         .attrs()
         .iter()
         .enumerate()
         .filter(|(_, a)| !acc.contains(**a))
         .map(|(i, _)| i)
         .collect();
-    let mut table: KeyedMap<Vec<usize>> = KeyedMap::with_capacity(keys.len(), input.len());
-    for (i, t) in input.tuples().iter().enumerate() {
-        table.entry_or_default(&key_pos_in_rel, t, scratch).push(i);
-    }
     Stage {
-        table,
-        rows: input.tuples().to_vec(),
-        key_pos_in_buf,
+        build: GroupIndex::build(rows, input.positions(&keys)),
+        key_pos_in_buf: acc.positions(&keys),
         extra_pos,
     }
 }
 
 fn probe(
     stages: &[Stage],
-    idx: usize,
     buf: &mut Vec<Value>,
-    scratch: &mut Vec<Value>,
     sink: &mut Sink,
     meter: &mut Meter,
     stats: &mut ExecStats,
 ) -> Result<()> {
-    if idx == stages.len() {
-        return sink.emit(buf, scratch, meter, stats);
-    }
-    let stage = &stages[idx];
-    if let Some(matches) = stage.table.get(&stage.key_pos_in_buf, buf, scratch) {
-        let base_len = buf.len();
-        for &ri in matches {
-            if let Some(kind) = meter.on_tuple() {
-                return Err(RelalgError::BudgetExceeded {
-                    kind,
-                    tuples_flowed: 0,
-                });
-            }
-            let row = &stage.rows[ri];
-            buf.truncate(base_len);
-            buf.extend(stage.extra_pos.iter().map(|&p| row[p]));
-            probe(stages, idx + 1, buf, scratch, sink, meter, stats)?;
+    let Some((stage, rest)) = stages.split_first() else {
+        return sink.emit(buf, meter, stats);
+    };
+    let base_len = buf.len();
+    for &ri in stage.build.get(&stage.key_pos_in_buf, buf) {
+        if let Some(kind) = meter.on_tuple() {
+            return Err(RelalgError::BudgetExceeded {
+                kind,
+                tuples_flowed: 0,
+            });
         }
+        let row = stage.build.row(ri);
         buf.truncate(base_len);
+        buf.extend(stage.extra_pos.iter().map(|&p| row[p]));
+        probe(rest, buf, sink, meter, stats)?;
     }
+    buf.truncate(base_len);
     Ok(())
 }
 

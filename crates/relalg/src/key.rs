@@ -1,12 +1,13 @@
-//! Zero-allocation join keys.
+//! Zero-allocation join keys for the materialized operators.
 //!
-//! Every hash join, semijoin, and `DISTINCT` boundary keys tuples by a
-//! fixed set of column positions. The paper's workloads (3-COLOR and SAT
-//! encodings of random graphs) join almost exclusively on one or two
-//! variables, so the common case is a key of one or two [`Value`]s — small
-//! enough to pack into a single `u64` instead of heap-allocating a
-//! `Vec<Value>` per tuple, which profiling showed dominated probe-side
-//! time on the larger figure-8 instances.
+//! Every hash join, semijoin, and `DISTINCT` projection in [`crate::ops`]
+//! keys tuples by a fixed set of column positions. (The executors in
+//! [`crate::exec`] do not use this module: their materialization
+//! boundaries hash row slices in place.) The paper's workloads (3-COLOR
+//! and SAT encodings of random graphs) join almost exclusively on one or
+//! two variables, so the common case is a key of one or two [`Value`]s —
+//! small enough to pack into a single `u64` instead of heap-allocating a
+//! `Vec<Value>` per tuple.
 //!
 //! [`JoinKey`] is the canonical owned representation: keys of width ≤
 //! [`INLINE_WIDTH`] are packed inline ([`JoinKey::Inline`]), wider keys
@@ -230,8 +231,8 @@ mod tests {
 
     #[test]
     fn narrow_keys_pack_inline_without_allocation() {
-        // The representation guarantee the executor's hot path relies on:
-        // keys of 0, 1, or 2 values never spill to the heap.
+        // The representation guarantee the operators rely on: keys of 0,
+        // 1, or 2 values never spill to the heap.
         let row = [7u32, 8, 9, 10];
         assert!(JoinKey::from_row(&[], &row).is_inline());
         assert!(JoinKey::from_row(&[1], &row).is_inline());

@@ -42,6 +42,7 @@ pub mod ops;
 pub mod pipelined;
 pub mod plan;
 pub mod relation;
+mod rows;
 pub mod schema;
 pub mod stats;
 pub mod value;

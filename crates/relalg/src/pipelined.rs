@@ -16,14 +16,17 @@
 //!   relation and shared by every query holding the snapshot `Arc`.
 //! * **`HashJoin`** — fallback for multi-attribute keys, cross products,
 //!   and subquery inputs: the classic per-query build
-//!   (`StreamStage::Hash`).
+//!   (`StreamStage::Hash`), which takes a subquery's rows by value.
 //! * **`Filter`** — repeated-attribute equality checks (`edge(x, x)`),
 //!   applied inline at the scan or per index posting.
 //! * **`Project`** — column collapse at scans and the `DISTINCT`
 //!   projection at the sink (`crate::exec::Sink`).
 //!
 //! Nothing materializes except at `ProjectDistinct` (subquery-dedup)
-//! boundaries — the same boundaries the classic pipeline has.
+//! boundaries — the same boundaries the classic pipeline has, in the same
+//! representation: one flat row buffer per boundary (see [`crate::exec`]),
+//! streamed by the next pipeline's source or grouped in place as its hash
+//! build. No [`Relation`] is built below the plan root.
 //!
 //! **Byte identity.** Output rows, their order, and `tuples_flowed` are
 //! exactly those of [`crate::exec::ExecMode::Pipelined`]. This holds
@@ -46,30 +49,43 @@ use ppr_obs::{OpKind, OpProfile};
 
 use crate::budget::Meter;
 use crate::error::RelalgError;
-use crate::exec::{attach_flow, budget_err, build_stage, join_chain, ExecOptions, Sink, Stage};
+use crate::exec::{
+    attach_flow, budget_err, build_stage, join_chain, ExecOptions, Sink, Stage, SubResult,
+};
 use crate::index::ColumnIndex;
-use crate::ops;
 use crate::plan::Plan;
 use crate::relation::Relation;
+use crate::rows::Rows;
 use crate::schema::{AttrId, Schema};
 use crate::stats::ExecStats;
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 use crate::Result;
 
 /// The outer input of a streaming pipeline.
 enum Source {
-    /// `TableScan` (+ inline `Filter`/`Project`): stream base rows
-    /// directly, dropping rows that fail the repeated-attribute equality
-    /// checks and collapsing repeated columns on the fly.
-    Table {
-        base: Arc<Relation>,
-        /// `(first, later)` positions in the base row that must agree.
-        eq_checks: Vec<(usize, usize)>,
-        /// Base-row positions streamed; `None` = identity (no repeats).
-        out_pos: Option<Vec<usize>>,
-    },
+    /// `TableScan`: stream base rows directly, no bind copy. The inline
+    /// `Filter`/`Project` of a repeated-attribute binding run in the push
+    /// loop.
+    Table(Arc<Relation>),
     /// An already-materialized subquery result, streamed row by row.
-    Materialized(Relation),
+    Materialized(Rows),
+}
+
+impl Source {
+    fn len(&self) -> usize {
+        match self {
+            Source::Table(base) => base.len(),
+            Source::Materialized(rows) => rows.len(),
+        }
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[Value] {
+        match self {
+            Source::Table(base) => &base.tuples()[i],
+            Source::Materialized(rows) => rows.row(i),
+        }
+    }
 }
 
 /// One probe stage of a streaming pipeline.
@@ -210,6 +226,20 @@ fn eq_ok(eq_checks: &[(usize, usize)], row: &[Value]) -> bool {
     eq_checks.iter().all(|&(a, b)| row[a] == row[b])
 }
 
+/// `ops::bind` into flat rows: the scan's bound schema and the base rows
+/// that pass its repeated-attribute checks, repeated columns collapsed.
+pub(crate) fn bind_rows(base: &Relation, binding: &[AttrId]) -> SubResult {
+    let (schema, out_pos, eq_checks) = bind_shape(binding);
+    let mut rows = Rows::new(schema.arity());
+    for t in base.tuples().iter().filter(|t| eq_ok(&eq_checks, t)) {
+        match &out_pos {
+            None => rows.push(t.iter().copied()),
+            Some(pos) => rows.push(pos.iter().map(|&p| t[p])),
+        }
+    }
+    (schema, rows)
+}
+
 /// The operator tree the streaming executor *would* run for `plan` under
 /// default [`ExecOptions`], computed without touching any rows: kinds,
 /// targets, and structure only — every counter stays zero. `explain plan`
@@ -302,12 +332,12 @@ pub(crate) fn materialize_streaming(
     meter: &mut Meter,
     stats: &mut ExecStats,
     options: ExecOptions,
-) -> Result<Relation> {
-    let (rel, prof) = materialize_streaming_prof(plan, meter, stats, options)?;
+) -> Result<SubResult> {
+    let (out, prof) = materialize_streaming_prof(plan, meter, stats, options)?;
     if let Some(p) = prof {
         stats.op_profile = Some(Box::new(p));
     }
-    Ok(rel)
+    Ok(out)
 }
 
 /// [`materialize_streaming`] returning the pipeline's profile instead of
@@ -318,20 +348,21 @@ fn materialize_streaming_prof(
     meter: &mut Meter,
     stats: &mut ExecStats,
     options: ExecOptions,
-) -> Result<(Relation, Option<OpProfile>)> {
+) -> Result<(SubResult, Option<OpProfile>)> {
     match plan {
         Plan::Scan { .. } | Plan::Join { .. } => {
             pipeline_streaming(plan, None, meter, stats, options)
         }
         Plan::ProjectDistinct { input, keep } => {
-            let (rel, prof) = match ix_scan_distinct(input, keep, meter, stats, options)? {
+            let ((schema, rows), prof) = match ix_scan_distinct(input, keep, meter, stats, options)?
+            {
                 Some(pair) => pair,
-                None => pipeline_streaming(input, Some(keep.clone()), meter, stats, options)?,
+                None => pipeline_streaming(input, Some(keep), meter, stats, options)?,
             };
             stats.materializations += 1;
-            stats.peak_materialized = stats.peak_materialized.max(rel.len() as u64);
-            stats.materialized_rows_out += rel.len() as u64;
-            Ok((rel, prof))
+            stats.peak_materialized = stats.peak_materialized.max(rows.len() as u64);
+            stats.materialized_rows_out += rows.len() as u64;
+            Ok(((schema, rows), prof))
         }
     }
 }
@@ -351,7 +382,7 @@ fn ix_scan_distinct(
     meter: &mut Meter,
     stats: &mut ExecStats,
     options: ExecOptions,
-) -> Result<Option<(Relation, Option<OpProfile>)>> {
+) -> Result<Option<(SubResult, Option<OpProfile>)>> {
     if !options.dedup_subqueries || keep.len() != 1 {
         return Ok(None);
     }
@@ -386,7 +417,6 @@ fn ix_scan_distinct(
         return Err(budget_err(kind, meter));
     }
     stats.rows_emitted += keys.len() as u64;
-    let rows: Vec<Tuple> = keys.iter().map(|&v| vec![v].into_boxed_slice()).collect();
     let prof = start.map(|s| {
         let mut node = OpProfile::node(OpKind::IxScan, base.name());
         node.rows_in = base.len() as u64;
@@ -395,9 +425,8 @@ fn ix_scan_distinct(
         node.time_us = s.elapsed().as_micros() as u64;
         node
     });
-    let mut rel = Relation::new("result", Schema::new(vec![keep[0]]), rows);
-    rel.assume_deduped();
-    Ok(Some((rel, prof)))
+    let out = (Schema::new(vec![keep[0]]), Rows::from_column(keys));
+    Ok(Some((out, prof)))
 }
 
 /// Wires and runs one streaming join pipeline: a [`Source`], a stage per
@@ -405,13 +434,12 @@ fn ix_scan_distinct(
 /// is given).
 fn pipeline_streaming(
     plan: &Plan,
-    keep: Option<Vec<AttrId>>,
+    keep: Option<&[AttrId]>,
     meter: &mut Meter,
     stats: &mut ExecStats,
     options: ExecOptions,
-) -> Result<(Relation, Option<OpProfile>)> {
+) -> Result<(SubResult, Option<OpProfile>)> {
     let chain = join_chain(plan);
-    let mut scratch: Vec<Value> = Vec::new();
     // The profile-or-not decision is made here, once per pipeline build:
     // `None` keeps the per-row cost at a null check, no clock reads.
     let profiling = options.profile.is_on();
@@ -419,23 +447,19 @@ fn pipeline_streaming(
 
     // Source: scans stream straight off the base relation (no bind copy);
     // subqueries materialize first, as in every mode.
-    let (mut acc, source) = match chain[0] {
+    // `eq_checks` are the `(first, later)` source-row positions that must
+    // agree and `out_pos` the positions streamed (`None` = all of them).
+    let (mut acc, source, out_pos, eq_checks) = match chain[0] {
         Plan::Scan { base, binding } => {
             let (schema, out_pos, eq_checks) = bind_shape(binding);
             if let Some(p) = prof.as_mut() {
                 p.nodes.push(NodeAcc::new(OpKind::TableScan, base.name()));
             }
-            (
-                schema,
-                Source::Table {
-                    base: Arc::clone(base),
-                    eq_checks,
-                    out_pos,
-                },
-            )
+            (schema, Source::Table(Arc::clone(base)), out_pos, eq_checks)
         }
         sub @ Plan::ProjectDistinct { .. } => {
-            let (rel, sub_prof) = materialize_streaming_prof(sub, meter, stats, options)?;
+            let ((schema, rows), sub_prof) =
+                materialize_streaming_prof(sub, meter, stats, options)?;
             if let Some(p) = prof.as_mut() {
                 // Streaming a materialized intermediate: the subquery
                 // that produced it hangs off the scan node.
@@ -443,7 +467,7 @@ fn pipeline_streaming(
                 node.subs.extend(sub_prof);
                 p.nodes.push(node);
             }
-            (rel.schema().clone(), Source::Materialized(rel))
+            (schema, Source::Materialized(rows), None, Vec::new())
         }
         Plan::Join { .. } => unreachable!("join_chain flattens both spines"),
     };
@@ -492,32 +516,33 @@ fn pipeline_streaming(
                 } else {
                     let build_start = profiling.then(Instant::now);
                     stats.rows_scanned += base.len() as u64;
-                    let bound = ops::bind(base, binding);
+                    let (schema, bound) = bind_rows(base, binding);
                     stats.rows_scanned += bound.len() as u64;
-                    let stage = build_stage(&acc, &bound, &mut scratch);
+                    let stage = build_stage(&acc, &schema, bound);
                     if let Some(p) = prof.as_mut() {
                         let mut n = NodeAcc::new(OpKind::HashJoin, base.name());
                         n.build_ns = build_start.expect("profiling").elapsed().as_nanos() as u64;
                         p.nodes.push(n);
                     }
-                    acc = acc.join(bound.schema());
+                    acc = acc.join(&schema);
                     StreamStage::Hash(stage)
                 }
             }
             sub @ Plan::ProjectDistinct { .. } => {
-                let (rel, sub_prof) = materialize_streaming_prof(sub, meter, stats, options)?;
-                stats.rows_scanned += rel.len() as u64;
+                let ((schema, rows), sub_prof) =
+                    materialize_streaming_prof(sub, meter, stats, options)?;
+                stats.rows_scanned += rows.len() as u64;
                 // Time only the hash build: the subquery's own time is
                 // already inside `sub_prof`'s nodes.
                 let build_start = profiling.then(Instant::now);
-                let stage = build_stage(&acc, &rel, &mut scratch);
+                let stage = build_stage(&acc, &schema, rows);
                 if let Some(p) = prof.as_mut() {
                     let mut n = NodeAcc::new(OpKind::HashJoin, "");
                     n.build_ns = build_start.expect("profiling").elapsed().as_nanos() as u64;
                     n.subs.extend(sub_prof);
                     p.nodes.push(n);
                 }
-                acc = acc.join(rel.schema());
+                acc = acc.join(&schema);
                 StreamStage::Hash(stage)
             }
             Plan::Join { .. } => unreachable!("join_chain flattens both spines"),
@@ -527,7 +552,6 @@ fn pipeline_streaming(
     }
     stats.join_stages += stages.len() as u64;
 
-    let distinct = keep.is_some() && options.dedup_subqueries;
     if let Some(p) = prof.as_mut() {
         let kind = if keep.is_some() {
             OpKind::Distinct
@@ -536,110 +560,42 @@ fn pipeline_streaming(
         };
         p.nodes.push(NodeAcc::new(kind, ""));
     }
-    let out_schema = match &keep {
-        Some(attrs) => acc.project(attrs),
-        None => acc.clone(),
-    };
-    let mut sink = match keep {
-        Some(attrs) => {
-            let keep_pos = acc.positions(&attrs);
-            Sink::Distinct {
-                seen: crate::key::KeyedSet::with_capacity(keep_pos.len(), 0),
-                keep_pos,
-                rows: Vec::new(),
-                dedup: options.dedup_subqueries,
-            }
-        }
-        None => Sink::Bag(Vec::new()),
-    };
+    let out_schema = keep.map_or_else(|| acc.clone(), |attrs| acc.project(attrs));
+    let mut sink = Sink::new(&acc, keep, options.dedup_subqueries);
 
     // Push rows from the source through the stages into the sink.
     let mut buf: Vec<Value> = Vec::with_capacity(acc.arity());
-    match source {
-        Source::Table {
-            base,
-            eq_checks,
-            out_pos,
-        } => {
-            stats.rows_scanned += base.len() as u64;
-            if let Some(p) = prof.as_mut() {
-                p.nodes[0].rows_in += base.len() as u64;
-            }
-            let loop_start = profiling.then(Instant::now);
-            for t in base.tuples() {
-                if !eq_ok(&eq_checks, t) {
-                    continue;
-                }
-                if let Some(kind) = meter.on_tuple() {
-                    return Err(budget_err(kind, meter));
-                }
-                buf.clear();
-                match &out_pos {
-                    None => buf.extend_from_slice(t),
-                    Some(pos) => buf.extend(pos.iter().map(|&p| t[p])),
-                }
-                if let Some(p) = prof.as_mut() {
-                    p.nodes[0].rows_out += 1;
-                }
-                probe_streaming(
-                    &stages,
-                    0,
-                    &mut buf,
-                    &mut scratch,
-                    &mut sink,
-                    meter,
-                    stats,
-                    prof.as_mut(),
-                )
-                .map_err(|e| attach_flow(e, meter))?;
-            }
-            if let (Some(p), Some(s)) = (prof.as_mut(), loop_start) {
-                p.nodes[0].incl_ns += s.elapsed().as_nanos() as u64;
-            }
+    stats.rows_scanned += source.len() as u64;
+    if let Some(p) = prof.as_mut() {
+        p.nodes[0].rows_in += source.len() as u64;
+    }
+    let loop_start = profiling.then(Instant::now);
+    for i in 0..source.len() {
+        let t = source.row(i);
+        if !eq_ok(&eq_checks, t) {
+            continue;
         }
-        Source::Materialized(rel) => {
-            stats.rows_scanned += rel.len() as u64;
-            if let Some(p) = prof.as_mut() {
-                p.nodes[0].rows_in += rel.len() as u64;
-            }
-            let loop_start = profiling.then(Instant::now);
-            for t in rel.tuples() {
-                if let Some(kind) = meter.on_tuple() {
-                    return Err(budget_err(kind, meter));
-                }
-                buf.clear();
-                buf.extend_from_slice(t);
-                if let Some(p) = prof.as_mut() {
-                    p.nodes[0].rows_out += 1;
-                }
-                probe_streaming(
-                    &stages,
-                    0,
-                    &mut buf,
-                    &mut scratch,
-                    &mut sink,
-                    meter,
-                    stats,
-                    prof.as_mut(),
-                )
-                .map_err(|e| attach_flow(e, meter))?;
-            }
-            if let (Some(p), Some(s)) = (prof.as_mut(), loop_start) {
-                p.nodes[0].incl_ns += s.elapsed().as_nanos() as u64;
-            }
+        if let Some(kind) = meter.on_tuple() {
+            return Err(budget_err(kind, meter));
         }
+        buf.clear();
+        match &out_pos {
+            None => buf.extend_from_slice(t),
+            Some(pos) => buf.extend(pos.iter().map(|&p| t[p])),
+        }
+        if let Some(p) = prof.as_mut() {
+            p.nodes[0].rows_out += 1;
+        }
+        probe_streaming(&stages, 0, &mut buf, &mut sink, meter, stats, prof.as_mut())
+            .map_err(|e| attach_flow(e, meter))?;
+    }
+    if let (Some(p), Some(s)) = (prof.as_mut(), loop_start) {
+        p.nodes[0].incl_ns += s.elapsed().as_nanos() as u64;
     }
 
-    let rows = match sink {
-        Sink::Bag(rows) => rows,
-        Sink::Distinct { rows, .. } => rows,
-    };
-    let mut rel = Relation::new("result", out_schema, rows);
-    if distinct {
-        rel.assume_deduped();
-    }
-    let profile = prof.map(|p| p.finish(rel.len() as u64));
-    Ok((rel, profile))
+    let rows = sink.into_rows();
+    let profile = prof.map(|p| p.finish(rows.len() as u64));
+    Ok(((out_schema, rows), profile))
 }
 
 /// Depth-first push through the stages — the streaming counterpart of the
@@ -648,12 +604,10 @@ fn pipeline_streaming(
 /// `prof`, when present, indexes stage `idx` at `nodes[idx + 1]` (node 0
 /// is the source) and the sink at the last node. All bookkeeping hides
 /// behind the `Option` check, so the unprofiled path is unchanged.
-#[allow(clippy::too_many_arguments)]
 fn probe_streaming(
     stages: &[StreamStage],
     idx: usize,
     buf: &mut Vec<Value>,
-    scratch: &mut Vec<Value>,
     sink: &mut Sink,
     meter: &mut Meter,
     stats: &mut ExecStats,
@@ -661,10 +615,10 @@ fn probe_streaming(
 ) -> Result<()> {
     if idx == stages.len() {
         return match prof {
-            None => sink.emit(buf, scratch, meter, stats),
+            None => sink.emit(buf, meter, stats),
             Some(p) => {
                 let start = Instant::now();
-                let r = sink.emit(buf, scratch, meter, stats);
+                let r = sink.emit(buf, meter, stats);
                 let node = p.nodes.last_mut().expect("sink node");
                 node.rows_in += 1;
                 node.incl_ns += start.elapsed().as_nanos() as u64;
@@ -675,41 +629,36 @@ fn probe_streaming(
     let start = prof.as_ref().map(|_| Instant::now());
     match &stages[idx] {
         StreamStage::Hash(stage) => {
-            let matches = stage.table.get(&stage.key_pos_in_buf, buf, scratch);
+            let matches = stage.build.get(&stage.key_pos_in_buf, buf);
             if let Some(p) = prof.as_deref_mut() {
                 let n = &mut p.nodes[idx + 1];
                 n.probes += 1;
-                if let Some(m) = &matches {
-                    // Every match row is passed downstream unfiltered.
-                    n.rows_in += m.len() as u64;
-                    n.rows_out += m.len() as u64;
-                }
+                // Every match row is passed downstream unfiltered.
+                n.rows_in += matches.len() as u64;
+                n.rows_out += matches.len() as u64;
             }
-            if let Some(matches) = matches {
-                let base_len = buf.len();
-                for &ri in matches {
-                    if let Some(kind) = meter.on_tuple() {
-                        return Err(RelalgError::BudgetExceeded {
-                            kind,
-                            tuples_flowed: 0,
-                        });
-                    }
-                    let row = &stage.rows[ri];
-                    buf.truncate(base_len);
-                    buf.extend(stage.extra_pos.iter().map(|&p| row[p]));
-                    probe_streaming(
-                        stages,
-                        idx + 1,
-                        buf,
-                        scratch,
-                        sink,
-                        meter,
-                        stats,
-                        prof.as_deref_mut(),
-                    )?;
+            let base_len = buf.len();
+            for &ri in matches {
+                if let Some(kind) = meter.on_tuple() {
+                    return Err(RelalgError::BudgetExceeded {
+                        kind,
+                        tuples_flowed: 0,
+                    });
                 }
+                let row = stage.build.row(ri);
                 buf.truncate(base_len);
+                buf.extend(stage.extra_pos.iter().map(|&p| row[p]));
+                probe_streaming(
+                    stages,
+                    idx + 1,
+                    buf,
+                    sink,
+                    meter,
+                    stats,
+                    prof.as_deref_mut(),
+                )?;
             }
+            buf.truncate(base_len);
         }
         StreamStage::Index {
             base,
@@ -749,7 +698,6 @@ fn probe_streaming(
                     stages,
                     idx + 1,
                     buf,
-                    scratch,
                     sink,
                     meter,
                     stats,

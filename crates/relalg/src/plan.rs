@@ -70,7 +70,21 @@ impl Plan {
     /// in first-occurrence order; joins concatenate left-then-new-right;
     /// projections reorder to `keep`.
     pub fn schema(&self) -> Result<Schema> {
-        match self {
+        self.schema_and_width().map(|(schema, _)| schema)
+    }
+
+    /// The *width* of the plan: the maximum arity of any node's output
+    /// schema. This is the working-label size of the corresponding
+    /// join-expression tree; Theorem 1 states that the minimum width over
+    /// all plans for a query is the treewidth of its join graph plus one.
+    pub fn width(&self) -> Result<usize> {
+        self.schema_and_width().map(|(_, width)| width)
+    }
+
+    /// One bottom-up pass: each node's schema is derived once, from its
+    /// children's, and checked where it is derived.
+    fn schema_and_width(&self) -> Result<(Schema, usize)> {
+        let (schema, below) = match self {
             Plan::Scan { base, binding } => {
                 if binding.len() != base.arity() {
                     return Err(RelalgError::InvalidPlan(format!(
@@ -86,11 +100,15 @@ impl Plan {
                         attrs.push(a);
                     }
                 }
-                Ok(Schema::new(attrs))
+                (Schema::new(attrs), 0)
             }
-            Plan::Join { left, right } => Ok(left.schema()?.join(&right.schema()?)),
+            Plan::Join { left, right } => {
+                let (l, l_width) = left.schema_and_width()?;
+                let (r, r_width) = right.schema_and_width()?;
+                (l.join(&r), l_width.max(r_width))
+            }
             Plan::ProjectDistinct { input, keep } => {
-                let inner = input.schema()?;
+                let (inner, width) = input.schema_and_width()?;
                 for &a in keep {
                     if !inner.contains(a) {
                         return Err(RelalgError::MissingAttr(format!(
@@ -98,23 +116,11 @@ impl Plan {
                         )));
                     }
                 }
-                Ok(Schema::new(keep.clone()))
+                (Schema::new(keep.clone()), width)
             }
-        }
-    }
-
-    /// The *width* of the plan: the maximum arity of any node's output
-    /// schema. This is the working-label size of the corresponding
-    /// join-expression tree; Theorem 1 states that the minimum width over
-    /// all plans for a query is the treewidth of its join graph plus one.
-    pub fn width(&self) -> Result<usize> {
-        let own = self.schema()?.arity();
-        let children = match self {
-            Plan::Scan { .. } => 0,
-            Plan::Join { left, right } => left.width()?.max(right.width()?),
-            Plan::ProjectDistinct { input, .. } => input.width()?,
         };
-        Ok(own.max(children))
+        let width = below.max(schema.arity());
+        Ok((schema, width))
     }
 
     /// Number of nodes in the plan tree.
@@ -148,7 +154,7 @@ impl Plan {
 
     /// Validates the whole tree (schema computation visits every node).
     pub fn validate(&self) -> Result<()> {
-        self.width().map(|_| ())
+        self.schema_and_width().map(|_| ())
     }
 
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {

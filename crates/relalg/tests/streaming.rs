@@ -15,7 +15,7 @@ use std::sync::Arc;
 use ppr_relalg::budget::BudgetKind;
 use ppr_relalg::exec::{self, ExecMode, ExecOptions};
 use ppr_relalg::stats::ExecStats;
-use ppr_relalg::{AttrId, Budget, Plan, RelalgError, Relation, Schema, Value};
+use ppr_relalg::{ops, AttrId, Budget, Plan, RelalgError, Relation, Schema, Value};
 use proptest::prelude::*;
 
 /// Attribute pool kept small so random scans share variables often —
@@ -124,6 +124,47 @@ fn coloring_plan(diff: &Arc<Relation>, edges: &[(u8, u8)], boolean: bool) -> Pla
     plan.project(keep)
 }
 
+/// The shape bucket elimination gives the serving benchmark's plans: each
+/// `(start, len, width)` is a subquery — a path of `len` scans over the
+/// attributes from `start`, projected onto its first `width` (3–8) — and
+/// the subqueries, whose attribute ranges share at least two attributes,
+/// are joined under a root projection. So every boundary holds wide rows
+/// and every join between subqueries is a multi-attribute hash join.
+fn bucket_plan(base: &Arc<Relation>, subs: &[(u8, u8, u8)], root_mask: u16) -> Plan {
+    let sub = |&(start, len, width): &(u8, u8, u8)| {
+        let scan = |i: u8| {
+            let binding = [i, i + 1].map(|a| AttrId(u32::from(start + a)));
+            Plan::scan(Arc::clone(base), binding.to_vec())
+        };
+        let path = (1..len).fold(scan(0), |path, i| path.join(scan(i)));
+        let keep = 0..width.min(len + 1);
+        path.project(keep.map(|a| AttrId(u32::from(start + a))).collect())
+    };
+    let joined = subs[1..]
+        .iter()
+        .fold(sub(&subs[0]), |plan, s| plan.join(sub(s)));
+    let schema = joined.schema().expect("valid by construction");
+    let keep = schema.attrs().iter().enumerate();
+    let keep = keep.filter(|(i, _)| root_mask >> i & 1 == 1);
+    joined.project(keep.map(|(_, &attr)| attr).collect())
+}
+
+/// Bag semantics from the textbook operators: `plan` with every
+/// `ProjectDistinct` read as a plain `SELECT`.
+fn bag_of(plan: &Plan) -> Relation {
+    match plan {
+        Plan::Scan { base, binding } => ops::bind(base, binding),
+        Plan::Join { left, right } => ops::natural_join(&bag_of(left), &bag_of(right)),
+        Plan::ProjectDistinct { input, keep } => {
+            let inner = bag_of(input);
+            let pos = inner.schema().positions(keep);
+            let project = |t: &[Value]| pos.iter().map(|&p| t[p]).collect();
+            let rows = inner.tuples().iter().map(|t| project(t)).collect();
+            Relation::new("bag", Schema::new(keep.clone()), rows)
+        }
+    }
+}
+
 /// Runs `plan` in the given mode with subquery dedup on or off.
 fn run(
     plan: &Plan,
@@ -193,6 +234,49 @@ proptest! {
         let streaming = run(&plan, &budget, ExecMode::Streaming, false).expect("streaming");
         let pipelined = run(&plan, &budget, ExecMode::Pipelined, false).expect("pipelined");
         check_identical(&streaming, &pipelined)?;
+    }
+
+    /// Bucket-shaped plans: wide keeps at every boundary and
+    /// multi-attribute hash joins whose build side is a subquery result.
+    #[test]
+    fn bucket_shaped_plans_agree(
+        rows in prop::collection::vec(prop::collection::vec(0u32..3, 2), 0..=8),
+        subs in prop::collection::vec((0u8..2, 3u8..=8, 3u8..=8), 2..=3),
+        root_mask in 0u16..1024,
+    ) {
+        let base = base_relation(rows);
+        let plan = bucket_plan(&base, &subs, root_mask);
+        let budget = Budget::unlimited();
+
+        let streaming = run(&plan, &budget, ExecMode::Streaming, true).expect("streaming");
+        let pipelined = run(&plan, &budget, ExecMode::Pipelined, true).expect("pipelined");
+        check_identical(&streaming, &pipelined)?;
+        prop_assert!(streaming.1.max_intermediate_arity >= 4);
+        let (mat, _) = run(&plan, &budget, ExecMode::Materialized, true).expect("materialized");
+        prop_assert!(streaming.0.set_eq(&mat));
+    }
+
+    /// With dedup off the same shapes yield exactly the bag: every row of
+    /// every boundary kept, duplicates and all.
+    #[test]
+    fn dedup_disabled_yields_the_bag(
+        rows in prop::collection::vec(prop::collection::vec(0u32..3, 2), 0..=6),
+        subs in prop::collection::vec((0u8..2, 3u8..=4, 3u8..=4), 2),
+        root_mask in 0u16..64,
+    ) {
+        let base = base_relation(rows);
+        let plan = bucket_plan(&base, &subs, root_mask);
+        let budget = Budget::unlimited();
+
+        let streaming = run(&plan, &budget, ExecMode::Streaming, false).expect("streaming");
+        let pipelined = run(&plan, &budget, ExecMode::Pipelined, false).expect("pipelined");
+        check_identical(&streaming, &pipelined)?;
+        prop_assert!(!streaming.0.is_deduped());
+        let mut got = streaming.0.tuples().to_vec();
+        let mut bag = bag_of(&plan).into_tuples();
+        got.sort();
+        bag.sort();
+        prop_assert_eq!(got, bag);
     }
 
     /// Path queries — the all-index-join shape. Every interior stage is

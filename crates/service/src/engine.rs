@@ -1098,7 +1098,7 @@ fn process(
     let (rel, stats) = executed.map_err(ServiceError::Exec)?;
 
     let columns: Vec<String> = query.free.iter().map(|&f| query.vars.name(f)).collect();
-    let rows = rel.tuples().to_vec();
+    let rows = rel.into_tuples();
     if !explaining {
         shared.results.insert(
             result_key,
