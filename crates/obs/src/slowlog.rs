@@ -65,8 +65,9 @@ pub struct SlowEntry {
 #[derive(Debug)]
 pub struct SlowLog {
     cap: usize,
-    /// Smallest retained `total_us` once full; entries at or below it
-    /// cannot displace anything and skip the lock.
+    /// The least `total_us` that can still enter: 0 until the log is full,
+    /// then one above the smallest retained. Entries below it cannot
+    /// displace anything and skip the lock.
     floor: AtomicU64,
     seq: AtomicU64,
     entries: Mutex<Vec<SlowEntry>>,
@@ -93,17 +94,23 @@ impl SlowLog {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Whether a request of this latency could still enter the log: one
+    /// atomic load, no lock. `false` means the log is full of slower (or
+    /// equally slow) requests, so a caller can skip building the entry.
+    pub fn admits(&self, total_us: u64) -> bool {
+        // Relaxed is fine: a stale floor only costs one extra lock or
+        // skips an entry that was already borderline.
+        total_us >= self.floor.load(Ordering::Relaxed)
+    }
+
     /// Offers an entry; it is kept iff it ranks among the worst `cap`
     /// seen so far. Fast-fails on the atomic floor without locking.
     pub fn record(&self, entry: SlowEntry) {
-        // Relaxed is fine: a stale floor only costs one extra lock or
-        // skips an entry that was already borderline.
-        let floor = self.floor.load(Ordering::Relaxed);
+        if !self.admits(entry.total_us) {
+            return;
+        }
         let mut entries = self.entries.lock().expect("slowlog lock");
         if entries.len() >= self.cap {
-            if entry.total_us <= floor {
-                return;
-            }
             // Displace the current fastest retained entry.
             let (mi, _) = entries
                 .iter()
@@ -117,8 +124,9 @@ impl SlowLog {
         }
         entries.push(entry);
         if entries.len() >= self.cap {
-            let new_floor = entries.iter().map(|e| e.total_us).min().expect("non-empty");
-            self.floor.store(new_floor, Ordering::Relaxed);
+            let fastest = entries.iter().map(|e| e.total_us).min().expect("non-empty");
+            self.floor
+                .store(fastest.saturating_add(1), Ordering::Relaxed);
         }
     }
 
@@ -180,6 +188,23 @@ mod tests {
         log.record(entry(15, 4));
         let latencies: Vec<u64> = log.snapshot().iter().map(|e| e.total_us).collect();
         assert_eq!(latencies, vec![20, 15]);
+    }
+
+    #[test]
+    fn below_floor_entries_never_touch_the_lock() {
+        let log = SlowLog::new(2);
+        log.record(entry(10, 0));
+        log.record(entry(20, 1));
+        let before = log.snapshot();
+        assert!(!log.admits(10) && log.admits(11));
+        // Offered while this thread holds the guard: taking the lock again
+        // would deadlock (or panic), so returning at all proves the floor
+        // check came first.
+        let guard = log.entries.lock().unwrap();
+        log.record(entry(10, 2));
+        log.record(entry(0, 3));
+        drop(guard);
+        assert_eq!(log.snapshot(), before);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use ppr_relalg::{AttrId, Relation};
 
@@ -63,15 +63,9 @@ impl ConjunctiveQuery {
 
     /// All variables, in first occurrence order across atoms.
     pub fn all_vars(&self) -> Vec<AttrId> {
-        let mut out = Vec::new();
-        for atom in &self.atoms {
-            for v in atom.vars() {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
+        let mut seen = FxHashSet::default();
+        let args = self.atoms.iter().flat_map(|atom| &atom.args);
+        args.copied().filter(|&v| seen.insert(v)).collect()
     }
 
     /// Whether the query is (logically) Boolean.

@@ -27,6 +27,19 @@
 //! occurrences. After stabilization the sorted atom-color multiset plus
 //! the ordered free colors are folded into the final digest.
 //!
+//! Refinement never touches the query's own representation. `Incidence`
+//! resolves it once into flat arrays — variables renumbered `0..n` in
+//! first-occurrence order through a single hash probe per argument (ids
+//! may be sparse: nothing is sized by the largest), and three groupings in
+//! CSR layout, each an offsets array into an items array: an atom's
+//! arguments (as dense variable indices), a variable's occurrences (as
+//! indices into the argument array), a connected component's atoms (keyed
+//! by union-find root; the split does not depend on the seed). `Colors`
+//! holds the buffers both seeds' runs share, so a round allocates nothing:
+//! a fold over each atom's argument slice, a gather, in-place sort and
+//! fold over each variable's occurrence segment, one sort to count the
+//! distinct colors.
+//!
 //! Like every refinement-based invariant, the map is sound (isomorphic
 //! queries always collide) but **not complete**: non-isomorphic queries
 //! that 1-WL refinement cannot separate are *constructible* (CFI-style
@@ -77,6 +90,12 @@ impl QueryShape {
     /// Computes the shape of `query`. Invariant under variable renaming
     /// and atom reordering, like the fingerprint itself.
     pub fn of(query: &ConjunctiveQuery) -> QueryShape {
+        QueryShape::with_num_vars(query, query.all_vars().len())
+    }
+
+    /// [`QueryShape::of`] for a caller that has already counted the
+    /// query's distinct variables.
+    fn with_num_vars(query: &ConjunctiveQuery, num_vars: usize) -> QueryShape {
         let mut counts: FxHashMap<(&str, usize), usize> = FxHashMap::default();
         for atom in &query.atoms {
             *counts
@@ -91,7 +110,7 @@ impl QueryShape {
         let boolean = query.is_boolean();
         QueryShape {
             relations,
-            num_vars: query.all_vars().len(),
+            num_vars,
             num_free: if boolean { 0 } else { query.free.len() },
             boolean,
         }
@@ -127,197 +146,272 @@ fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
     acc
 }
 
-/// The stabilized WL refinement at a fixed `seed`: the query's variables
-/// (in first-occurrence order), the index map, and the final variable and
-/// atom colors. Shared by the fingerprint halves and by
-/// [`canonical_var_order`].
-struct Refinement {
+/// The refinement seeds of the fingerprint's high and low halves.
+const SEEDS: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
+
+/// The query's variable/atom incidence structure, resolved once into flat
+/// arrays (module docs): everything refinement reads, none of it
+/// seed-dependent. Each `*_start` array holds CSR offsets into the array
+/// declared after it: group `g` is `items[start[g]..start[g + 1]]`.
+struct Incidence<'q> {
+    query: &'q ConjunctiveQuery,
+    /// Dense variable index → id, in first-occurrence order.
     vars: Vec<AttrId>,
-    var_index: FxHashMap<AttrId, usize>,
-    var_color: Vec<u64>,
-    atom_color: Vec<u64>,
+    /// Atom → its arguments, as dense variable indices in argument order.
+    atom_start: Vec<usize>,
+    args: Vec<usize>,
+    /// Variable → its occurrences, as indices into `args`.
+    var_start: Vec<usize>,
+    var_occs: Vec<usize>,
+    /// Union-find root → the atoms of its connected component; group
+    /// `vars.len()` holds the atoms without arguments. Variables that are
+    /// not roots have empty groups.
+    root_start: Vec<usize>,
+    root_atoms: Vec<usize>,
+    /// Union-find root → the number of variables in its component.
+    root_vars: Vec<u64>,
+    /// The free list as dense variable indices; empty for a Boolean query.
+    free: Vec<usize>,
 }
 
-/// Runs WL color refinement to stabilization at `seed`.
-fn refine(query: &ConjunctiveQuery, seed: u64) -> Refinement {
-    let vars: Vec<AttrId> = query.all_vars();
-    let var_index: FxHashMap<AttrId, usize> =
-        vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+/// The colors of one refinement run and the buffers its rounds reuse.
+struct Colors {
+    var: Vec<u64>,
+    atom: Vec<u64>,
+    /// Per atom, the seeded relation-name hash every round starts from.
+    atom_base: Vec<u64>,
+    /// Per entry of `args`, the hash of its `(atom color, position)`.
+    occ: Vec<u64>,
+    /// Sorting space: one slot per argument, variable or atom, whichever
+    /// is most.
+    scratch: Vec<u64>,
+    /// One digest per connected component.
+    components: Vec<u64>,
+}
 
-    // Initial variable colors: position in the free list (ordered — it is
-    // the output schema) or a bound-variable marker. Both are invariant
-    // under renaming and atom permutation. A Boolean query's free list
-    // holds one *arbitrary* representative for SQL emulation (see
-    // `ConjunctiveQuery::is_boolean`); which variable the parser picked is
-    // not part of the query's meaning, so every variable of a Boolean
-    // query gets the bound marker.
-    let boolean = query.is_boolean();
-    let mut var_color: Vec<u64> = vars
-        .iter()
-        .map(|v| match query.free.iter().position(|f| f == v) {
-            Some(i) if !boolean => mix64(seed ^ 0xf2ee ^ (i as u64 + 1)),
-            _ => mix64(seed ^ 0xb0a7),
-        })
-        .collect();
+/// Counting sort of `0..keys.len()` by key, as CSR `(start, items)`: the
+/// indices with key `k` are `items[start[k]..start[k + 1]]`, ascending.
+fn group_by_key(keys: &[usize], num_keys: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0; num_keys + 1];
+    for &k in keys {
+        start[k + 1] += 1;
+    }
+    for k in 0..num_keys {
+        start[k + 1] += start[k];
+    }
+    let mut next = start.clone();
+    let mut items = vec![0; keys.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        items[next[k]] = i;
+        next[k] += 1;
+    }
+    (start, items)
+}
 
-    // Pre-hash relation names once.
-    let rel_hash: Vec<u64> = query
-        .atoms
-        .iter()
-        .map(|a| hash_bytes(seed ^ 0x5e1a, a.relation.as_bytes()))
-        .collect();
+/// Union-find root of `x`, halving the path on the way.
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
+}
 
-    // Refine until the variable partition stabilizes. |vars| rounds always
-    // suffice (each round can only split color classes); queries are small
-    // enough that the quadratic worst case is irrelevant.
-    let mut atom_color: Vec<u64> = vec![0; query.atoms.len()];
-    let mut distinct = count_distinct(&var_color);
-    for _ in 0..=vars.len() {
-        // Atom colors from (relation, ordered argument colors).
-        for (ai, atom) in query.atoms.iter().enumerate() {
-            let mut acc = fold(mix64(seed ^ 0xa703), rel_hash[ai]);
+impl<'q> Incidence<'q> {
+    fn of(query: &'q ConjunctiveQuery) -> Incidence<'q> {
+        let num_args = query.atoms.iter().map(|a| a.arity()).sum();
+        let mut index: FxHashMap<AttrId, usize> = FxHashMap::default();
+        index.reserve(num_args);
+        let mut vars = Vec::new();
+        let mut atom_start = Vec::with_capacity(query.atoms.len() + 1);
+        let mut args = Vec::with_capacity(num_args);
+        for atom in &query.atoms {
+            atom_start.push(args.len());
             for &arg in &atom.args {
-                acc = fold(acc, var_color[var_index[&arg]]);
-            }
-            atom_color[ai] = acc;
-        }
-        // Variable colors from the sorted multiset of occurrences.
-        let mut occurrences: Vec<Vec<u64>> = vec![Vec::new(); vars.len()];
-        for (ai, atom) in query.atoms.iter().enumerate() {
-            for (pos, &arg) in atom.args.iter().enumerate() {
-                occurrences[var_index[&arg]].push(fold(atom_color[ai], pos as u64 + 1));
+                let v = *index.entry(arg).or_insert(vars.len());
+                if v == vars.len() {
+                    vars.push(arg);
+                }
+                args.push(v);
             }
         }
-        for (vi, occ) in occurrences.iter_mut().enumerate() {
-            occ.sort_unstable();
-            let mut acc = var_color[vi];
-            for &o in occ.iter() {
-                acc = fold(acc, o);
+        atom_start.push(args.len());
+        let (var_start, var_occs) = group_by_key(&args, vars.len());
+
+        // Union-find over variables; each atom unions its argument set.
+        let mut parent: Vec<usize> = (0..vars.len()).collect();
+        for bounds in atom_start.windows(2) {
+            if let Some((&first, rest)) = args[bounds[0]..bounds[1]].split_first() {
+                let a = find(&mut parent, first);
+                for &v in rest {
+                    let b = find(&mut parent, v);
+                    parent[b] = a;
+                }
             }
-            var_color[vi] = acc;
         }
-        let now = count_distinct(&var_color);
-        if now == distinct {
-            break;
+        let root_of = |bounds: &[usize]| match args[bounds[0]..bounds[1]].first() {
+            Some(&v) => find(&mut parent, v),
+            None => vars.len(),
+        };
+        let atom_root: Vec<usize> = atom_start.windows(2).map(root_of).collect();
+        let (root_start, root_atoms) = group_by_key(&atom_root, vars.len() + 1);
+        let mut root_vars = vec![0; vars.len() + 1];
+        for v in 0..vars.len() {
+            root_vars[find(&mut parent, v)] += 1;
         }
-        distinct = now;
+
+        // A Boolean query's free list holds one *arbitrary* representative
+        // for SQL emulation (see `ConjunctiveQuery::is_boolean`); which
+        // variable the parser picked is not part of the query's meaning.
+        let free = if query.is_boolean() {
+            Vec::new()
+        } else {
+            query.free.iter().map(|f| index[f]).collect()
+        };
+
+        Incidence {
+            query,
+            vars,
+            atom_start,
+            args,
+            var_start,
+            var_occs,
+            root_start,
+            root_atoms,
+            root_vars,
+            free,
+        }
     }
-    Refinement {
-        vars,
-        var_index,
-        var_color,
-        atom_color,
+
+    fn colors(&self) -> Colors {
+        let (num_vars, num_atoms) = (self.vars.len(), self.query.atoms.len());
+        Colors {
+            var: vec![0; num_vars],
+            atom: vec![0; num_atoms],
+            atom_base: vec![0; num_atoms],
+            occ: vec![0; self.args.len()],
+            scratch: vec![0; self.args.len().max(num_vars).max(num_atoms)],
+            components: Vec::with_capacity(num_atoms),
+        }
+    }
+
+    /// Runs WL color refinement to stabilization at `seed`, leaving the
+    /// final variable and atom colors in `colors`.
+    fn refine(&self, seed: u64, colors: &mut Colors) {
+        // Initial variable colors: position in the free list (ordered — it is
+        // the output schema) or a bound-variable marker. Both are invariant
+        // under renaming and atom permutation.
+        colors.var.fill(mix64(seed ^ 0xb0a7));
+        for (i, &v) in self.free.iter().enumerate() {
+            colors.var[v] = mix64(seed ^ 0xf2ee ^ (i as u64 + 1));
+        }
+        // Relation names are hashed once, not once per round.
+        for (base, atom) in colors.atom_base.iter_mut().zip(&self.query.atoms) {
+            let name = hash_bytes(seed ^ 0x5e1a, atom.relation.as_bytes());
+            *base = fold(mix64(seed ^ 0xa703), name);
+        }
+
+        // Refine until the variable partition stabilizes. |vars| rounds always
+        // suffice (each round can only split color classes); queries are small
+        // enough that the quadratic worst case is irrelevant.
+        let mut distinct = count_distinct(&colors.var, &mut colors.scratch);
+        for _ in 0..=self.vars.len() {
+            // Atom colors from (relation, ordered argument colors).
+            for (a, bounds) in self.atom_start.windows(2).enumerate() {
+                let color = self.args[bounds[0]..bounds[1]]
+                    .iter()
+                    .fold(colors.atom_base[a], |acc, &v| fold(acc, colors.var[v]));
+                colors.atom[a] = color;
+                for (pos, occ) in colors.occ[bounds[0]..bounds[1]].iter_mut().enumerate() {
+                    *occ = fold(color, pos as u64 + 1);
+                }
+            }
+            // Variable colors from the sorted multiset of occurrences.
+            for (v, bounds) in self.var_start.windows(2).enumerate() {
+                let seen = &mut colors.scratch[bounds[0]..bounds[1]];
+                for (slot, &i) in seen.iter_mut().zip(&self.var_occs[bounds[0]..bounds[1]]) {
+                    *slot = colors.occ[i];
+                }
+                seen.sort_unstable();
+                colors.var[v] = seen.iter().fold(colors.var[v], |acc, &o| fold(acc, o));
+            }
+            let now = count_distinct(&colors.var, &mut colors.scratch);
+            if now == distinct {
+                break;
+            }
+            distinct = now;
+        }
+    }
+
+    /// One refinement pass at a fixed `seed` folded into 64 bits; two
+    /// independent seeds give the two halves of the [`Fingerprint`].
+    fn half(&self, seed: u64, colors: &mut Colors) -> u64 {
+        self.refine(seed, colors);
+        let num_atoms = colors.atom.len();
+
+        // Final digest: sorted atom-color multiset, then the sorted multiset
+        // of per-connected-component digests, then the *ordered* free colors,
+        // then the Boolean flag and the shape counts. The component digests
+        // matter because refinement alone cannot tell a single cycle from a
+        // disjoint union of smaller ones (every vertex looks alike in both);
+        // the component split can.
+        let sorted = &mut colors.scratch[..num_atoms];
+        sorted.copy_from_slice(&colors.atom);
+        sorted.sort_unstable();
+        let mut acc = sorted
+            .iter()
+            .fold(mix64(seed ^ 0xd1e5), |acc, &a| fold(acc, a));
+
+        // One digest per component: its variable count folded with its sorted
+        // atom colors. Variable-free atoms form one component of 0 variables.
+        colors.components.clear();
+        for (root, bounds) in self.root_start.windows(2).enumerate() {
+            let members = &mut colors.scratch[bounds[0]..bounds[1]];
+            if members.is_empty() {
+                continue;
+            }
+            for (slot, &a) in members
+                .iter_mut()
+                .zip(&self.root_atoms[bounds[0]..bounds[1]])
+            {
+                *slot = colors.atom[a];
+            }
+            members.sort_unstable();
+            let start = fold(mix64(seed ^ 0xc0c0), self.root_vars[root]);
+            let digest = members.iter().fold(start, |acc, &a| fold(acc, a));
+            colors.components.push(digest);
+        }
+        colors.components.sort_unstable();
+        acc = colors.components.iter().fold(acc, |acc, &c| fold(acc, c));
+
+        acc = self
+            .free
+            .iter()
+            .fold(acc, |acc, &v| fold(acc, colors.var[v]));
+        acc = fold(acc, self.query.is_boolean() as u64);
+        acc = fold(acc, num_atoms as u64);
+        fold(acc, self.vars.len() as u64)
+    }
+
+    fn fingerprint(&self) -> Fingerprint {
+        let mut colors = self.colors();
+        let [hi, lo] = SEEDS.map(|seed| self.half(seed, &mut colors));
+        Fingerprint(((hi as u128) << 64) | lo as u128)
     }
 }
 
-/// One refinement pass at a fixed `seed`; two independent seeds give the
-/// two 64-bit halves of the [`Fingerprint`].
-fn half(query: &ConjunctiveQuery, seed: u64) -> u64 {
-    let Refinement {
-        vars,
-        var_index,
-        var_color,
-        atom_color,
-    } = refine(query, seed);
-    let boolean = query.is_boolean();
-
-    // Final digest: sorted atom-color multiset, then the sorted multiset
-    // of per-connected-component digests, then the *ordered* free colors,
-    // then the Boolean flag and the shape counts. The component digests
-    // matter because refinement alone cannot tell a single cycle from a
-    // disjoint union of smaller ones (every vertex looks alike in both);
-    // the component split can.
-    let mut sorted_atoms = atom_color.clone();
-    sorted_atoms.sort_unstable();
-    let mut acc = mix64(seed ^ 0xd1e5);
-    for &a in &sorted_atoms {
-        acc = fold(acc, a);
-    }
-    let mut components = component_digests(query, &vars, &var_index, &atom_color, seed);
-    components.sort_unstable();
-    for &c in &components {
-        acc = fold(acc, c);
-    }
-    if !boolean {
-        for &f in &query.free {
-            acc = fold(acc, var_color[var_index[&f]]);
-        }
-    }
-    acc = fold(acc, boolean as u64);
-    acc = fold(acc, query.atoms.len() as u64);
-    fold(acc, vars.len() as u64)
-}
-
-/// One digest per connected component of the variable/atom incidence
-/// graph: the component's variable count folded with its sorted atom
-/// colors. Variable-free atoms are grouped into one shared component.
-fn component_digests(
-    query: &ConjunctiveQuery,
-    vars: &[AttrId],
-    var_index: &FxHashMap<AttrId, usize>,
-    atom_color: &[u64],
-    seed: u64,
-) -> Vec<u64> {
-    // Union-find over variables; each atom unions its argument set.
-    let mut parent: Vec<usize> = (0..vars.len()).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for atom in &query.atoms {
-        let mut args = atom.args.iter();
-        if let Some(&first) = args.next() {
-            let a = find(&mut parent, var_index[&first]);
-            for &arg in args {
-                let b = find(&mut parent, var_index[&arg]);
-                parent[b] = a;
-            }
-        }
-    }
-    // Bucket atom colors and variable counts by component root.
-    let mut atoms_by_root: FxHashMap<Option<usize>, Vec<u64>> = FxHashMap::default();
-    for (ai, atom) in query.atoms.iter().enumerate() {
-        let root = atom
-            .args
-            .first()
-            .map(|arg| find(&mut parent, var_index[arg]));
-        atoms_by_root.entry(root).or_default().push(atom_color[ai]);
-    }
-    let mut vars_by_root: FxHashMap<usize, u64> = FxHashMap::default();
-    for vi in 0..vars.len() {
-        let root = find(&mut parent, vi);
-        *vars_by_root.entry(root).or_insert(0) += 1;
-    }
-    atoms_by_root
-        .into_iter()
-        .map(|(root, mut colors)| {
-            colors.sort_unstable();
-            let var_count = root.map_or(0, |r| vars_by_root[&r]);
-            let mut acc = fold(mix64(seed ^ 0xc0c0), var_count);
-            for &c in &colors {
-                acc = fold(acc, c);
-            }
-            acc
-        })
-        .collect()
-}
-
-fn count_distinct(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
+/// The number of distinct values in `colors`, sorted in `scratch`.
+fn count_distinct(colors: &[u64], scratch: &mut [u64]) -> usize {
+    let sorted = &mut scratch[..colors.len()];
+    sorted.copy_from_slice(colors);
     sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
+    sorted.chunk_by(|a, b| a == b).count()
 }
 
 /// Computes the canonical fingerprint of `query`. Pure and deterministic
 /// across runs, processes, and platforms.
 pub fn fingerprint(query: &ConjunctiveQuery) -> Fingerprint {
-    let hi = half(query, 0x9e37_79b9_7f4a_7c15);
-    let lo = half(query, 0xc2b2_ae3d_27d4_eb4f);
-    Fingerprint(((hi as u128) << 64) | lo as u128)
+    Incidence::of(query).fingerprint()
 }
 
 /// A canonical ordering of the query's variables: first-occurrence order
@@ -337,12 +431,12 @@ pub fn fingerprint(query: &ConjunctiveQuery) -> Fingerprint {
 /// permutation, which bucket elimination accepts with at most a width
 /// penalty — never a wrong answer.
 pub fn canonical_var_order(query: &ConjunctiveQuery) -> Vec<AttrId> {
-    let Refinement {
-        vars, var_color, ..
-    } = refine(query, 0x9e37_79b9_7f4a_7c15);
-    let mut idx: Vec<usize> = (0..vars.len()).collect();
-    idx.sort_by_key(|&i| (var_color[i], i));
-    idx.into_iter().map(|i| vars[i]).collect()
+    let incidence = Incidence::of(query);
+    let mut colors = incidence.colors();
+    incidence.refine(SEEDS[0], &mut colors);
+    let mut idx: Vec<usize> = (0..incidence.vars.len()).collect();
+    idx.sort_by_key(|&i| (colors.var[i], i));
+    idx.into_iter().map(|i| incidence.vars[i]).collect()
 }
 
 /// A query's cache-lookup identity: the canonical [`Fingerprint`] plus
@@ -363,9 +457,10 @@ pub struct QueryIdentity {
 impl QueryIdentity {
     /// Computes both halves of the identity for `query`.
     pub fn of(query: &ConjunctiveQuery) -> QueryIdentity {
+        let incidence = Incidence::of(query);
         QueryIdentity {
-            fingerprint: fingerprint(query),
-            shape: QueryShape::of(query),
+            fingerprint: incidence.fingerprint(),
+            shape: QueryShape::with_num_vars(query, incidence.vars.len()),
         }
     }
 }

@@ -765,8 +765,8 @@ fn worker_loop(shared: &Shared) {
 /// worker has fingerprinted the request. Requests failing before that
 /// point (unknown database, parse error, missing relation) are counted
 /// in the error metrics but not logged — they have no identity.
-struct SlowIdentity {
-    db: String,
+struct SlowIdentity<'a> {
+    db: &'a str,
     version: u64,
     fingerprint: u128,
     /// Optimizer passes this request ran (0 on plan/result-cache hits).
@@ -785,7 +785,7 @@ fn record_completion(
     result: &Result<Response, ServiceError>,
     spans: TraceSpans,
     total_us: u64,
-    slow_id: Option<SlowIdentity>,
+    slow_id: Option<SlowIdentity<'_>>,
 ) {
     let obs = &shared.obs;
     obs.requests_total.inc();
@@ -834,8 +834,13 @@ fn record_completion(
     };
     if let Some(id) = slow_id {
         let seq = obs.slowlog.next_seq();
+        // Once the log is full nearly every request is below its floor:
+        // build the entry (three strings) only when it can be kept.
+        if !obs.slowlog.admits(total_us) {
+            return;
+        }
         obs.slowlog.record(SlowEntry {
-            db: id.db,
+            db: id.db.to_string(),
             version: id.version,
             fingerprint: id.fingerprint,
             method: request.method.name().to_string(),
@@ -886,12 +891,12 @@ fn check_relations(query: &ConjunctiveQuery, db: &Database) -> Result<(), Servic
     Ok(())
 }
 
-fn process(
+fn process<'a>(
     shared: &Shared,
-    request: &Request,
-    pinned: Option<&(String, DbSnapshot)>,
+    request: &'a Request,
+    pinned: Option<&'a (String, DbSnapshot)>,
     spans: &mut TraceSpans,
-    slow_id: &mut Option<SlowIdentity>,
+    slow_id: &mut Option<SlowIdentity<'a>>,
 ) -> Result<Response, ServiceError> {
     // One snapshot for the whole request: concurrent catalog mutations
     // publish new versions beside it and never tear this evaluation.
@@ -926,7 +931,7 @@ fn process(
     let identity = QueryIdentity::of(&query);
     spans.set(Phase::Fingerprint, started.elapsed().as_micros() as u64);
     *slow_id = Some(SlowIdentity {
-        db: db_name.to_string(),
+        db: db_name,
         version: snapshot.version.0,
         fingerprint: identity.fingerprint.0,
         passes_run: 0,

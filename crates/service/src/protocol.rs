@@ -12,6 +12,7 @@ use ppr_core::methods::Method;
 use ppr_obs::{OpKind, OpNode, PassSpan, Phase, Quantiles, SlowEntry, TraceSpans, PHASES};
 use ppr_relalg::budget::BudgetKind;
 use ppr_relalg::{ExecStats, RelalgError, Value};
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use crate::catalog::{DbFingerprint, DbInfo, DbVersion};
@@ -172,30 +173,64 @@ fn check_name(kind: &str, name: &str) -> Result<(), ServiceError> {
     Ok(())
 }
 
-fn encode_tuples(tuples: &[Box<[Value]>]) -> String {
-    let mut out = String::new();
+/// An upper bound on the bytes [`push_tuples`] appends: every value as
+/// wide as the bitwise OR of them all (no narrower than the widest), each
+/// followed by one separator.
+fn tuples_len_bound(tuples: &[Box<[Value]>]) -> usize {
+    let (mut count, mut any) = (0, 0);
+    for row in tuples {
+        count += row.len();
+        any = row.iter().fold(any, |acc, &v| acc | v);
+    }
+    count * (any.checked_ilog10().map_or(1, |d| d as usize + 1) + 1)
+}
+
+/// Appends `v,v;v,v` — the one tuple writer, for replies and commands
+/// alike. Each value's leading digit goes straight into `out`; the lower
+/// ones, peeled off least significant first, wait in a stack buffer.
+fn push_tuples(out: &mut String, tuples: &[Box<[Value]>]) {
     for (i, row) in tuples.iter().enumerate() {
         if i > 0 {
             out.push(';');
         }
-        for (j, v) in row.iter().enumerate() {
+        for (j, &v) in row.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&v.to_string());
+            let mut low = [0u8; 9];
+            let (mut at, mut rest) = (low.len(), v);
+            while rest >= 10 {
+                at -= 1;
+                low[at] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+            }
+            out.push(char::from(b'0' + rest as u8));
+            for &digit in &low[at..] {
+                out.push(char::from(digit));
+            }
         }
     }
-    out
 }
 
+/// Reads `v,v;v,v`. A value is whatever `str::parse::<u32>` takes: runs of
+/// one to nine ASCII digits (which cannot overflow) are read byte by byte,
+/// and any other token — empty, signed, longer — is `parse`'s call.
 fn decode_tuples(text: &str) -> Result<Vec<Box<[Value]>>, ServiceError> {
     let mut tuples = Vec::new();
+    let mut row: Vec<Value> = Vec::new();
     for tup in text.split(';') {
-        let row: Result<Vec<Value>, _> = tup.split(',').map(str::parse::<Value>).collect();
-        match row {
-            Ok(r) => tuples.push(r.into_boxed_slice()),
-            Err(_) => return perr(format!("bad tuple `{tup}`")),
+        for tok in tup.as_bytes().split(|&b| b == b',') {
+            if (1..=9).contains(&tok.len()) && tok.iter().all(u8::is_ascii_digit) {
+                row.push(tok.iter().fold(0, |v, b| v * 10 + Value::from(b - b'0')));
+                continue;
+            }
+            match std::str::from_utf8(tok).ok().and_then(|t| t.parse().ok()) {
+                Some(value) => row.push(value),
+                None => return perr(format!("bad tuple `{tup}`")),
+            }
         }
+        tuples.push(Box::from(row.as_slice()));
+        row.clear();
     }
     Ok(tuples)
 }
@@ -251,13 +286,14 @@ pub fn encode_command(cmd: &Command) -> String {
         Command::Create(db) => format!("create {db}"),
         Command::Drop(db) => format!("drop {db}"),
         Command::Load { db, rel, tuples } => {
-            format!("load {db} {rel} {}", encode_tuples(tuples))
+            let mut line = format!("load {db} {rel} ");
+            push_tuples(&mut line, tuples);
+            line
         }
         Command::Add { db, rel, tuple } => {
-            format!(
-                "add {db} {rel} {}",
-                encode_tuples(std::slice::from_ref(tuple))
-            )
+            let mut line = format!("add {db} {rel} ");
+            push_tuples(&mut line, std::slice::from_ref(tuple));
+            line
         }
         Command::Stats => "stats".to_string(),
         Command::Trace(req) => encode_trace(req),
@@ -453,11 +489,12 @@ pub fn tag_request(id: u64, line: &str) -> String {
 pub fn tag_reply(id: u64, line: &str) -> String {
     for prefix in ["ok", "err"] {
         if let Some(rest) = line.strip_prefix(prefix) {
-            if rest.is_empty() {
-                return format!("{prefix} id={id}");
-            }
-            if let Some(rest) = rest.strip_prefix(' ') {
-                return format!("{prefix} id={id} {rest}");
+            if rest.is_empty() || rest.starts_with(' ') {
+                // Sized up front: ` id=` and at most 20 digits on top of
+                // a line that may be a whole result set.
+                let mut tagged = String::with_capacity(line.len() + 24);
+                write!(tagged, "{prefix} id={id}{rest}").expect("a String takes every write");
+                return tagged;
             }
         }
     }
@@ -577,7 +614,12 @@ pub fn decode_ack(line: &str) -> Result<Ack, ServiceError> {
 pub fn encode_result(result: &Result<Response, ServiceError>) -> String {
     match result {
         Ok(r) => {
-            let mut line = format!(
+            // Sized once: 512 bytes hold the sixteen keys and numbers of
+            // any header.
+            let columns = r.columns.join(",");
+            let mut line = String::with_capacity(512 + columns.len() + tuples_len_bound(&r.rows));
+            write!(
+                line,
                 "ok cache_hit={} result_hit={} plan_us={} elapsed_us={} cpu_us={} tuples={} \
                  scanned={} emitted={} ix_probes={} ix_builds={} \
                  materializations={} join_stages={} max_arity={} threads={} cols={} rows={} data=",
@@ -595,10 +637,11 @@ pub fn encode_result(result: &Result<Response, ServiceError>) -> String {
                 r.stats.join_stages,
                 r.stats.max_intermediate_arity,
                 r.stats.threads_used,
-                r.columns.join(","),
+                columns,
                 r.rows.len(),
-            );
-            line.push_str(&encode_tuples(&r.rows));
+            )
+            .expect("a String takes every write");
+            push_tuples(&mut line, &r.rows);
             line
         }
         Err(e) => encode_error(e),
@@ -1584,6 +1627,139 @@ mod tests {
             decode_result(line),
             Err(ServiceError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn tuple_scanner_takes_what_str_parse_takes() {
+        // The grammar is `str::parse::<u32>` per token, so that is the
+        // reference: split, parse, collect.
+        fn split_and_parse(text: &str) -> Result<Vec<Box<[Value]>>, ServiceError> {
+            let row = |tup: &str| -> Result<Box<[Value]>, ServiceError> {
+                let values: Result<Vec<Value>, _> = tup.split(',').map(str::parse).collect();
+                values
+                    .map(Vec::into_boxed_slice)
+                    .map_err(|_| ServiceError::Protocol(format!("bad tuple `{tup}`")))
+            };
+            text.split(';').map(row).collect()
+        }
+        let texts = [
+            "0",
+            "1,2;3,4",
+            "7;8;9",
+            "4294967295",
+            "4294967296",
+            "999999999,1000000000",
+            "0000000001",
+            "00000000000000000001,1",
+            "99999999999999999999",
+            "+5",
+            "+5,+0;1",
+            "-0",
+            "-1",
+            "",
+            ",",
+            ";",
+            "1,",
+            ",1",
+            "1;",
+            ";1",
+            "1,,2",
+            "1;;2",
+            "1, 2",
+            " 1",
+            "1 ;2",
+            "1,2;3,x;5,6",
+            "1,2;3,4x;5,6",
+            "12a",
+            "0x10",
+            "1e3",
+            "\u{661}",
+            "1,\u{e9};2",
+            "1;2,\u{1f600}",
+        ];
+        for text in texts {
+            assert_eq!(decode_tuples(text), split_and_parse(text), "{text:?}");
+        }
+    }
+
+    mod result_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `encode_result`'s `ok` line, said the slow way.
+        fn naive(r: &Response) -> String {
+            let row = |row: &[Value]| {
+                let values: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                values.join(",")
+            };
+            let rows: Vec<String> = r.rows.iter().map(|r| row(r)).collect();
+            let s = &r.stats;
+            format!(
+                "ok cache_hit={} result_hit={} plan_us={} elapsed_us={} cpu_us={} tuples={} \
+                 scanned={} emitted={} ix_probes={} ix_builds={} materializations={} \
+                 join_stages={} max_arity={} threads={} cols={} rows={} data={}",
+                r.cache_hit as u8,
+                r.result_cache_hit as u8,
+                r.plan_micros,
+                s.elapsed.as_micros(),
+                s.cpu_time.as_micros(),
+                s.tuples_flowed,
+                s.rows_scanned,
+                s.rows_emitted,
+                s.index_probes,
+                s.index_builds,
+                s.materializations,
+                s.join_stages,
+                s.max_intermediate_arity,
+                s.threads_used,
+                r.columns.join(","),
+                r.rows.len(),
+                rows.join(";"),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// 0–300 rows of arity 1–12 over the values where the digit
+            /// count changes, and header numbers of any width: the reply
+            /// is the naive one byte for byte, and decodes to what was
+            /// encoded.
+            #[test]
+            fn replies_equal_the_naive_encoding_and_round_trip(
+                arity in 1usize..=12,
+                cells in prop::collection::vec((0u8..7, 0u32..=u32::MAX), 0..=3600),
+                wide in prop::bool::ANY,
+                id in 0u64..=u64::MAX,
+            ) {
+                let value = |&(pick, any): &(u8, u32)| match pick {
+                    0 => 0,
+                    1 => 9,
+                    2 => 10,
+                    3 => 99,
+                    4 => 100,
+                    5 => u32::MAX,
+                    _ => any,
+                };
+                let mut resp = sample_response();
+                resp.columns = (0..arity).map(|i| format!("v{i}")).collect();
+                resp.rows = cells
+                    .chunks_exact(12)
+                    .map(|row| row[..arity].iter().map(value).collect())
+                    .collect();
+                if wide {
+                    resp.plan_micros = u64::MAX;
+                    resp.stats.tuples_flowed = u64::MAX;
+                    resp.stats.rows_scanned = u64::MAX;
+                    resp.stats.elapsed = Duration::from_micros(u64::MAX);
+                }
+                let line = encode_result(&Ok(resp.clone()));
+                prop_assert_eq!(&line, &naive(&resp));
+                prop_assert_eq!(decode_result(&line).unwrap(), resp);
+                let tagged = tag_reply(id, &line);
+                prop_assert_eq!(&tagged, &format!("ok id={id}{}", &line[2..]));
+            }
+        }
     }
 
     #[test]
