@@ -1,52 +1,29 @@
 //! Regenerates the paper's figures from the command line.
 //!
 //! ```text
-//! experiments <target> [--seeds N] [--timeout-ms T] [--max-tuples M] [--full] [--quick] [--free F] [--plot] [--pipeline N] [--connections N]
+//! experiments <target> [--seeds N] [--timeout-ms T] [--max-tuples M] [--full] [--quick] [--free F] [--plot]
 //!
 //! targets: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //!          sat3 sat2 theorems
 //!          ablation-orders ablation-pipeline ablation-minibucket
 //!          ablation-distinct ablation-join
-//!          serve-throughput durability semijoin all
-//!
-//! experiments bench-gate [--baseline PATH] --fresh PATH
+//!          durability semijoin all
 //! ```
-//!
-//! `--pipeline N` only affects `serve-throughput`: it keeps `N` tagged
-//! requests in flight on one v2 connection (1 = the serial v1 protocol)
-//! and, when `N > 1`, also measures a pipeline-1 baseline so the report
-//! records the speedup.
-//!
-//! `--connections N` (also `serve-throughput`-only) pins the concurrent-
-//! connection sweep to exactly `N` connections; without it the sweep runs
-//! a default ladder (100/1000, or 1000/5000/10000 with `--full`, clamped
-//! to the process fd budget). Each point holds that many pipelined v2
-//! connections open from an epoll load driver against the event-loop
-//! backend and reports reqs/sec plus exact p50/p99 latency in the
-//! `connections` array of `results/BENCH_serve.json`. Linux-only; the
-//! array is empty elsewhere.
 //!
 //! `durability` sweeps the persistence axis (memory-only / WAL /
 //! WAL+fsync-every-commit) on the catalog mutation path and measures
 //! cold-recovery time against database size, writing the report to
 //! `results/BENCH_durability.json`.
 //!
-//! `--quick` shrinks the grids to one small instance per workload family
-//! (and `serve-throughput` to 256 requests per phase) — a CI smoke mode
+//! `--quick` shrinks `durability` to its smallest grid — a CI smoke mode
 //! that exercises the full measurement and report path without producing
 //! publishable numbers.
 //!
 //! Each figure target also runs its non-Boolean (20%-free) variant when
 //! the paper plots one; pass `--free 0` to restrict to Boolean.
 //!
-//! `bench-gate` compares a fresh `BENCH_serve.json` (`--fresh`) against
-//! the committed baseline (`--baseline`, default
-//! `results/BENCH_serve.json`) and exits non-zero when any method's cold
-//! throughput regressed beyond the host-aware tolerance — 25% when both
-//! reports come from the same host shape, 60% otherwise. Rows only
-//! compare at matching pipeline depth, so the fresh measurement must run
-//! with the baseline's `--pipeline` value.
-//! `scripts/bench_gate.sh` runs the whole measure-then-compare cycle.
+//! Serving performance is measured by the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`), not here.
 
 use std::io::Write;
 use std::time::Duration;
@@ -59,11 +36,6 @@ fn main() {
         usage_and_exit();
     }
     let target = args[0].clone();
-    // `bench-gate` takes string flags (--baseline/--fresh paths) that the
-    // numeric flag loop below would reject, so it is handled first.
-    if target == "bench-gate" {
-        bench_gate(&args[1..]);
-    }
     let mut cfg = Config::default();
     let mut free: Option<f64> = None;
     let mut plot = false;
@@ -86,12 +58,6 @@ fn main() {
             "--quick" => {
                 cfg.quick = true;
                 i += 1;
-            }
-            "--pipeline" => {
-                cfg.pipeline = next_val(&args, &mut i);
-            }
-            "--connections" => {
-                cfg.connections = Some(next_val(&args, &mut i));
             }
             "--plot" => {
                 plot = true;
@@ -126,64 +92,6 @@ fn main() {
         let mut w = out.lock();
         run(&target, &cfg, free, &mut w);
     }
-}
-
-/// `experiments bench-gate [--baseline PATH] [--fresh PATH]`: compares a
-/// fresh serve report's cold throughput against the committed baseline
-/// (see [`ppr_bench::gate`]) and exits 1 on a regression beyond the
-/// host-aware tolerance. Never returns.
-fn bench_gate(args: &[String]) -> ! {
-    let mut baseline = String::from("results/BENCH_serve.json");
-    let mut fresh = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => {
-                baseline = next_str(args, &mut i);
-            }
-            "--fresh" => {
-                fresh = Some(next_str(args, &mut i));
-            }
-            other => {
-                eprintln!("unknown bench-gate flag {other}");
-                eprintln!("usage: experiments bench-gate [--baseline PATH] --fresh PATH");
-                std::process::exit(2)
-            }
-        }
-    }
-    let Some(fresh) = fresh else {
-        eprintln!("bench-gate requires --fresh PATH");
-        std::process::exit(2)
-    };
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2)
-        })
-    };
-    let (base_text, fresh_text) = (read(&baseline), read(&fresh));
-    match ppr_bench::gate::compare(&base_text, &fresh_text) {
-        Ok(report) => {
-            print!("{}", ppr_bench::gate::render(&report));
-            std::process::exit(i32::from(!report.passed()))
-        }
-        Err(e) => {
-            eprintln!("bench-gate: {e}");
-            std::process::exit(2)
-        }
-    }
-}
-
-fn next_str(args: &[String], i: &mut usize) -> String {
-    let v = args
-        .get(*i + 1)
-        .unwrap_or_else(|| {
-            eprintln!("missing value for {}", args[*i]);
-            std::process::exit(2)
-        })
-        .clone();
-    *i += 2;
-    v
 }
 
 fn next_val<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T
@@ -232,26 +140,9 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
         "ablation-minibucket" => figures::ablation_minibucket(&mut w, cfg),
         "ablation-distinct" => figures::ablation_distinct(&mut w, cfg),
         "ablation-join" => figures::ablation_join(&mut w, cfg),
-        "serve-throughput" => {
+        "durability" => {
             // Persist the machine-readable report before printing: a
             // downstream pipe closing stdout must not lose the artifact.
-            let rows = ppr_bench::serve::serve_throughput_rows(cfg);
-            let conns = ppr_bench::serve::connection_sweep_rows(cfg);
-            let json = ppr_bench::serve::serve_report_json(cfg, &rows, &conns);
-            let path = std::path::Path::new("results");
-            if std::fs::create_dir_all(path).is_ok() {
-                let file = path.join("BENCH_serve.json");
-                match std::fs::write(&file, &json) {
-                    Ok(()) => eprintln!("wrote {}", file.display()),
-                    Err(e) => eprintln!("could not write {}: {e}", file.display()),
-                }
-            }
-            ppr_bench::serve::print_serve_rows(&mut w, &rows);
-            ppr_bench::serve::print_conn_rows(&mut w, &conns);
-        }
-        "durability" => {
-            // Same artifact discipline as serve-throughput: write the
-            // JSON report before printing the TSV.
             let report = ppr_bench::durability::durability_rows(cfg);
             let json = ppr_bench::durability::durability_report_json(cfg, &report);
             let path = std::path::Path::new("results");
@@ -285,7 +176,6 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
                 "ablation-minibucket",
                 "ablation-distinct",
                 "ablation-join",
-                "serve-throughput",
                 "durability",
                 "semijoin",
                 "limits",
@@ -305,9 +195,7 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
 fn usage_and_exit() -> ! {
     eprintln!(
         "usage: experiments <fig1..fig9|sat3|sat2|theorems|ablation-*|all> \
-         [--seeds N] [--timeout-ms T] [--max-tuples M] [--full] [--quick] [--free F] \
-         [--pipeline N] [--connections N]\n       \
-         experiments bench-gate [--baseline PATH] --fresh PATH"
+         [--seeds N] [--timeout-ms T] [--max-tuples M] [--full] [--quick] [--free F]"
     );
     std::process::exit(2)
 }

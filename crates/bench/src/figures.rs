@@ -29,14 +29,6 @@ pub struct Config {
     /// Smoke-test grids: the smallest instance per workload family, for
     /// CI runs that only assert the artifacts parse. Overrides `full`.
     pub quick: bool,
-    /// Client pipeline depth for `serve-throughput`: 1 drives the serial
-    /// v1 protocol, >1 keeps that many tagged requests in flight on one
-    /// v2 connection (and also measures a pipeline-1 baseline).
-    pub pipeline: usize,
-    /// Concurrent-connection count for `serve-throughput`'s connection
-    /// sweep: `Some(n)` measures exactly `n` connections, `None` uses the
-    /// default ladder (clamped to the process fd budget either way).
-    pub connections: Option<usize>,
 }
 
 impl Default for Config {
@@ -47,8 +39,6 @@ impl Default for Config {
             max_tuples: 20_000_000,
             full: false,
             quick: false,
-            pipeline: 1,
-            connections: None,
         }
     }
 }
@@ -735,8 +725,6 @@ mod tests {
             max_tuples: 2_000_000,
             full: false,
             quick: false,
-            pipeline: 1,
-            connections: None,
         }
     }
 

@@ -10,9 +10,7 @@
 
 pub mod durability;
 pub mod figures;
-pub mod gate;
 pub mod harness;
 pub mod plot;
-pub mod serve;
 
 pub use harness::{run_method, MethodOutcome, RunStatus};

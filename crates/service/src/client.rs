@@ -16,7 +16,7 @@ use crate::protocol::{self, Ack, Command, ExplainReport, TraceReport};
 use crate::ServiceError;
 
 /// A connected client. One request is in flight at a time per client;
-/// open more clients for concurrency (the server is thread-per-connection).
+/// open more clients — or a [`Pipeline`] — for concurrency.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,

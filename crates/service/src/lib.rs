@@ -46,14 +46,18 @@
 //!   status, rows, and [`ppr_relalg::ExecStats`] including cache-hit
 //!   flags.
 //! * [`server::Server`] / [`client::Client`] — a `std::net` TCP server
-//!   built with [`server::Server::builder`] and a blocking client. Two
-//!   connection backends share one wire grammar: the default
-//!   single-threaded epoll event loop ([`net`]; Linux, hand-rolled — no
-//!   async runtime, sized for C10K) and a thread-per-connection fallback
-//!   ([`server::ConnectionModel::Threads`], the portability path). Each
-//!   connection carries a session database selected with `use`, the
-//!   default for requests that don't name one, plus an idle (slow-loris)
-//!   timeout and a bounded output buffer for slow readers.
+//!   built with [`server::Server::builder`] and a blocking client. Every
+//!   connection rides one single-threaded epoll event loop ([`net`];
+//!   hand-rolled, no async runtime, sized for C10K — serving is
+//!   Linux-only). The loop's rules: an untagged `run` holds its
+//!   connection until the reply is written (v1 is strictly serial);
+//!   consecutive tagged `run`s against one database are submitted as one
+//!   batch under one catalog snapshot; a full in-flight window means the
+//!   socket is not read (TCP backpressure, never `Overloaded`); and
+//!   replies a peer will not read accumulate only up to a bounded output
+//!   buffer before the connection is closed. Each connection carries a
+//!   session database selected with `use`, the default for requests that
+//!   don't name one, plus an idle (slow-loris) timeout.
 //!
 //! Everything is std-only; the engine is equally usable embedded (via
 //! [`engine::EngineHandle::execute`]) and over TCP.
@@ -83,7 +87,7 @@ pub use engine::{
 pub use metrics::{render_slowlog, ServiceMetrics, DEFAULT_SLOWLOG_CAPACITY};
 pub use net::{CloseReason, NetMetrics};
 pub use result_cache::{ResultCache, ResultCacheStats};
-pub use server::{ConnectionModel, Server, ServerBuilder, ServerConfig};
+pub use server::{Server, ServerBuilder, ServerConfig};
 
 use ppr_relalg::RelalgError;
 

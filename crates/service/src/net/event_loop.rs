@@ -8,12 +8,11 @@
 //! never executes a query — OS thread count stays O(engine workers), not
 //! O(connections).
 //!
-//! **Ordering and backpressure are the threaded backend's, verbatim:**
+//! **Ordering and backpressure:**
 //!
 //! * v1 (and untagged v2) lines are strictly serial: a `run`/`trace`
 //!   submits to the engine and *holds* the connection — no further line
-//!   is processed (or read) until its completion writes the reply, which
-//!   is exactly the blocking reader thread's behavior.
+//!   is processed (or read) until its completion writes the reply.
 //! * v2 tagged `run`s batch while consecutive against one database and
 //!   submit together, pinning one catalog snapshot per batch; tagged
 //!   catalog verbs flush the batch first, preserving serial equivalence
@@ -47,8 +46,9 @@ use crate::protocol::{self, ExplainReport, LineFramer, TraceReport};
 use crate::server::{self, Dispatch, WINDOW};
 use crate::ServiceError;
 
-use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use super::sys_errno::{EMFILE, ENFILE};
+use super::sys::{
+    Epoll, EpollEvent, EventFd, EMFILE, ENFILE, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use super::timer::TimerWheel;
 use super::{CloseReason, NetMetrics};
 
@@ -198,8 +198,8 @@ pub(crate) fn spawn(listener: TcpListener, cfg: LoopConfig) -> std::io::Result<E
 }
 
 /// Per-connection state. The read side is a [`LineFramer`]; the write
-/// side a single buffer with a flush cursor; the protocol state mirrors
-/// the threaded backend's `Conn` field for field.
+/// side a single buffer with a flush cursor; `proto` and `session_db`
+/// are the protocol state [`server::dispatch_command`] advances.
 struct Conn {
     stream: TcpStream,
     token: u64,
@@ -517,8 +517,11 @@ impl Loop {
     }
 
     /// Processes framed lines until the connection blocks on input, a
-    /// serial hold, or a full window — mirroring the threaded
-    /// `process_lines` including the consecutive-same-db run batching.
+    /// serial hold, or a full window. Consecutive tagged `run`s against
+    /// the same effective database accumulate into one batch, flushed —
+    /// pinning its catalog snapshot — before any other command is
+    /// handled, which keeps pipelined execution serially equivalent
+    /// around `use`/`load`/`add`.
     fn process(&mut self, conn: &mut Conn) -> Result<(), CloseReason> {
         let mut batch: Vec<(u64, Request)> = Vec::new();
         let mut batch_db: Option<String> = None;
@@ -531,7 +534,7 @@ impl Loop {
                 Ok(Some(line)) => line,
                 Ok(None) => break,
                 Err(_) => {
-                    // Same farewell as the threaded backend, best-effort.
+                    // Best-effort farewell; the close follows regardless.
                     let _ = self.send_line(conn, "err kind=protocol msg=line too long");
                     result = Err(CloseReason::Protocol("line too long".into()));
                     break;
@@ -622,9 +625,8 @@ impl Loop {
     }
 
     /// One strictly serial line: synchronous verbs answer inline;
-    /// `run`/`trace` submit to the worker pool and hold the connection
-    /// until the completion lands (the event-loop translation of the
-    /// reader thread blocking in `execute`).
+    /// `run`/`trace`/`explain` submit to the worker pool and hold the
+    /// connection until the completion lands.
     fn serial_line(&self, conn: &mut Conn, line: &str) -> Result<(), CloseReason> {
         if line.trim().is_empty() {
             return self.send_line(
@@ -782,12 +784,13 @@ impl Loop {
                 conn.serial_hold = false;
             }
             conn.last_activity = Instant::now();
-            if !touched.contains(&slot) {
-                touched.push(slot);
-            }
+            touched.push(slot);
         }
         // Flush and resume per connection once, after the whole drain:
         // a burst of completions for one peer becomes one write syscall.
+        // (Flush order across connections is observable by none of them.)
+        touched.sort_unstable();
+        touched.dedup();
         for slot in touched {
             let Some(mut conn) = self.conns[slot].take() else {
                 continue;
@@ -838,9 +841,7 @@ impl Loop {
     // ---- shutdown --------------------------------------------------------
 
     /// Graceful drain: stop accepting and reading, let in-flight jobs
-    /// complete and their replies flush, then close everything. Mirrors
-    /// the threaded shutdown, where writer threads drain outstanding
-    /// completions before joining.
+    /// complete and their replies flush, then close everything.
     fn drain_shutdown(&mut self) {
         self.pause_accept(None);
         for conn in self.conns.iter_mut().flatten() {

@@ -1,16 +1,15 @@
 //! An epoll-based load driver: thousands of pipelined v2 connections
 //! from one thread.
 //!
-//! The serving benchmark's `--connections` axis and `ppr client
-//! --connections` both need to *hold* 1k–10k concurrent connections
-//! against a server — impossible with a thread per connection on the
-//! driving side without perturbing the very measurement being taken.
-//! This driver reuses the server's own epoll plumbing (the private
-//! `net::sys` bindings) from the client side: every connection performs
-//! the `hello proto=2`
-//! upgrade, keeps up to `window` tagged requests in flight (capped by
-//! the server's advertised window), and per-request latency is clocked
-//! from enqueue to tagged reply.
+//! The C10K end-to-end test and `ppr client --connections` both need to
+//! *hold* 1k–10k concurrent connections against a server — impossible
+//! with a thread per connection on the driving side without perturbing
+//! the very measurement being taken. This driver reuses the server's own
+//! epoll plumbing (the private `net::sys` bindings) from the client side:
+//! every connection performs the `hello proto=2` upgrade, keeps up to
+//! `window` tagged requests in flight (capped by the server's advertised
+//! window), and per-request latency is clocked from enqueue to tagged
+//! reply.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};

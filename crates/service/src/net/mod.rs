@@ -1,14 +1,13 @@
-//! The event-driven connection layer: a single-threaded epoll loop
-//! carrying every connection, sized for C10K on one core.
+//! The connection layer: a single-threaded epoll loop carrying every
+//! connection, sized for C10K on one core.
 //!
-//! The thread-per-connection backend in [`crate::server`] spends two OS
-//! threads per peer; past a few hundred clients the scheduler, stacks,
-//! and context switches dominate the serving path. This module replaces
-//! the I/O layer only — admission control, batching, the window
-//! protocol, and every reply byte stay identical:
+//! Two OS threads per peer stop scaling past a few hundred clients —
+//! scheduler, stacks and context switches dominate the serving path — so
+//! all socket I/O happens on one thread and OS thread count stays
+//! O(engine workers). Linux only: there is no portable fallback, and
+//! [`crate::server::ServerBuilder::start`] refuses to start elsewhere.
 //!
-//! * `sys` (private) — hand-rolled `epoll`/`eventfd` bindings (Linux
-//!   only; the builder falls back to the threaded backend elsewhere).
+//! * `sys` (private) — hand-rolled `epoll`/`eventfd` bindings.
 //! * `timer` (private) — a hashed timer wheel driving the
 //!   idle-connection (slow-loris) timeout.
 //! * `event_loop` (private) — the loop itself: nonblocking accept,
@@ -16,16 +15,14 @@
 //!   ([`crate::protocol::LineFramer`]), dispatch into the engine's worker
 //!   pool, and a completion queue drained through an eventfd doorbell.
 //! * [`load`] — an epoll-based load driver (the `ppr client
-//!   --connections` mode and the bench's `--connections` axis) that holds
+//!   --connections` mode and the C10K end-to-end test) that holds
 //!   thousands of pipelined connections from one thread.
 //!
-//! **Backpressure semantics are inherited, not reinvented.** A full
-//! in-flight window deregisters read interest — the unread socket is the
-//! backpressure, exactly like the threaded reader that stops reading —
-//! and never synthesizes `Overloaded`. On the write side, a slow
-//! consumer's replies queue in a bounded per-connection output buffer;
-//! overflow closes the connection with the typed
-//! [`CloseReason::OutbufOverflow`].
+//! **Backpressure.** A full in-flight window deregisters read interest —
+//! the unread socket stalls the peer's writes in TCP — and never
+//! synthesizes `Overloaded`. On the write side, a slow consumer's replies
+//! queue in a bounded per-connection output buffer; overflow closes the
+//! connection with the typed [`CloseReason::OutbufOverflow`].
 
 #[cfg(target_os = "linux")]
 pub(crate) mod event_loop;
@@ -34,15 +31,6 @@ pub mod load;
 #[cfg(target_os = "linux")]
 pub(crate) mod sys;
 pub(crate) mod timer;
-
-/// The two fd-exhaustion errnos, shared by both backends' accept loops.
-/// The values are identical on every Unix the threaded backend runs on.
-pub(crate) mod sys_errno {
-    /// "Process out of file descriptors."
-    pub const EMFILE: i32 = 24;
-    /// "System out of file descriptors."
-    pub const ENFILE: i32 = 23;
-}
 
 use std::sync::{Arc, Mutex};
 
@@ -108,8 +96,8 @@ impl std::fmt::Display for CloseReason {
     }
 }
 
-/// Connection-layer counters, shared by both backends and rendered after
-/// the engine's exposition on the `/metrics` endpoint.
+/// Connection-layer counters, rendered after the engine's exposition on
+/// the `/metrics` endpoint.
 pub struct NetMetrics {
     registry: Arc<Registry>,
     /// `ppr_connections_open` — currently open connections.

@@ -1,6 +1,6 @@
 //! Hand-rolled Linux `epoll`/`eventfd` bindings.
 //!
-//! The event-loop backend needs exactly five syscalls beyond what
+//! The event loop needs exactly five syscalls beyond what
 //! `std::net` exposes — `epoll_create1`, `epoll_ctl`, `epoll_wait`,
 //! `eventfd`, and `getrlimit` — so they are declared here directly
 //! against the C library `std` already links, keeping the tree free of
@@ -20,6 +20,11 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// Peer shut down the write half of the connection.
 pub const EPOLLRDHUP: u32 = 0x2000;
+
+/// `accept` failed: the process is out of file descriptors.
+pub const EMFILE: i32 = 24;
+/// `accept` failed: the system is out of file descriptors.
+pub const ENFILE: i32 = 23;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;

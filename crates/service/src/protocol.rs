@@ -29,9 +29,9 @@ pub const PROTO_VERSION: u32 = 2;
 
 /// Incremental newline framing over a byte stream.
 ///
-/// Both connection backends feed whatever the socket produced — a partial
-/// line, many lines, or a line split across reads — into [`push`] and
-/// pull complete lines out of [`next_line`]. The framer enforces
+/// The event loop and the load driver feed whatever the socket produced
+/// — a partial line, many lines, or a line split across reads — into
+/// [`push`] and pull complete lines out of [`next_line`]. The framer enforces
 /// [`MAX_LINE`] on the *unterminated* tail, so a peer cannot make the
 /// server buffer unboundedly by never sending a newline, and it scans
 /// each byte exactly once (the scan cursor survives partial pushes, so

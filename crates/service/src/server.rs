@@ -1,19 +1,15 @@
-//! The TCP front-end: one listening socket, two connection backends,
-//! one wire protocol.
+//! The TCP front-end: one listening socket, one event loop, one wire
+//! protocol.
 //!
 //! A [`Server`] is built with [`Server::builder`] and carries everything
 //! the serving stack needs — the engine (owned or borrowed), an optional
-//! durable catalog, the metrics endpoint, and the connection layer. Two
-//! interchangeable backends answer the same wire grammar byte for byte:
-//!
-//! * [`ConnectionModel::EventLoop`] (default on Linux) — a
-//!   single-threaded epoll loop in [`crate::net`] carrying every
-//!   connection; OS thread count stays O(engine workers) no matter how
-//!   many peers connect, which is what makes C10K practical on one core.
-//! * [`ConnectionModel::Threads`] — the original blocking backend: one
-//!   reader and one writer thread per connection. Still the portable
-//!   fallback (and the reference implementation the event loop is tested
-//!   against for byte-identical replies).
+//! durable catalog, the metrics endpoint, and the connection layer: the
+//! single-threaded epoll loop in [`crate::net`], which carries every
+//! connection so OS thread count stays O(engine workers) no matter how
+//! many peers connect. Serving is Linux-only (DESIGN.md, "Serving is
+//! Linux-only"); elsewhere [`ServerBuilder::start`] returns
+//! [`Unsupported`](std::io::ErrorKind::Unsupported) and the rest of the
+//! crate — engine, catalog, caches, client — works embedded.
 //!
 //! A connection starts in protocol v1: strictly serial, untagged, one
 //! reply per request in order. `hello proto=2` upgrades it to v2, where
@@ -25,30 +21,22 @@
 //! **not reading the socket** — TCP backpressure — never by
 //! synthesizing `Overloaded`; rejection remains the engine's admission
 //! decision. See `docs/PROTOCOL.md` for the wire grammar and
-//! `docs/ARCHITECTURE.md` for the connection lifecycle under each
-//! backend.
+//! `docs/ARCHITECTURE.md` for the connection lifecycle.
 
-use std::collections::HashSet;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use ppr_durability::{RecoveryReport, StoreOptions, SyncPolicy};
 use ppr_obs::MetricsServer;
 use ppr_query::Database;
 
 use crate::catalog::{Catalog, DEFAULT_DB};
-use crate::engine::{Engine, EngineConfig, EngineHandle, ReplyFn, Request};
-use crate::net::{CloseReason, NetMetrics};
-use crate::protocol::{self, Ack, Command, ExplainReport, HelloAck, TraceReport};
+use crate::engine::{Engine, EngineConfig, EngineHandle, Request};
+use crate::net::NetMetrics;
+use crate::protocol::{self, Ack, Command, HelloAck};
 use crate::ServiceError;
-
-/// How often blocked I/O re-checks the stop flag.
-const POLL: Duration = Duration::from_millis(25);
 
 /// Upper bound on the per-connection in-flight window for protocol v2:
 /// how many tagged requests may be outstanding before the server stops
@@ -58,29 +46,6 @@ const POLL: Duration = Duration::from_millis(25);
 /// lone well-behaved pipelined client is throttled by backpressure,
 /// never shed by admission control.
 pub const WINDOW: usize = 128;
-
-/// Which connection backend carries client sockets.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectionModel {
-    /// Single-threaded epoll event loop (Linux only; other platforms
-    /// fall back to [`ConnectionModel::Threads`]). Thread count stays
-    /// O(engine workers) regardless of connection count.
-    EventLoop,
-    /// One reader + one writer OS thread per connection. Portable;
-    /// thread count is O(connections).
-    Threads,
-}
-
-impl Default for ConnectionModel {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            ConnectionModel::EventLoop
-        } else {
-            ConnectionModel::Threads
-        }
-    }
-}
 
 /// Everything a [`Server`] is configured by. Construct via
 /// [`ServerConfig::default`] (or, more usually, [`Server::builder`]) and
@@ -97,13 +62,10 @@ pub struct ServerConfig {
     /// Close connections idle (no bytes, nothing in flight) this long —
     /// the slow-loris guard. `None` disables the timeout.
     pub idle_timeout: Option<Duration>,
-    /// Bound on the per-connection output buffer under the event loop; a
-    /// peer that stops reading while replies accumulate past this is
-    /// disconnected with [`CloseReason::OutbufOverflow`].
+    /// Bound on the per-connection output buffer; a peer that stops
+    /// reading while replies accumulate past this is disconnected with
+    /// [`CloseReason::OutbufOverflow`](crate::net::CloseReason::OutbufOverflow).
     pub outbuf_limit: usize,
-    /// Connection backend. Defaults to the epoll event loop on Linux and
-    /// the thread-per-connection backend elsewhere.
-    pub connection_model: ConnectionModel,
     /// Durable catalog directory; `None` serves memory-only.
     pub data_dir: Option<PathBuf>,
     /// Whether durable commits fsync (`data_dir` mode only).
@@ -123,7 +85,6 @@ impl Default for ServerConfig {
             max_connections: 10_000,
             idle_timeout: Some(Duration::from_secs(300)),
             outbuf_limit: 4 << 20,
-            connection_model: ConnectionModel::default(),
             data_dir: None,
             fsync: true,
             metrics_addr: None,
@@ -237,18 +198,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Per-connection output-buffer bound under the event loop (default
-    /// 4 MiB).
+    /// Per-connection output-buffer bound (default 4 MiB).
     pub fn outbuf_limit(mut self, bytes: usize) -> Self {
         self.cfg.outbuf_limit = bytes;
-        self
-    }
-
-    /// Connection backend (default: event loop on Linux, threads
-    /// elsewhere). Requesting the event loop off-Linux falls back to
-    /// threads.
-    pub fn connection_model(mut self, model: ConnectionModel) -> Self {
-        self.cfg.connection_model = model;
         self
     }
 
@@ -259,9 +211,17 @@ impl ServerBuilder {
         self
     }
 
-    /// Binds, starts the connection backend (and the engine + metrics
-    /// endpoint when owned), and returns the running [`Server`].
+    /// Binds, starts the event loop (and the engine + metrics endpoint
+    /// when owned), and returns the running [`Server`]. Off Linux there is
+    /// no connection layer and this returns
+    /// [`Unsupported`](std::io::ErrorKind::Unsupported).
     pub fn start(self) -> std::io::Result<Server> {
+        #[cfg(not(target_os = "linux"))]
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "ppr-service serves connections through epoll and runs on Linux only",
+        ));
+
         let ServerBuilder {
             cfg,
             engine,
@@ -311,7 +271,17 @@ impl ServerBuilder {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
 
-        let backend = start_backend(listener, &cfg, handle.clone(), net_metrics.clone())?;
+        #[cfg(target_os = "linux")]
+        let event_loop = crate::net::event_loop::spawn(
+            listener,
+            crate::net::event_loop::LoopConfig {
+                engine: handle.clone(),
+                metrics: net_metrics.clone(),
+                max_connections: cfg.max_connections,
+                idle_timeout: cfg.idle_timeout,
+                outbuf_limit: cfg.outbuf_limit,
+            },
+        )?;
 
         let metrics_server = match &cfg.metrics_addr {
             Some(metrics_addr) => {
@@ -341,7 +311,8 @@ impl ServerBuilder {
 
         Ok(Server {
             addr,
-            backend: Some(backend),
+            #[cfg(target_os = "linux")]
+            event_loop,
             engine_owned,
             handle,
             net_metrics,
@@ -351,40 +322,11 @@ impl ServerBuilder {
     }
 }
 
-/// Spawns the configured connection backend over a bound listener.
-fn start_backend(
-    listener: TcpListener,
-    cfg: &ServerConfig,
-    engine: EngineHandle,
-    metrics: Arc<NetMetrics>,
-) -> std::io::Result<Backend> {
-    #[cfg(target_os = "linux")]
-    if cfg.connection_model == ConnectionModel::EventLoop {
-        let handle = crate::net::event_loop::spawn(
-            listener,
-            crate::net::event_loop::LoopConfig {
-                engine,
-                metrics,
-                max_connections: cfg.max_connections,
-                idle_timeout: cfg.idle_timeout,
-                outbuf_limit: cfg.outbuf_limit,
-            },
-        )?;
-        return Ok(Backend::EventLoop(handle));
-    }
-    Ok(Backend::Threads(spawn_threaded(
-        listener,
-        engine,
-        metrics,
-        cfg.idle_timeout,
-        cfg.max_connections,
-    )?))
-}
-
 /// A running TCP front-end. Build one with [`Server::builder`].
 pub struct Server {
     addr: SocketAddr,
-    backend: Option<Backend>,
+    #[cfg(target_os = "linux")]
+    event_loop: crate::net::event_loop::EventLoopHandle,
     /// Engine started (and therefore drained at shutdown) by the
     /// builder; `None` when serving a caller-owned [`EngineHandle`].
     engine_owned: Option<Engine>,
@@ -392,12 +334,6 @@ pub struct Server {
     net_metrics: Arc<NetMetrics>,
     metrics_server: Option<MetricsServer>,
     recovery: Option<RecoveryReport>,
-}
-
-enum Backend {
-    Threads(ThreadedBackend),
-    #[cfg(target_os = "linux")]
-    EventLoop(crate::net::event_loop::EventLoopHandle),
 }
 
 impl Server {
@@ -438,15 +374,11 @@ impl Server {
     }
 
     /// Stops accepting, lets in-progress requests finish, joins the
-    /// connection backend, and — when the builder owns the engine —
-    /// drains and shuts it down too. Idempotent.
+    /// event loop, and — when the builder owns the engine — drains and
+    /// shuts it down too. Idempotent.
     pub fn shutdown(&mut self) {
-        match self.backend.take() {
-            Some(Backend::Threads(mut t)) => t.shutdown(),
-            #[cfg(target_os = "linux")]
-            Some(Backend::EventLoop(mut h)) => h.shutdown(),
-            None => {}
-        }
+        #[cfg(target_os = "linux")]
+        self.event_loop.shutdown();
         if let Some(mut m) = self.metrics_server.take() {
             m.shutdown();
         }
@@ -463,30 +395,33 @@ impl Drop for Server {
 }
 
 // ---------------------------------------------------------------------
-// Shared command dispatch
+// Command dispatch
 // ---------------------------------------------------------------------
 
-/// What a decoded command asks of the connection backend: answer
-/// immediately, or hand the request to the engine (serially, from the
-/// connection's point of view).
+/// What a decoded command asks of the event loop: answer immediately,
+/// or hand the request to the engine (serially, from the connection's
+/// point of view).
 pub(crate) enum Dispatch {
     /// The reply line, complete (synchronous verbs: hello, ping, stats,
     /// catalog mutations, …).
     Reply(String),
     /// Execute on the engine; encode with [`protocol::encode_result`].
     Execute(Request),
-    /// Execute on the engine; encode as a [`TraceReport`] clocked
-    /// end-to-end by the server.
+    /// Execute on the engine; encode as a
+    /// [`TraceReport`](protocol::TraceReport) clocked end-to-end by the
+    /// server.
     Trace(Request),
-    /// Execute on the engine; encode as an [`ExplainReport`] clocked
-    /// end-to-end by the server.
+    /// Execute on the engine; encode as an
+    /// [`ExplainReport`](protocol::ExplainReport) clocked end-to-end by
+    /// the server.
     Explain(Request),
 }
 
-/// The protocol state machine both backends share: everything except
-/// *how* an [`Dispatch::Execute`] reaches the engine (blocking call on a
-/// connection thread vs. submission from the event loop) is decided
-/// here, which is what keeps the two backends byte-identical.
+/// The per-connection protocol state machine: negotiates the version,
+/// tracks the session database, answers the synchronous verbs in place
+/// and classifies the rest. It never touches a socket or the worker
+/// queue — how a [`Dispatch::Execute`] reaches the engine and how its
+/// reply reaches the peer is the event loop's business.
 pub(crate) fn dispatch_command(
     cmd: Command,
     engine: &EngineHandle,
@@ -530,10 +465,9 @@ pub(crate) fn dispatch_command(
             }
             Dispatch::Explain(request)
         }
-        // Catalog verbs run on the connection's own thread (or the event
-        // loop), not the worker queue: mutations are O(tiny database),
-        // and admission control exists to bound query execution, not
-        // metadata traffic.
+        // Catalog verbs run on the event loop, not the worker queue:
+        // mutations are O(tiny database), and admission control exists
+        // to bound query execution, not metadata traffic.
         Command::Use(db) => {
             let ack = match engine.catalog().snapshot(&db) {
                 Some(snap) => {
@@ -603,472 +537,4 @@ pub(crate) fn duplicate_id(id: u64) -> String {
     protocol::encode_result(&Err(ServiceError::Protocol(format!(
         "id {id} already in flight"
     ))))
-}
-
-// ---------------------------------------------------------------------
-// Thread-per-connection backend
-// ---------------------------------------------------------------------
-
-struct ThreadedBackend {
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl ThreadedBackend {
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = self
-            .connections
-            .lock()
-            .expect("connection list")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-fn spawn_threaded(
-    listener: TcpListener,
-    engine: EngineHandle,
-    metrics: Arc<NetMetrics>,
-    idle_timeout: Option<Duration>,
-    max_connections: usize,
-) -> std::io::Result<ThreadedBackend> {
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let accept_stop = stop.clone();
-    let accept_conns = connections.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name("ppr-accept".into())
-        .spawn(move || {
-            while !accept_stop.load(Ordering::Acquire) {
-                if metrics.connections_open.get() >= max_connections as u64 {
-                    // At the connection cap: stop accepting until one
-                    // closes. Pending peers wait in the listen backlog.
-                    std::thread::sleep(POLL);
-                    continue;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        metrics.connections_accepted.inc();
-                        let engine = engine.clone();
-                        let stop = accept_stop.clone();
-                        let conn_metrics = metrics.clone();
-                        let handle = std::thread::spawn(move || {
-                            serve_connection(stream, engine, stop, conn_metrics, idle_timeout)
-                        });
-                        let mut conns = accept_conns.lock().expect("connection list");
-                        // Reap finished connection threads here so a
-                        // long-lived server does not accumulate one
-                        // JoinHandle per connection ever accepted.
-                        let mut i = 0;
-                        while i < conns.len() {
-                            if conns[i].is_finished() {
-                                let _ = conns.swap_remove(i).join();
-                            } else {
-                                i += 1;
-                            }
-                        }
-                        conns.push(handle);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
-                    }
-                    // Accept errors (ECONNABORTED, EMFILE, …) are
-                    // transient: a peer resetting mid-handshake or fd
-                    // pressure must not permanently stop the server from
-                    // accepting while it appears healthy. Count, log,
-                    // surface on /slowlog, back off, retry; shutdown is
-                    // signalled through `stop`, never through accept
-                    // errors.
-                    Err(e) => {
-                        let fd_pressure = matches!(
-                            e.raw_os_error(),
-                            Some(crate::net::sys_errno::EMFILE)
-                                | Some(crate::net::sys_errno::ENFILE)
-                        );
-                        metrics.note_accept_error(&e, fd_pressure);
-                        std::thread::sleep(if fd_pressure { POLL * 4 } else { POLL });
-                    }
-                }
-            }
-        })
-        .expect("spawn accept thread");
-
-    Ok(ThreadedBackend {
-        stop,
-        accept_thread: Some(accept_thread),
-        connections,
-    })
-}
-
-/// The v2 in-flight window: the set of tagged ids awaiting completion.
-/// Doubles as the duplicate-id detector — an id stays reserved from the
-/// moment the reader accepts it until its completion callback fires.
-struct Window {
-    state: Mutex<HashSet<u64>>,
-    freed: Condvar,
-    capacity: usize,
-}
-
-enum TryReserve {
-    Reserved,
-    Duplicate,
-    Full,
-}
-
-impl Window {
-    fn new(capacity: usize) -> Window {
-        Window {
-            state: Mutex::new(HashSet::new()),
-            freed: Condvar::new(),
-            capacity,
-        }
-    }
-
-    fn try_reserve(&self, id: u64) -> TryReserve {
-        let mut set = self.state.lock().expect("window lock");
-        if set.contains(&id) {
-            TryReserve::Duplicate
-        } else if set.len() >= self.capacity {
-            TryReserve::Full
-        } else {
-            set.insert(id);
-            TryReserve::Reserved
-        }
-    }
-
-    fn contains(&self, id: u64) -> bool {
-        self.state.lock().expect("window lock").contains(&id)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.state.lock().expect("window lock").is_empty()
-    }
-
-    /// Blocks until at least one slot is free (or `stop` is raised).
-    /// While the reader sits here it is not reading the socket — that
-    /// unread socket is the backpressure.
-    fn wait_for_room(&self, stop: &AtomicBool) -> bool {
-        let mut set = self.state.lock().expect("window lock");
-        loop {
-            if set.len() < self.capacity {
-                return true;
-            }
-            if stop.load(Ordering::Acquire) {
-                return false;
-            }
-            set = self.freed.wait_timeout(set, POLL).expect("window lock").0;
-        }
-    }
-
-    fn release(&self, id: u64) {
-        self.state.lock().expect("window lock").remove(&id);
-        self.freed.notify_one();
-    }
-}
-
-/// Per-connection state shared by the command handlers.
-struct Conn {
-    engine: EngineHandle,
-    /// Reply lines (without trailing newline) bound for the writer thread.
-    tx: mpsc::Sender<String>,
-    /// Negotiated protocol version: 1 until `hello proto=2` arrives.
-    proto: u32,
-    /// The connection's session database, set by `use`; `run` lines
-    /// without an explicit `db=` target it (engine default otherwise).
-    session_db: Option<String>,
-    window: Arc<Window>,
-    stop: Arc<AtomicBool>,
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    engine: EngineHandle,
-    stop: Arc<AtomicBool>,
-    metrics: Arc<NetMetrics>,
-    idle_timeout: Option<Duration>,
-) {
-    metrics.connections_open.inc();
-    let close_reason = serve_connection_inner(stream, engine, stop, idle_timeout);
-    metrics.record_close(&close_reason);
-    metrics.connections_open.dec();
-}
-
-fn serve_connection_inner(
-    stream: TcpStream,
-    engine: EngineHandle,
-    stop: Arc<AtomicBool>,
-    idle_timeout: Option<Duration>,
-) -> CloseReason {
-    // Short read timeouts make the blocking read loop responsive to the
-    // stop flag (and the idle timeout) without a reactor.
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return CloseReason::Io("set_read_timeout failed".into());
-    }
-    let _ = stream.set_nodelay(true);
-    let mut reader = stream;
-    let writer = match reader.try_clone() {
-        Ok(w) => w,
-        Err(e) => return CloseReason::Io(e.to_string()),
-    };
-
-    let (tx, rx) = mpsc::channel::<String>();
-    let writer_thread = std::thread::spawn(move || write_loop(writer, rx));
-
-    let window = Arc::new(Window::new(WINDOW.min(engine.safe_window())));
-    let mut conn = Conn {
-        engine,
-        tx,
-        proto: 1,
-        session_db: None,
-        window,
-        stop,
-    };
-
-    let mut framer = protocol::LineFramer::new();
-    let mut chunk = [0u8; 4096];
-    let mut last_activity = Instant::now();
-    let mut reason = CloseReason::PeerClosed;
-    'serve: loop {
-        // Process every complete line already buffered before reading
-        // more: in v2 this is what lets a burst of tagged requests become
-        // one batch submission.
-        let mut lines: Vec<String> = Vec::new();
-        loop {
-            match framer.next_line() {
-                Ok(Some(line)) => lines.push(line),
-                Ok(None) => break,
-                Err(_) => {
-                    let _ = conn
-                        .tx
-                        .send("err kind=protocol msg=line too long".to_string());
-                    reason = CloseReason::Protocol("line too long".into());
-                    break 'serve;
-                }
-            }
-        }
-        if !lines.is_empty() {
-            if process_lines(&mut conn, lines).is_err() {
-                reason = CloseReason::Io("reply channel closed".into());
-                break;
-            }
-            last_activity = Instant::now();
-        }
-        if conn.stop.load(Ordering::Acquire) {
-            reason = CloseReason::Shutdown;
-            break;
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => break, // peer closed
-            Ok(n) => {
-                framer.push(&chunk[..n]);
-                last_activity = Instant::now();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // The slow-loris guard: a connection with no bytes and
-                // nothing in flight for the whole idle window is closed.
-                if let Some(timeout) = idle_timeout {
-                    if conn.window.is_empty() && last_activity.elapsed() >= timeout {
-                        reason = CloseReason::IdleTimeout;
-                        break;
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                reason = CloseReason::Io(e.to_string());
-                break;
-            }
-        }
-    }
-    // Drop the reader's Sender; the writer keeps draining replies for
-    // jobs still in flight (their callbacks hold Sender clones) and
-    // exits once the last completion fires.
-    drop(conn);
-    let _ = writer_thread.join();
-    reason
-}
-
-/// The connection's write half: single consumer of the reply channel.
-/// Consecutive ready replies are coalesced into one `write_all` — under
-/// pipelining this is the difference between one syscall per reply and
-/// one per burst.
-fn write_loop(mut writer: TcpStream, rx: mpsc::Receiver<String>) {
-    while let Ok(line) = rx.recv() {
-        let mut buf = line.into_bytes();
-        buf.push(b'\n');
-        while buf.len() < 64 * 1024 {
-            match rx.try_recv() {
-                Ok(more) => {
-                    buf.extend_from_slice(more.as_bytes());
-                    buf.push(b'\n');
-                }
-                Err(_) => break,
-            }
-        }
-        if writer.write_all(&buf).is_err() {
-            return;
-        }
-    }
-}
-
-fn send(conn: &Conn, line: String) -> Result<(), ()> {
-    conn.tx.send(line).map_err(|_| ())
-}
-
-/// Handles a chunk of complete request lines. Consecutive tagged `run`s
-/// against the same effective database accumulate into one batch; the
-/// batch is flushed — pinning its catalog snapshot — before any other
-/// command is handled, which is what keeps pipelined execution
-/// serially equivalent around `use`/`load`/`add`.
-fn process_lines(conn: &mut Conn, lines: Vec<String>) -> Result<(), ()> {
-    let mut batch: Vec<(u64, Request)> = Vec::new();
-    let mut batch_db: Option<String> = None;
-    for line in lines {
-        if conn.proto < 2 {
-            // v1: strictly serial, byte-identical to the pre-pipelining
-            // server (the writer channel preserves order — the reader is
-            // its only producer here).
-            let reply = dispatch_untagged(&line, conn);
-            send(conn, reply)?;
-            continue;
-        }
-        match protocol::split_request_tag(&line) {
-            Ok((Some(id), rest)) => match protocol::decode_command(&rest) {
-                Ok(Command::Run(mut request)) => {
-                    if request.db.is_none() {
-                        request.db = conn.session_db.clone();
-                    }
-                    if !batch.is_empty() && batch_db != request.db {
-                        flush_batch(conn, &mut batch, batch_db.take());
-                    }
-                    batch_db = request.db.clone();
-                    loop {
-                        match conn.window.try_reserve(id) {
-                            TryReserve::Reserved => {
-                                batch.push((id, request));
-                                break;
-                            }
-                            TryReserve::Duplicate => {
-                                send(conn, protocol::tag_reply(id, &duplicate_id(id)))?;
-                                break;
-                            }
-                            TryReserve::Full => {
-                                // Submit what we have — those jobs free
-                                // slots as they complete — then block.
-                                flush_batch(conn, &mut batch, batch_db.clone());
-                                if !conn.window.wait_for_room(&conn.stop) {
-                                    return Err(());
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(cmd) => {
-                    // Tagged catalog verbs / ping / stats complete
-                    // synchronously on the reader thread, after the
-                    // pending runs have pinned their snapshots.
-                    flush_batch(conn, &mut batch, batch_db.take());
-                    let reply = if conn.window.contains(id) {
-                        duplicate_id(id)
-                    } else {
-                        handle_command(cmd, conn)
-                    };
-                    send(conn, protocol::tag_reply(id, &reply))?;
-                }
-                Err(e) => {
-                    send(
-                        conn,
-                        protocol::tag_reply(id, &protocol::encode_result(&Err(e))),
-                    )?;
-                }
-            },
-            Ok((None, _)) => {
-                // Untagged lines remain legal after the upgrade and run
-                // serially on the reader thread, exactly like v1.
-                flush_batch(conn, &mut batch, batch_db.take());
-                let reply = dispatch_untagged(&line, conn);
-                send(conn, reply)?;
-            }
-            Err(e) => {
-                // A malformed id cannot tag its own error reply.
-                send(conn, protocol::encode_result(&Err(e)))?;
-            }
-        }
-    }
-    flush_batch(conn, &mut batch, batch_db);
-    Ok(())
-}
-
-/// Submits the accumulated batch: one catalog snapshot and one queue
-/// lock for the lot. Each job's completion callback tags its reply,
-/// hands it to the writer thread, and frees its window slot.
-fn flush_batch(conn: &Conn, batch: &mut Vec<(u64, Request)>, db: Option<String>) {
-    if batch.is_empty() {
-        return;
-    }
-    let jobs: Vec<(Request, ReplyFn)> = batch
-        .drain(..)
-        .map(|(id, request)| {
-            let tx = conn.tx.clone();
-            let window = conn.window.clone();
-            let reply: ReplyFn = Box::new(move |result| {
-                let _ = tx.send(protocol::tag_reply(id, &protocol::encode_result(&result)));
-                window.release(id);
-            });
-            (request, reply)
-        })
-        .collect();
-    conn.engine.submit_batch(db.as_deref(), jobs);
-}
-
-fn dispatch_untagged(line: &str, conn: &mut Conn) -> String {
-    if line.trim().is_empty() {
-        return protocol::encode_result(&Err(ServiceError::Protocol("empty line".into())));
-    }
-    match protocol::decode_command(line) {
-        Ok(cmd) => handle_command(cmd, conn),
-        Err(e) => protocol::encode_result(&Err(e)),
-    }
-}
-
-/// The threaded backend's realization of [`dispatch_command`]:
-/// synchronous verbs answer inline; `run`/`trace` block the connection
-/// thread in [`EngineHandle::execute`], which is what makes v1 strictly
-/// serial.
-fn handle_command(cmd: Command, conn: &mut Conn) -> String {
-    let capacity = conn.window.capacity;
-    match dispatch_command(
-        cmd,
-        &conn.engine,
-        &mut conn.proto,
-        &mut conn.session_db,
-        capacity,
-    ) {
-        Dispatch::Reply(reply) => reply,
-        Dispatch::Execute(request) => protocol::encode_result(&conn.engine.execute(request)),
-        Dispatch::Trace(request) => {
-            // The server clocks the engine call so the reported total
-            // bounds the span sum even if a phase is mismeasured.
-            let started = Instant::now();
-            let result = conn.engine.execute(request);
-            let total_us = started.elapsed().as_micros() as u64;
-            protocol::encode_trace_report(&result.map(|resp| TraceReport::of(&resp, total_us)))
-        }
-        Dispatch::Explain(request) => {
-            let started = Instant::now();
-            let result = conn.engine.execute(request);
-            let total_us = started.elapsed().as_micros() as u64;
-            protocol::encode_explain_report(&result.map(|resp| ExplainReport::of(&resp, total_us)))
-        }
-    }
 }

@@ -14,15 +14,13 @@
 //!            [--result-cache-bytes N] [--max-tuples N] [--timeout-ms T]
 //!            [--metrics-addr HOST:PORT] [--slowlog N] [--data-dir DIR]
 //!            [--no-fsync] [--max-connections N] [--idle-timeout-ms T]
-//!            [--threads] [--profile-ops]
+//!            [--profile-ops]
 //! ppr client [--connect HOST:PORT] --rule 'q(x) :- edge(x,y)' [--method M]
 //!            [--db NAME | --use NAME] [--max-tuples N] [--timeout-ms T]
 //!            [--seed S] [--explain plan|analyze] [--pipeline N] [--stats]
 //!            [--ping] [--dbs] [--connections N [--requests N] [--window W]]
 //! ppr client [--connect HOST:PORT] (--create NAME | --drop NAME |
 //!            --load 'DB REL 1,2;2,3' | --add 'DB REL 1,2')
-//! ppr bench-pipe [--connect HOST:PORT] [--requests N] [--pipeline W]
-//!            [--method M] [--colors K]
 //! ```
 //!
 //! Methods: `naive`, `straightforward`, `early`, `reorder`, `bucket`
@@ -52,12 +50,11 @@ fn main() {
         "width" => cmd_width(&flags),
         "serve" => cmd_serve(&flags),
         "client" => cmd_client(&flags),
-        "bench-pipe" => cmd_bench_pipe(&flags),
         _ => die(USAGE),
     }
 }
 
-const USAGE: &str = "usage: ppr <color|sat|query|width|serve|client|bench-pipe> [flags]\n  see `src/bin/ppr.rs` header for flags";
+const USAGE: &str = "usage: ppr <color|sat|query|width|serve|client> [flags]\n  see `src/bin/ppr.rs` header for flags";
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -109,6 +106,15 @@ impl Flags {
 
     fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
+    }
+
+    /// Exits 2 naming the first flag not in `known`: a misspelt or retired
+    /// flag must not silently fall back to a default.
+    fn reject_unknown(&self, cmd: &str, known: &[&str]) {
+        let mut names = self.pairs.iter().map(|(n, _)| n).chain(&self.switches);
+        if let Some(name) = names.find(|n| !known.contains(&n.as_str())) {
+            die(&format!("ppr {cmd}: unknown flag --{name}"));
+        }
     }
 
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
@@ -370,7 +376,29 @@ fn serve_database(flags: &Flags) -> Database {
 }
 
 fn cmd_serve(flags: &Flags) {
-    use projection_pushing::service::{ConnectionModel, EngineConfig, Server};
+    use projection_pushing::service::{EngineConfig, Server};
+    flags.reject_unknown(
+        "serve",
+        &[
+            "listen",
+            "rel",
+            "rel-file",
+            "colors",
+            "workers",
+            "queue",
+            "cache",
+            "result-cache-bytes",
+            "max-tuples",
+            "timeout-ms",
+            "metrics-addr",
+            "slowlog",
+            "data-dir",
+            "no-fsync",
+            "max-connections",
+            "idle-timeout-ms",
+            "profile-ops",
+        ],
+    );
     let listen = flags.get("listen").unwrap_or("127.0.0.1:7171");
     let mut cfg = EngineConfig::default();
     cfg.workers = flags.num("workers", 4usize);
@@ -396,11 +424,6 @@ fn cmd_serve(flags: &Flags) {
         .max_connections(flags.num("max-connections", 10_000usize));
     let idle_ms: u64 = flags.num("idle-timeout-ms", 300_000u64);
     builder = builder.idle_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)));
-    if flags.has("threads") {
-        // Escape hatch: the thread-per-connection backend (always the
-        // model on non-Linux hosts, where there is no epoll).
-        builder = builder.connection_model(ConnectionModel::Threads);
-    }
     if let Some(dir) = flags.get("data-dir") {
         builder = builder.data_dir(dir).fsync(!flags.has("no-fsync"));
     }
@@ -752,115 +775,6 @@ fn run_client_load(
     _line: String,
 ) {
     die("--connections load mode needs the Linux epoll driver");
-}
-
-/// Measures pipelining against the serial protocol on one connection
-/// each: the same burst of requests, seeded so every one is a cold
-/// result-cache miss, driven first serially (v1) and then through a
-/// [`Pipeline`] (v2). Connects to `--connect` if given; otherwise spins
-/// an in-process server on a loopback ephemeral port.
-///
-/// [`Pipeline`]: projection_pushing::service::Pipeline
-fn cmd_bench_pipe(flags: &Flags) {
-    use projection_pushing::service::{Client, Pipeline, Request};
-    let requests: usize = flags.num("requests", 200);
-    let depth: usize = flags.num("pipeline", 32);
-    let method = match flags.get("method") {
-        Some(name) => Method::parse(name).unwrap_or_else(|| die(&format!("unknown method {name}"))),
-        None => Method::EarlyProjection,
-    };
-    let rule = "q() :- edge(x, y), edge(y, z), edge(z, x)";
-
-    // In-process server unless --connect points elsewhere.
-    let mut local = None;
-    let addr = match flags.get("connect") {
-        Some(a) => a.to_string(),
-        None => {
-            use projection_pushing::service::{Catalog, Engine, EngineConfig, Server};
-            let mut db = Database::new();
-            db.add(projection_pushing::workload::edge_relation(
-                flags.num("colors", 3),
-            ));
-            let mut cfg = EngineConfig::default();
-            // One worker per core: on a small box, extra workers only add
-            // scheduler churn between the reader, workers, and writer.
-            cfg.workers = flags.num(
-                "workers",
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-            );
-            let engine = Engine::start(Catalog::with_default(db), cfg);
-            let server = Server::builder()
-                .addr("127.0.0.1:0")
-                .engine(engine.handle())
-                .start()
-                .unwrap_or_else(|e| die(&format!("cannot bind loopback: {e}")));
-            let addr = server.local_addr().to_string();
-            local = Some((server, engine));
-            addr
-        }
-    };
-
-    // Distinct seeds make every request a distinct result-cache key, so
-    // both phases measure real execution, not cache reads. The serial
-    // and pipelined phases use disjoint seed ranges for the same reason.
-    let batch = |base: u64| -> Vec<Request> {
-        (0..requests)
-            .map(|i| Request::new(rule, method).seed(base + i as u64))
-            .collect()
-    };
-
-    let serial_reqs = batch(1_000_000);
-    let mut client =
-        Client::connect(&addr).unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
-    let started = std::time::Instant::now();
-    for req in &serial_reqs {
-        client.run(req).unwrap_or_else(|e| die(&e.to_string()));
-    }
-    let serial = started.elapsed();
-
-    let piped_reqs = batch(2_000_000);
-    let mut pipe = Pipeline::connect(&addr)
-        .unwrap_or_else(|e| die(&format!("cannot pipeline to {addr}: {e}")));
-    let window = pipe.window().min(depth.max(1));
-    let started = std::time::Instant::now();
-    // Double-buffered half-window bursts: submit chunk k+1 before
-    // redeeming chunk k, so the server always has a burst in flight
-    // while the client formats the next one — no barrier stalls, and
-    // each burst is one buffered write.
-    let burst = (window / 2).max(1);
-    let mut outstanding: Vec<projection_pushing::service::Ticket> = Vec::new();
-    for chunk in piped_reqs.chunks(burst) {
-        let tickets: Vec<_> = chunk
-            .iter()
-            .map(|req| pipe.submit(req).unwrap_or_else(|e| die(&e.to_string())))
-            .collect();
-        for t in outstanding.drain(..) {
-            pipe.wait(t).unwrap_or_else(|e| die(&e.to_string()));
-        }
-        outstanding = tickets;
-    }
-    for t in outstanding {
-        pipe.wait(t).unwrap_or_else(|e| die(&e.to_string()));
-    }
-    let piped = started.elapsed();
-
-    let rate = |d: Duration| requests as f64 / d.as_secs_f64();
-    println!(
-        "serial    (v1): {:>9.2} ms  {:>8.0} reqs/sec",
-        serial.as_secs_f64() * 1e3,
-        rate(serial)
-    );
-    println!(
-        "pipelined (v2): {:>9.2} ms  {:>8.0} reqs/sec  (window {window})",
-        piped.as_secs_f64() * 1e3,
-        rate(piped)
-    );
-    println!(
-        "speedup: {:.2}x over {requests} cold {} requests",
-        rate(piped) / rate(serial),
-        method.name()
-    );
-    drop(local);
 }
 
 #[cfg(test)]

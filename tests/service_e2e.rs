@@ -269,23 +269,23 @@ fn strip_timings(line: &str) -> String {
         .join(" ")
 }
 
-/// The tentpole acceptance bar for protocol v2: replies on a pipelined
-/// connection are a **permutation** of the serial v1 replies — every id
-/// answered exactly once — and each reply is **byte-identical** to its
-/// serial counterpart modulo the `id=` tag, the arrival order, the
-/// wall-clock timing fields, and the index-build attribution fields
-/// (see [`strip_timings`]: concurrent requests race to build the
-/// snapshot's lazy indexes, so which one reports `ix_builds=` is
-/// scheduler-dependent). Both runs hit fresh engines with the same
+/// The acceptance bar for protocol v2: replies on a pipelined connection
+/// are a **permutation** of the serial replies — every id answered
+/// exactly once — and each reply is **byte-identical** to its serial
+/// counterpart modulo the `id=` tag, the arrival order, the wall-clock
+/// timing fields, and the index-build attribution fields (see
+/// [`strip_timings`]: concurrent requests race to build the snapshot's
+/// lazy indexes, so which one reports `ix_builds=` is
+/// scheduler-dependent). Every run hits a fresh engine with the same
 /// per-request seeds, so plans, cache flags, and the remaining execution
 /// stats have no run-order excuse to differ. The list mixes all seven
 /// methods with two deterministic failures to cover the `err` path too.
 ///
-/// The serial reference is pinned to the thread-per-connection backend
-/// while the pipelined run uses the builder's default (the epoll event
-/// loop on Linux), so the permutation check is simultaneously the
-/// cross-backend acceptance bar: two different connection layers, one
-/// byte-identical reply stream.
+/// The serial reference is taken twice: over the wire as v1 untagged
+/// lines (one reply per request, in order — the event loop's serial
+/// hold), and with no socket at all, as `encode_result` of
+/// `EngineHandle::execute`. The connection layer may therefore add
+/// nothing to a reply but its tag.
 #[test]
 fn pipelined_replies_are_a_per_id_permutation_of_serial() {
     use projection_pushing::service::protocol;
@@ -293,41 +293,48 @@ fn pipelined_replies_are_a_per_id_permutation_of_serial() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    let mut wire_lines: Vec<String> = Vec::new();
+    let mut requests: Vec<Request> = Vec::new();
     for (i, method) in all_methods().iter().cycle().take(21).enumerate() {
         let mut request = Request::new(PENTAGON, *method);
         request.seed = Some(100 + i as u64);
-        wire_lines.push(protocol::encode_request(&request));
+        requests.push(request);
     }
-    wire_lines.push(protocol::encode_request(&Request::new(
+    requests.push(Request::new(
         "q(a) :- nosuch(a, b)",
         Method::EarlyProjection,
-    )));
-    wire_lines.push(protocol::encode_request(&Request::new(
-        "q(a :- edge(",
-        Method::Straightforward,
-    )));
+    ));
+    requests.push(Request::new("q(a :- edge(", Method::Straightforward));
+    let wire_lines: Vec<String> = requests.iter().map(protocol::encode_request).collect();
 
-    // Serial reference: v1 untagged lines, one reply per request, in order.
+    // Socket-free reference: the engine's answer, encoded.
+    let direct: Vec<String> = {
+        let engine = Engine::start(color_catalog(), EngineConfig::default());
+        let handle = engine.handle();
+        let replies = requests
+            .iter()
+            .map(|request| protocol::encode_result(&handle.execute(request.clone())))
+            .collect();
+        engine.shutdown();
+        replies
+    };
+
+    // Serial reference: v1 untagged lines, one reply per request, in
+    // order. The whole list goes out in one write, so ordering is the
+    // server's doing (each `run` holds the connection until its reply is
+    // written), not the client's.
     let serial: Vec<String> = {
         let engine = Engine::start(color_catalog(), EngineConfig::default());
-        // The serial reference runs on the thread-per-connection backend,
-        // so the permutation check below doubles as the cross-backend
-        // acceptance bar: the event-loop server must answer byte-identically
-        // to the threaded one.
         let mut server = service::Server::builder()
             .addr("127.0.0.1:0")
             .engine(engine.handle())
-            .connection_model(service::ConnectionModel::Threads)
             .start()
             .expect("ephemeral bind");
         let stream = TcpStream::connect(server.local_addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let burst: String = wire_lines.iter().map(|line| format!("{line}\n")).collect();
+        (&stream).write_all(burst.as_bytes()).expect("write");
         let mut replies = Vec::new();
-        for line in &wire_lines {
-            (&stream)
-                .write_all(format!("{line}\n").as_bytes())
-                .expect("write");
+        for _ in &wire_lines {
             let mut reply = String::new();
             assert!(reader.read_line(&mut reply).expect("read") > 0);
             replies.push(reply.trim_end().to_string());
@@ -337,6 +344,14 @@ fn pipelined_replies_are_a_per_id_permutation_of_serial() {
         engine.shutdown();
         replies
     };
+    assert_eq!(serial.len(), direct.len());
+    for (i, (wire, engine)) in serial.iter().zip(&direct).enumerate() {
+        assert_eq!(
+            strip_timings(wire),
+            strip_timings(engine),
+            "v1 reply {i} differs from the engine's own answer"
+        );
+    }
 
     // Pipelined run: same lines, same seeds, fresh engine, ids 1..=N kept
     // in flight up to the advertised window.
@@ -576,6 +591,51 @@ fn ppr_binary_serve_and_client_round_trip() {
         named_out.contains("rows: 2"),
         "unexpected output: {named_out}"
     );
+}
+
+/// `ppr serve` refuses a flag it does not know — a misspelling, or the
+/// retired `--threads` — instead of serving with a default in its place:
+/// exit 2, the flag named on stderr, and the listening line never printed.
+#[test]
+fn ppr_serve_rejects_unknown_flags() {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    for args in [&["--threads"][..], &["--wrokers", "8"]] {
+        let mut serve = Command::new(env!("CARGO_BIN_EXE_ppr"))
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .args(args)
+            .stderr(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn ppr serve");
+        // A server that accepted the flag would run forever: bound the wait.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = serve.try_wait().expect("wait") {
+                break status;
+            }
+            if Instant::now() >= deadline {
+                let _ = serve.kill();
+                panic!("`ppr serve {args:?}` kept running instead of rejecting the flag");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        serve
+            .stderr
+            .take()
+            .expect("stderr")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert_eq!(status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(args[0]), "{args:?} not named: {stderr}");
+        assert!(
+            !stderr.contains("ppr-service listening on"),
+            "{args:?} started a server: {stderr}"
+        );
+    }
 }
 
 /// The profiling tentpole's acceptance bar over real TCP: `explain
@@ -832,11 +892,10 @@ fn observability_counters_and_trace_round_trip_end_to_end() {
     engine.shutdown();
 }
 
-/// Backpressure parity: a single connection that floods far past the
+/// Backpressure: a single connection that floods far past the
 /// advertised window must never see `Overloaded` — the server simply
-/// stops reading the socket (the threaded reader blocks on a full
-/// window; the event loop deregisters read interest) until completions
-/// free slots. Admission control exists for *aggregate* load across
+/// stops reading the socket (the event loop deregisters read interest)
+/// until completions free slots. Admission control exists for *aggregate* load across
 /// connections; one well-behaved pipelined connection is always
 /// admissible.
 #[test]
@@ -1031,6 +1090,11 @@ fn binary_serves_a_thousand_concurrent_connections_on_few_threads() {
     let _ = serve.kill();
     let _ = serve.wait();
 
+    // The one ladder point the CI log keeps (the step runs --nocapture).
+    println!(
+        "c10k: connections={} reqs_per_sec={:.0} p50_us={} p99_us={}",
+        report.connections, report.reqs_per_sec, report.p50_us, report.p99_us
+    );
     assert_eq!(report.connections, connections);
     assert_eq!(
         report.requests as usize, opts.requests,
