@@ -6,8 +6,8 @@
 //! targets: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //!          sat3 sat2 theorems
 //!          ablation-orders ablation-pipeline ablation-minibucket
-//!          ablation-distinct ablation-join
-//!          durability semijoin all
+//!          ablation-distinct ablation-join ablation-greedy
+//!          durability semijoin limits all
 //! ```
 //!
 //! `durability` sweeps the persistence axis (memory-only / WAL /
@@ -140,6 +140,7 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
         "ablation-minibucket" => figures::ablation_minibucket(&mut w, cfg),
         "ablation-distinct" => figures::ablation_distinct(&mut w, cfg),
         "ablation-join" => figures::ablation_join(&mut w, cfg),
+        "ablation-greedy" => figures::ablation_greedy(&mut w, cfg),
         "durability" => {
             // Persist the machine-readable report before printing: a
             // downstream pipe closing stdout must not lose the artifact.
@@ -176,6 +177,7 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
                 "ablation-minibucket",
                 "ablation-distinct",
                 "ablation-join",
+                "ablation-greedy",
                 "durability",
                 "semijoin",
                 "limits",

@@ -80,23 +80,27 @@ fn point(
                 run_method(method, &q, &db, &budget, s ^ 0x9e37)
             })
             .collect();
-        let cell = summarize(&outcomes, cfg.timeout);
-        writeln!(
-            w,
-            "{x}\t{}\t{:.3}\t{}\t{}\t{}\t{}",
-            method.name(),
-            cell.median_millis,
-            cell.timeouts,
-            cell.runs,
-            cell.median_tuples
-                .map(|t| format!("{t:.0}"))
-                .unwrap_or_else(|| "-".into()),
-            cell.max_arity
-                .map(|a| a.to_string())
-                .unwrap_or_else(|| "-".into()),
-        )
-        .expect("write");
+        row(w, x, method.name(), &outcomes, cfg);
     }
+}
+
+/// Prints one [`header`] row summarizing `outcomes` under `label`.
+fn row(w: &mut impl Write, x: &str, label: &str, outcomes: &[MethodOutcome], cfg: &Config) {
+    let cell = summarize(outcomes, cfg.timeout);
+    writeln!(
+        w,
+        "{x}\t{label}\t{:.3}\t{}\t{}\t{}\t{}",
+        cell.median_millis,
+        cell.timeouts,
+        cell.runs,
+        cell.median_tuples
+            .map(|t| format!("{t:.0}"))
+            .unwrap_or_else(|| "-".into()),
+        cell.max_arity
+            .map(|a| a.to_string())
+            .unwrap_or_else(|| "-".into()),
+    )
+    .expect("write");
 }
 
 fn color_point(w: &mut impl Write, x: &str, shape: QueryShape, free_fraction: f64, cfg: &Config) {
@@ -385,6 +389,39 @@ pub fn ablation_orders(w: &mut impl Write, cfg: &Config) {
             cfg,
         );
     }
+}
+
+/// Ablation: the greedy reordering heuristic (§4) vs a uniformly random
+/// atom permutation fed to early projection, on random order-14
+/// density-2 instances — how much of reordering's gain is the heuristic
+/// rather than any reshuffle of the listing order.
+pub fn ablation_greedy(w: &mut impl Write, cfg: &Config) {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    header(w);
+    let make = |seed| {
+        InstanceSpec {
+            shape: QueryShape::Random {
+                order: 14,
+                density: 2.0,
+            },
+            seed,
+            free_fraction: 0.0,
+        }
+        .build()
+    };
+    point(w, "2", &[Method::Reordering], make, cfg);
+    let budget = cfg.budget();
+    let outcomes: Vec<MethodOutcome> = (0..cfg.seeds)
+        .map(|s| {
+            let (q, db) = make(s);
+            let mut perm: Vec<usize> = (0..q.num_atoms()).collect();
+            perm.shuffle(&mut StdRng::seed_from_u64(s ^ 0x9e37));
+            run_method(Method::EarlyProjection, &q.permuted(&perm), &db, &budget, s)
+        })
+        .collect();
+    row(w, "2", "random-order", &outcomes, cfg);
 }
 
 /// Ablation: pipelined vs fully materialized execution of the same
@@ -773,6 +810,16 @@ mod tests {
         assert!(s.contains("true"));
         assert!(s.contains("false"));
         assert_eq!(s.lines().count(), 1 + 3 * 2);
+    }
+
+    #[test]
+    fn ablation_greedy_reports_both_orders() {
+        let mut out = Vec::new();
+        ablation_greedy(&mut out, &tiny());
+        let s = String::from_utf8(out).unwrap();
+        assert_eq!(s.lines().count(), 1 + 2);
+        assert!(s.contains("\treordering\t"));
+        assert!(s.contains("\trandom-order\t"));
     }
 
     #[test]

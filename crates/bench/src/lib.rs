@@ -5,8 +5,7 @@
 //! [`harness`] runs (method × instance × seed) grids with budgets and
 //! reports medians, the way the paper reports "median running times"; the
 //! `experiments` binary drives one sweep per figure and prints
-//! logscale-ready TSV. The Criterion benches under `benches/` wire
-//! representative points of each figure into `cargo bench`.
+//! logscale-ready TSV, plus the design-choice ablations of DESIGN.md §5.
 
 pub mod durability;
 pub mod figures;

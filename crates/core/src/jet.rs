@@ -15,7 +15,7 @@
 //! width* of `Q` is the minimum width over all of its join-expression
 //! trees. Theorem 1: the join width equals `tw(join graph) + 1`.
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
 use ppr_query::{ConjunctiveQuery, Database};
 use ppr_relalg::{AttrId, Plan};
@@ -97,19 +97,12 @@ impl Jet {
             "every atom must be assigned to a leaf"
         );
 
-        // Occurrence counts per attribute (for the "outside the subtree"
-        // test): an attribute is needed above a subtree iff its total
-        // occurrence count exceeds the occurrences inside the subtree, or
-        // it belongs to the target schema.
-        let mut total_occ: FxHashMap<AttrId, usize> = FxHashMap::default();
-        for atom in &query.atoms {
-            for v in atom.vars() {
-                *total_occ.entry(v).or_insert(0) += 1;
-            }
-        }
-        let free: FxHashSet<AttrId> = query.free.iter().copied().collect();
-
-        // Bottom-up label computation over a post-order traversal.
+        // An attribute is needed above a subtree iff it is free or occurs
+        // in an atom outside the subtree. A subtree's leaves are contiguous
+        // in post-order, so with leaves ranked in that order, "occurs
+        // outside" means the attribute's first or last leaf rank falls
+        // outside the subtree's leaf interval: one span per attribute
+        // instead of an occurrence count per node.
         let order = post_order(&structure.children, structure.root);
         let mut nodes: Vec<JetNode> = (0..n)
             .map(|v| JetNode {
@@ -119,28 +112,34 @@ impl Jet {
                 projected: Vec::new(),
             })
             .collect();
-        // occurrences of each attribute inside each node's subtree.
-        let mut sub_occ: Vec<FxHashMap<AttrId, usize>> = vec![FxHashMap::default(); n];
+        let mut span: FxHashMap<AttrId, (usize, usize)> = FxHashMap::default();
+        let mut interval = vec![(usize::MAX, 0); n];
+        let leaves = order.iter().filter_map(|&v| Some((v, structure.atom[v]?)));
+        for (rank, (v, j)) in leaves.enumerate() {
+            nodes[v].working = query.atoms[j].vars();
+            for &a in &nodes[v].working {
+                span.entry(a).or_insert((rank, rank)).1 = rank;
+            }
+            interval[v] = (rank, rank);
+        }
+        for f in &query.free {
+            if let Some(s) = span.get_mut(f) {
+                s.1 = usize::MAX; // free: needed above every subtree
+            }
+        }
+
+        // Bottom-up label computation over the post-order.
         for &v in &order {
-            if let Some(j) = structure.atom[v] {
-                let vars = query.atoms[j].vars();
-                for &a in &vars {
-                    *sub_occ[v].entry(a).or_insert(0) += 1;
-                }
-                nodes[v].working = vars;
-            } else {
+            if structure.atom[v].is_none() {
                 let mut working: Vec<AttrId> = Vec::new();
-                let children = structure.children[v].clone();
-                for &c in &children {
+                for &c in &structure.children[v] {
                     for &a in &nodes[c].projected {
                         if !working.contains(&a) {
                             working.push(a);
                         }
                     }
-                    let child_occ = std::mem::take(&mut sub_occ[c]);
-                    for (a, k) in child_occ {
-                        *sub_occ[v].entry(a).or_insert(0) += k;
-                    }
+                    interval[v].0 = interval[v].0.min(interval[c].0);
+                    interval[v].1 = interval[v].1.max(interval[c].1);
                 }
                 nodes[v].working = working;
             }
@@ -156,12 +155,14 @@ impl Jet {
                 }
                 nodes[v].projected = query.free.clone();
             } else {
+                let (lo, hi) = interval[v];
                 nodes[v].projected = nodes[v]
                     .working
                     .iter()
                     .copied()
                     .filter(|a| {
-                        free.contains(a) || sub_occ[v].get(a).copied().unwrap_or(0) < total_occ[a]
+                        let (first, last) = span[a];
+                        first < lo || last > hi
                     })
                     .collect();
             }
@@ -286,6 +287,7 @@ fn post_order(children: &[Vec<usize>], root: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use ppr_query::{Atom, Vars};
+    use rustc_hash::FxHashSet;
 
     /// Path query: π_{v0} edge(v0,v1) ⋈ edge(v1,v2) ⋈ edge(v2,v3).
     fn path_query() -> ConjunctiveQuery {
@@ -395,28 +397,11 @@ mod tests {
         use ppr_relalg::{exec, Budget};
         let q = path_query();
         let mut db = Database::new();
-        db.add(ppr_workload_edge());
+        db.add(ppr_workload::edge_relation(3));
         let jet = Jet::left_deep(&q);
         let plan = jet.to_plan(&q, &db);
         let (rel, _) = exec::execute(&plan, &Budget::unlimited()).unwrap();
         // A path is 3-colorable; all three colors possible for v0.
         assert_eq!(rel.len(), 3);
-    }
-
-    /// Local copy of the 6-tuple edge relation to avoid a dev-dependency
-    /// cycle (ppr-workload depends on nothing here, but keep the unit test
-    /// self-contained).
-    fn ppr_workload_edge() -> ppr_relalg::Relation {
-        use ppr_relalg::{Relation, Schema, Value};
-        let schema = Schema::new(vec![AttrId(2_000_000), AttrId(2_000_001)]);
-        let mut rows = Vec::new();
-        for a in 1..=3u32 {
-            for b in 1..=3u32 {
-                if a != b {
-                    rows.push(vec![a as Value, b as Value].into_boxed_slice());
-                }
-            }
-        }
-        Relation::from_distinct_rows("edge", schema, rows)
     }
 }

@@ -12,13 +12,13 @@
 //! * [`methods`] — the evaluation-method taxonomy of the experimental
 //!   study (naive, straightforward, early projection §4, greedy
 //!   reordering §4, bucket elimination §5 with MCS / min-degree /
-//!   min-fill orders) plus the legacy one-shot planners, kept as the
-//!   parity oracle for the pass pipeline.
-//! * [`passes`] — the composable optimizer-pass pipeline: each method is
-//!   a recipe of typed [`passes::OptimizerPass`]es (join-order selection,
-//!   chain building, projection pushdown, decomposition) producing plans
-//!   byte-identical to the legacy planners, with hooks for the serving
-//!   layer's decomposition cache (see docs/PLANNING.md).
+//!   min-fill orders) and the algorithms the passes call: naive SQL,
+//!   greedy reordering, bucket orders and bucket elimination.
+//! * [`passes`] — the optimizer-pass pipeline, the only planner: each
+//!   method is a recipe of typed [`passes::OptimizerPass`]es (join-order
+//!   selection, chain building, projection pushdown, decomposition), with
+//!   hooks for the serving layer's decomposition cache (see
+//!   docs/PLANNING.md).
 //! * [`width`] — join width / induced width APIs surfacing Theorems 1–2 as
 //!   checkable properties.
 //! * [`sqlgen`] — a generic plan → Appendix-A-style SQL emitter.
@@ -30,8 +30,6 @@
 //!   the paper explains why it is useless on its 3-COLOR workloads, and
 //!   the `semijoin_usefulness` experiment shows both that and the 2-COLOR
 //!   counterpoint.
-//! * [`yannakakis`] — GYO acyclicity test and Yannakakis semijoin
-//!   evaluation, the classical acyclic special case (§1, \[35\]).
 
 pub mod convert;
 pub mod jet;
@@ -42,7 +40,6 @@ pub mod passes;
 pub mod reduce;
 pub mod sqlgen;
 pub mod width;
-pub mod yannakakis;
 
 pub use jet::Jet;
 pub use methods::{build_plan, emit_sql, Method, OrderHeuristic};

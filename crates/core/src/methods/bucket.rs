@@ -12,7 +12,7 @@
 //! *induced width* + 1) equals treewidth + 1 — but finding that order is
 //! NP-hard, so the paper numbers variables by maximum-cardinality search
 //! with the free variables first ([`bucket_order`]); min-degree and
-//! min-fill variants feed the ablation benches.
+//! min-fill variants feed the `ablation-orders` experiment.
 
 use rand::Rng;
 
@@ -140,23 +140,12 @@ fn process_bucket(
     (joined.project(keep.clone()), keep)
 }
 
-/// Builds the bucket-elimination plan with a heuristic order (MCS is the
-/// paper's configuration).
-pub fn plan<R: Rng + ?Sized>(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    heuristic: OrderHeuristic,
-    rng: &mut R,
-) -> Plan {
-    let order = bucket_order(query, heuristic, rng);
-    plan_with_order(query, db, &order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::straightforward;
-    use crate::methods::test_support::{k4, pentagon, triangle_free_pair};
+    use crate::methods::test_support::{k4, pentagon, pipeline_rows, triangle_free_pair};
+    use crate::methods::Method;
+    use crate::passes::plan_query;
     use ppr_graph::ordering::{induced_width, EliminationOrder};
     use ppr_relalg::{exec, Budget};
     use rand::rngs::StdRng;
@@ -164,6 +153,18 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(23)
+    }
+
+    /// The `bucket-mcs` recipe's plan.
+    fn mcs_plan(q: &ConjunctiveQuery, db: &Database) -> Plan {
+        plan_query(
+            Method::BucketElimination(OrderHeuristic::Mcs),
+            q,
+            db,
+            &mut rng(),
+            None,
+        )
+        .plan
     }
 
     #[test]
@@ -182,12 +183,9 @@ mod tests {
             OrderHeuristic::MinDegree,
             OrderHeuristic::MinFill,
         ] {
-            for fixture in [pentagon(), k4(), triangle_free_pair()] {
-                let (q, db) = fixture;
-                let p = plan(&q, &db, heuristic, &mut rng());
-                let (a, _) = exec::execute(&p, &Budget::unlimited()).unwrap();
-                let (b, _) =
-                    exec::execute(&straightforward::plan(&q, &db), &Budget::unlimited()).unwrap();
+            for (q, db) in [pentagon(), k4(), triangle_free_pair()] {
+                let a = pipeline_rows(Method::BucketElimination(heuristic), &q, &db);
+                let b = pipeline_rows(Method::Straightforward, &q, &db);
                 assert!(a.set_eq(&b), "{heuristic:?} on {q}");
             }
         }
@@ -199,7 +197,7 @@ mod tests {
         // intermediate arity 3 (Theorem 2: induced width 2 + the variable
         // being eliminated).
         let (q, db) = pentagon();
-        let p = plan(&q, &db, OrderHeuristic::Mcs, &mut rng());
+        let p = mcs_plan(&q, &db);
         assert_eq!(p.width().unwrap(), 3);
     }
 
@@ -251,7 +249,7 @@ mod tests {
         );
         let mut db = Database::new();
         db.add(edge_relation(3));
-        let p = plan(&q, &db, OrderHeuristic::Mcs, &mut rng());
+        let p = mcs_plan(&q, &db);
         let (rel, _) = exec::execute(&p, &Budget::unlimited()).unwrap();
         assert_eq!(rel.len(), 3);
     }

@@ -1,33 +1,19 @@
-//! The early projection method (paper §4).
-//!
-//! Atoms are processed in listing order, but the moment a variable's last
-//! occurrence has been joined (and it is not free), a `SELECT DISTINCT`
-//! subquery projects it out. Structurally this is the left-deep
-//! join-expression tree of the listing order with labels computed as early
-//! as possible, so the implementation builds exactly that tree
-//! ([`Jet::left_deep`]) and converts it to a plan.
+//! Tests of the early-projection method (paper §4) on the plan the pass
+//! pipeline builds for it: the listing-order chain rewritten by
+//! [`crate::passes::pushdown`] into the left-deep join-expression tree,
+//! each variable projected out once its last atom has been joined.
 
-use ppr_query::{ConjunctiveQuery, Database};
-use ppr_relalg::Plan;
-
-use crate::jet::Jet;
-
-/// Builds the early-projection plan for the listing order.
-pub fn plan(query: &ConjunctiveQuery, db: &Database) -> Plan {
-    Jet::left_deep(query).to_plan(query, db)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::methods::straightforward;
-    use crate::methods::test_support::{k4, pentagon, triangle_free_pair};
-    use ppr_relalg::{exec, Budget};
+    use crate::methods::test_support::{
+        k4, pentagon, pipeline_plan, pipeline_rows, triangle_free_pair,
+    };
+    use crate::methods::{emit_sql, Method};
+    use rand::SeedableRng;
 
     #[test]
     fn pentagon_pushes_projections() {
         let (q, db) = pentagon();
-        let p = plan(&q, &db);
+        let p = pipeline_plan(Method::EarlyProjection, &q, &db);
         // Subqueries appear where variables die: after the third and
         // fourth atoms, plus the outer SELECT. (Appendix A.3 shows a
         // subquery at every level; §6.1's implementation notes — which we
@@ -40,32 +26,31 @@ mod tests {
     #[test]
     fn agrees_with_straightforward_on_pentagon() {
         let (q, db) = pentagon();
-        let (a, _) = exec::execute(&plan(&q, &db), &Budget::unlimited()).unwrap();
-        let (b, _) = exec::execute(&straightforward::plan(&q, &db), &Budget::unlimited()).unwrap();
+        let a = pipeline_rows(Method::EarlyProjection, &q, &db);
+        let b = pipeline_rows(Method::Straightforward, &q, &db);
         assert!(a.set_eq(&b));
     }
 
     #[test]
     fn agrees_on_unsatisfiable_k4() {
         let (q, db) = k4();
-        let (rel, _) = exec::execute(&plan(&q, &db), &Budget::unlimited()).unwrap();
-        assert!(rel.is_empty());
+        assert!(pipeline_rows(Method::EarlyProjection, &q, &db).is_empty());
     }
 
     #[test]
     fn keeps_free_variables_live() {
         let (q, db) = triangle_free_pair();
-        let (rel, _) = exec::execute(&plan(&q, &db), &Budget::unlimited()).unwrap();
+        let rel = pipeline_rows(Method::EarlyProjection, &q, &db);
         assert_eq!(rel.len(), 6);
         assert_eq!(rel.arity(), 2);
     }
 
     #[test]
     fn sql_emission_nests_subqueries() {
-        use ppr_sql::emit::render;
         let (q, db) = pentagon();
-        let stmt = crate::sqlgen::plan_to_sql(&plan(&q, &db), &q.vars);
-        let sql = render(&stmt);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let stmt = emit_sql(Method::EarlyProjection, &q, &db, &mut rng);
+        let sql = ppr_sql::emit::render(&stmt);
         assert!(sql.contains("AS t1"), "{sql}");
         assert!(stmt.nesting_depth() >= 2, "{sql}");
         assert_eq!(stmt.table_refs(), 5);

@@ -2,12 +2,11 @@
 //!
 //! Each method turns a conjunctive query into an executable [`Plan`]
 //! and/or the SQL the paper would have sent to PostgreSQL.
-//! [`build_plan`] runs the method's pass recipe through the composable
-//! optimizer pipeline ([`crate::passes`]); the one-shot planners in the
-//! submodules ([`straightforward::plan`], [`early_projection::plan`],
-//! [`reordering::plan`], [`bucket::plan`]) are the legacy monolithic
-//! path, kept as the byte-identity parity oracle for that pipeline
-//! (`tests/pass_parity.rs`) and as the building blocks some passes reuse:
+//! [`build_plan`] runs the method's pass recipe through the optimizer
+//! pipeline ([`crate::passes`]), the only planner. The submodules hold
+//! the algorithms those passes call: [`naive::sql`] (§3),
+//! [`reordering::greedy_order`] (§4) and [`bucket::bucket_order`] /
+//! [`bucket::plan_with_order`] (§5).
 //!
 //! | Method | Paper | Strategy |
 //! |---|---|---|
@@ -18,10 +17,12 @@
 //! | [`Method::BucketElimination`] | §5 | bucket elimination along an elimination order (MCS by default, as in the paper) |
 
 pub mod bucket;
-pub mod early_projection;
+#[cfg(test)]
+mod early_projection;
 pub mod naive;
 pub mod reordering;
-pub mod straightforward;
+#[cfg(test)]
+mod straightforward;
 
 use rand::Rng;
 
@@ -30,7 +31,7 @@ use ppr_relalg::Plan;
 use ppr_sql::SelectStmt;
 
 /// Which elimination-order heuristic bucket elimination uses. The paper
-/// uses MCS; the others feed the `ablation_orders` bench.
+/// uses MCS; the others feed the `ablation-orders` experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrderHeuristic {
     /// Maximum-cardinality search (Tarjan–Yannakakis), the paper's choice.
@@ -146,8 +147,25 @@ pub fn emit_sql<R: Rng + ?Sized>(
 #[cfg(test)]
 pub(crate) mod test_support {
     use ppr_query::{Atom, ConjunctiveQuery, Database, Vars};
-    use ppr_relalg::AttrId;
+    use ppr_relalg::{exec, AttrId, Budget, Plan, Relation};
     use ppr_workload::edge_relation;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::Method;
+
+    /// `method`'s plan for `q` over `db`, as the pass pipeline builds it
+    /// with planner seed 17.
+    pub fn pipeline_plan(method: Method, q: &ConjunctiveQuery, db: &Database) -> Plan {
+        let mut rng = StdRng::seed_from_u64(17);
+        crate::passes::plan_query(method, q, db, &mut rng, None).plan
+    }
+
+    /// The rows [`pipeline_plan`] returns.
+    pub fn pipeline_rows(method: Method, q: &ConjunctiveQuery, db: &Database) -> Relation {
+        let plan = pipeline_plan(method, q, db);
+        exec::execute(&plan, &Budget::unlimited()).unwrap().0
+    }
 
     /// The paper's Appendix-A pentagon query (Boolean, projects `v1`):
     /// `π_{v1} edge(v1,v2) ⋈ edge(v1,v5) ⋈ edge(v4,v5) ⋈ edge(v3,v4) ⋈
@@ -169,33 +187,28 @@ pub(crate) mod test_support {
 
     /// A triangle with two adjacent free vertices (non-Boolean case).
     pub fn triangle_free_pair() -> (ConjunctiveQuery, Database) {
-        let mut vars = Vars::new();
-        let v: Vec<AttrId> = (0..3).map(|i| vars.intern(&format!("v{i}"))).collect();
-        let q = ConjunctiveQuery::new(
-            vec![
-                Atom::new("edge", vec![v[0], v[1]]),
-                Atom::new("edge", vec![v[1], v[2]]),
-                Atom::new("edge", vec![v[0], v[2]]),
-            ],
-            vec![v[0], v[1]],
-            vars,
-            false,
-        );
-        let mut db = Database::new();
-        db.add(edge_relation(3));
-        (q, db)
+        graph_query(3, &[(0, 1), (1, 2), (0, 2)], 2)
     }
 
     /// K4 (not 3-colorable), Boolean.
     pub fn k4() -> (ConjunctiveQuery, Database) {
+        graph_query(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 1)
+    }
+
+    /// `edge` atoms over `v0..` for `pairs` with the first `free`
+    /// variables free; Boolean (one free variable) when `free == 1`.
+    fn graph_query(
+        n: usize,
+        pairs: &[(usize, usize)],
+        free: usize,
+    ) -> (ConjunctiveQuery, Database) {
         let mut vars = Vars::new();
-        let v: Vec<AttrId> = (0..4).map(|i| vars.intern(&format!("v{i}"))).collect();
-        let pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+        let v: Vec<AttrId> = (0..n).map(|i| vars.intern(&format!("v{i}"))).collect();
         let atoms = pairs
             .iter()
             .map(|&(a, b)| Atom::new("edge", vec![v[a], v[b]]))
             .collect();
-        let q = ConjunctiveQuery::new(atoms, vec![v[0]], vars, true);
+        let q = ConjunctiveQuery::new(atoms, v[..free].to_vec(), vars, free == 1);
         let mut db = Database::new();
         db.add(edge_relation(3));
         (q, db)
@@ -206,34 +219,27 @@ pub(crate) mod test_support {
 mod tests {
     use super::*;
 
+    const ALL: [Method; 7] = [
+        Method::Naive,
+        Method::Straightforward,
+        Method::EarlyProjection,
+        Method::Reordering,
+        Method::BucketElimination(OrderHeuristic::Mcs),
+        Method::BucketElimination(OrderHeuristic::MinDegree),
+        Method::BucketElimination(OrderHeuristic::MinFill),
+    ];
+
     #[test]
     fn names_are_distinct() {
-        let all = [
-            Method::Naive,
-            Method::Straightforward,
-            Method::EarlyProjection,
-            Method::Reordering,
-            Method::BucketElimination(OrderHeuristic::Mcs),
-            Method::BucketElimination(OrderHeuristic::MinDegree),
-            Method::BucketElimination(OrderHeuristic::MinFill),
-        ];
-        let mut names: Vec<&str> = all.iter().map(|m| m.name()).collect();
+        let mut names: Vec<&str> = ALL.iter().map(|m| m.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), all.len());
+        assert_eq!(names.len(), ALL.len());
     }
 
     #[test]
     fn names_round_trip_through_parse() {
-        for m in [
-            Method::Naive,
-            Method::Straightforward,
-            Method::EarlyProjection,
-            Method::Reordering,
-            Method::BucketElimination(OrderHeuristic::Mcs),
-            Method::BucketElimination(OrderHeuristic::MinDegree),
-            Method::BucketElimination(OrderHeuristic::MinFill),
-        ] {
+        for m in ALL {
             assert_eq!(Method::parse(m.name()), Some(m));
         }
         assert_eq!(Method::parse("sf"), Some(Method::Straightforward));

@@ -1,34 +1,17 @@
-//! The straightforward method (paper §3).
-//!
-//! Atoms are joined left-deep in their listing order with no projection
-//! pushing; a single outer `SELECT DISTINCT` projects the free variables.
-//! This is the baseline every optimization in the paper is measured
-//! against.
+//! Tests of the straightforward method (paper §3) on the plan the pass
+//! pipeline builds for it: the scan-join chain of
+//! [`crate::passes::chain`], atoms joined in listing order, free
+//! variables projected once at the root.
 
-use ppr_query::{ConjunctiveQuery, Database};
-use ppr_relalg::Plan;
-
-/// Builds the straightforward plan: `π_free((…(a_1 ⋈ a_2) ⋈ …) ⋈ a_m)`.
-pub fn plan(query: &ConjunctiveQuery, db: &Database) -> Plan {
-    let mut atoms = query.atoms.iter();
-    let first = atoms.next().expect("queries have at least one atom");
-    let mut p = Plan::scan(db.expect(&first.relation), first.args.clone());
-    for atom in atoms {
-        p = p.join(Plan::scan(db.expect(&atom.relation), atom.args.clone()));
-    }
-    p.project(query.free.clone())
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::methods::test_support::{pentagon, triangle_free_pair};
+    use crate::methods::test_support::{pentagon, pipeline_plan, triangle_free_pair};
+    use crate::methods::Method;
     use ppr_relalg::{exec, Budget};
 
     #[test]
     fn pentagon_plan_shape() {
         let (q, db) = pentagon();
-        let p = plan(&q, &db);
+        let p = pipeline_plan(Method::Straightforward, &q, &db);
         assert_eq!(p.scan_count(), 5);
         assert_eq!(p.materialization_count(), 1);
         // No projection pushing: all five variables live at the top.
@@ -38,7 +21,8 @@ mod tests {
     #[test]
     fn pentagon_is_three_colorable() {
         let (q, db) = pentagon();
-        let (rel, stats) = exec::execute(&plan(&q, &db), &Budget::unlimited()).unwrap();
+        let p = pipeline_plan(Method::Straightforward, &q, &db);
+        let (rel, stats) = exec::execute(&p, &Budget::unlimited()).unwrap();
         assert!(!rel.is_empty());
         assert_eq!(stats.materializations, 1);
     }
@@ -46,7 +30,8 @@ mod tests {
     #[test]
     fn non_boolean_result_lists_free_pairs() {
         let (q, db) = triangle_free_pair();
-        let (rel, _) = exec::execute(&plan(&q, &db), &Budget::unlimited()).unwrap();
+        let p = pipeline_plan(Method::Straightforward, &q, &db);
+        let (rel, _) = exec::execute(&p, &Budget::unlimited()).unwrap();
         // Triangle: free vars are two adjacent vertices → the 6 ordered
         // pairs of distinct colors.
         assert_eq!(rel.len(), 6);

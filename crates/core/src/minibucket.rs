@@ -168,8 +168,8 @@ fn join_and_project(items: Vec<BucketItem>, var: AttrId, var_is_free: bool) -> B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::straightforward;
     use crate::methods::test_support::{k4, pentagon};
+    use crate::passes::chain::join_chain;
     use ppr_relalg::{exec, Budget};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -184,7 +184,7 @@ mod tests {
         let out = plan(&q, &db, 10, &mut rng());
         assert!(out.exact);
         let (a, _) = exec::execute(&out.plan, &Budget::unlimited()).unwrap();
-        let (b, _) = exec::execute(&straightforward::plan(&q, &db), &Budget::unlimited()).unwrap();
+        let (b, _) = exec::execute(&join_chain(&q, &db), &Budget::unlimited()).unwrap();
         assert!(a.set_eq(&b));
     }
 
@@ -194,8 +194,7 @@ mod tests {
         for bound in 2..5 {
             let out = plan(&q, &db, bound, &mut rng());
             let (relaxed, _) = exec::execute(&out.plan, &Budget::unlimited()).unwrap();
-            let (true_rel, _) =
-                exec::execute(&straightforward::plan(&q, &db), &Budget::unlimited()).unwrap();
+            let (true_rel, _) = exec::execute(&join_chain(&q, &db), &Budget::unlimited()).unwrap();
             // Every true tuple survives the relaxation.
             use rustc_hash::FxHashSet;
             let relaxed_set: FxHashSet<_> = relaxed.tuples().iter().collect();

@@ -1,13 +1,13 @@
-//! The composable optimizer-pass pipeline.
+//! The optimizer-pass pipeline — the only planner.
 //!
-//! Planning used to be monolithic: each of the paper's methods was one
-//! function from query to [`Plan`]. This module re-expresses every method
-//! as a **recipe** — an ordered list of small, typed passes over a
-//! [`PlanState`] — run by a [`PassManager`]. The recipes are chosen so
-//! that the pipeline's output is **byte-identical** to the legacy
-//! per-method planners (`crates/core/src/methods`), which stay in place as
-//! the parity oracle; `tests/pass_parity.rs` pins the equivalence across
-//! methods × seeds.
+//! Every one of the paper's methods is a **recipe**: an ordered list of
+//! small, typed passes over a [`PlanState`], run by a [`PassManager`].
+//! The passes call the paper's algorithms in [`crate::methods`] (greedy
+//! reordering, bucket orders, bucket elimination along an order) and
+//! [`crate::jet`] (early projection as a left-deep join-expression tree).
+//! `tests/pass_parity.rs` pins every recipe's plans to a golden file,
+//! and `tests/methods_agree.rs` checks their rows against an independent
+//! backtracking oracle.
 //!
 //! The pass vocabulary (see [`order`], [`chain`], [`pushdown`],
 //! [`decompose`] and docs/PLANNING.md for the per-pass contracts):
@@ -28,7 +28,7 @@
 //! work entirely), and the outputs a caller needs for caching and
 //! observability: the chosen order, whether the hint was used, and the
 //! pass trace. [`plan_query`] is the one-call entry point wrapping all of
-//! this; the legacy [`crate::methods::build_plan`] now delegates to it.
+//! this; [`crate::methods::build_plan`] is its hint-free wrapper.
 
 pub mod chain;
 pub mod decompose;
@@ -62,10 +62,9 @@ impl<R: Rng + ?Sized> RandomSource for R {
 }
 
 /// Adapter lending a [`RandomSource`] back out as a [`rand::Rng`], so
-/// passes can call the legacy order heuristics unchanged. Both traits
-/// bottom out in the same `next_u64` stream, so a pipeline run consumes
-/// exactly the random draws the legacy planner would — a precondition for
-/// byte-identical plans.
+/// passes can call the generic order heuristics unchanged. Both traits
+/// bottom out in the same `next_u64` stream, so a recipe's plan depends
+/// only on the seed the caller's generator started from.
 pub struct DynRng<'a>(pub &'a mut dyn RandomSource);
 
 impl Rng for DynRng<'_> {
@@ -89,8 +88,7 @@ pub struct PlanState {
 pub struct PassContext<'a> {
     /// The database the plan's scans bind to.
     pub db: &'a Database,
-    /// Randomness for tie-breaking and order heuristics. One pipeline run
-    /// draws exactly what the legacy planner for the same method would.
+    /// Randomness for tie-breaking and order heuristics.
     pub rng: &'a mut dyn RandomSource,
     /// A cached bucket-elimination variable order for this query, decoded
     /// into its [`AttrId`]s (the service layer's decomposition cache).
@@ -159,8 +157,7 @@ impl PassManager {
         self
     }
 
-    /// The canonical recipe for `method` — the pass sequence whose output
-    /// is byte-identical to the legacy planner:
+    /// The canonical recipe for `method`:
     ///
     /// * naive / straightforward: listing order, join chain;
     /// * early projection: listing order, join chain, projection pushdown;

@@ -1,25 +1,22 @@
 //! The projection-pushdown rewrite pass.
 //!
-//! Contract: rewrites a left-deep scan-join chain (the output of
-//! [`crate::passes::chain::BuildJoinChain`]) so that every variable is
-//! projected out by a `ProjectDistinct` the moment its last occurrence
-//! has been joined, unless it is free — the paper's §4 early projection.
-//! The rewrite works on the **plan tree alone**: scan bindings supply the
-//! occurrence counts and the root projection supplies the target schema,
-//! so the pass needs no query. It computes exactly the working/projected
-//! labels of the left-deep join-expression tree ([`crate::jet::Jet`]) and
-//! materializes a node only where the projected label actually drops an
-//! attribute; the result is byte-identical to
-//! `Jet::left_deep(query).to_plan(query, db)` (parity-pinned in
-//! `tests/pass_parity.rs`).
+//! Contract: rewrites a projected left-deep scan-join chain (the output of
+//! [`crate::passes::chain::BuildJoinChain`]) into the paper's §4 early
+//! projection: every variable is projected out by a `ProjectDistinct` the
+//! moment its last occurrence has been joined, unless it is free. That
+//! plan is the left-deep join-expression tree of the query's current atom
+//! order, so the pass builds exactly that tree ([`Jet::left_deep`]) and
+//! converts it; the working/projected labels are computed in one place,
+//! [`crate::jet`], which Theorem 1 needs anyway.
 //!
 //! A plan that is not a projected left-deep scan chain (already rewritten,
 //! bucket-shaped, or absent) is returned unchanged — the pass is a no-op
 //! outside its contract, never an error.
 
-use ppr_relalg::{AttrId, Plan};
+use ppr_relalg::Plan;
 
 use super::{OptimizerPass, PassContext, PlanState};
+use crate::jet::Jet;
 
 /// Pushes projections down a left-deep scan-join chain, one
 /// `ProjectDistinct` per level where a variable dies.
@@ -30,187 +27,55 @@ impl OptimizerPass for ProjectionPushdown {
         "projection-pushdown"
     }
 
-    fn run(&self, mut state: PlanState, _ctx: &mut PassContext<'_>) -> PlanState {
-        if let Some(plan) = state.plan.take() {
-            state.plan = Some(push_down(plan));
+    fn run(&self, mut state: PlanState, ctx: &mut PassContext<'_>) -> PlanState {
+        if let Some(Plan::ProjectDistinct { input, .. }) = &state.plan {
+            if is_scan_chain(input) {
+                state.plan = Some(Jet::left_deep(&state.query).to_plan(&state.query, ctx.db));
+            }
         }
         state
     }
 }
 
-/// Applies the rewrite, or returns `plan` unchanged when it is not a
-/// projected left-deep scan chain.
-fn push_down(plan: Plan) -> Plan {
-    let Plan::ProjectDistinct { input, keep } = plan else {
-        return plan;
-    };
-    let Some(scans) = flatten_chain(&input) else {
-        return Plan::ProjectDistinct { input, keep };
-    };
-    match rebuild(&scans, &keep) {
-        Some(rewritten) => rewritten,
-        None => Plan::ProjectDistinct { input, keep },
-    }
-}
-
-/// Collects the scans of a left-deep join chain in join order:
-/// `((s_0 ⋈ s_1) ⋈ s_2) ⋈ …`. Returns `None` when the tree has any other
-/// shape (an interior projection, a bushy join, a non-scan right child).
-fn flatten_chain(plan: &Plan) -> Option<Vec<Plan>> {
-    match plan {
-        Plan::Scan { .. } => Some(vec![plan.clone()]),
-        Plan::Join { left, right } => {
-            if !matches!(**right, Plan::Scan { .. }) {
-                return None;
-            }
-            let mut scans = flatten_chain(left)?;
-            scans.push((**right).clone());
-            Some(scans)
-        }
-        Plan::ProjectDistinct { .. } => None,
-    }
-}
-
-/// Distinct attributes of a scan's binding in first-occurrence order —
-/// the leaf's variable set (`Atom::vars` computed from the plan side).
-fn scan_vars(scan: &Plan) -> Vec<AttrId> {
-    let Plan::Scan { binding, .. } = scan else {
-        unreachable!("flatten_chain only returns scans");
-    };
-    let mut vars = Vec::with_capacity(binding.len());
-    for &a in binding {
-        if !vars.contains(&a) {
-            vars.push(a);
+/// Whether `plan` is `((s_0 ⋈ s_1) ⋈ s_2) ⋈ …` over scans only — no
+/// interior projection, no bushy join.
+fn is_scan_chain(mut plan: &Plan) -> bool {
+    loop {
+        match plan {
+            Plan::Scan { .. } => return true,
+            Plan::Join { left, right } if matches!(**right, Plan::Scan { .. }) => plan = left,
+            _ => return false,
         }
     }
-    vars
-}
-
-/// Rebuilds the chain with projections pushed down. `None` when a free
-/// attribute never reaches the root (the chain cannot produce `keep`,
-/// so the rewrite declines rather than change semantics).
-fn rebuild(scans: &[Plan], keep: &[AttrId]) -> Option<Plan> {
-    let m = scans.len();
-    let leaf_vars: Vec<Vec<AttrId>> = scans.iter().map(scan_vars).collect();
-    // How many atoms mention each attribute (one count per atom, repeats
-    // within an atom collapse — mirroring the Jet's occurrence counts).
-    let mut total_occ: Vec<(AttrId, usize)> = Vec::new();
-    for vars in &leaf_vars {
-        for &a in vars {
-            match total_occ.iter_mut().find(|(b, _)| *b == a) {
-                Some((_, k)) => *k += 1,
-                None => total_occ.push((a, 1)),
-            }
-        }
-    }
-    let occ = |a: AttrId| -> usize {
-        total_occ
-            .iter()
-            .find(|(b, _)| *b == a)
-            .map_or(0, |&(_, k)| k)
-    };
-    let is_free = |a: AttrId| keep.contains(&a);
-
-    // A leaf's projected label: variables still needed outside the leaf —
-    // free, or occurring in another atom.
-    let leaf_projected = |j: usize| -> Vec<AttrId> {
-        leaf_vars[j]
-            .iter()
-            .copied()
-            .filter(|&a| is_free(a) || occ(a) > 1)
-            .collect()
-    };
-
-    if m == 1 {
-        // Single leaf under the root: the root projects the target schema.
-        for &f in keep {
-            if !leaf_vars[0].contains(&f) {
-                return None;
-            }
-        }
-        return Some(scans[0].clone().project(keep.to_vec()));
-    }
-
-    // Walk the chain bottom-up. The prefix node joining atoms 0..=j has
-    // working label = dedup(child projected ++ leaf j projected) and
-    // projected label = working filtered to attributes still needed
-    // outside the prefix (free, or occurring in an atom past j).
-    let mut plan = scans[0].clone();
-    let mut child_projected = leaf_projected(0);
-    let mut prefix_occ: Vec<(AttrId, usize)> = Vec::new();
-    for &a in &leaf_vars[0] {
-        prefix_occ.push((a, 1));
-    }
-    for j in 1..m {
-        for &a in &leaf_vars[j] {
-            match prefix_occ.iter_mut().find(|(b, _)| *b == a) {
-                Some((_, k)) => *k += 1,
-                None => prefix_occ.push((a, 1)),
-            }
-        }
-        let inside = |a: AttrId| -> usize {
-            prefix_occ
-                .iter()
-                .find(|(b, _)| *b == a)
-                .map_or(0, |&(_, k)| k)
-        };
-        let mut working = child_projected.clone();
-        for a in leaf_projected(j) {
-            if !working.contains(&a) {
-                working.push(a);
-            }
-        }
-        plan = plan.join(scans[j].clone());
-        if j == m - 1 {
-            // Root: always materialize, projecting the target schema in
-            // its declared order.
-            for &f in keep {
-                if !working.contains(&f) {
-                    return None;
-                }
-            }
-            plan = plan.project(keep.to_vec());
-        } else {
-            let projected: Vec<AttrId> = working
-                .iter()
-                .copied()
-                .filter(|&a| is_free(a) || inside(a) < occ(a))
-                .collect();
-            if projected.len() < working.len() {
-                plan = plan.project(projected.clone());
-            }
-            child_projected = projected;
-        }
-    }
-    Some(plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jet::Jet;
-    use crate::methods::straightforward;
     use crate::methods::test_support::{k4, pentagon, triangle_free_pair};
+    use crate::passes::chain::join_chain;
+    use ppr_query::{ConjunctiveQuery, Database};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn rewrite(q: &ppr_query::ConjunctiveQuery, db: &ppr_query::Database) -> Plan {
-        let chain = straightforward::plan(q, db);
+    fn rewrite(q: &ConjunctiveQuery, db: &Database, plan: Option<Plan>) -> Option<Plan> {
         let mut rng = StdRng::seed_from_u64(0);
         let mut src: &mut StdRng = &mut rng;
         let mut ctx = PassContext::new(db, &mut src);
         let state = PlanState {
             query: q.clone(),
-            plan: Some(chain),
+            plan,
         };
-        ProjectionPushdown.run(state, &mut ctx).plan.unwrap()
+        ProjectionPushdown.run(state, &mut ctx).plan
     }
 
+    /// The shape guard accepts the chain pass's output, so the rewrite is
+    /// the query's left-deep join-expression tree.
     #[test]
     fn rewrite_is_byte_identical_to_the_jet() {
         for (q, db) in [pentagon(), k4(), triangle_free_pair()] {
             let jet = Jet::left_deep(&q).to_plan(&q, &db);
-            let ours = rewrite(&q, &db);
+            let ours = rewrite(&q, &db, Some(join_chain(&q, &db))).unwrap();
             assert_eq!(format!("{ours:?}"), format!("{jet:?}"), "{q}");
         }
     }
@@ -218,47 +83,34 @@ mod tests {
     #[test]
     fn pentagon_materializes_where_variables_die() {
         let (q, db) = pentagon();
-        assert_eq!(rewrite(&q, &db).materialization_count(), 3);
+        let plan = rewrite(&q, &db, Some(join_chain(&q, &db))).unwrap();
+        assert_eq!(plan.materialization_count(), 3);
     }
 
     #[test]
     fn non_chain_plans_pass_through_unchanged() {
         let (q, db) = pentagon();
-        // Already-rewritten plan: interior projections break the chain
-        // shape, so a second application is the identity.
-        let once = rewrite(&q, &db);
-        let twice = push_down(once.clone());
-        assert_eq!(format!("{once:?}"), format!("{twice:?}"));
+        // A bucket-elimination plan has interior projections: not a chain.
+        let bucket = crate::methods::bucket::plan_with_order(&q, &db, &q.all_vars());
+        let out = rewrite(&q, &db, Some(bucket.clone())).unwrap();
+        assert_eq!(out.to_string(), bucket.to_string());
     }
 
     #[test]
     fn missing_plan_is_a_no_op() {
         let (q, db) = pentagon();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut src: &mut StdRng = &mut rng;
-        let mut ctx = PassContext::new(&db, &mut src);
-        let state = PlanState {
-            query: q,
-            plan: None,
-        };
-        assert!(ProjectionPushdown.run(state, &mut ctx).plan.is_none());
+        assert!(rewrite(&q, &db, None).is_none());
     }
 
     #[test]
     fn single_atom_chain_keeps_root_projection() {
-        use ppr_query::{Atom, ConjunctiveQuery, Vars};
-        use ppr_workload::edge_relation;
-        let mut vars = Vars::new();
-        let v = vars.intern_numbered("v", 2);
-        let q = ConjunctiveQuery::new(
-            vec![Atom::new("edge", vec![v[0], v[1]])],
-            vec![v[0]],
-            vars,
-            true,
+        let q = ppr_query::parse_query("q(a) :- edge(a, b)").unwrap();
+        let mut db = Database::new();
+        db.add(ppr_workload::edge_relation(3));
+        let plan = rewrite(&q, &db, Some(join_chain(&q, &db))).unwrap();
+        assert_eq!(
+            plan.to_string(),
+            "ProjectDistinct [a0]\n  Scan edge(a0, a1)\n"
         );
-        let mut db = ppr_query::Database::new();
-        db.add(edge_relation(3));
-        let jet = Jet::left_deep(&q).to_plan(&q, &db);
-        assert_eq!(format!("{:?}", rewrite(&q, &db)), format!("{jet:?}"));
     }
 }

@@ -122,106 +122,6 @@ fn best_reachable(s: u32, _best: &[(f64, usize)]) -> bool {
     s.count_ones() >= 2
 }
 
-/// Hard cap on the bushy DP (`O(3^m)` subset splits).
-pub const MAX_BUSHY_ATOMS: usize = 16;
-
-/// System-R DP over **bushy** plans: `cost(S) = min over splits L ⊎ R = S`
-/// of `cost(L) + cost(R) + hash-join(L, R)`. PostgreSQL's standard planner
-/// searches this space too; it can only improve on the left-deep optimum.
-/// `CompileResult::order` carries a linearization (left subtree first) of
-/// the chosen bushy tree.
-pub fn plan_bushy(query: &ConjunctiveQuery, catalog: &Catalog) -> CompileResult {
-    let m = query.num_atoms();
-    assert!(
-        m <= MAX_BUSHY_ATOMS,
-        "bushy DP supports at most {MAX_BUSHY_ATOMS} atoms, got {m}"
-    );
-    let full: u32 = (1u32 << m) - 1;
-    let card: Vec<f64> = (0..=full)
-        .map(|s| {
-            if s == 0 {
-                return 0.0;
-            }
-            let mut est = ChainEstimator::new(query, catalog);
-            for a in 0..m {
-                if s & (1 << a) != 0 {
-                    est.push(a);
-                }
-            }
-            est.cardinality
-        })
-        .collect();
-    // best[s] = (cost, split) where split = 0 marks a leaf.
-    let mut best: Vec<(f64, u32)> = vec![(f64::INFINITY, 0); (full as usize) + 1];
-    let mut plans_considered = 0u64;
-    for a in 0..m {
-        let s = 1u32 << a;
-        best[s as usize] = (catalog.rel(&query.atoms[a].relation).cardinality, 0);
-        plans_considered += 1;
-    }
-    for s in 1..=full {
-        if s.count_ones() < 2 {
-            continue;
-        }
-        // Enumerate proper nonempty subsets of s (canonical trick),
-        // considering each unordered split once.
-        let mut l = (s - 1) & s;
-        while l != 0 {
-            let r = s & !l;
-            if l < r {
-                l = (l - 1) & s;
-                continue;
-            }
-            let (lc, _) = best[l as usize];
-            let (rc, _) = best[r as usize];
-            if lc.is_finite() && rc.is_finite() {
-                // A single-atom build side sharing exactly one variable is
-                // served by its cached secondary index: drop that build
-                // term, as the left-deep DP and [`ChainEstimator`] do.
-                let join = if r.count_ones() == 1
-                    && shared_vars(query, l, r.trailing_zeros() as usize) == 1
-                {
-                    card[l as usize] + card[s as usize]
-                } else if l.count_ones() == 1
-                    && shared_vars(query, r, l.trailing_zeros() as usize) == 1
-                {
-                    card[r as usize] + card[s as usize]
-                } else {
-                    card[l as usize] + card[r as usize] + card[s as usize]
-                };
-                let cost = lc + rc + join;
-                plans_considered += 1;
-                if cost < best[s as usize].0 {
-                    best[s as usize] = (cost, l);
-                }
-            }
-            l = (l - 1) & s;
-        }
-    }
-    let mut order = Vec::with_capacity(m);
-    linearize(full, &best, &mut order);
-    ppr_obs::ppr_debug!(
-        "bushy: m={m} plans_considered={plans_considered} best_cost={:.1}",
-        best[full as usize].0
-    );
-    CompileResult {
-        order,
-        estimated_cost: best[full as usize].0,
-        plans_considered,
-        elapsed: std::time::Duration::ZERO,
-    }
-}
-
-fn linearize(s: u32, best: &[(f64, u32)], out: &mut Vec<usize>) {
-    let (_, split) = best[s as usize];
-    if split == 0 {
-        out.push(s.trailing_zeros() as usize);
-        return;
-    }
-    linearize(split, best, out);
-    linearize(s & !split, best, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,41 +180,5 @@ mod tests {
     fn dp_guards_subset_blowup() {
         let (q, cat) = chain_query(30);
         plan(&q, &cat);
-    }
-
-    #[test]
-    fn bushy_never_loses_to_left_deep() {
-        for n in [5usize, 7, 9] {
-            let (q, cat) = chain_query(n);
-            let shuffled = {
-                let mut perm: Vec<usize> = (0..n - 1).collect();
-                perm.rotate_left(2);
-                q.permuted(&perm)
-            };
-            let left_deep = plan(&shuffled, &cat);
-            let bushy = plan_bushy(&shuffled, &cat);
-            assert!(
-                bushy.estimated_cost <= left_deep.estimated_cost + 1e-6,
-                "n={n}: bushy {} > left-deep {}",
-                bushy.estimated_cost,
-                left_deep.estimated_cost
-            );
-        }
-    }
-
-    #[test]
-    fn bushy_order_is_a_permutation() {
-        let (q, cat) = chain_query(7);
-        let r = plan_bushy(&q, &cat);
-        let mut order = r.order.clone();
-        order.sort_unstable();
-        assert_eq!(order, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "at most")]
-    fn bushy_guards_blowup() {
-        let (q, cat) = chain_query(20);
-        plan_bushy(&q, &cat);
     }
 }

@@ -18,18 +18,12 @@
 //! time, near-flat straightforward compile time), not the absolute
 //! milliseconds of a 2003-era Itanium; see DESIGN.md for the substitution
 //! notes.
-//!
-//! The planners also participate in `ppr-core`'s composable optimizer
-//! pipeline: [`pass::CostJoinOrder`] wraps any of them as a join-order
-//! selection pass over the index-aware cost model, interchangeable with
-//! the paper's greedy heuristic in a pass recipe (docs/PLANNING.md).
 
 pub mod catalog;
 pub mod cost;
 pub mod dp;
 pub mod fixed;
 pub mod geqo;
-pub mod pass;
 
 use std::time::Duration;
 

@@ -16,9 +16,7 @@
 //! * [`decomposition`] — tree decompositions with validation and width.
 //! * [`treewidth`] — exact treewidth by branch-and-bound for small graphs,
 //!   and heuristic upper bounds for large ones.
-//! * [`chordal`] — chordality testing via perfect elimination orders.
 
-pub mod chordal;
 pub mod decomposition;
 pub mod families;
 pub mod generate;
