@@ -1,280 +1,52 @@
 //! Fingerprint-keyed LRU plan cache.
 //!
 //! Planning is the per-request fixed cost the serving layer exists to
-//! amortize: for the structural methods it is pure query analysis
-//! (independent of the data), so a compiled [`Plan`] is reusable for every
-//! future request whose query is *isomorphic* to the one that built it.
-//! The cache key is [`CacheKey`]: database *content* ([`DbFingerprint`]),
-//! [`Fingerprint`], [`Method`], and planner seed. The query fingerprint
-//! quotients out variable renaming and atom order; the seed is part of
-//! the key because it breaks planner ties, so plans built under different
-//! seeds may legitimately differ; and the data identity is part of the
-//! key because a compiled plan *embeds* `Arc<Relation>` handles in its
-//! scan leaves. Keying on the content hash rather than on the database's
-//! name + version means isomorphic databases (same content under another
-//! name, load order, or a post-crash recovery) share plans, while any
-//! content-changing mutation naturally invalidates: the new fingerprint
-//! makes a fresh key and the stale entry ages out of the LRU. A plan hit
-//! from a *different* (content-identical) database executes the embedded
-//! snapshot's relations — same tuple sets, so same answers. The value is
-//! an `Arc<Plan>` shared with however many requests are concurrently
-//! executing it.
-//!
-//! The fingerprint is a 1-WL refinement invariant, so non-isomorphic
-//! queries *can* share a key (see `ppr_query::fingerprint`). Every entry
-//! therefore also stores the [`QueryShape`] of the query that built it,
-//! and a lookup only hits when the incoming query's shape matches; a
-//! mismatch counts as a miss (plus a `collisions` counter) and the fresh
-//! plan displaces the colliding entry. Collisions cost a re-plan, never
-//! a wrong answer.
-//!
-//! Eviction is strict LRU over an intrusive doubly-linked list threaded
-//! through a slab, so `get`/`insert` are O(1) and the cache never scans.
-//! Hit/miss/eviction counters are atomics read by the `stats` wire
-//! command.
+//! amortize, and a compiled [`Plan`] is reusable for every later request
+//! whose query is *isomorphic* to the one that built it. The key is the
+//! result cache's [`ResultKey`], for the same reasons plus one: a plan
+//! *embeds* `Arc<Relation>` handles in its scan leaves, so it is valid
+//! only for data with the content fingerprint it was built against (a hit
+//! from a content-identical database runs the same tuple sets). The seed
+//! is in the key because it breaks planner ties. The value is an
+//! `Arc<Plan>` shared by every request executing it; on an insert race
+//! the resident plan wins, so concurrent requests for one query run one
+//! plan. The cache is an [`Lru`] budgeted in entries.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use ppr_core::methods::Method;
-use ppr_query::{Fingerprint, QueryShape};
 use ppr_relalg::Plan;
-use rustc_hash::FxHashMap;
 
-use crate::catalog::DbFingerprint;
+use crate::lru::{CacheStats, CacheValue, Lru};
+use crate::result_cache::ResultKey;
 
-/// Cache key: data identity (database content hash) × canonical query
-/// identity × planning method × planner seed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Content fingerprint of the database the plan's scans are bound to.
-    pub data: DbFingerprint,
-    /// Canonical query fingerprint.
-    pub fingerprint: Fingerprint,
-    /// Planning method.
-    pub method: Method,
-    /// Effective planner seed.
-    pub seed: u64,
+impl CacheValue for Arc<Plan> {
+    type Stats = CacheStats;
 }
 
-const NIL: usize = usize::MAX;
-
-struct Node {
-    key: CacheKey,
-    shape: QueryShape,
-    plan: Arc<Plan>,
-    prev: usize,
-    next: usize,
-}
-
-struct Inner {
-    map: FxHashMap<CacheKey, usize>,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-}
-
-impl Inner {
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-}
-
-/// Counter snapshot (plus occupancy) of a [`PlanCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups that found a cached plan.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Lookups whose key matched but whose [`QueryShape`] did not — a
-    /// fingerprint collision between structurally different queries. Each
-    /// is also counted as a miss.
-    pub collisions: u64,
-    /// Entries currently cached.
-    pub len: usize,
-    /// Maximum entries.
-    pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Hit fraction over all lookups (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Thread-safe LRU cache from [`CacheKey`] to compiled plans.
-pub struct PlanCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    collisions: AtomicU64,
-}
-
-impl PlanCache {
-    /// A cache holding at most `capacity` plans (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        PlanCache {
-            inner: Mutex::new(Inner {
-                map: FxHashMap::default(),
-                nodes: Vec::new(),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-            }),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up `key`, counting a hit (and refreshing recency) or a miss.
-    /// A key match whose stored [`QueryShape`] differs from `shape` is a
-    /// fingerprint collision between structurally different queries: it is
-    /// counted as a miss (plus `collisions`) and returns `None`, so the
-    /// caller re-plans instead of running the wrong query's plan.
-    pub fn get(&self, key: &CacheKey, shape: &QueryShape) -> Option<Arc<Plan>> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        match inner.map.get(key).copied() {
-            Some(i) if inner.nodes[i].shape == *shape => {
-                inner.unlink(i);
-                inner.push_front(i);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(inner.nodes[i].plan.clone())
-            }
-            Some(_) => {
-                self.collisions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `plan` under `key`, evicting the least-recently-used entry
-    /// at capacity. If a racing request inserted the key first *for the
-    /// same shape*, the existing plan wins (and is returned), so all
-    /// concurrent requests for one query execute the same plan; a
-    /// different shape (fingerprint collision) displaces the entry so the
-    /// cache never serves a structurally different query's plan.
-    pub fn insert(&self, key: CacheKey, shape: QueryShape, plan: Arc<Plan>) -> Arc<Plan> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        if let Some(&i) = inner.map.get(&key) {
-            if inner.nodes[i].shape != shape {
-                inner.nodes[i].shape = shape;
-                inner.nodes[i].plan = plan.clone();
-            }
-            inner.unlink(i);
-            inner.push_front(i);
-            return inner.nodes[i].plan.clone();
-        }
-        if inner.map.len() >= self.capacity {
-            let lru = inner.tail;
-            inner.unlink(lru);
-            let old_key = inner.nodes[lru].key.clone();
-            inner.map.remove(&old_key);
-            inner.free.push(lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let node = Node {
-            key: key.clone(),
-            shape,
-            plan: plan.clone(),
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match inner.free.pop() {
-            Some(i) => {
-                inner.nodes[i] = node;
-                i
-            }
-            None => {
-                inner.nodes.push(node);
-                inner.nodes.len() - 1
-            }
-        };
-        inner.push_front(i);
-        inner.map.insert(key, i);
-        plan
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            len: self.inner.lock().expect("cache lock").map.len(),
-            capacity: self.capacity,
-        }
-    }
-}
+/// Thread-safe LRU cache from [`ResultKey`] to compiled plans; its
+/// budget counts plans.
+pub type PlanCache = Lru<ResultKey, Arc<Plan>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppr_query::parse_query;
+    use crate::catalog::DbFingerprint;
+    use crate::lru::tests::{other_shape, shape};
+    use ppr_core::methods::Method;
+    use ppr_query::Fingerprint;
     use ppr_relalg::{AttrId, Relation, Schema};
 
-    fn key(n: u128) -> CacheKey {
+    fn key(n: u128) -> ResultKey {
         keyed(n, Method::Straightforward, 0)
     }
 
-    fn keyed(n: u128, method: Method, seed: u64) -> CacheKey {
-        CacheKey {
+    fn keyed(n: u128, method: Method, seed: u64) -> ResultKey {
+        ResultKey {
             data: DbFingerprint(1),
             fingerprint: Fingerprint(n),
             method,
             seed,
         }
-    }
-
-    fn shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y)").unwrap())
-    }
-
-    fn other_shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y), e(y, z)").unwrap())
     }
 
     fn plan(tag: u32) -> Arc<Plan> {

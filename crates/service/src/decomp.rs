@@ -27,18 +27,15 @@
 //! under *any* total order, so collisions and tie-flips cost optimality,
 //! never soundness.
 //!
-//! Like the plan cache, the WL fingerprint is a 1-WL invariant, so every
-//! entry also stores the [`QueryShape`] that built it and a lookup only
-//! hits on a shape match (a mismatch counts as `collisions`). Eviction is
-//! strict LRU over the same intrusive slab-list as the plan cache.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+//! The cache itself is an [`Lru`] budgeted in entries; like every cache
+//! keyed by a 1-WL fingerprint it re-checks the [`ppr_query::QueryShape`]
+//! on each hit (see [`crate::lru`]).
 
 use ppr_core::methods::OrderHeuristic;
-use ppr_query::{Fingerprint, QueryShape};
+use ppr_query::Fingerprint;
 use ppr_relalg::AttrId;
-use rustc_hash::FxHashMap;
+
+use crate::lru::{CacheStats, CacheValue, Lru};
 
 /// Cache key: canonical query structure × decomposition heuristic ×
 /// planner seed. No database identity — the order is pure query
@@ -59,20 +56,11 @@ pub struct DecompKey {
 /// `order` is exactly a permutation of `canonical` — anything else is
 /// not a decomposition of this query and must not be cached.
 pub fn encode_order(order: &[AttrId], canonical: &[AttrId]) -> Option<Vec<u32>> {
-    if order.len() != canonical.len() {
-        return None;
-    }
-    let mut ranks = Vec::with_capacity(order.len());
-    for v in order {
-        ranks.push(canonical.iter().position(|c| c == v)? as u32);
-    }
-    let mut seen = vec![false; canonical.len()];
-    for &r in &ranks {
-        if std::mem::replace(&mut seen[r as usize], true) {
-            return None;
-        }
-    }
-    Some(ranks)
+    let ranks = order
+        .iter()
+        .map(|v| Some(canonical.iter().position(|c| c == v)? as u32))
+        .collect::<Option<Vec<u32>>>()?;
+    decode_order(&ranks, canonical).map(|_| ranks)
 }
 
 /// Decodes `ranks` into the incoming query's own [`AttrId`]s via its
@@ -95,185 +83,18 @@ pub fn decode_order(ranks: &[u32], canonical: &[AttrId]) -> Option<Vec<AttrId>> 
     Some(order)
 }
 
-const NIL: usize = usize::MAX;
-
-struct Node {
-    key: DecompKey,
-    shape: QueryShape,
-    ranks: Vec<u32>,
-    prev: usize,
-    next: usize,
-}
-
-struct Inner {
-    map: FxHashMap<DecompKey, usize>,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-}
-
-impl Inner {
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-}
-
-/// Counter snapshot (plus occupancy) of a [`DecompCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DecompStats {
-    /// Lookups that found a cached order.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Key matches whose [`QueryShape`] differed (1-WL collision); each
-    /// also counts as a miss.
-    pub collisions: u64,
-    /// Entries currently cached.
-    pub len: usize,
-    /// Maximum entries.
-    pub capacity: usize,
+impl CacheValue for Vec<u32> {
+    type Stats = CacheStats;
 }
 
 /// Thread-safe LRU cache from [`DecompKey`] to rank-encoded variable
-/// orders.
-pub struct DecompCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    collisions: AtomicU64,
-}
-
-impl DecompCache {
-    /// A cache holding at most `capacity` orders (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        DecompCache {
-            inner: Mutex::new(Inner {
-                map: FxHashMap::default(),
-                nodes: Vec::new(),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-            }),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up `key`, counting a hit (and refreshing recency) or a
-    /// miss. A key match with a different [`QueryShape`] is a fingerprint
-    /// collision: counted as a miss plus `collisions`, returns `None`.
-    pub fn get(&self, key: &DecompKey, shape: &QueryShape) -> Option<Vec<u32>> {
-        let mut inner = self.inner.lock().expect("decomp cache lock");
-        match inner.map.get(key).copied() {
-            Some(i) if inner.nodes[i].shape == *shape => {
-                inner.unlink(i);
-                inner.push_front(i);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(inner.nodes[i].ranks.clone())
-            }
-            Some(_) => {
-                self.collisions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `ranks` under `key`, evicting the LRU entry at capacity.
-    /// An existing same-shape entry wins (orders built under one key are
-    /// interchangeable); a different shape displaces the entry so a
-    /// colliding query never decodes the wrong structure's order.
-    pub fn insert(&self, key: DecompKey, shape: QueryShape, ranks: Vec<u32>) {
-        let mut inner = self.inner.lock().expect("decomp cache lock");
-        if let Some(&i) = inner.map.get(&key) {
-            if inner.nodes[i].shape != shape {
-                inner.nodes[i].shape = shape;
-                inner.nodes[i].ranks = ranks;
-            }
-            inner.unlink(i);
-            inner.push_front(i);
-            return;
-        }
-        if inner.map.len() >= self.capacity {
-            let lru = inner.tail;
-            inner.unlink(lru);
-            let old_key = inner.nodes[lru].key.clone();
-            inner.map.remove(&old_key);
-            inner.free.push(lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let node = Node {
-            key: key.clone(),
-            shape,
-            ranks,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match inner.free.pop() {
-            Some(i) => {
-                inner.nodes[i] = node;
-                i
-            }
-            None => {
-                inner.nodes.push(node);
-                inner.nodes.len() - 1
-            }
-        };
-        inner.push_front(i);
-        inner.map.insert(key, i);
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> DecompStats {
-        DecompStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            len: self.inner.lock().expect("decomp cache lock").map.len(),
-            capacity: self.capacity,
-        }
-    }
-}
+/// orders; its budget counts orders.
+pub type DecompCache = Lru<DecompKey, Vec<u32>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::tests::{other_shape, shape};
     use ppr_query::{canonical_var_order, parse_query};
 
     fn key(n: u128) -> DecompKey {
@@ -282,14 +103,6 @@ mod tests {
             heuristic: OrderHeuristic::Mcs,
             seed: 0,
         }
-    }
-
-    fn shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y)").unwrap())
-    }
-
-    fn other_shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y), e(y, z)").unwrap())
     }
 
     #[test]

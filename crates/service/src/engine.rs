@@ -19,14 +19,14 @@
 //! 3. **Parse + identity** — parse the Datalog-ish text, check every atom
 //!    against the snapshot, compute the canonical
 //!    [`ppr_query::QueryIdentity`] once for both caches.
-//! 4. **Result cache** — a hit on `(db, version, fingerprint, method,
-//!    seed)` returns the cached rows with **zero execution**; any catalog
-//!    mutation bumped the version and so naturally invalidated every
-//!    older entry.
+//! 4. **Result cache** — a hit on `(data fingerprint, query fingerprint,
+//!    method, seed)` returns the cached rows with **zero execution**; a
+//!    content-changing mutation changes the data fingerprint and so
+//!    naturally invalidates every older entry.
 //! 5. **Plan cache / plan** — on a result miss, a plan-cache hit returns
 //!    the shared `Arc<Plan>`; a miss builds the plan and publishes it.
-//!    The plan key carries the same `(db, version)` prefix, because plans
-//!    embed `Arc<Relation>` scans of the snapshot they were built on.
+//!    The plan key is the result key, data identity included, because
+//!    plans embed `Arc<Relation>` scans of the snapshot they were built on.
 //! 6. **Execute + publish** — the streaming executor under the request
 //!    budget clamped by the server maximum; a successful result is
 //!    offered to the result cache (byte-budgeted, LRU).
@@ -47,9 +47,10 @@ use ppr_relalg::{exec, streaming_shape, Budget, ExecStats, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{CacheKey, CacheStats, PlanCache};
+use crate::cache::PlanCache;
 use crate::catalog::{Catalog, DbSnapshot, DEFAULT_DB};
-use crate::decomp::{self, DecompCache, DecompKey, DecompStats};
+use crate::decomp::{self, DecompCache, DecompKey};
+use crate::lru::CacheStats;
 use crate::metrics::ServiceMetrics;
 use crate::queue::{BoundedQueue, PushError};
 use crate::result_cache::{CachedResult, ResultCache, ResultCacheStats, ResultKey};
@@ -344,7 +345,7 @@ pub struct EngineStats {
     /// [`DecompCache`] supplied the variable order as a pass hint.
     pub decomp_cache_hits: u64,
     /// Decomposition-cache counters.
-    pub decomps: DecompStats,
+    pub decomps: CacheStats,
     /// Per-phase latency quantiles from the shared histograms.
     pub spans: SpanStats,
 }
@@ -658,10 +659,12 @@ impl Engine {
         } else {
             cfg.max_inflight
         };
+        // Both count-budgeted caches hold at least one entry.
+        let entries = cfg.cache_capacity.max(1);
         let shared = Arc::new(Shared {
             catalog: Arc::new(catalog),
-            cache: PlanCache::new(cfg.cache_capacity),
-            decomps: DecompCache::new(cfg.cache_capacity),
+            cache: PlanCache::new(entries),
+            decomps: DecompCache::new(entries),
             results: ResultCache::new(cfg.result_cache_bytes),
             queue: BoundedQueue::new(cfg.queue_capacity.max(1)),
             accepting: AtomicBool::new(true),
@@ -973,12 +976,7 @@ fn process<'a>(
         });
     }
 
-    let plan_key = CacheKey {
-        data: snapshot.fingerprint,
-        fingerprint: identity.fingerprint,
-        method: request.method,
-        seed,
-    };
+    let plan_key = result_key.clone();
     let started = Instant::now();
     let cached_plan = if explaining {
         None

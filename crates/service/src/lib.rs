@@ -13,19 +13,16 @@
 //!   copy-on-write `Arc`s: in-flight requests keep a consistent view
 //!   while writers publish new versions beside them — writers never block
 //!   readers.
-//! * [`result_cache::ResultCache`] — a byte-budgeted LRU from
-//!   (database, version, [`ppr_query::Fingerprint`], method, seed) to
-//!   complete result sets. Because the database version is in the key, a
-//!   catalog mutation naturally invalidates every older entry; no
-//!   explicit invalidation protocol exists or is needed.
-//! * [`cache::PlanCache`] — an LRU cache over the same key shape to
-//!   compiled [`ppr_relalg::Plan`]s with hit/miss/eviction counters. The
-//!   fingerprint is canonical under variable renaming and atom
-//!   reordering, so syntactic variants of a hot query share one cached
-//!   plan; every hit (in both caches) re-verifies a cheap
-//!   [`ppr_query::QueryShape`] so a fingerprint collision between
-//!   structurally different queries costs a re-plan, never a wrong
-//!   answer.
+//! * [`lru::Lru`] — the one cache container, of which the three caches
+//!   below are instantiations: a weight-budgeted LRU whose every hit
+//!   re-verifies the [`ppr_query::QueryShape`] that built the entry, so a
+//!   fingerprint collision costs a recomputation, never a wrong answer.
+//! * [`result_cache::ResultCache`] — a byte-budgeted LRU from (database
+//!   content fingerprint, [`ppr_query::Fingerprint`], method, seed) to
+//!   result sets. A catalog mutation changes the key, so it invalidates
+//!   every older entry with no invalidation protocol.
+//! * [`cache::PlanCache`] — an LRU under the same key to compiled
+//!   [`ppr_relalg::Plan`]s, shared by every renaming of a hot query.
 //! * [`decomp::DecompCache`] — a structure-keyed LRU of bucket
 //!   elimination's chosen variable orders, keyed **without** the database
 //!   identity: a catalog mutation forces a re-plan, but a structurally
@@ -67,6 +64,7 @@ pub mod catalog;
 pub mod client;
 pub mod decomp;
 pub mod engine;
+pub mod lru;
 pub mod metrics;
 pub mod net;
 pub mod protocol;
@@ -74,16 +72,17 @@ mod queue;
 pub mod result_cache;
 pub mod server;
 
-pub use cache::{CacheStats, PlanCache};
+pub use cache::PlanCache;
 pub use catalog::{
     fingerprint_db, Catalog, CatalogError, DbFingerprint, DbInfo, DbSnapshot, DbVersion, DEFAULT_DB,
 };
 pub use client::{Client, Pipeline, Ticket};
-pub use decomp::{DecompCache, DecompKey, DecompStats};
+pub use decomp::{DecompCache, DecompKey};
 pub use engine::{
     Engine, EngineConfig, EngineHandle, EngineStats, ExplainData, ExplainMode, Request, Response,
     SpanStats,
 };
+pub use lru::CacheStats;
 pub use metrics::{render_slowlog, ServiceMetrics, DEFAULT_SLOWLOG_CAPACITY};
 pub use net::{CloseReason, NetMetrics};
 pub use result_cache::{ResultCache, ResultCacheStats};

@@ -1428,7 +1428,6 @@ pub fn decode_dbs(line: &str) -> Result<Vec<DbInfo>, ServiceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStats;
 
     fn sample_request() -> Request {
         Request::query("q(x) :- edge(x, y), edge(y, x)")
@@ -1768,16 +1767,13 @@ mod tests {
             served: 10,
             rejected: 2,
             inflight: 1,
-            cache: CacheStats {
-                hits: 7,
-                misses: 3,
-                evictions: 1,
-                collisions: 1,
-                len: 2,
-                capacity: 0, // not on the wire
-            },
             ..Default::default()
         };
+        s.cache.hits = 7;
+        s.cache.misses = 3;
+        s.cache.evictions = 1;
+        s.cache.collisions = 1;
+        s.cache.len = 2;
         s.results.hits = 20;
         s.results.misses = 4;
         s.results.evictions = 2;

@@ -16,36 +16,29 @@
 //! or a no-op mutation keeps the fingerprint, so warm entries survive
 //! both.
 //!
-//! Results (unlike plans) have data-dependent size, so the budget is in
-//! **bytes** (rows plus the cache's own per-entry bookkeeping), not
-//! entries: strict LRU eviction runs until the cache fits, and an entry
-//! bigger than the whole budget is refused outright (counted in
-//! [`ResultCacheStats::oversized`]) rather than flushing everything
-//! else. Fingerprints are 1-WL invariants with constructible collisions,
-//! so — exactly like the plan cache — every entry stores the
-//! [`QueryShape`] that built it and a lookup only hits on a shape match;
-//! a mismatch is a counted collision and a miss, never wrong rows.
+//! Results (unlike plans) have data-dependent size, so the cache is an
+//! [`Lru`] budgeted in **bytes**: [`CachedResult::approx_bytes`].
 //!
 //! Budgets are deliberately *not* part of the key: execution budgets
 //! bound work, successful results are budget-independent (an exhausted
 //! budget is an error, never a truncation), and a hit does no work at
 //! all, so it cannot exceed any budget.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ppr_core::methods::Method;
-use ppr_query::{Fingerprint, QueryShape};
+use ppr_query::Fingerprint;
 use ppr_relalg::{ExecStats, Value};
-use rustc_hash::FxHashMap;
 
 use crate::catalog::DbFingerprint;
+use crate::lru::{self, CacheStats, CacheValue, Lru};
 
-/// Result-cache key: which data (content hash), which query (canonical
-/// fingerprint), and which plan family (method + tie-breaking seed).
+/// Key of the result and plan caches: which data (content hash), which
+/// query (canonical fingerprint), and which plan family (method +
+/// tie-breaking seed).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResultKey {
-    /// Content fingerprint of the database the rows were computed at.
+    /// Content fingerprint of the data the entry was computed from.
     pub data: DbFingerprint,
     /// Canonical query fingerprint.
     pub fingerprint: Fingerprint,
@@ -85,80 +78,40 @@ impl CachedResult {
     }
 }
 
-/// What the cache spends on an entry beside the result: its LRU node and
-/// its slot in the key map. A Boolean result is smaller than this, so a
-/// budget that left it out would be spent mostly on bookkeeping it never
-/// counted — and how far the key map has to grow under a stream of such
-/// results would hang on a few bytes of `CachedResult` layout.
-const ENTRY_OVERHEAD: usize =
-    std::mem::size_of::<Node>() + std::mem::size_of::<(ResultKey, usize)>();
+/// What the cache spends on an entry beside the result. A Boolean result
+/// is smaller than this, so a budget that left it out would be spent
+/// mostly on bookkeeping it never counted.
+const ENTRY_OVERHEAD: usize = lru::entry_overhead::<ResultKey, Arc<CachedResult>>();
 
-const NIL: usize = usize::MAX;
+impl CacheValue for Arc<CachedResult> {
+    type Stats = ResultCacheStats;
 
-struct Node {
-    key: ResultKey,
-    shape: QueryShape,
-    result: Arc<CachedResult>,
-    bytes: usize,
-    prev: usize,
-    next: usize,
-}
-
-struct Inner {
-    map: FxHashMap<ResultKey, usize>,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-    bytes: usize,
-}
-
-impl Inner {
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
+    fn weight(&self) -> usize {
+        self.approx_bytes()
     }
 }
+
+/// Thread-safe, byte-budgeted LRU cache from [`ResultKey`] to rows.
+/// A zero budget disables caching entirely (every lookup misses, every
+/// insert is dropped) — useful for isolating the plan cache in tests.
+pub type ResultCache = Lru<ResultKey, Arc<CachedResult>>;
 
 /// Counter snapshot (plus occupancy) of a [`ResultCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResultCacheStats {
-    /// Lookups that returned cached rows.
+    /// [`CacheStats::hits`].
     pub hits: u64,
-    /// Lookups that found nothing (or a version-stale key).
+    /// [`CacheStats::misses`].
     pub misses: u64,
-    /// Entries displaced by the byte budget.
+    /// [`CacheStats::evictions`].
     pub evictions: u64,
-    /// Key matches whose [`QueryShape`] differed — fingerprint collisions
-    /// between structurally different queries, counted as misses.
+    /// [`CacheStats::collisions`].
     pub collisions: u64,
-    /// Results refused because they alone exceed the byte budget.
+    /// [`CacheStats::oversized`].
     pub oversized: u64,
-    /// Entries currently cached.
+    /// [`CacheStats::len`].
     pub len: usize,
-    /// Bytes currently cached (approximate; see
-    /// [`CachedResult::approx_bytes`]).
+    /// Bytes currently cached, by [`CachedResult::approx_bytes`].
     pub bytes: usize,
     /// The byte budget (0 = caching disabled).
     pub capacity_bytes: usize,
@@ -167,150 +120,21 @@ pub struct ResultCacheStats {
 impl ResultCacheStats {
     /// Hit fraction over all lookups (0 when none happened).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 
-/// Thread-safe, byte-budgeted LRU cache from [`ResultKey`] to rows.
-/// A zero budget disables caching entirely (every lookup misses, every
-/// insert is dropped) — useful for isolating the plan cache in tests.
-pub struct ResultCache {
-    inner: Mutex<Inner>,
-    capacity_bytes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    collisions: AtomicU64,
-    oversized: AtomicU64,
-}
-
-impl ResultCache {
-    /// A cache holding at most `capacity_bytes` of results (0 disables).
-    pub fn new(capacity_bytes: usize) -> Self {
-        ResultCache {
-            inner: Mutex::new(Inner {
-                map: FxHashMap::default(),
-                nodes: Vec::new(),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-                bytes: 0,
-            }),
-            capacity_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-            oversized: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether caching is enabled at all.
-    pub fn enabled(&self) -> bool {
-        self.capacity_bytes > 0
-    }
-
-    /// Looks up `key`, refreshing recency on a hit. A key match with a
-    /// different stored [`QueryShape`] is a collision: counted, missed,
-    /// and left for [`insert`](ResultCache::insert) to displace.
-    pub fn get(&self, key: &ResultKey, shape: &QueryShape) -> Option<Arc<CachedResult>> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut inner = self.inner.lock().expect("result cache lock");
-        match inner.map.get(key).copied() {
-            Some(i) if inner.nodes[i].shape == *shape => {
-                inner.unlink(i);
-                inner.push_front(i);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(inner.nodes[i].result.clone())
-            }
-            Some(_) => {
-                self.collisions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `result` under `key`, evicting LRU entries until the byte
-    /// budget holds. A result bigger than the whole budget is refused. On
-    /// a same-shape race the existing entry wins; a different shape
-    /// (collision) displaces it.
-    pub fn insert(&self, key: ResultKey, shape: QueryShape, result: Arc<CachedResult>) {
-        if !self.enabled() {
-            return;
-        }
-        let bytes = result.approx_bytes();
-        if bytes > self.capacity_bytes {
-            self.oversized.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut inner = self.inner.lock().expect("result cache lock");
-        if let Some(&i) = inner.map.get(&key) {
-            if inner.nodes[i].shape != shape {
-                inner.bytes = inner.bytes - inner.nodes[i].bytes + bytes;
-                inner.nodes[i].shape = shape;
-                inner.nodes[i].result = result;
-                inner.nodes[i].bytes = bytes;
-            }
-            inner.unlink(i);
-            inner.push_front(i);
-        } else {
-            while inner.bytes + bytes > self.capacity_bytes && inner.tail != NIL {
-                let lru = inner.tail;
-                inner.unlink(lru);
-                let old_key = inner.nodes[lru].key.clone();
-                inner.map.remove(&old_key);
-                inner.bytes -= inner.nodes[lru].bytes;
-                inner.free.push(lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            let node = Node {
-                key: key.clone(),
-                shape,
-                result,
-                bytes,
-                prev: NIL,
-                next: NIL,
-            };
-            let i = match inner.free.pop() {
-                Some(i) => {
-                    inner.nodes[i] = node;
-                    i
-                }
-                None => {
-                    inner.nodes.push(node);
-                    inner.nodes.len() - 1
-                }
-            };
-            inner.push_front(i);
-            inner.map.insert(key, i);
-            inner.bytes += bytes;
-        }
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> ResultCacheStats {
-        let inner = self.inner.lock().expect("result cache lock");
+impl From<CacheStats> for ResultCacheStats {
+    fn from(s: CacheStats) -> Self {
         ResultCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            oversized: self.oversized.load(Ordering::Relaxed),
-            len: inner.map.len(),
-            bytes: inner.bytes,
-            capacity_bytes: self.capacity_bytes,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            collisions: s.collisions,
+            oversized: s.oversized,
+            len: s.len,
+            bytes: s.weight,
+            capacity_bytes: s.capacity,
         }
     }
 }
@@ -318,7 +142,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppr_query::parse_query;
+    use crate::lru::tests::{other_shape, shape};
 
     fn key(data: u128, fp: u128) -> ResultKey {
         ResultKey {
@@ -327,14 +151,6 @@ mod tests {
             method: Method::Straightforward,
             seed: 0,
         }
-    }
-
-    fn shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y)").unwrap())
-    }
-
-    fn other_shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y), e(y, z)").unwrap())
     }
 
     fn result(rows: usize, tag: u32) -> Arc<CachedResult> {
@@ -410,6 +226,10 @@ mod tests {
             stats: ExecStats::default(),
         };
         assert!(boolean.approx_bytes() > std::mem::size_of::<CachedResult>() + ENTRY_OVERHEAD);
+        // The slab slot and key-map pair; a change moves how many results
+        // fit a given budget.
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(ENTRY_OVERHEAD, 192);
     }
 
     #[test]
@@ -464,5 +284,41 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.hits + s.misses, 800);
         assert!(s.bytes <= s.capacity_bytes);
+    }
+
+    #[test]
+    fn colliding_insert_stays_within_the_byte_budget() {
+        // Two small entries, then a colliding result under the first key
+        // that fits the budget alone but not beside the second.
+        let small = result(2, 0).approx_bytes();
+        let big = result(40, 0).approx_bytes();
+        let c = ResultCache::new(big + small / 2);
+        c.insert(key(1, 1), shape(), result(2, 1));
+        c.insert(key(1, 2), shape(), result(2, 2));
+        c.insert(key(1, 1), other_shape(), result(40, 3));
+        let s = c.stats();
+        assert!(s.bytes <= s.capacity_bytes, "over budget: {s:?}");
+        assert_eq!((s.len, s.evictions), (1, 1));
+        assert_eq!(c.get(&key(1, 1), &other_shape()).unwrap().rows.len(), 40);
+    }
+
+    #[test]
+    fn evicted_results_are_dropped() {
+        let small = result(2, 0).approx_bytes();
+        let c = ResultCache::new(4 * small);
+        let held: Vec<_> = (0..4).map(|i| result(2, i)).collect();
+        for (i, r) in held.iter().enumerate() {
+            c.insert(key(1, i as u128), shape(), r.clone());
+        }
+        // One insert that pushes out at least two of them.
+        let big = (2..)
+            .map(|n| result(n, 9))
+            .find(|r| r.approx_bytes() > 2 * small);
+        c.insert(key(1, 9), shape(), big.unwrap());
+        let evicted = c.stats().evictions as usize;
+        assert!(evicted >= 2);
+        for r in &held[..evicted] {
+            assert_eq!(Arc::strong_count(r), 1, "an evicted result is still held");
+        }
     }
 }

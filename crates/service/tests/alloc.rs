@@ -1,17 +1,22 @@
 //! Allocation guard for the three kernels every `run` crosses, result-cache
 //! hit or not: rule text in (`parse_query`), cache identity
-//! (`QueryIdentity::of`), reply text out (`encode_result` + `tag_reply`).
+//! (`QueryIdentity::of`), reply text out (`encode_result` + `tag_reply`);
+//! and for the result-cache lookup every hit pays between them.
 //! Heap allocations are the one cost figure of theirs that does not drift
 //! with the host. A counting `#[global_allocator]` needs its own test
 //! binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
+use ppr_core::methods::Method;
 use ppr_graph::families;
 use ppr_query::{parse_query, QueryIdentity};
+use ppr_relalg::ExecStats;
 use ppr_service::protocol::{encode_result, tag_reply};
-use ppr_service::Response;
+use ppr_service::result_cache::{CachedResult, ResultKey};
+use ppr_service::{DbFingerprint, Response, ResultCache};
 
 thread_local! {
     /// Allocations made by this thread (the harness runs tests on several).
@@ -91,4 +96,26 @@ fn a_reply_is_written_into_one_buffer_and_tagged_into_another() {
         encoding <= 4,
         "encode_result + tag_reply: {encoding} allocations"
     );
+}
+
+#[test]
+fn a_warm_result_cache_hit_allocates_nothing() {
+    let query = parse_query(&ladder_rule()).expect("well-formed");
+    let identity = QueryIdentity::of(&query);
+    let key = ResultKey {
+        data: DbFingerprint(1),
+        fingerprint: identity.fingerprint,
+        method: Method::Straightforward,
+        seed: 0,
+    };
+    let result = Arc::new(CachedResult {
+        columns: Vec::new(),
+        rows: (0..430u32).map(|r| vec![r % 3; 6].into()).collect(),
+        stats: ExecStats::default(),
+    });
+    let cache = ResultCache::new(8 << 20);
+    cache.insert(key.clone(), identity.shape.clone(), result);
+    let (hit, lookup) = allocations_during(|| cache.get(&key, &identity.shape));
+    assert_eq!(hit.expect("warm key").rows.len(), 430);
+    assert_eq!(lookup, 0, "ResultCache::get on a hit: {lookup} allocations");
 }
