@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use ppr_core::methods::{Method, OrderHeuristic};
 use ppr_query::{ConjunctiveQuery, Database};
-use ppr_relalg::Budget;
+use ppr_relalg::{Budget, Plan};
 use ppr_workload::{InstanceSpec, QueryShape};
 
 use crate::harness::{run_method, summarize, MethodOutcome};
@@ -425,7 +425,9 @@ pub fn ablation_greedy(w: &mut impl Write, cfg: &Config) {
 }
 
 /// Ablation: pipelined vs fully materialized execution of the same
-/// straightforward plan.
+/// early-projection plan. The materialized baseline is the same plan with
+/// every join wrapped in a full-width `ProjectDistinct` (see
+/// `materialize_joins`), run by the same executor.
 pub fn ablation_pipeline(w: &mut impl Write, cfg: &Config) {
     use ppr_core::methods::build_plan;
     use ppr_relalg::exec;
@@ -448,14 +450,12 @@ pub fn ablation_pipeline(w: &mut impl Write, cfg: &Config) {
                 };
                 let (q, db) = spec.build();
                 let mut rng = StdRng::seed_from_u64(seed);
-                let plan = build_plan(Method::EarlyProjection, &q, &db, &mut rng);
+                let mut plan = build_plan(Method::EarlyProjection, &q, &db, &mut rng);
+                if executor == "materialized" {
+                    plan = materialize_joins(&plan);
+                }
                 let started = std::time::Instant::now();
-                let res = if executor == "pipelined" {
-                    exec::execute(&plan, &budget)
-                } else {
-                    exec::execute_materialized(&plan, &budget)
-                };
-                match res {
+                match exec::execute(&plan, &budget) {
                     Ok(_) => times.push(started.elapsed().as_secs_f64() * 1e3),
                     Err(_) => {
                         timeouts += 1;
@@ -470,6 +470,22 @@ pub fn ablation_pipeline(w: &mut impl Write, cfg: &Config) {
             )
             .expect("write");
         }
+    }
+}
+
+/// `plan` with every `Join` wrapped in a full-width `ProjectDistinct`. Join
+/// outputs of set inputs are sets, so the wrapper's dedup removes nothing;
+/// it ends the pipeline there, so each join is materialized before its
+/// consumer runs — the fully materialized baseline on the one executor.
+fn materialize_joins(plan: &Plan) -> Plan {
+    match plan {
+        Plan::Scan { .. } => plan.clone(),
+        Plan::Join { left, right } => {
+            let join = materialize_joins(left).join(materialize_joins(right));
+            let keep = join.schema().expect("valid plan").attrs().to_vec();
+            join.project(keep)
+        }
+        Plan::ProjectDistinct { input, keep } => materialize_joins(input).project(keep.clone()),
     }
 }
 

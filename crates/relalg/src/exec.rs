@@ -1,32 +1,21 @@
 //! Plan execution.
 //!
-//! [`execute`] is the single entry point; [`ExecOptions::mode`] selects one
-//! of three executors that produce the same answers:
+//! [`execute`] is the single entry point. It runs the push-based streaming
+//! executor of [`crate::pipelined`]: scans stream straight off the base
+//! relations and equality joins probe per-column secondary indexes
+//! ([`crate::index`]) cached on the shared `Arc` snapshot, so repeated
+//! queries skip the per-query bind copies and hash builds entirely.
 //!
-//! * [`ExecMode::Streaming`] (the default) — the push-based streaming
-//!   executor in [`crate::pipelined`]: scans stream straight off the base
-//!   relations and equality joins probe per-column secondary indexes
-//!   ([`crate::index`]) cached on the shared `Arc` snapshot, so repeated
-//!   queries skip the per-query bind copies and hash builds entirely.
-//! * [`ExecMode::Pipelined`] — the classic hash-join pipeline that stands
-//!   in for the PostgreSQL backend of the paper's experiments: hash tables
-//!   are built on every input except the first, and tuples stream
-//!   depth-first through the probe stages without being materialized.
-//!   Kept as a differential-testing oracle for the streaming executor
-//!   (`tests/streaming.rs` asserts byte identity).
-//! * [`ExecMode::Materialized`] — an ablation executor that materializes
-//!   every join via [`crate::ops::natural_join`]; the `ablation_pipeline`
-//!   bench compares it against the pipelines.
+//! A [`Plan::ProjectDistinct`] node (a `SELECT DISTINCT` subquery in the
+//! paper's SQL) materializes and de-duplicates its input before the
+//! enclosing pipeline consumes it — the only materialization boundary
+//! there is. Chains of joins between boundaries stream, as PostgreSQL's
+//! hash-join pipelines did in the paper's experiments.
 //!
-//! In every mode a [`Plan::ProjectDistinct`] node (a `SELECT DISTINCT`
-//! subquery in the paper's SQL) materializes and de-duplicates its input
-//! before the enclosing pipeline consumes it — the only materialization
-//! boundary the two pipelined modes have.
-//!
-//! In those two modes a boundary is a flat row buffer, not a [`Relation`]:
-//! the sink appends each projected row to one `Vec<Value>` and
-//! de-duplicates through a table of row ids into it, and the pipeline above
-//! either streams that buffer or takes it by value as the build side of a
+//! A boundary is a flat row buffer, not a [`Relation`]: the sink
+//! appends each projected row to one `Vec<Value>` and de-duplicates
+//! through a table of row ids into it, and the pipeline above either
+//! streams that buffer or takes it by value as the build side of a
 //! hash-join stage (row ids grouped by join key, CSR layout, no copy).
 //! Bucket elimination materializes many small intermediates, so what a
 //! boundary costs per row decides whether keeping them small pays off. The
@@ -39,8 +28,6 @@
 
 use crate::budget::{Budget, BudgetKind, Meter};
 use crate::error::RelalgError;
-use crate::ops;
-use crate::pipelined::bind_rows;
 use crate::plan::Plan;
 use crate::relation::Relation;
 use crate::rows::{GroupIndex, RowSet, Rows, MAX_ROWS};
@@ -49,39 +36,19 @@ use crate::stats::ExecStats;
 use crate::value::Value;
 use crate::Result;
 
-/// Which executor variant [`execute_with`] runs. All three return the
-/// same rows; the two pipelined modes are byte-identical (same row order,
-/// same `tuples_flowed`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Push-based streaming executor over cached secondary indexes
-    /// ([`crate::pipelined`]). The engine default.
-    #[default]
-    Streaming,
-    /// Classic per-query hash-join pipeline — the differential-testing
-    /// oracle, and the model of how PostgreSQL ran the paper's SQL.
-    Pipelined,
-    /// Materializes every join node (ablation baseline).
-    Materialized,
-}
-
 /// Options for [`execute_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Which executor variant runs.
-    pub mode: ExecMode,
     /// Whether `ProjectDistinct` nodes de-duplicate (`SELECT DISTINCT`).
     /// Disabling turns every subquery into a plain `SELECT` — the
     /// `ablation_distinct` bench uses this to show that de-duplication at
     /// projection boundaries is what makes projection pushing effective.
     pub dedup_subqueries: bool,
     /// Operator-level profiling ([`ppr_obs::ProfileMode`], default
-    /// `Off`). Honoured by the streaming executor, which fills
-    /// [`ExecStats::op_profile`] with a per-operator tree of actual
-    /// rows, probes, and self time; the decision is made once at
-    /// pipeline build, so `Off` adds no clock reads to the row loop.
-    /// The oracle executors ignore it (their physical shapes are not
-    /// what serving runs).
+    /// `Off`). `On` fills [`ExecStats::op_profile`] with a per-operator
+    /// tree of actual rows, probes, and self time; the decision is made
+    /// once at pipeline build, so `Off` adds no clock reads to the row
+    /// loop.
     ///
     /// [`ExecStats::op_profile`]: crate::stats::ExecStats::op_profile
     pub profile: ppr_obs::ProfileMode,
@@ -90,7 +57,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            mode: ExecMode::default(),
             dedup_subqueries: true,
             profile: ppr_obs::ProfileMode::Off,
         }
@@ -106,8 +72,7 @@ pub fn execute(plan: &Plan, budget: &Budget) -> Result<(Relation, ExecStats)> {
     execute_with(plan, budget, ExecOptions::default())
 }
 
-/// [`execute`] with explicit [`ExecOptions`] — the one entry point every
-/// mode routes through.
+/// [`execute`] with explicit [`ExecOptions`].
 pub fn execute_with(
     plan: &Plan,
     budget: &Budget,
@@ -116,52 +81,18 @@ pub fn execute_with(
     plan.validate()?;
     let mut stats = ExecStats::default();
     let mut meter = budget.start();
+    let (schema, rows) =
+        crate::pipelined::materialize_streaming(plan, &mut meter, &mut stats, options)?;
     // Inside the plan rows stay flat: this is the request's one `Relation`.
-    let root = |(schema, rows): SubResult| {
-        let mut rel = Relation::new("result", schema, rows.into_tuples());
-        if matches!(plan, Plan::ProjectDistinct { .. }) && options.dedup_subqueries {
-            rel.assume_deduped();
-        }
-        rel
-    };
-    let rel = match options.mode {
-        ExecMode::Streaming => root(crate::pipelined::materialize_streaming(
-            plan, &mut meter, &mut stats, options,
-        )?),
-        ExecMode::Pipelined => root(materialize(plan, &mut meter, &mut stats, options)?),
-        ExecMode::Materialized => materialize_all(plan, &mut meter, &mut stats)?,
-    };
+    let mut rel = Relation::new("result", schema, rows.into_tuples());
+    if matches!(plan, Plan::ProjectDistinct { .. }) && options.dedup_subqueries {
+        rel.assume_deduped();
+    }
     stats.tuples_flowed = meter.tuples_flowed;
     stats.elapsed = meter.elapsed();
     stats.threads_used = 1;
     stats.cpu_time = stats.elapsed;
     Ok((rel, stats))
-}
-
-/// [`execute`] with the classic per-query hash-join pipeline
-/// ([`ExecMode::Pipelined`]) — the streaming executor's oracle.
-pub fn execute_pipelined(plan: &Plan, budget: &Budget) -> Result<(Relation, ExecStats)> {
-    execute_with(
-        plan,
-        budget,
-        ExecOptions {
-            mode: ExecMode::Pipelined,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// Executes `plan` materializing **every** join node (no pipelining).
-/// Intermediate bag sizes are charged against the materialization budget.
-pub fn execute_materialized(plan: &Plan, budget: &Budget) -> Result<(Relation, ExecStats)> {
-    execute_with(
-        plan,
-        budget,
-        ExecOptions {
-            mode: ExecMode::Materialized,
-            ..ExecOptions::default()
-        },
-    )
 }
 
 /// One probe stage of a pipeline: one join input, grouped by its join-key
@@ -184,8 +115,7 @@ pub(crate) struct Stage {
 /// [`Relation`].
 pub(crate) type SubResult = (Schema, Rows);
 
-/// Where pipeline output goes (shared by the pipelined and streaming
-/// executors): a materialization boundary.
+/// Where pipeline output goes: a materialization boundary.
 pub(crate) struct Sink {
     /// `SELECT [DISTINCT] keep`: buffer positions projected into each
     /// output row. `None` keeps full tuples (bag semantics) — a pipeline
@@ -261,80 +191,6 @@ pub(crate) fn join_chain(plan: &Plan) -> Vec<&Plan> {
     }
 }
 
-/// Materializes `plan`: runs its topmost pipeline (ending at this node) and
-/// recursively materializes any `ProjectDistinct` inputs first.
-fn materialize(
-    plan: &Plan,
-    meter: &mut Meter,
-    stats: &mut ExecStats,
-    options: ExecOptions,
-) -> Result<SubResult> {
-    match plan {
-        Plan::Scan { .. } | Plan::Join { .. } => pipeline(plan, None, meter, stats, options),
-        Plan::ProjectDistinct { input, keep } => {
-            let (schema, rows) = pipeline(input, Some(keep), meter, stats, options)?;
-            stats.materializations += 1;
-            stats.peak_materialized = stats.peak_materialized.max(rows.len() as u64);
-            stats.materialized_rows_out += rows.len() as u64;
-            Ok((schema, rows))
-        }
-    }
-}
-
-/// Runs the join pipeline rooted at `plan` (which must not itself be a
-/// `ProjectDistinct`), sending output through a projection sink when `keep`
-/// is given.
-fn pipeline(
-    plan: &Plan,
-    keep: Option<&[AttrId]>,
-    meter: &mut Meter,
-    stats: &mut ExecStats,
-    options: ExecOptions,
-) -> Result<SubResult> {
-    // Materialize each input: scans bind base relations; subqueries recurse.
-    let mut inputs = Vec::new();
-    for node in join_chain(plan) {
-        inputs.push(match node {
-            Plan::Scan { base, binding } => {
-                stats.rows_scanned += base.len() as u64;
-                bind_rows(base, binding)
-            }
-            Plan::ProjectDistinct { .. } => materialize(node, meter, stats, options)?,
-            Plan::Join { .. } => unreachable!("join_chain flattens both spines"),
-        });
-    }
-    let mut inputs = inputs.into_iter();
-    let (mut acc, first) = inputs.next().expect("a join chain has an input");
-
-    // Accumulated schema after each stage.
-    stats.max_intermediate_arity = stats.max_intermediate_arity.max(acc.arity());
-    let mut stages: Vec<Stage> = Vec::with_capacity(inputs.len());
-    for (schema, rows) in inputs {
-        stats.rows_scanned += rows.len() as u64;
-        stages.push(build_stage(&acc, &schema, rows));
-        acc = acc.join(&schema);
-        stats.max_intermediate_arity = stats.max_intermediate_arity.max(acc.arity());
-    }
-    stats.join_stages += stages.len() as u64;
-
-    let out_schema = keep.map_or_else(|| acc.clone(), |attrs| acc.project(attrs));
-    let mut sink = Sink::new(&acc, keep, options.dedup_subqueries);
-
-    // Depth-first streaming: probe stage by stage, never materializing the
-    // intermediate tuple.
-    let mut buf: Vec<Value> = Vec::with_capacity(acc.arity());
-    stats.rows_scanned += first.len() as u64;
-    for t in first.iter() {
-        if let Some(kind) = meter.on_tuple() {
-            return Err(budget_err(kind, meter));
-        }
-        buf.clear();
-        buf.extend_from_slice(t);
-        probe(&stages, &mut buf, &mut sink, meter, stats).map_err(|e| attach_flow(e, meter))?;
-    }
-    Ok((out_schema, sink.into_rows()))
-}
-
 /// Builds one probe stage over `rows` (taken by value, not copied), an
 /// input of schema `input` joined against the accumulated schema `acc`.
 pub(crate) fn build_stage(acc: &Schema, input: &Schema, rows: Rows) -> Stage {
@@ -353,33 +209,6 @@ pub(crate) fn build_stage(acc: &Schema, input: &Schema, rows: Rows) -> Stage {
     }
 }
 
-fn probe(
-    stages: &[Stage],
-    buf: &mut Vec<Value>,
-    sink: &mut Sink,
-    meter: &mut Meter,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    let Some((stage, rest)) = stages.split_first() else {
-        return sink.emit(buf, meter, stats);
-    };
-    let base_len = buf.len();
-    for &ri in stage.build.get(&stage.key_pos_in_buf, buf) {
-        if let Some(kind) = meter.on_tuple() {
-            return Err(RelalgError::BudgetExceeded {
-                kind,
-                tuples_flowed: 0,
-            });
-        }
-        let row = stage.build.row(ri);
-        buf.truncate(base_len);
-        buf.extend(stage.extra_pos.iter().map(|&p| row[p]));
-        probe(rest, buf, sink, meter, stats)?;
-    }
-    buf.truncate(base_len);
-    Ok(())
-}
-
 pub(crate) fn budget_err(kind: crate::budget::BudgetKind, meter: &Meter) -> RelalgError {
     RelalgError::BudgetExceeded {
         kind,
@@ -394,50 +223,10 @@ pub(crate) fn attach_flow(e: RelalgError, meter: &Meter) -> RelalgError {
     }
 }
 
-/// Fully-materialized evaluation (ablation baseline).
-fn materialize_all(plan: &Plan, meter: &mut Meter, stats: &mut ExecStats) -> Result<Relation> {
-    match plan {
-        Plan::Scan { base, binding } => {
-            stats.rows_scanned += base.len() as u64;
-            let rel = ops::bind(base, binding);
-            stats.max_intermediate_arity = stats.max_intermediate_arity.max(rel.arity());
-            Ok(rel)
-        }
-        Plan::Join { left, right } => {
-            let l = materialize_all(left, meter, stats)?;
-            let r = materialize_all(right, meter, stats)?;
-            stats.rows_scanned += l.len() as u64 + r.len() as u64;
-            let j = ops::natural_join(&l, &r);
-            for _ in 0..j.len() {
-                if let Some(kind) = meter.on_tuple() {
-                    return Err(budget_err(kind, meter));
-                }
-            }
-            if let Some(kind) = meter.on_materialized_rows(j.len() as u64) {
-                return Err(budget_err(kind, meter));
-            }
-            stats.max_intermediate_arity = stats.max_intermediate_arity.max(j.arity());
-            stats.join_stages += 1;
-            stats.rows_emitted += j.len() as u64;
-            Ok(j)
-        }
-        Plan::ProjectDistinct { input, keep } => {
-            let inner = materialize_all(input, meter, stats)?;
-            stats.rows_scanned += inner.len() as u64;
-            stats.materialized_rows_in += inner.len() as u64;
-            let p = ops::project_distinct(&inner, keep);
-            stats.materializations += 1;
-            stats.materialized_rows_out += p.len() as u64;
-            stats.peak_materialized = stats.peak_materialized.max(p.len() as u64);
-            stats.rows_emitted += p.len() as u64;
-            Ok(p)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow_model;
     use crate::schema::AttrId;
     use crate::value::tuple;
     use std::sync::Arc;
@@ -495,9 +284,8 @@ mod tests {
     #[test]
     fn pipelined_matches_materialized() {
         let plan = triangle_plan();
-        let (p, _) = execute(&plan, &Budget::unlimited()).unwrap();
-        let (m, _) = execute_materialized(&plan, &Budget::unlimited()).unwrap();
-        assert!(p.set_eq(&m));
+        let got = execute(&plan, &Budget::unlimited()).unwrap();
+        flow_model::check(&plan, true, &got);
     }
 
     #[test]
@@ -589,11 +377,10 @@ mod tests {
             right: Box::new(right),
         }
         .project(vec![a(1)]);
-        let (rel, _) = execute(&bushy, &Budget::unlimited()).unwrap();
+        let (rel, stats) = execute(&bushy, &Budget::unlimited()).unwrap();
         // A path of 4 edges is 3-colorable with any start color.
         assert_eq!(rel.len(), 3);
-        let (m, _) = execute_materialized(&bushy, &Budget::unlimited()).unwrap();
-        assert!(rel.set_eq(&m));
+        flow_model::check(&bushy, true, &(rel, stats));
     }
 
     #[test]

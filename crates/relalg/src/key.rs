@@ -1,8 +1,8 @@
 //! Zero-allocation join keys for the materialized operators.
 //!
 //! Every hash join, semijoin, and `DISTINCT` projection in [`crate::ops`]
-//! keys tuples by a fixed set of column positions. (The executors in
-//! [`crate::exec`] do not use this module: their materialization
+//! keys tuples by a fixed set of column positions. (The executor in
+//! [`crate::exec`] does not use this module: its materialization
 //! boundaries hash row slices in place.) The paper's workloads (3-COLOR
 //! and SAT encodings of random graphs) join almost exclusively on one or
 //! two variables, so the common case is a key of one or two [`Value`]s —

@@ -4,27 +4,20 @@
 //! Revisited* reproduction.
 //!
 //! This crate plays the role PostgreSQL played in the paper's experiments:
-//! it stores small relations in memory and evaluates project-join plans with
-//! hash joins. Three evaluation styles are provided (selected by
-//! [`exec::ExecMode`]), mirroring and then improving on how PostgreSQL
-//! executes the paper's generated SQL:
+//! it stores small relations in memory and evaluates project-join plans
+//! ([`plan::Plan`]) with hash-join pipelines:
 //!
-//! * [`pipelined`] — the default **push-based streaming** executor: scans
-//!   stream straight off the base relations and equality joins probe
-//!   lazily-built per-column secondary indexes ([`index`]) cached on the
-//!   shared snapshot, so repeated queries skip per-query bind copies and
-//!   hash builds entirely.
-//! * [`exec::ExecMode::Pipelined`] — the classic hash-join pipeline.
-//!   Chains of joins stream tuples without materializing them (like
-//!   PostgreSQL's hash-join pipeline), while
+//! * [`exec`] — the one executor entry point. It runs the **push-based
+//!   streaming** executor of [`pipelined`]: chains of joins stream tuples
+//!   without materializing them (like PostgreSQL's hash-join pipeline),
+//!   equality joins probe lazily-built per-column secondary indexes
+//!   ([`index`]) cached on the shared snapshot, and
 //!   [`plan::Plan::ProjectDistinct`] nodes (the `SELECT DISTINCT` subquery
 //!   boundaries of the paper) materialize and de-duplicate their input.
-//!   Kept as the streaming executor's differential-testing oracle: both
-//!   produce byte-identical results.
-//! * [`ops`] — fully materialized operators (natural join, projection,
-//!   selection, semijoin, union, difference, rename) used for testing,
-//!   ablations ([`exec::ExecMode::Materialized`]), and as general building
-//!   blocks.
+//! * [`ops`] — the textbook materialized operators (natural join by hash,
+//!   sort-merge or nested loop; project-distinct; semijoin; bind), used by
+//!   the join-algorithm ablation, the semijoin reducer of `ppr-core`, and
+//!   the tests' flow model of the executor.
 //!
 //! Execution is instrumented ([`stats::ExecStats`]) and budgeted
 //! ([`budget::Budget`]): runs that would exceed a tuple or wall-clock budget
@@ -36,6 +29,8 @@ pub mod budget;
 pub mod csv;
 pub mod error;
 pub mod exec;
+#[cfg(test)]
+mod flow_model;
 pub mod index;
 pub mod key;
 pub mod ops;

@@ -1,11 +1,10 @@
 //! Fully materialized relational operators.
 //!
-//! These implement the textbook semantics the pipelined executor must agree
-//! with; the integration suite cross-checks [`crate::exec::execute`] against
-//! compositions of these operators. They are also used directly by the
-//! Yannakakis semijoin reducer and the fully-materialized ablation executor.
-
-use rustc_hash::FxHashSet;
+//! These implement the textbook semantics the executor must agree with:
+//! the tests' flow model composes them into an independent evaluation of a
+//! plan and checks [`crate::exec::execute`] against it. They are also used
+//! directly by `ppr-core`'s semijoin pre-reduction (`core::reduce`) and by
+//! the join-algorithm ablation (`experiments ablation-join`).
 
 use crate::key::{JoinKey, KeyedMap, KeyedSet};
 use crate::relation::Relation;
@@ -206,38 +205,10 @@ pub fn project_distinct(rel: &Relation, keep: &[AttrId]) -> Relation {
     r
 }
 
-/// `σ_{attr = value}`.
-pub fn select_eq(rel: &Relation, attr: AttrId, value: Value) -> Relation {
-    let p = rel
-        .schema()
-        .position(attr)
-        .unwrap_or_else(|| panic!("attribute {attr} not in {}", rel.schema()));
-    let rows = rel
-        .tuples()
-        .iter()
-        .filter(|t| t[p] == value)
-        .cloned()
-        .collect();
-    Relation::new(format!("σ({})", rel.name()), rel.schema().clone(), rows)
-}
-
-/// `σ_{a = b}` for two attributes of the same relation.
-pub fn select_attr_eq(rel: &Relation, a: AttrId, b: AttrId) -> Relation {
-    let pa = rel.schema().positions(&[a])[0];
-    let pb = rel.schema().positions(&[b])[0];
-    let rows = rel
-        .tuples()
-        .iter()
-        .filter(|t| t[pa] == t[pb])
-        .cloned()
-        .collect();
-    Relation::new(format!("σ({})", rel.name()), rel.schema().clone(), rows)
-}
-
 /// Semijoin `left ⋉ right`: tuples of `left` with at least one join partner
 /// in `right`. This is the Wong–Youssefi reduction step; the paper notes it
 /// is useless on its 3-COLOR workloads (projecting the edge relation yields
-/// all values) but we provide it for the Yannakakis extension.
+/// all values). `core::reduce` applies it as a semijoin pre-reduction.
 pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
     let keys = left.schema().common(right.schema());
     if keys.is_empty() {
@@ -270,39 +241,6 @@ pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
     Relation::new(
         format!("({}⋉{})", left.name(), right.name()),
         left.schema().clone(),
-        rows,
-    )
-}
-
-/// Set union; panics if schemas differ.
-pub fn union(a: &Relation, b: &Relation) -> Relation {
-    assert_eq!(a.schema(), b.schema(), "union requires identical schemas");
-    let mut rows = a.tuples().to_vec();
-    rows.extend_from_slice(b.tuples());
-    Relation::from_distinct_rows(
-        format!("({}∪{})", a.name(), b.name()),
-        a.schema().clone(),
-        rows,
-    )
-}
-
-/// Set difference `a − b`; panics if schemas differ.
-pub fn difference(a: &Relation, b: &Relation) -> Relation {
-    assert_eq!(
-        a.schema(),
-        b.schema(),
-        "difference requires identical schemas"
-    );
-    let bset: FxHashSet<&Tuple> = b.tuples().iter().collect();
-    let rows = a
-        .tuples()
-        .iter()
-        .filter(|t| !bset.contains(t))
-        .cloned()
-        .collect();
-    Relation::from_distinct_rows(
-        format!("({}−{})", a.name(), b.name()),
-        a.schema().clone(),
         rows,
     )
 }
@@ -414,21 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn select_eq_filters() {
-        let a = rel("a", &[1, 2], &[&[1, 10], &[2, 20]]);
-        let s = select_eq(&a, AttrId(1), 2);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.tuples()[0], tuple(&[2, 20]));
-    }
-
-    #[test]
-    fn select_attr_eq_filters() {
-        let a = rel("a", &[1, 2], &[&[1, 1], &[2, 3]]);
-        let s = select_attr_eq(&a, AttrId(1), AttrId(2));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
     fn semijoin_keeps_matching() {
         let a = rel("a", &[1, 2], &[&[1, 10], &[2, 20]]);
         let b = rel("b", &[2, 3], &[&[10, 7]]);
@@ -444,16 +367,6 @@ mod tests {
         let empty = rel("c", &[2], &[]);
         assert_eq!(semijoin(&a, &nonempty).len(), 2);
         assert_eq!(semijoin(&a, &empty).len(), 0);
-    }
-
-    #[test]
-    fn union_and_difference() {
-        let a = rel("a", &[1], &[&[1], &[2]]);
-        let b = rel("b", &[1], &[&[2], &[3]]);
-        assert_eq!(union(&a, &b).len(), 3);
-        let d = difference(&a, &b);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d.tuples()[0], tuple(&[1]));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Push-based streaming executor over secondary indexes.
 //!
-//! This is [`crate::exec::ExecMode::Streaming`]: a callback-driven operator
+//! The executor [`crate::exec::execute`] runs: a callback-driven operator
 //! pipeline in the style of SpacetimeDB's `PipelinedExecutor`. Instead of
-//! the classic executor's per-query preparation — `bind` copies of every
-//! scanned relation plus a hash-table build per join stage — the pipeline
-//! is wired from six operators that push rows downstream:
+//! per-query preparation — `bind` copies of every scanned relation plus a
+//! hash-table build per join stage — the pipeline is wired from six
+//! operators that push rows downstream:
 //!
 //! * **`TableScan`** — streams the outer input's rows straight off the
 //!   base relation, no bind copy (`Source::Table`).
@@ -15,28 +15,29 @@
 //!   (`StreamStage::Index`); the index is built lazily once per
 //!   relation and shared by every query holding the snapshot `Arc`.
 //! * **`HashJoin`** — fallback for multi-attribute keys, cross products,
-//!   and subquery inputs: the classic per-query build
-//!   (`StreamStage::Hash`), which takes a subquery's rows by value.
+//!   and subquery inputs: a per-query build (`StreamStage::Hash`), which
+//!   takes a subquery's rows by value.
 //! * **`Filter`** — repeated-attribute equality checks (`edge(x, x)`),
 //!   applied inline at the scan or per index posting.
 //! * **`Project`** — column collapse at scans and the `DISTINCT`
 //!   projection at the sink (`crate::exec::Sink`).
 //!
 //! Nothing materializes except at `ProjectDistinct` (subquery-dedup)
-//! boundaries — the same boundaries the classic pipeline has, in the same
-//! representation: one flat row buffer per boundary (see [`crate::exec`]),
-//! streamed by the next pipeline's source or grouped in place as its hash
-//! build. No [`Relation`] is built below the plan root.
+//! boundaries, each one flat row buffer (see [`crate::exec`]), streamed by
+//! the next pipeline's source or grouped in place as its hash build. No
+//! [`Relation`] is built below the plan root.
 //!
-//! **Byte identity.** Output rows, their order, and `tuples_flowed` are
-//! exactly those of [`crate::exec::ExecMode::Pipelined`]. This holds
-//! because index postings are kept in ascending row order (the order a
-//! per-query build table would have recorded), repeated-attribute filters
-//! drop exactly the rows `bind` would have dropped, and the meter is
-//! ticked at the same points. `tests/streaming.rs` asserts all of it by
-//! proptest against the pipelined oracle and the materializing ablation.
+//! **What is pinned.** The rows and the plan-level counters
+//! (`tuples_flowed`, materializations, their peak size, the widest
+//! intermediate) are those of the textbook algebra: the crate's flow model
+//! evaluates each plan with [`crate::ops`] and the tests check every
+//! execution against it. Index postings are kept in ascending row order,
+//! repeated-attribute filters drop exactly the rows `bind` would drop, and
+//! the meter ticks once per row entering a pipeline and once per row a
+//! stage emits. Row order and every counter, physical ones included, are
+//! frozen per case in `crates/core/tests/golden/exec.txt`.
 //!
-//! What changes is the *physical* work, visible in
+//! What the indexes change is the *physical* work, visible in
 //! [`ExecStats::rows_scanned`] / [`ExecStats::index_probes`] /
 //! [`ExecStats::index_builds`]: a warm repeated query touches no per-query
 //! builds at all, which is where the serving stack's exec-phase latency
@@ -228,7 +229,7 @@ fn eq_ok(eq_checks: &[(usize, usize)], row: &[Value]) -> bool {
 
 /// `ops::bind` into flat rows: the scan's bound schema and the base rows
 /// that pass its repeated-attribute checks, repeated columns collapsed.
-pub(crate) fn bind_rows(base: &Relation, binding: &[AttrId]) -> SubResult {
+fn bind_rows(base: &Relation, binding: &[AttrId]) -> SubResult {
     let (schema, out_pos, eq_checks) = bind_shape(binding);
     let mut rows = Rows::new(schema.arity());
     for t in base.tuples().iter().filter(|t| eq_ok(&eq_checks, t)) {
@@ -323,8 +324,8 @@ fn pipeline_shape(plan: &Plan, distinct: bool) -> OpProfile {
     root
 }
 
-/// Streaming counterpart of the classic executor's `materialize`: runs the
-/// pipeline ending at `plan`, recursing into `ProjectDistinct` inputs.
+/// Runs the pipeline ending at `plan`, recursing into `ProjectDistinct`
+/// inputs first.
 /// Under [`ppr_obs::ProfileMode::On`] the per-operator profile of the
 /// root pipeline lands in [`ExecStats::op_profile`].
 pub(crate) fn materialize_streaming(
@@ -374,8 +375,8 @@ fn materialize_streaming_prof(
 /// Returns `None` when the shape does not apply (multi-column keep,
 /// repeated attributes adding a selection, dedup disabled) and the caller
 /// falls back to the general pipeline. The meter still ticks once per
-/// base row — the logical tuple flow is a plan property and must match
-/// the other executors exactly.
+/// base row — the logical tuple flow is a plan property and must equal
+/// the general pipeline's.
 fn ix_scan_distinct(
     input: &Plan,
     keep: &[AttrId],
@@ -446,7 +447,7 @@ fn pipeline_streaming(
     let mut prof: Option<PipeProf> = profiling.then(|| PipeProf { nodes: Vec::new() });
 
     // Source: scans stream straight off the base relation (no bind copy);
-    // subqueries materialize first, as in every mode.
+    // subqueries materialize first.
     // `eq_checks` are the `(first, later)` source-row positions that must
     // agree and `out_pos` the positions streamed (`None` = all of them).
     let (mut acc, source, out_pos, eq_checks) = match chain[0] {
@@ -598,8 +599,7 @@ fn pipeline_streaming(
     Ok(((out_schema, rows), profile))
 }
 
-/// Depth-first push through the stages — the streaming counterpart of the
-/// classic executor's `probe`, with identical meter ticks.
+/// Depth-first push through the stages, one meter tick per emitted row.
 ///
 /// `prof`, when present, indexes stage `idx` at `nodes[idx + 1]` (node 0
 /// is the source) and the sink at the last node. All bookkeeping hides
@@ -717,7 +717,8 @@ fn probe_streaming(
 mod tests {
     use super::*;
     use crate::budget::Budget;
-    use crate::exec::{execute_pipelined, execute_with, ExecMode};
+    use crate::exec::{execute, execute_with};
+    use crate::flow_model;
     use crate::schema::AttrId;
     use crate::value::tuple;
 
@@ -739,29 +740,12 @@ mod tests {
     }
 
     fn streaming(plan: &Plan) -> (Relation, ExecStats) {
-        execute_with(
-            plan,
-            &Budget::unlimited(),
-            ExecOptions {
-                mode: ExecMode::Streaming,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap()
+        execute(plan, &Budget::unlimited()).unwrap()
     }
 
-    fn assert_byte_identical(plan: &Plan) {
-        let (s, s_stats) = streaming(plan);
-        let (p, p_stats) = execute_pipelined(plan, &Budget::unlimited()).unwrap();
-        assert_eq!(s.schema(), p.schema());
-        assert_eq!(s.tuples(), p.tuples());
-        assert_eq!(s.is_deduped(), p.is_deduped());
-        assert_eq!(s_stats.tuples_flowed, p_stats.tuples_flowed);
-        assert_eq!(s_stats.materializations, p_stats.materializations);
-        assert_eq!(
-            s_stats.max_intermediate_arity,
-            p_stats.max_intermediate_arity
-        );
+    /// The streaming run of `plan` has the flow model's rows and counters.
+    fn assert_matches_model(plan: &Plan) {
+        flow_model::check(plan, true, &streaming(plan));
     }
 
     #[test]
@@ -771,7 +755,7 @@ mod tests {
             .join(Plan::scan(e.clone(), vec![a(2), a(3)]))
             .join(Plan::scan(e, vec![a(1), a(3)]))
             .project(vec![a(1)]);
-        assert_byte_identical(&plan);
+        assert_matches_model(&plan);
     }
 
     #[test]
@@ -783,7 +767,7 @@ mod tests {
                 .join(Plan::scan(e.clone(), vec![a(i), a(i + 1)]))
                 .project(vec![a(i + 1)]);
         }
-        assert_byte_identical(&plan);
+        assert_matches_model(&plan);
     }
 
     #[test]
@@ -791,14 +775,14 @@ mod tests {
         let e = edge(3);
         // edge(x, x) ⋈ edge(y, z): an empty filtered scan crossed in.
         let plan = Plan::scan(e.clone(), vec![a(1), a(1)]).join(Plan::scan(e, vec![a(2), a(3)]));
-        assert_byte_identical(&plan);
+        assert_matches_model(&plan);
     }
 
     #[test]
     fn bag_roots_match() {
         let e = edge(4);
         let plan = Plan::scan(e.clone(), vec![a(1), a(2)]).join(Plan::scan(e, vec![a(2), a(3)]));
-        assert_byte_identical(&plan);
+        assert_matches_model(&plan);
     }
 
     #[test]
@@ -810,7 +794,7 @@ mod tests {
         assert!(rel.is_deduped());
         assert_eq!(stats.index_probes, 1);
         assert_eq!(stats.index_builds, 1);
-        assert_byte_identical(&plan);
+        assert_matches_model(&plan);
     }
 
     #[test]
@@ -841,7 +825,6 @@ mod tests {
             &plan,
             &Budget::unlimited(),
             ExecOptions {
-                mode: ExecMode::Streaming,
                 profile: ProfileMode::On,
                 ..ExecOptions::default()
             },
@@ -893,7 +876,6 @@ mod tests {
             &plan,
             &Budget::unlimited(),
             ExecOptions {
-                mode: ExecMode::Streaming,
                 profile: ProfileMode::On,
                 ..ExecOptions::default()
             },
@@ -930,7 +912,6 @@ mod tests {
             &plan,
             &Budget::unlimited(),
             ExecOptions {
-                mode: ExecMode::Streaming,
                 profile: ProfileMode::On,
                 ..ExecOptions::default()
             },
@@ -962,32 +943,18 @@ mod tests {
             .join(Plan::scan(e.clone(), vec![a(2), a(3)]))
             .join(Plan::scan(e, vec![a(3), a(4)]))
             .project(vec![a(1)]);
-        let budget = Budget::tuples(17);
-        let s = execute_with(
-            &plan,
-            &budget,
-            ExecOptions {
-                mode: ExecMode::Streaming,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap_err();
-        let p = execute_pipelined(&plan, &budget).unwrap_err();
-        match (s, p) {
-            (
+        let flow = flow_model::check(&plan, true, &streaming(&plan));
+        // A budget of k < flow tuples trips on tuple k + 1; k = flow does not.
+        for k in 0..flow {
+            let err = execute(&plan, &Budget::tuples(k)).unwrap_err();
+            assert_eq!(
+                err,
                 RelalgError::BudgetExceeded {
-                    kind: sk,
-                    tuples_flowed: sf,
-                },
-                RelalgError::BudgetExceeded {
-                    kind: pk,
-                    tuples_flowed: pf,
-                },
-            ) => {
-                assert_eq!(sk, pk);
-                assert_eq!(sf, pf);
-            }
-            other => panic!("expected budget errors, got {other:?}"),
+                    kind: crate::budget::BudgetKind::Tuples,
+                    tuples_flowed: k + 1,
+                }
+            );
         }
+        assert!(execute(&plan, &Budget::tuples(flow)).is_ok());
     }
 }

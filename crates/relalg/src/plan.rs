@@ -30,9 +30,10 @@ pub enum Plan {
     /// Natural join of the two inputs on their shared attributes; a cross
     /// product when they share none (the paper's `ON (TRUE)`).
     Join {
-        /// Outer input (streamed by the pipelined executor).
+        /// Outer input: its join chain comes first in the pipeline.
         left: Box<Plan>,
-        /// Inner input (hash table is built on this side).
+        /// Inner input: the executor probes it, through a per-query hash
+        /// table or a cached secondary index of a scanned relation.
         right: Box<Plan>,
     },
     /// `SELECT DISTINCT keep FROM input` — materializes and de-duplicates.

@@ -32,7 +32,7 @@ pub struct ExecStats {
     pub join_stages: u64,
     /// Wall-clock execution time.
     pub elapsed: Duration,
-    /// Worker threads the executor ran with. Every executor is serial, so
+    /// Worker threads the executor ran with. The executor is serial, so
     /// this is always 1; kept because the wire protocol reports it
     /// (`threads=`).
     pub threads_used: u64,
@@ -42,9 +42,9 @@ pub struct ExecStats {
     /// Physical input rows read: base rows streamed by scans, rows hashed
     /// into per-query build tables, base rows read while building a
     /// secondary index, and index postings walked at probe time. Unlike
-    /// [`ExecStats::tuples_flowed`] (a plan property, identical across
-    /// executors), this measures the *work the chosen executor did* — the
-    /// streaming executor's cached indexes make it drop on warm runs.
+    /// [`ExecStats::tuples_flowed`] (a plan property, fixed by the textbook
+    /// algebra), this measures the *work the executor did* — its cached
+    /// indexes make it drop on warm runs.
     pub rows_scanned: u64,
     /// Rows pushed out of pipelines into their sinks (before any
     /// `DISTINCT` de-duplication the sink applies).

@@ -1077,8 +1077,8 @@ fn process<'a>(
     let budget = budget.clamp(&shared.max_budget);
 
     let started = Instant::now();
-    // Every request takes the streaming executor (`ExecMode::Streaming`,
-    // the `exec::execute` default): per-column indexes are built lazily
+    // Every request takes the one executor, the streaming pipeline of
+    // `exec::execute_with`: per-column indexes are built lazily
     // and cached on the pinned snapshot's `Arc`-shared relations, so
     // every later request against the same catalog version probes them
     // for free — copy-on-write catalog updates clone the relation and

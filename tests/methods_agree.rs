@@ -1,15 +1,18 @@
 //! Cross-method correctness: every optimization method must compute
 //! exactly the same result as the unoptimized baseline, and the baseline
 //! must match an independent reference — a backtracking solver for the
-//! Boolean answer, the benchmark's assignment enumerator for the rows.
+//! Boolean answer, the benchmark's assignment enumerator for the rows. The
+//! same enumerator checks the serving engine in every cache state.
 
 use std::collections::HashMap;
 
 use projection_pushing::prelude::*;
 use projection_pushing::relalg::{AttrId, Relation};
+use projection_pushing::service::{EngineHandle, DEFAULT_DB};
 use projection_pushing::workload::{color::is_colorable, random_sat, sat_query};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// The backtracking enumerator the benchmark checks replies against:
@@ -55,6 +58,46 @@ fn sorted_rows(rel: &Relation) -> Vec<Vec<u32>> {
     let mut rows: Vec<Vec<u32>> = rel.tuples().iter().map(|t| t.to_vec()).collect();
     rows.sort_unstable();
     rows
+}
+
+/// `q` as rule text (`q(…) :- edge(…), …`), every variable renamed by
+/// `rename`.
+fn rule_text(q: &ConjunctiveQuery, rename: impl Fn(String) -> String) -> String {
+    let name = |v: &AttrId| rename(q.vars.name(*v));
+    let head: Vec<String> = q.free.iter().map(name).collect();
+    let body: Vec<String> = q
+        .atoms
+        .iter()
+        .map(|atom| {
+            let args: Vec<String> = atom.args.iter().map(name).collect();
+            format!("{}({})", atom.relation, args.join(", "))
+        })
+        .collect();
+    format!("q({}) :- {}", head.join(", "), body.join(", "))
+}
+
+/// Runs `text` under `method` through the engine: its sorted rows and
+/// whether they came from the result cache.
+fn engine_rows(engine: &EngineHandle, text: &str, method: Method) -> (Vec<Vec<u32>>, bool) {
+    let response = engine
+        .execute(Request::new(text, method))
+        .unwrap_or_else(|e| panic!("{} on {text}: {e}", method.name()));
+    let mut rows: Vec<Vec<u32>> = response.rows.iter().map(|t| t.to_vec()).collect();
+    rows.sort_unstable();
+    (rows, response.result_cache_hit)
+}
+
+/// A fresh data directory for one durable catalog.
+fn data_dir() -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "ppr-methods-agree-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn all_methods() -> Vec<Method> {
@@ -141,10 +184,10 @@ proptest! {
         prop_assert_eq!(!rel.is_empty(), expected);
     }
 
-    /// Every method's plan returns exactly the oracle's rows, on Boolean
-    /// and 20%-free instances, under both the streaming and the fully
-    /// materialized executor. The oracle shares no code with the planner,
-    /// so this is the pipeline's row-level correctness check.
+    /// Every method's plan, run by the executor, returns exactly the
+    /// oracle's rows, on Boolean and 20%-free instances. The oracle shares
+    /// no code with the planner or the executor, so this is the pipeline's
+    /// row-level correctness check.
     #[test]
     fn executors_agree(
         order in 3usize..9,
@@ -168,11 +211,81 @@ proptest! {
         let expected = oracle_rows(&q, &db);
         for method in all_methods() {
             let plan = build_plan(method, &q, &db, &mut rng);
-            let (a, _) = exec::execute(&plan, &Budget::unlimited()).unwrap();
-            let (b, _) = exec::execute_materialized(&plan, &Budget::unlimited()).unwrap();
-            prop_assert!(a.set_eq(&b), "{} executors disagree", method.name());
-            prop_assert_eq!(&sorted_rows(&b), &expected, "{} vs oracle", method.name());
+            let (rel, _) = exec::execute(&plan, &Budget::unlimited()).unwrap();
+            prop_assert_eq!(&sorted_rows(&rel), &expected, "{} vs oracle", method.name());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// One oracle across the engine's cache states. For every method,
+    /// `EngineHandle::execute` returns exactly the oracle's rows: cold;
+    /// warm, for the query renamed with its atoms permuted (a result-cache
+    /// hit); after a `Catalog::add` of `edge(1,1)` (a miss, since the data
+    /// changed); and after the durable catalog is reopened from its data
+    /// directory.
+    #[test]
+    fn engine_matches_oracle_across_cache_states(
+        order in 3usize..8,
+        extra in 0usize..6,
+        boolean in prop::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let max = order * (order - 1) / 2;
+        let m = (order - 1 + extra).min(max);
+        let g = projection_pushing::graph::generate::random_graph(order, m, &mut rng);
+        prop_assume!(!g.edges().is_empty());
+        let options = if boolean {
+            ColorQueryOptions::boolean()
+        } else {
+            ColorQueryOptions::non_boolean()
+        };
+        let (q, db) = color_query(&g, &options, &mut rng);
+        let text = rule_text(&q, |name| name);
+        let mut perm: Vec<usize> = (0..q.num_atoms()).collect();
+        perm.shuffle(&mut rng);
+        let renamed = rule_text(&q.permuted(&perm), |name| format!("r{name}"));
+
+        let dir = data_dir();
+        let (catalog, _) = Catalog::open(&dir).expect("open data dir");
+        catalog.insert(DEFAULT_DB, db.clone()).expect("insert");
+        let engine = Engine::start(catalog, EngineConfig::default());
+        let handle = engine.handle();
+        let expected = oracle_rows(&q, &db);
+        for method in all_methods() {
+            let (rows, hit) = engine_rows(&handle, &text, method);
+            prop_assert!(!hit, "{} cold", method.name());
+            prop_assert_eq!(&rows, &expected, "{} cold", method.name());
+        }
+        for method in all_methods() {
+            let (rows, hit) = engine_rows(&handle, &renamed, method);
+            prop_assert!(hit, "{} warm: {renamed}", method.name());
+            prop_assert_eq!(&rows, &expected, "{} warm", method.name());
+        }
+
+        let catalog = handle.catalog();
+        catalog.add(DEFAULT_DB, "edge", vec![1, 1].into_boxed_slice()).expect("add");
+        let mutated = catalog.snapshot(DEFAULT_DB).expect("default db").db;
+        let expected = oracle_rows(&q, &mutated);
+        for method in all_methods() {
+            let (rows, hit) = engine_rows(&handle, &text, method);
+            prop_assert!(!hit, "{} after add", method.name());
+            prop_assert_eq!(&rows, &expected, "{} after add", method.name());
+        }
+        drop((catalog, handle));
+        engine.shutdown();
+
+        let (catalog, _) = Catalog::open(&dir).expect("reopen data dir");
+        let engine = Engine::start(catalog, EngineConfig::default());
+        for method in all_methods() {
+            let (rows, _) = engine_rows(&engine.handle(), &text, method);
+            prop_assert_eq!(&rows, &expected, "{} after reopen", method.name());
+        }
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
