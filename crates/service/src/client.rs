@@ -1,10 +1,8 @@
-//! Blocking TCP clients for the line protocol: the serial [`Client`]
-//! (protocol v1) and the pipelined [`Pipeline`] (protocol v2).
+//! The blocking TCP client for the line protocol: [`Client`] speaks
+//! protocol v1, one untagged request in flight at a time.
 
-use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use ppr_relalg::Value;
 
@@ -16,7 +14,17 @@ use crate::protocol::{self, Ack, Command, ExplainReport, TraceReport};
 use crate::ServiceError;
 
 /// A connected client. One request is in flight at a time per client;
-/// open more clients — or a [`Pipeline`] — for concurrency.
+/// open more clients for concurrency. Pipelining (protocol v2, tagged
+/// requests) is a wire feature, described in `docs/PROTOCOL.md` §7.2.
+///
+/// ```no_run
+/// # fn main() -> Result<(), ppr_service::ServiceError> {
+/// use ppr_service::{Client, Request};
+/// let mut client = Client::connect("127.0.0.1:7171")?;
+/// let reply = client.run(&Request::query("q() :- edge(x,y), edge(y,x)"))?;
+/// println!("{} rows", reply.rows.len());
+/// # Ok(()) }
+/// ```
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -176,214 +184,6 @@ impl Client {
     }
 }
 
-/// Receipt for a request submitted on a [`Pipeline`]; redeem it exactly
-/// once with [`Pipeline::wait`] (or [`Pipeline::wait_ack`] for tagged
-/// catalog verbs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket(u64);
-
-/// A pipelined (protocol v2) connection: many tagged requests in flight
-/// at once, completed by the server in any order.
-///
-/// [`submit`] queues a request without waiting — request bytes are
-/// buffered and flushed lazily, so a burst of submissions costs one
-/// write syscall, which is where the single-core pipelining win comes
-/// from. [`wait`] redeems a ticket, stashing any other replies that
-/// arrive first. The connection respects the server's advertised
-/// window: submitting past it first drains one completion, so the
-/// client can never deadlock against the server's read backpressure.
-///
-/// ```no_run
-/// # use ppr_service::{Pipeline, Request};
-/// # use ppr_core::methods::Method;
-/// # fn main() -> Result<(), ppr_service::ServiceError> {
-/// let mut pipe = Pipeline::connect("127.0.0.1:7878")?;
-/// let req = Request::query("q() :- edge(x,y), edge(y,z), edge(z,x)")
-///     .method(Method::EarlyProjection);
-/// let a = pipe.submit(&req)?;
-/// let b = pipe.submit(&req)?;
-/// let rb = pipe.wait(b)?; // order of redemption is free
-/// let ra = pipe.wait(a)?;
-/// assert_eq!(ra.rows, rb.rows);
-/// # Ok(()) }
-/// ```
-///
-/// [`submit`]: Pipeline::submit
-/// [`wait`]: Pipeline::wait
-pub struct Pipeline {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    next_id: u64,
-    /// Ids submitted and not yet redeemed or stashed.
-    pending: HashSet<u64>,
-    /// Replies that arrived while waiting for a different id.
-    ready: HashMap<u64, String>,
-    window: usize,
-}
-
-impl Pipeline {
-    /// Connects to a running [`crate::Server`] and performs the
-    /// `hello proto=2` handshake. Fails with [`ServiceError::Protocol`]
-    /// against a v1-only server.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Pipeline, ServiceError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let mut pipe = Pipeline {
-            reader,
-            writer: BufWriter::new(stream),
-            next_id: 1,
-            pending: HashSet::new(),
-            ready: HashMap::new(),
-            window: 1,
-        };
-        pipe.writer.write_all(b"hello proto=2\n")?;
-        pipe.writer.flush()?;
-        let mut reply = String::new();
-        if pipe.reader.read_line(&mut reply)? == 0 {
-            return Err(ServiceError::Io("server closed the connection".into()));
-        }
-        let ack = protocol::decode_hello_ok(&reply)?;
-        if ack.proto < 2 || ack.window == 0 {
-            return Err(ServiceError::Protocol(format!(
-                "server negotiated proto={} window={}",
-                ack.proto, ack.window
-            )));
-        }
-        pipe.window = ack.window;
-        Ok(pipe)
-    }
-
-    /// The server's in-flight window for this connection.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Requests currently in flight (submitted, reply not yet read).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn submit_line(&mut self, line: &str) -> Result<Ticket, ServiceError> {
-        // Never outrun the server's window: it would stop reading, our
-        // writes would stall in TCP, and a client that only writes would
-        // deadlock. Draining one completion first makes that impossible.
-        while self.pending.len() >= self.window {
-            self.writer.flush()?;
-            self.stash_one()?;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let tagged = protocol::tag_request(id, line);
-        self.writer.write_all(tagged.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.pending.insert(id);
-        Ok(Ticket(id))
-    }
-
-    /// Queues a query without waiting for the result.
-    pub fn submit(&mut self, request: &Request) -> Result<Ticket, ServiceError> {
-        self.submit_line(&protocol::encode_request(request))
-    }
-
-    /// Queues a tagged `use`: the session switch takes effect, in order,
-    /// for every request submitted after it, while earlier in-flight
-    /// requests keep their database — the server pins snapshots at
-    /// submission order. Redeem with [`Pipeline::wait_ack`].
-    pub fn submit_use(&mut self, db: &str) -> Result<Ticket, ServiceError> {
-        self.submit_line(&protocol::encode_command(&Command::Use(db.to_string())))
-    }
-
-    /// Redeems a ticket for its query result, reading (and stashing)
-    /// other replies until this one arrives.
-    pub fn wait(&mut self, ticket: Ticket) -> Result<Response, ServiceError> {
-        let line = self.wait_line(ticket)?;
-        protocol::decode_result(&line)
-    }
-
-    /// Redeems a ticket from [`Pipeline::submit_use`] for its ack.
-    pub fn wait_ack(&mut self, ticket: Ticket) -> Result<Ack, ServiceError> {
-        let line = self.wait_line(ticket)?;
-        protocol::decode_ack(&line)
-    }
-
-    fn wait_line(&mut self, Ticket(id): Ticket) -> Result<String, ServiceError> {
-        loop {
-            if let Some(line) = self.ready.remove(&id) {
-                return Ok(line);
-            }
-            if !self.pending.contains(&id) {
-                return Err(ServiceError::Protocol(format!(
-                    "ticket {id} was never submitted or already redeemed"
-                )));
-            }
-            self.writer.flush()?;
-            self.stash_one()?;
-        }
-    }
-
-    /// Reads one reply line and files it by id.
-    fn stash_one(&mut self) -> Result<(), ServiceError> {
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(ServiceError::Io("server closed the connection".into()));
-        }
-        let (id, payload) = protocol::split_reply_tag(&reply)?;
-        let Some(id) = id else {
-            return Err(ServiceError::Protocol(format!(
-                "untagged reply on a pipelined connection: `{}`",
-                payload.trim_end()
-            )));
-        };
-        if !self.pending.remove(&id) {
-            return Err(ServiceError::Protocol(format!("reply for unknown id {id}")));
-        }
-        self.ready.insert(id, payload);
-        Ok(())
-    }
-
-    /// Submits every request, then collects the results in request
-    /// order: the whole batch rides the window, so the server sees it
-    /// as one burst. Per-request failures come back in the `Vec`;
-    /// transport failure fails the call.
-    pub fn run_batch(
-        &mut self,
-        requests: &[Request],
-    ) -> Result<Vec<Result<Response, ServiceError>>, ServiceError> {
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .map(|r| self.submit(r))
-            .collect::<Result<_, _>>()?;
-        tickets
-            .into_iter()
-            .map(|t| match self.wait_line(t) {
-                Ok(line) => Ok(protocol::decode_result(&line)),
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
-}
-
-impl Drop for Pipeline {
-    /// Best-effort drain: collect outstanding replies (briefly) so the
-    /// socket closes cleanly instead of resetting under the server's
-    /// in-flight completions.
-    fn drop(&mut self) {
-        if self.pending.is_empty() || self.writer.flush().is_err() {
-            return;
-        }
-        let _ = self
-            .reader
-            .get_ref()
-            .set_read_timeout(Some(Duration::from_secs(2)));
-        while !self.pending.is_empty() {
-            if self.stash_one().is_err() {
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,111 +233,6 @@ mod tests {
 
         let bad = client.run(&Request::new("nope", Method::Naive));
         assert!(matches!(bad, Err(ServiceError::Parse(_))));
-
-        server.shutdown();
-        engine.shutdown();
-    }
-
-    #[test]
-    fn pipeline_round_trips_out_of_order() {
-        let (mut server, addr, engine) = serve();
-        let mut pipe = Pipeline::connect(addr).unwrap();
-        assert!(pipe.window() >= 1);
-
-        let reqs: Vec<Request> = [
-            "q(x, y) :- edge(x, y), edge(y, x)",
-            "q() :- edge(a, b), edge(b, c)",
-            "q(x) :- edge(x, y), edge(y, z), edge(z, x)",
-        ]
-        .iter()
-        .map(|r| Request::new(*r, Method::EarlyProjection))
-        .collect();
-
-        // Serial ground truth over the same engine.
-        let mut serial = Client::connect(addr).unwrap();
-        let expected: Vec<Response> = reqs.iter().map(|r| serial.run(r).unwrap()).collect();
-
-        let tickets: Vec<Ticket> = reqs.iter().map(|r| pipe.submit(r).unwrap()).collect();
-        assert_eq!(pipe.in_flight(), 3);
-        // Redeem in reverse order: the stash demuxes whatever arrives.
-        for (ticket, want) in tickets.into_iter().zip(&expected).rev() {
-            let got = pipe.wait(ticket).unwrap();
-            assert_eq!(got.rows, want.rows);
-            assert_eq!(got.columns, want.columns);
-        }
-        assert_eq!(pipe.in_flight(), 0);
-
-        // A ticket redeems exactly once.
-        let t = pipe.submit(&reqs[0]).unwrap();
-        pipe.wait(t).unwrap();
-        assert!(matches!(pipe.wait(t), Err(ServiceError::Protocol(_))));
-
-        // run_batch keeps request order regardless of completion order.
-        let batch = pipe.run_batch(&reqs).unwrap();
-        assert_eq!(batch.len(), 3);
-        for (got, want) in batch.iter().zip(&expected) {
-            assert_eq!(got.as_ref().unwrap().rows, want.rows);
-        }
-
-        // Per-request errors ride inside the batch.
-        let mixed = pipe
-            .run_batch(&[
-                reqs[0].clone(),
-                Request::new("nope", Method::Naive),
-                reqs[1].clone(),
-            ])
-            .unwrap();
-        assert!(mixed[0].is_ok());
-        assert!(matches!(mixed[1], Err(ServiceError::Parse(_))));
-        assert!(mixed[2].is_ok());
-
-        server.shutdown();
-        engine.shutdown();
-    }
-
-    #[test]
-    fn pipeline_submits_past_the_window_without_deadlock() {
-        let (mut server, addr, engine) = serve();
-        let mut pipe = Pipeline::connect(addr).unwrap();
-        let req = Request::new("q() :- edge(a, b), edge(b, c)", Method::Straightforward);
-        let n = pipe.window() * 2 + 3;
-        let reqs = vec![req; n];
-        let results = pipe.run_batch(&reqs).unwrap();
-        assert_eq!(results.len(), n);
-        assert!(results.iter().all(|r| r.is_ok()));
-        server.shutdown();
-        engine.shutdown();
-    }
-
-    #[test]
-    fn pipelined_use_orders_against_surrounding_runs() {
-        let (mut server, addr, engine) = serve();
-        let mut setup = Client::connect(addr).unwrap();
-        setup.create_db("left").unwrap();
-        setup
-            .load("left", "e", vec![vec![1, 1].into_boxed_slice()])
-            .unwrap();
-        setup.create_db("right").unwrap();
-        setup
-            .load(
-                "right",
-                "e",
-                vec![vec![1, 1].into_boxed_slice(), vec![2, 2].into_boxed_slice()],
-            )
-            .unwrap();
-
-        let mut pipe = Pipeline::connect(addr).unwrap();
-        let req = Request::query("q(x) :- e(x, y)").method(Method::Straightforward);
-        let u1 = pipe.submit_use("left").unwrap();
-        let a = pipe.submit(&req).unwrap();
-        let u2 = pipe.submit_use("right").unwrap();
-        let b = pipe.submit(&req).unwrap();
-        // Session switches take effect in submission order even though
-        // everything is in flight at once.
-        assert_eq!(pipe.wait(b).unwrap().rows.len(), 2);
-        assert_eq!(pipe.wait(a).unwrap().rows.len(), 1);
-        assert_eq!(pipe.wait_ack(u1).unwrap().db, "left");
-        assert_eq!(pipe.wait_ack(u2).unwrap().db, "right");
 
         server.shutdown();
         engine.shutdown();

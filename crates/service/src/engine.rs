@@ -263,9 +263,6 @@ pub struct EngineConfig {
     pub max_budget: Budget,
     /// Planner seed used when a request does not carry one.
     pub default_seed: u64,
-    /// Slow-query-log entries retained (worst-N by latency); 0 selects
-    /// [`crate::metrics::DEFAULT_SLOWLOG_CAPACITY`].
-    pub slowlog_capacity: usize,
     /// Run every execution with per-operator profiling on, feeding
     /// the `ppr_op_*` metrics and slow-log operator digests. Costs a few
     /// clock reads per row on the streaming executor's hot path, so it is
@@ -284,7 +281,6 @@ impl Default for EngineConfig {
             result_cache_bytes: 8 << 20,
             max_budget: Budget::tuples(u64::MAX).with_timeout(Duration::from_secs(60)),
             default_seed: 0,
-            slowlog_capacity: 0,
             profile_ops: false,
         }
     }
@@ -675,7 +671,7 @@ impl Engine {
             max_budget: cfg.max_budget,
             default_seed: cfg.default_seed,
             profile_ops: cfg.profile_ops,
-            obs: ServiceMetrics::new(cfg.slowlog_capacity),
+            obs: ServiceMetrics::new(),
         });
         let handles = (0..workers)
             .map(|i| {

@@ -76,7 +76,7 @@ pub use cache::PlanCache;
 pub use catalog::{
     fingerprint_db, Catalog, CatalogError, DbFingerprint, DbInfo, DbSnapshot, DbVersion, DEFAULT_DB,
 };
-pub use client::{Client, Pipeline, Ticket};
+pub use client::Client;
 pub use decomp::{DecompCache, DecompKey};
 pub use engine::{
     Engine, EngineConfig, EngineHandle, EngineStats, ExplainData, ExplainMode, Request, Response,
@@ -86,7 +86,7 @@ pub use lru::CacheStats;
 pub use metrics::{render_slowlog, ServiceMetrics, DEFAULT_SLOWLOG_CAPACITY};
 pub use net::{CloseReason, NetMetrics};
 pub use result_cache::{ResultCache, ResultCacheStats};
-pub use server::{Server, ServerBuilder, ServerConfig};
+pub use server::{Server, ServerBuilder};
 
 use ppr_relalg::RelalgError;
 

@@ -12,8 +12,7 @@ use std::sync::Arc;
 
 use ppr_obs::{Counter, Histogram, Phase, Registry, SlowEntry, SlowLog, OP_KINDS, PHASES};
 
-/// Requests the slow-query log retains by default
-/// ([`crate::EngineConfig::slowlog_capacity`] = 0 selects it).
+/// Requests the slow-query log retains (worst-N by latency).
 pub const DEFAULT_SLOWLOG_CAPACITY: usize = 32;
 
 /// Pre-registered metric handles for the request path.
@@ -70,7 +69,7 @@ pub struct ServiceMetrics {
 
 impl ServiceMetrics {
     /// Registers every request-path metric on a fresh registry.
-    pub fn new(slowlog_capacity: usize) -> Arc<ServiceMetrics> {
+    pub fn new() -> Arc<ServiceMetrics> {
         let registry = Arc::new(Registry::new());
         let phase_us = std::array::from_fn(|i| {
             registry.histogram_with(
@@ -135,11 +134,7 @@ impl ServiceMetrics {
             ),
             op_rows,
             op_time_us,
-            slowlog: Arc::new(SlowLog::new(if slowlog_capacity == 0 {
-                DEFAULT_SLOWLOG_CAPACITY
-            } else {
-                slowlog_capacity
-            })),
+            slowlog: Arc::new(SlowLog::new(DEFAULT_SLOWLOG_CAPACITY)),
             registry,
         })
     }
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn registers_the_documented_names() {
-        let m = ServiceMetrics::new(0);
+        let m = ServiceMetrics::new();
         m.requests_total.inc();
         m.phase_us[Phase::Exec as usize].record(120);
         let text = m.registry.render_prometheus();
@@ -216,7 +211,7 @@ mod tests {
 
     #[test]
     fn slowlog_renders_one_line_per_entry() {
-        let m = ServiceMetrics::new(2);
+        let m = ServiceMetrics::new();
         let mut spans = ppr_obs::TraceSpans::new();
         spans.set(Phase::Exec, 400);
         m.slowlog.record(SlowEntry {

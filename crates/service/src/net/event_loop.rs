@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use crate::engine::{EngineHandle, ReplyFn, Request};
 use crate::protocol::{self, ExplainReport, LineFramer, TraceReport};
-use crate::server::{self, Dispatch, WINDOW};
+use crate::server::{self, Dispatch, MAX_CONNECTIONS, OUTBUF_LIMIT, WINDOW};
 use crate::ServiceError;
 
 use super::sys::{
@@ -79,13 +79,11 @@ const READ_QUANTUM: usize = 256 * 1024;
 /// long to finish and flush before remaining connections are dropped.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Tuning handed down from [`crate::server::ServerConfig`].
+/// What the loop is handed by [`crate::server::ServerBuilder`].
 pub(crate) struct LoopConfig {
     pub engine: EngineHandle,
     pub metrics: Arc<NetMetrics>,
-    pub max_connections: usize,
     pub idle_timeout: Option<Duration>,
-    pub outbuf_limit: usize,
 }
 
 /// One finished engine job headed back to its connection.
@@ -176,9 +174,7 @@ pub(crate) fn spawn(listener: TcpListener, cfg: LoopConfig) -> std::io::Result<E
         stop: stop.clone(),
         engine: cfg.engine,
         metrics: cfg.metrics,
-        max_connections: cfg.max_connections.max(1),
         idle_timeout: cfg.idle_timeout,
-        outbuf_limit: cfg.outbuf_limit.max(4096),
         conns: Vec::new(),
         gens: Vec::new(),
         free: Vec::new(),
@@ -256,9 +252,7 @@ struct Loop {
     stop: Arc<AtomicBool>,
     engine: EngineHandle,
     metrics: Arc<NetMetrics>,
-    max_connections: usize,
     idle_timeout: Option<Duration>,
-    outbuf_limit: usize,
     /// Connection slab: slot-indexed, with per-slot generations so a
     /// completion for a closed connection's token falls on the floor
     /// instead of a stranger's socket.
@@ -333,7 +327,7 @@ impl Loop {
 
     fn accept_ready(&mut self) {
         loop {
-            if self.open >= self.max_connections {
+            if self.open >= MAX_CONNECTIONS {
                 // At capacity: park the listener (level-triggered epoll
                 // would spin otherwise); closing a connection resumes it.
                 self.pause_accept(None);
@@ -411,7 +405,7 @@ impl Loop {
         }
         let backoff_over = self.accept_resume_at.is_none_or(|at| Instant::now() >= at);
         if backoff_over
-            && self.open < self.max_connections
+            && self.open < MAX_CONNECTIONS
             && self
                 .epoll
                 .add(self.listener.as_raw_fd(), EPOLLIN, LISTENER)
@@ -734,10 +728,10 @@ impl Loop {
         conn.out.push(b'\n');
         self.flush_out(conn)?;
         let buffered = conn.out_pending();
-        if buffered > self.outbuf_limit {
+        if buffered > OUTBUF_LIMIT {
             return Err(CloseReason::OutbufOverflow {
                 buffered,
-                limit: self.outbuf_limit,
+                limit: OUTBUF_LIMIT,
             });
         }
         Ok(())
@@ -796,10 +790,10 @@ impl Loop {
                 continue;
             };
             let mut close = self.flush_out(&mut conn).err();
-            if close.is_none() && conn.out_pending() > self.outbuf_limit {
+            if close.is_none() && conn.out_pending() > OUTBUF_LIMIT {
                 close = Some(CloseReason::OutbufOverflow {
                     buffered: conn.out_pending(),
-                    limit: self.outbuf_limit,
+                    limit: OUTBUF_LIMIT,
                 });
             }
             if close.is_none() {

@@ -14,9 +14,6 @@
 //!   per-connection read/write buffers with incremental newline framing
 //!   ([`crate::protocol::LineFramer`]), dispatch into the engine's worker
 //!   pool, and a completion queue drained through an eventfd doorbell.
-//! * [`load`] — an epoll-based load driver (the `ppr client
-//!   --connections` mode and the C10K end-to-end test) that holds
-//!   thousands of pipelined connections from one thread.
 //!
 //! **Backpressure.** A full in-flight window deregisters read interest —
 //! the unread socket stalls the peer's writes in TCP — and never
@@ -27,8 +24,6 @@
 #[cfg(target_os = "linux")]
 pub(crate) mod event_loop;
 #[cfg(target_os = "linux")]
-pub mod load;
-#[cfg(target_os = "linux")]
 pub(crate) mod sys;
 pub(crate) mod timer;
 
@@ -37,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use ppr_obs::{Counter, Gauge, Registry};
 
 /// The soft `RLIMIT_NOFILE` cap — how many fds this process may hold.
-/// Load drivers and the C10K test scale their connection counts to it.
+/// The C10K test scales its connection count to it.
 /// `None` where the limit cannot be read (non-Linux builds).
 pub fn nofile_limit() -> Option<u64> {
     #[cfg(target_os = "linux")]

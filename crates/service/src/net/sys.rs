@@ -66,7 +66,7 @@ struct RLimit {
 }
 
 /// The soft `RLIMIT_NOFILE` cap — how many fds this process may hold.
-/// Load drivers and the C10K test scale their connection counts to it.
+/// The C10K test scales its connection count to it.
 pub fn nofile_limit() -> Option<u64> {
     const RLIMIT_NOFILE: i32 = 7;
     let mut lim = RLimit { cur: 0, max: 0 };

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ppr_durability::{RecoveryReport, StoreOptions, SyncPolicy};
+use ppr_durability::RecoveryReport;
 use ppr_obs::MetricsServer;
 use ppr_query::Database;
 
@@ -47,51 +47,14 @@ use crate::ServiceError;
 /// never shed by admission control.
 pub const WINDOW: usize = 128;
 
-/// Everything a [`Server`] is configured by. Construct via
-/// [`ServerConfig::default`] (or, more usually, [`Server::builder`]) and
-/// override fields; the struct is `#[non_exhaustive]` so new knobs can
-/// land without breaking callers.
-#[non_exhaustive]
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Listen address; use port 0 for an ephemeral port.
-    pub addr: String,
-    /// Hard cap on simultaneously open client connections; at the cap
-    /// the listener stops accepting until a connection closes.
-    pub max_connections: usize,
-    /// Close connections idle (no bytes, nothing in flight) this long —
-    /// the slow-loris guard. `None` disables the timeout.
-    pub idle_timeout: Option<Duration>,
-    /// Bound on the per-connection output buffer; a peer that stops
-    /// reading while replies accumulate past this is disconnected with
-    /// [`CloseReason::OutbufOverflow`](crate::net::CloseReason::OutbufOverflow).
-    pub outbuf_limit: usize,
-    /// Durable catalog directory; `None` serves memory-only.
-    pub data_dir: Option<PathBuf>,
-    /// Whether durable commits fsync (`data_dir` mode only).
-    pub fsync: bool,
-    /// Prometheus-style metrics endpoint address (`/metrics` +
-    /// `/slowlog`); `None` disables the endpoint.
-    pub metrics_addr: Option<String>,
-    /// Engine tuning for a builder-owned engine (ignored when an
-    /// existing [`EngineHandle`] is supplied).
-    pub engine: EngineConfig,
-}
+/// Cap on simultaneously open client connections: at the cap the
+/// listener stops accepting until a connection closes.
+pub const MAX_CONNECTIONS: usize = 10_000;
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:7171".to_string(),
-            max_connections: 10_000,
-            idle_timeout: Some(Duration::from_secs(300)),
-            outbuf_limit: 4 << 20,
-            data_dir: None,
-            fsync: true,
-            metrics_addr: None,
-            engine: EngineConfig::default(),
-        }
-    }
-}
+/// Bound on a connection's output buffer: a peer that stops reading
+/// while replies accumulate past it is disconnected with
+/// [`CloseReason::OutbufOverflow`](crate::net::CloseReason::OutbufOverflow).
+pub const OUTBUF_LIMIT: usize = 4 << 20;
 
 /// Fluent construction for [`Server`]:
 ///
@@ -100,7 +63,6 @@ impl Default for ServerConfig {
 /// # fn main() -> std::io::Result<()> {
 /// let mut server = Server::builder()
 ///     .addr("127.0.0.1:0")
-///     .max_connections(5_000)
 ///     .idle_timeout(Some(std::time::Duration::from_secs(60)))
 ///     .start()?;
 /// let addr = server.local_addr();
@@ -118,19 +80,37 @@ impl Default for ServerConfig {
 /// none of those, the server owns an engine over an empty memory-only
 /// catalog seeded with whatever [`database`](ServerBuilder::database)
 /// provided — or nothing.
-#[derive(Default)]
 pub struct ServerBuilder {
-    cfg: ServerConfig,
+    addr: String,
+    idle_timeout: Option<Duration>,
+    data_dir: Option<PathBuf>,
+    metrics_addr: Option<String>,
+    engine_config: EngineConfig,
     engine: Option<EngineHandle>,
     catalog: Option<Catalog>,
     database: Option<Database>,
+}
+
+impl Default for ServerBuilder {
+    fn default() -> Self {
+        ServerBuilder {
+            addr: "127.0.0.1:7171".to_string(),
+            idle_timeout: Some(Duration::from_secs(300)),
+            data_dir: None,
+            metrics_addr: None,
+            engine_config: EngineConfig::default(),
+            engine: None,
+            catalog: None,
+            database: None,
+        }
+    }
 }
 
 impl ServerBuilder {
     /// Listen address (default `127.0.0.1:7171`; use port 0 for an
     /// ephemeral port).
     pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.cfg.addr = addr.into();
+        self.addr = addr.into();
         self
     }
 
@@ -146,7 +126,7 @@ impl ServerBuilder {
     /// Engine tuning for the builder-owned engine (ignored when
     /// [`engine`](ServerBuilder::engine) supplies a handle).
     pub fn engine_config(mut self, cfg: EngineConfig) -> Self {
-        self.cfg.engine = cfg;
+        self.engine_config = cfg;
         self
     }
 
@@ -164,17 +144,11 @@ impl ServerBuilder {
     }
 
     /// Recover (or initialise) a durable catalog in `dir` and serve it
-    /// through a builder-owned engine. The recovery report is available
-    /// as [`Server::recovery`] afterwards.
+    /// through a builder-owned engine. Every commit is fsynced before
+    /// its ack. The recovery report is available as [`Server::recovery`]
+    /// afterwards.
     pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cfg.data_dir = Some(dir.into());
-        self
-    }
-
-    /// Whether durable commits fsync (default true; only meaningful with
-    /// [`data_dir`](ServerBuilder::data_dir)).
-    pub fn fsync(mut self, fsync: bool) -> Self {
-        self.cfg.fsync = fsync;
+        self.data_dir = Some(dir.into());
         self
     }
 
@@ -182,32 +156,14 @@ impl ServerBuilder {
     /// ephemeral). The exposition includes both the engine's and the
     /// connection layer's series.
     pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
-        self.cfg.metrics_addr = Some(addr.into());
+        self.metrics_addr = Some(addr.into());
         self
     }
 
-    /// Cap on simultaneously open client connections (default 10 000).
-    pub fn max_connections(mut self, cap: usize) -> Self {
-        self.cfg.max_connections = cap.max(1);
-        self
-    }
-
-    /// Idle-connection timeout (default 5 minutes); `None` disables it.
+    /// Close connections idle (no bytes, nothing in flight) this long —
+    /// the slow-loris guard (default 5 minutes); `None` disables it.
     pub fn idle_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.cfg.idle_timeout = timeout;
-        self
-    }
-
-    /// Per-connection output-buffer bound (default 4 MiB).
-    pub fn outbuf_limit(mut self, bytes: usize) -> Self {
-        self.cfg.outbuf_limit = bytes;
-        self
-    }
-
-    /// Replace the whole config at once (field overrides set earlier are
-    /// lost; engine/catalog/database selections are kept).
-    pub fn config(mut self, cfg: ServerConfig) -> Self {
-        self.cfg = cfg;
+        self.idle_timeout = timeout;
         self
     }
 
@@ -223,7 +179,11 @@ impl ServerBuilder {
         ));
 
         let ServerBuilder {
-            cfg,
+            addr,
+            idle_timeout,
+            data_dir,
+            metrics_addr,
+            engine_config,
             engine,
             catalog,
             database,
@@ -235,19 +195,11 @@ impl ServerBuilder {
         let (engine_owned, handle) = match engine {
             Some(handle) => (None, handle),
             None => {
-                let catalog = match (catalog, &cfg.data_dir) {
+                let catalog = match (catalog, data_dir) {
                     (Some(c), _) => c,
                     (None, Some(dir)) => {
-                        let opts = StoreOptions {
-                            sync: if cfg.fsync {
-                                SyncPolicy::Always
-                            } else {
-                                SyncPolicy::Never
-                            },
-                            ..StoreOptions::default()
-                        };
-                        let (catalog, report) = Catalog::open_with(dir, opts)
-                            .map_err(|e| std::io::Error::other(e.to_string()))?;
+                        let (catalog, report) =
+                            Catalog::open(dir).map_err(|e| std::io::Error::other(e.to_string()))?;
                         recovery = Some(report);
                         catalog
                     }
@@ -261,14 +213,14 @@ impl ServerBuilder {
                             .map_err(|e| std::io::Error::other(e.to_string()))?;
                     }
                 }
-                let engine = Engine::start(catalog, cfg.engine.clone());
+                let engine = Engine::start(catalog, engine_config);
                 let handle = engine.handle();
                 (Some(engine), handle)
             }
         };
 
         let net_metrics = NetMetrics::new();
-        let listener = TcpListener::bind(&cfg.addr)?;
+        let listener = TcpListener::bind(&addr)?;
         let addr = listener.local_addr()?;
 
         #[cfg(target_os = "linux")]
@@ -277,13 +229,11 @@ impl ServerBuilder {
             crate::net::event_loop::LoopConfig {
                 engine: handle.clone(),
                 metrics: net_metrics.clone(),
-                max_connections: cfg.max_connections,
-                idle_timeout: cfg.idle_timeout,
-                outbuf_limit: cfg.outbuf_limit,
+                idle_timeout,
             },
         )?;
 
-        let metrics_server = match &cfg.metrics_addr {
+        let metrics_server = match &metrics_addr {
             Some(metrics_addr) => {
                 let routes_handle = handle.clone();
                 let routes_net = net_metrics.clone();

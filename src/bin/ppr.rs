@@ -10,15 +10,11 @@
 //!            [--rel-file name=path.csv] [--method M] [--sql] [--minimize]
 //! ppr width  (--random N,D | --family NAME,ORDER | --edges FILE) [--seed S]
 //! ppr serve  [--listen HOST:PORT] [--rel '…'] [--rel-file name=path.csv]
-//!            [--colors K] [--workers N] [--queue N] [--cache N]
-//!            [--result-cache-bytes N] [--max-tuples N] [--timeout-ms T]
-//!            [--metrics-addr HOST:PORT] [--slowlog N] [--data-dir DIR]
-//!            [--no-fsync] [--max-connections N] [--idle-timeout-ms T]
-//!            [--profile-ops]
+//!            [--colors K] [--queue N] [--cache N] [--result-cache-bytes N]
+//!            [--metrics-addr HOST:PORT] [--data-dir DIR] [--profile-ops]
 //! ppr client [--connect HOST:PORT] --rule 'q(x) :- edge(x,y)' [--method M]
 //!            [--db NAME | --use NAME] [--max-tuples N] [--timeout-ms T]
-//!            [--seed S] [--explain plan|analyze] [--pipeline N] [--stats]
-//!            [--ping] [--dbs] [--connections N [--requests N] [--window W]]
+//!            [--seed S] [--explain plan|analyze] [--stats] [--ping] [--dbs]
 //! ppr client [--connect HOST:PORT] (--create NAME | --drop NAME |
 //!            --load 'DB REL 1,2;2,3' | --add 'DB REL 1,2')
 //! ```
@@ -272,10 +268,10 @@ fn cmd_sat(flags: &Flags) {
     run_and_report(&q, &db, flags);
 }
 
-fn cmd_query(flags: &Flags) {
-    use projection_pushing::query::{parse_query, parse_relation};
-    let rule = flags.get("rule").unwrap_or_else(|| die("need --rule"));
-    let mut query = parse_query(rule).unwrap_or_else(|e| die(&e.to_string()));
+/// The `--rel 'name = {(…)…}'` and `--rel-file name=path.csv` relations,
+/// each given its own block of column ids.
+fn relations_from_flags(flags: &Flags) -> Database {
+    use projection_pushing::query::parse_relation;
     let mut db = Database::new();
     let mut base_col = 10_000_000u32;
     for rel_text in flags.get_all("rel") {
@@ -284,7 +280,6 @@ fn cmd_query(flags: &Flags) {
         db.add(rel);
     }
     for spec in flags.get_all("rel-file") {
-        // --rel-file name=path.csv
         let Some((name, path)) = spec.split_once('=') else {
             die("--rel-file expects name=path.csv");
         };
@@ -295,6 +290,14 @@ fn cmd_query(flags: &Flags) {
         base_col += rel.arity() as u32;
         db.add(rel);
     }
+    db
+}
+
+fn cmd_query(flags: &Flags) {
+    use projection_pushing::query::parse_query;
+    let rule = flags.get("rule").unwrap_or_else(|| die("need --rule"));
+    let mut query = parse_query(rule).unwrap_or_else(|e| die(&e.to_string()));
+    let db = relations_from_flags(flags);
     if db.is_empty() {
         die("need at least one --rel 'name = {(…)…}' or --rel-file name=path.csv");
     }
@@ -349,25 +352,7 @@ fn cmd_width(flags: &Flags) {
 /// or the k-coloring edge relation (`--colors`, default 3) when none are
 /// given — the natural database for the paper's 3-COLOR workload.
 fn serve_database(flags: &Flags) -> Database {
-    use projection_pushing::query::parse_relation;
-    let mut db = Database::new();
-    let mut base_col = 10_000_000u32;
-    for rel_text in flags.get_all("rel") {
-        let rel = parse_relation(rel_text, base_col).unwrap_or_else(|e| die(&e.to_string()));
-        base_col += rel.arity() as u32;
-        db.add(rel);
-    }
-    for spec in flags.get_all("rel-file") {
-        let Some((name, path)) = spec.split_once('=') else {
-            die("--rel-file expects name=path.csv");
-        };
-        let text = std::fs::read_to_string(path.trim())
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        let rel = projection_pushing::relalg::csv::relation_from_csv(name.trim(), &text, base_col)
-            .unwrap_or_else(|e| die(&e));
-        base_col += rel.arity() as u32;
-        db.add(rel);
-    }
+    let mut db = relations_from_flags(flags);
     if db.is_empty() {
         let colors: u32 = flags.num("colors", 3);
         db.add(projection_pushing::workload::edge_relation(colors));
@@ -384,48 +369,34 @@ fn cmd_serve(flags: &Flags) {
             "rel",
             "rel-file",
             "colors",
-            "workers",
             "queue",
             "cache",
             "result-cache-bytes",
-            "max-tuples",
-            "timeout-ms",
             "metrics-addr",
-            "slowlog",
             "data-dir",
-            "no-fsync",
-            "max-connections",
-            "idle-timeout-ms",
             "profile-ops",
         ],
     );
     let listen = flags.get("listen").unwrap_or("127.0.0.1:7171");
     let mut cfg = EngineConfig::default();
-    cfg.workers = flags.num("workers", 4usize);
-    cfg.queue_capacity = flags.num("queue", 64usize);
-    cfg.cache_capacity = flags.num("cache", 256usize);
+    cfg.queue_capacity = flags.num("queue", cfg.queue_capacity);
+    cfg.cache_capacity = flags.num("cache", cfg.cache_capacity);
     cfg.result_cache_bytes = flags.num("result-cache-bytes", cfg.result_cache_bytes);
-    cfg.max_budget = Budget::tuples(flags.num("max-tuples", u64::MAX))
-        .with_timeout(Duration::from_millis(flags.num("timeout-ms", 60_000)));
-    cfg.slowlog_capacity = flags.num("slowlog", cfg.slowlog_capacity);
     // Profile every execution: per-operator rows/time feed the
     // ppr_op_* metrics and slow-log digests (small constant overhead).
     cfg.profile_ops = flags.has("profile-ops");
 
     // The builder owns the whole stack: with --data-dir the catalog is
     // durable (recovered on startup, mutations committed to a
-    // write-ahead log, fsync on commit unless --no-fsync); the seed
-    // database applies only when the catalog lacks a `default` — a
-    // recovered data dir keeps its own.
+    // write-ahead log and fsynced before the ack); the seed database
+    // applies only when the catalog lacks a `default` — a recovered data
+    // dir keeps its own.
     let mut builder = Server::builder()
         .addr(listen)
         .engine_config(cfg)
-        .database(serve_database(flags))
-        .max_connections(flags.num("max-connections", 10_000usize));
-    let idle_ms: u64 = flags.num("idle-timeout-ms", 300_000u64);
-    builder = builder.idle_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)));
+        .database(serve_database(flags));
     if let Some(dir) = flags.get("data-dir") {
-        builder = builder.data_dir(dir).fsync(!flags.has("no-fsync"));
+        builder = builder.data_dir(dir);
     }
     // Optional Prometheus-style pull endpoint: GET /metrics returns the
     // exposition text (engine + connection layer), GET /slowlog the
@@ -490,6 +461,27 @@ fn parse_mutation(spec: &str) -> (String, String, Vec<Box<[u32]>>) {
 
 fn cmd_client(flags: &Flags) {
     use projection_pushing::service::{Client, Request};
+    flags.reject_unknown(
+        "client",
+        &[
+            "connect",
+            "rule",
+            "method",
+            "db",
+            "use",
+            "max-tuples",
+            "timeout-ms",
+            "seed",
+            "explain",
+            "stats",
+            "ping",
+            "dbs",
+            "create",
+            "drop",
+            "load",
+            "add",
+        ],
+    );
     let addr = flags.get("connect").unwrap_or("127.0.0.1:7171");
     let mut client =
         Client::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
@@ -644,68 +636,6 @@ fn cmd_client(flags: &Flags) {
         }
         return;
     }
-    // --connections N holds N concurrent pipelined connections from one
-    // epoll-driven thread and reports throughput + latency percentiles —
-    // the C10K load mode.
-    let connections: usize = flags.num("connections", 0);
-    if connections > 0 {
-        run_client_load(
-            addr,
-            connections,
-            flags.num("requests", 10_000),
-            flags.num("window", 32),
-            projection_pushing::service::protocol::encode_request(&request),
-        );
-        return;
-    }
-    // --pipeline N repeats the request N times over one pipelined (v2)
-    // connection: the whole burst is in flight at once.
-    let depth: usize = flags.num("pipeline", 1);
-    if depth > 1 {
-        use projection_pushing::service::Pipeline;
-        let mut pipe = Pipeline::connect(addr)
-            .unwrap_or_else(|e| die(&format!("cannot pipeline to {addr}: {e}")));
-        if let Some(name) = flags.get("use") {
-            let t = pipe
-                .submit_use(name)
-                .unwrap_or_else(|e| die(&e.to_string()));
-            pipe.wait_ack(t).unwrap_or_else(|e| die(&e.to_string()));
-        }
-        let requests = vec![request; depth];
-        let started = std::time::Instant::now();
-        let results = pipe
-            .run_batch(&requests)
-            .unwrap_or_else(|e| die(&e.to_string()));
-        let elapsed = started.elapsed();
-        let ok = results.iter().filter(|r| r.is_ok()).count();
-        let hits = results
-            .iter()
-            .filter(|r| r.as_ref().is_ok_and(|resp| resp.result_cache_hit))
-            .count();
-        println!(
-            "pipelined {depth} requests (window {}): {ok} ok, {} err, {hits} result-cache hits",
-            pipe.window(),
-            depth - ok,
-        );
-        println!(
-            "elapsed: {:.2} ms  ({:.0} reqs/sec)",
-            elapsed.as_secs_f64() * 1e3,
-            depth as f64 / elapsed.as_secs_f64()
-        );
-        match results.into_iter().next().unwrap() {
-            Ok(first) => println!(
-                "first: rows {}  cache_hit {}  result_hit {}",
-                first.rows.len(),
-                first.cache_hit,
-                first.result_cache_hit
-            ),
-            Err(e) => {
-                eprintln!("{e}");
-                exit(1);
-            }
-        }
-        return;
-    }
     match client.run(&request) {
         Ok(resp) => {
             println!(
@@ -732,49 +662,6 @@ fn cmd_client(flags: &Flags) {
             exit(1);
         }
     }
-}
-
-/// The `client --connections` load mode: epoll-held concurrent
-/// pipelined connections, single driving thread.
-#[cfg(target_os = "linux")]
-fn run_client_load(addr: &str, connections: usize, requests: usize, window: usize, line: String) {
-    use projection_pushing::service::net::load::{run_load, LoadOptions};
-    use std::net::ToSocketAddrs;
-    let sock = addr
-        .to_socket_addrs()
-        .ok()
-        .and_then(|mut it| it.next())
-        .unwrap_or_else(|| die(&format!("cannot resolve {addr}")));
-    let opts = LoadOptions {
-        connections,
-        requests,
-        window,
-        lines: vec![line],
-        deadline: Duration::from_secs(600),
-    };
-    let report = run_load(sock, &opts).unwrap_or_else(|e| die(&format!("load run failed: {e}")));
-    println!(
-        "connections: {}  requests: {}  errors: {}",
-        report.connections, report.requests, report.errors
-    );
-    println!(
-        "elapsed: {:.2} ms  throughput: {:.0} reqs/sec  p50: {} us  p99: {} us",
-        report.elapsed.as_secs_f64() * 1e3,
-        report.reqs_per_sec,
-        report.p50_us,
-        report.p99_us
-    );
-}
-
-#[cfg(not(target_os = "linux"))]
-fn run_client_load(
-    _addr: &str,
-    _connections: usize,
-    _requests: usize,
-    _window: usize,
-    _line: String,
-) {
-    die("--connections load mode needs the Linux epoll driver");
 }
 
 #[cfg(test)]

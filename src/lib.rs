@@ -63,9 +63,7 @@ pub mod prelude {
     pub use ppr_core::methods::{build_plan, emit_sql};
     pub use ppr_query::{Atom, ConjunctiveQuery, Database, Vars};
     pub use ppr_relalg::{Budget, Plan};
-    pub use ppr_service::{
-        Catalog, Client, Engine, EngineConfig, Pipeline, Request, Server, ServiceError, Ticket,
-    };
+    pub use ppr_service::{Catalog, Client, Engine, EngineConfig, Request, Server, ServiceError};
     pub use ppr_workload::{color_query, ColorQueryOptions, InstanceSpec, QueryShape};
 }
 
