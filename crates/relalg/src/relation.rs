@@ -1,7 +1,9 @@
 //! Materialized relations.
 
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use rustc_hash::FxHashSet;
 
@@ -22,9 +24,45 @@ pub struct Relation {
     tuples: Vec<Tuple>,
     deduped: bool,
     /// Lazily-built per-column secondary indexes. Cloning starts cold;
-    /// in-place mutation ([`Relation::push`], [`Relation::dedup`]) clears
-    /// it, so a cached index always describes the current tuples.
+    /// in-place mutation ([`Relation::insert`], [`Relation::dedup`])
+    /// clears it, so a cached index always describes the current tuples.
     indexes: IndexCache,
+    /// Lazily computed content digest. Unlike the indexes it survives a
+    /// clone, and [`Relation::insert`] keeps it current in O(1).
+    digest: OnceLock<RelationDigest>,
+}
+
+/// An order-independent content digest of a relation's rows: the row
+/// count and, for each of two seeded passes, the wrapping sum of every
+/// row's SipHash (`DefaultHasher::new`, stable across processes of one
+/// build). Adding a row adds its hashes, so the digest of a grown
+/// relation costs O(1) given the digest of the old one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RelationDigest {
+    /// Number of rows summed.
+    pub count: u64,
+    /// Per pass, the wrapping sum of the rows' hashes.
+    pub sums: [u64; 2],
+}
+
+impl RelationDigest {
+    fn of(tuples: &[Tuple]) -> Self {
+        let mut digest = RelationDigest::default();
+        for t in tuples {
+            digest.add(t);
+        }
+        digest
+    }
+
+    fn add(&mut self, t: &[Value]) {
+        self.count += 1;
+        for (pass, sum) in self.sums.iter_mut().enumerate() {
+            let mut h = DefaultHasher::new();
+            (pass as u64).hash(&mut h);
+            t.hash(&mut h);
+            *sum = sum.wrapping_add(h.finish());
+        }
+    }
 }
 
 impl Relation {
@@ -47,6 +85,7 @@ impl Relation {
             tuples,
             deduped: false,
             indexes: IndexCache::default(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -65,6 +104,7 @@ impl Relation {
             tuples: Vec::new(),
             deduped: true,
             indexes: IndexCache::default(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -109,12 +149,29 @@ impl Relation {
         self.deduped
     }
 
-    /// Appends a row; clears the dedup mark and any cached indexes.
-    pub fn push(&mut self, t: Tuple) {
+    /// Adds a row unless it is already present, keeping the rows
+    /// distinct: de-duplicates first if they are not known distinct,
+    /// then checks membership and appends. Returns whether the row was
+    /// added. A new row clears the cached indexes and updates a computed
+    /// digest in O(1); a duplicate changes nothing.
+    pub fn insert(&mut self, t: Tuple) -> bool {
         assert_eq!(t.len(), self.schema.arity());
+        self.dedup();
+        if self.tuples.contains(&t) {
+            return false;
+        }
+        if let Some(digest) = self.digest.get_mut() {
+            digest.add(&t);
+        }
         self.tuples.push(t);
-        self.deduped = false;
         self.indexes = IndexCache::default();
+        true
+    }
+
+    /// The content digest of the rows as stored (duplicates included),
+    /// computed on first use and cached.
+    pub fn digest(&self) -> RelationDigest {
+        *self.digest.get_or_init(|| RelationDigest::of(&self.tuples))
     }
 
     /// Consumes the relation, yielding its rows.
@@ -139,9 +196,13 @@ impl Relation {
         }
         let mut seen: FxHashSet<Tuple> = FxHashSet::default();
         seen.reserve(self.tuples.len());
+        let before = self.tuples.len();
         self.tuples.retain(|t| seen.insert(t.clone()));
         self.deduped = true;
-        self.indexes = IndexCache::default();
+        if self.tuples.len() != before {
+            self.indexes = IndexCache::default();
+            self.digest = OnceLock::new();
+        }
     }
 
     /// The column of values for `attr`; panics if absent.
@@ -254,11 +315,51 @@ mod tests {
     }
 
     #[test]
-    fn push_clears_dedup_mark() {
-        let mut r = Relation::empty("r", schema2());
+    fn insert_keeps_rows_distinct() {
+        let mut r = Relation::new("r", schema2(), vec![tuple(&[1, 2]), tuple(&[1, 2])]);
+        assert!(r.insert(tuple(&[3, 4])));
+        assert!(!r.insert(tuple(&[1, 2])));
+        assert_eq!(r.tuples(), &[tuple(&[1, 2]), tuple(&[3, 4])]);
         assert!(r.is_deduped());
-        r.push(tuple(&[1, 1]));
-        assert!(!r.is_deduped());
+    }
+
+    #[test]
+    fn duplicate_insert_changes_nothing() {
+        let mut r = Relation::from_distinct_rows("r", schema2(), vec![tuple(&[1, 2])]);
+        let digest = r.digest();
+        let (ix, _) = r.column_index(0);
+        assert!(!r.insert(tuple(&[1, 2])));
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.digest(), digest);
+        assert_eq!(r.indexed_columns(), 1);
+        let (again, built) = r.column_index(0);
+        assert!(!built);
+        assert!(Arc::ptr_eq(&ix, &again));
+    }
+
+    #[test]
+    fn incremental_digest_matches_a_recomputed_one() {
+        let mut r = Relation::empty("r", schema2());
+        assert_eq!(r.digest(), RelationDigest::default());
+        for (a, b) in [(1, 2), (3, 4), (1, 2), (2, 1), (3, 4), (0, 0)] {
+            r.insert(tuple(&[a, b]));
+            let fresh = Relation::new("r", schema2(), r.tuples().to_vec());
+            assert_eq!(r.digest(), fresh.digest());
+        }
+        assert_eq!(r.digest().count, 4);
+        // Row order does not matter; the seeded passes are independent.
+        let reversed: Vec<Tuple> = r.tuples().iter().rev().cloned().collect();
+        assert_eq!(Relation::new("s", schema2(), reversed).digest(), r.digest());
+        assert_ne!(r.digest().sums[0], r.digest().sums[1]);
+    }
+
+    #[test]
+    fn dedup_that_removes_rows_recomputes_the_digest() {
+        let mut r = Relation::new("r", schema2(), vec![tuple(&[1, 2]), tuple(&[1, 2])]);
+        assert_eq!(r.digest().count, 2, "the digest covers rows as stored");
+        r.dedup();
+        let fresh = Relation::new("r", schema2(), vec![tuple(&[1, 2])]);
+        assert_eq!(r.digest(), fresh.digest());
     }
 
     #[test]
@@ -314,7 +415,7 @@ mod tests {
         let mut r = Relation::new("r", schema2(), vec![tuple(&[1, 2])]);
         let _ = r.column_index(0);
         assert_eq!(r.indexed_columns(), 1);
-        r.push(tuple(&[1, 9]));
+        assert!(r.insert(tuple(&[1, 9])));
         assert_eq!(r.indexed_columns(), 0);
         let (ix, built) = r.column_index(0);
         assert!(built);

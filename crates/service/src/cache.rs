@@ -5,12 +5,18 @@
 //! whose query is *isomorphic* to the one that built it. The key is the
 //! result cache's [`ResultKey`], for the same reasons plus one: a plan
 //! *embeds* `Arc<Relation>` handles in its scan leaves, so it is valid
-//! only for data with the content fingerprint it was built against (a hit
-//! from a content-identical database runs the same tuple sets). The seed
-//! is in the key because it breaks planner ties. The value is an
+//! only for relations with the content fingerprint it was built against
+//! (a hit from content-identical relations runs the same tuple sets). The
+//! seed is in the key because it breaks planner ties. The value is an
 //! `Arc<Plan>` shared by every request executing it; on an insert race
-//! the resident plan wins, so concurrent requests for one query run one
-//! plan. The cache is an [`Lru`] budgeted in entries.
+//! the resident plan wins. The cache is an [`Lru`] budgeted in entries.
+//!
+//! Those embedded handles also keep every relation version a resident
+//! plan scans alive, however many mutations have superseded it. So the
+//! engine inserts a plan only when the result cache refuses the plan's
+//! result (larger than the whole byte budget, or a zero budget): that is
+//! the one case in which a repeat would otherwise plan again, since a
+//! cached result answers every repeat before the plan cache is asked.
 
 use std::sync::Arc;
 

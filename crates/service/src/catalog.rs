@@ -14,17 +14,22 @@
 //! * Every snapshot also carries a [`DbFingerprint`]: a 128-bit
 //!   **content hash** of the database (relation names, arities, and
 //!   tuple *sets* — independent of load order, database name, and
-//!   internal column ids). The result and plan caches key on it, so
-//!   isomorphic databases share cache entries and a recovered database
-//!   resumes its pre-crash cache identity — a restart (or a re-load of
-//!   identical data under another name) does not re-plan or re-execute
-//!   anything the cache still holds.
+//!   internal column ids), built from each relation's cached digest in
+//!   O(#relations). The result and plan caches key on the same hash
+//!   taken over only the relations a query reads
+//!   ([`fingerprint_relations`]), so an `add` invalidates only the
+//!   entries of queries that read the grown relation, content-identical
+//!   relations share entries, and a recovered database resumes its
+//!   pre-crash cache identity — a restart (or a re-load of identical
+//!   data under another name) does not re-plan or re-execute anything
+//!   the cache still holds.
 //! * Reads are **copy-on-write snapshots**: [`Catalog::snapshot`] hands
 //!   back an `Arc<Database>` plus its version and fingerprint, and
 //!   in-flight requests keep that consistent snapshot for as long as
 //!   they need it. Writers build the successor database beside the
 //!   current one (a [`Database`] clone is cheap — a map of
-//!   `Arc<Relation>` handles) and publish it with a brief map-lock swap,
+//!   `Arc<Relation>` handles — but an `add` clones the one relation it
+//!   grows, which is O(rows)) and publish it with a brief map-lock swap,
 //!   so **writers never block readers** — not even on the durable
 //!   catalog's commit `fsync`, which happens outside the map lock.
 //! * Writers are serialized against each other by a separate mutex, so
@@ -75,8 +80,9 @@ const WIRE_COL_BASE: u32 = 20_000_000;
 /// A monotonically increasing database version. Bumped by every mutation
 /// and unique across the catalog's lifetime (two live databases never
 /// share a version). Durable catalogs persist it, so versions keep
-/// increasing across restarts. The caches key on [`DbFingerprint`], not
-/// on this — the version is the *observable* mutation counter.
+/// increasing across restarts. The caches key on content
+/// ([`fingerprint_relations`]), not on this — the version is the
+/// *observable* mutation counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DbVersion(pub u64);
 
@@ -107,32 +113,33 @@ impl fmt::Display for DbFingerprint {
     }
 }
 
-/// Content hash of `db`. Relations are visited in sorted name order and
-/// each relation's tuples are combined with an order-independent sum, so
-/// the result depends only on the database's logical content.
+/// Content hash of `db`: [`fingerprint_relations`] over every relation.
 pub fn fingerprint_db(db: &Database) -> DbFingerprint {
+    fingerprint_relations(db, &db.names())
+}
+
+/// Content hash of the relations `names` of `db`, which must be sorted,
+/// distinct and present. Each pass hashes every relation's name, arity,
+/// row count and order-independent row-hash sum, so the result depends
+/// only on the logical content of those relations. The sums come from
+/// each relation's cached [`RelationDigest`](ppr_relalg::relation::RelationDigest),
+/// so the cost is O(#relations) once the digests exist. A query's
+/// answer depends only on the relations its atoms name, which is why the
+/// result and plan caches key on this over those relations alone.
+pub fn fingerprint_relations(db: &Database, names: &[&str]) -> DbFingerprint {
     let mut words = [0u64; 2];
     for (pass, word) in words.iter_mut().enumerate() {
         let mut h = DefaultHasher::new();
         // Domain-separate the two passes so they are independent.
         (0x7072_7062_6466_7030u64 + pass as u64).hash(&mut h);
-        let names = db.names();
         names.len().hash(&mut h);
         for name in names {
-            let rel = db.get(name).expect("name came from names()");
+            let rel = db.get(name).expect("fingerprinted relation exists");
+            let digest = rel.digest();
             name.hash(&mut h);
             rel.arity().hash(&mut h);
-            let mut sum = 0u64;
-            let mut count = 0u64;
-            for t in rel.tuples() {
-                let mut th = DefaultHasher::new();
-                (pass as u64).hash(&mut th);
-                t.hash(&mut th);
-                sum = sum.wrapping_add(th.finish());
-                count += 1;
-            }
-            count.hash(&mut h);
-            sum.hash(&mut h);
+            digest.count.hash(&mut h);
+            digest.sums[pass].hash(&mut h);
         }
         *word = h.finish();
     }
@@ -149,7 +156,8 @@ pub struct DbSnapshot {
     pub db: Arc<Database>,
     /// The version the snapshot was published under.
     pub version: DbVersion,
-    /// Content hash of `db` — the caches' data-identity key.
+    /// Content hash of all of `db` — what `dbs` reports. The caches key
+    /// on [`fingerprint_relations`] over a query's own relations instead.
     pub fingerprint: DbFingerprint,
 }
 
@@ -463,20 +471,18 @@ impl Catalog {
         }
         let version = self.next_version();
         self.persist(|p| p.record_add(db, rel, &tuple, version.0))?;
-        let relation = match current.db.get(rel) {
-            Some(existing) => {
-                let mut grown = (**existing).clone();
-                grown.push(tuple);
-                grown.dedup();
-                grown
-            }
+        // The clone keeps the relation's digest, which `insert` updates
+        // in O(1), so publishing re-fingerprints no rows.
+        let mut relation = match current.db.get(rel) {
+            Some(existing) => (**existing).clone(),
             None => {
                 let arity = tuple.len() as u32;
                 let base = self.next_col.fetch_add(arity, Ordering::Relaxed);
                 let schema = Schema::new((0..arity).map(|i| AttrId(base + i)).collect());
-                Relation::new(rel, schema, vec![tuple])
+                Relation::empty(rel, schema)
             }
         };
+        relation.insert(tuple);
         let mut next = (*current.db).clone();
         next.add(relation);
         self.publish_at(db, next, version);
@@ -560,7 +566,10 @@ fn contents_of(db: &Database) -> DbContents {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use proptest::prelude::*;
 
     fn tuple(vals: &[Value]) -> Box<[Value]> {
         vals.to_vec().into_boxed_slice()
@@ -657,6 +666,79 @@ mod tests {
         // The empty database has a fingerprint too, distinct per content.
         c.create("empty").unwrap();
         assert_ne!(c.snapshot("empty").unwrap().fingerprint, a.fingerprint);
+    }
+
+    #[test]
+    fn fingerprint_of_a_fixed_database_is_pinned() {
+        // Recovery identity and `dbs` replies depend on this exact value.
+        let mut db = Database::new();
+        db.add(Relation::new(
+            "edge",
+            Schema::new(vec![AttrId(1), AttrId(2)]),
+            vec![tuple(&[1, 2]), tuple(&[2, 3]), tuple(&[3, 1])],
+        ));
+        db.add(Relation::new(
+            "color",
+            Schema::new(vec![AttrId(3)]),
+            vec![tuple(&[7]), tuple(&[9])],
+        ));
+        let pinned = DbFingerprint(0x8da8_d921_6a84_3d4c_3e00_a9e0_cea9_d5f0);
+        assert_eq!(fingerprint_db(&db), pinned);
+        assert_eq!(fingerprint_relations(&db, &["color", "edge"]), pinned);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every `load`/`add` of a random script (duplicates
+        /// frequent), the catalog's incrementally maintained fingerprint
+        /// equals `fingerprint_db` of the same content rebuilt from
+        /// scratch in reverse row order.
+        #[test]
+        fn fingerprint_matches_a_rebuild_from_scratch(
+            script in prop::collection::vec(
+                (0u8..4, 0usize..3, prop::collection::vec((0u32..4, 0u32..4), 1..5)),
+                1..24,
+            ),
+        ) {
+            let c = Catalog::new();
+            c.create("g").unwrap();
+            let mut model: BTreeMap<&str, Vec<Box<[Value]>>> = BTreeMap::new();
+            for (verb, rel, rows) in script {
+                let (name, arity) = [("a", 1), ("b", 2), ("c", 2)][rel];
+                let rows: Vec<Box<[Value]>> =
+                    rows.iter().map(|&(x, y)| [x, y][..arity].into()).collect();
+                let kept = if verb == 0 {
+                    c.load("g", name, rows.clone()).unwrap();
+                    model.insert(name, Vec::new());
+                    rows
+                } else {
+                    c.add("g", name, rows[0].clone()).unwrap();
+                    vec![rows[0].clone()]
+                };
+                let distinct = model.entry(name).or_default();
+                for t in kept {
+                    if !distinct.contains(&t) {
+                        distinct.push(t);
+                    }
+                }
+
+                let snap = c.snapshot("g").unwrap();
+                let mut rebuilt = Database::new();
+                for (name, rows) in &model {
+                    let stored = snap.db.expect(name);
+                    prop_assert_eq!(stored.tuples(), rows.as_slice());
+                    let schema = Schema::new((0..rows[0].len() as u32).map(AttrId).collect());
+                    let reversed = rows.iter().rev().cloned().collect();
+                    rebuilt.add(Relation::new(*name, schema, reversed));
+                }
+                prop_assert_eq!(snap.fingerprint, fingerprint_db(&rebuilt));
+                prop_assert_eq!(
+                    fingerprint_relations(&snap.db, &snap.db.names()),
+                    snap.fingerprint
+                );
+            }
+        }
     }
 
     #[test]

@@ -91,7 +91,8 @@ impl Client {
 
     /// Bulk-loads one relation of `db`, replacing any existing relation
     /// of that name, and returns the database's new version. Every
-    /// mutation bumps the version, invalidating cached plans and results.
+    /// mutation bumps the version; a content change invalidates the
+    /// cached plans and results of the queries that read the relation.
     pub fn load(
         &mut self,
         db: &str,

@@ -3,9 +3,10 @@
 //! Bucket elimination's expensive planning step is *decomposition*:
 //! choosing the variable elimination order (MCS, min-degree, or min-fill
 //! over the join graph). The [`crate::cache::PlanCache`] already reuses
-//! whole plans, but its key includes the database content fingerprint —
-//! plans embed `Arc<Relation>` scans, so any catalog mutation rightly
-//! invalidates them. The variable order has no such dependency: it is a
+//! whole plans, but its key includes the content fingerprint of the
+//! relations the query reads — plans embed `Arc<Relation>` scans, so a
+//! mutation of any of them rightly invalidates the plan. The variable
+//! order has no such dependency: it is a
 //! function of the query's *structure* alone. This cache exploits that
 //! asymmetry. The key is [`DecompKey`]: query [`Fingerprint`] ×
 //! [`OrderHeuristic`] × planner seed — deliberately **without** the data

@@ -20,16 +20,22 @@
 //!    against the snapshot, compute the canonical
 //!    [`ppr_query::QueryIdentity`] once for both caches.
 //! 4. **Result cache** — a hit on `(data fingerprint, query fingerprint,
-//!    method, seed)` returns the cached rows with **zero execution**; a
-//!    content-changing mutation changes the data fingerprint and so
-//!    naturally invalidates every older entry.
+//!    method, seed)` returns the cached rows with **zero execution**. The
+//!    data fingerprint covers only the relations the query's atoms name
+//!    ([`crate::catalog::fingerprint_relations`]), so a content-changing
+//!    mutation invalidates exactly the entries of queries that read the
+//!    mutated relation and leaves every other entry warm.
 //! 5. **Plan cache / plan** — on a result miss, a plan-cache hit returns
-//!    the shared `Arc<Plan>`; a miss builds the plan and publishes it.
-//!    The plan key is the result key, data identity included, because
-//!    plans embed `Arc<Relation>` scans of the snapshot they were built on.
+//!    the shared `Arc<Plan>`; a miss builds the plan. The plan key is the
+//!    result key, data identity included, because plans embed
+//!    `Arc<Relation>` scans of the snapshot they were built on.
 //! 6. **Execute + publish** — the streaming executor under the request
 //!    budget clamped by the server maximum; a successful result is
-//!    offered to the result cache (byte-budgeted, LRU).
+//!    offered to the result cache (byte-budgeted, LRU). Only when the
+//!    result cache refuses it (oversized, or a zero budget) does the plan
+//!    go into the plan cache: a resident plan pins the relation versions
+//!    it scans, and a plan whose result is cached would never be looked
+//!    up again while that result stays.
 //!
 //! Shutdown is graceful: the queue closes, workers drain every admitted
 //! request (each waiting client still gets its answer), then exit.
@@ -48,7 +54,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cache::PlanCache;
-use crate::catalog::{Catalog, DbSnapshot, DEFAULT_DB};
+use crate::catalog::{fingerprint_relations, Catalog, DbSnapshot, DEFAULT_DB};
 use crate::decomp::{self, DecompCache, DecompKey};
 use crate::lru::CacheStats;
 use crate::metrics::ServiceMetrics;
@@ -520,9 +526,11 @@ impl EngineHandle {
     }
 
     /// The engine's catalog — the mutation surface the wire verbs
-    /// (`create` / `load` / `add` / `drop`) act on. Mutations are O(tiny
-    /// database), so they run on the caller's thread, not the worker
-    /// queue; admission control governs query execution only.
+    /// (`create` / `load` / `add` / `drop`) act on. Mutations run on the
+    /// caller's thread, not the worker queue, and an `add` costs a clone
+    /// of the relation it grows (O(rows): about 1 ms at 10k rows), so
+    /// it delays everything else on that thread; admission control
+    /// governs query execution only.
     pub fn catalog(&self) -> Arc<Catalog> {
         self.shared.catalog.clone()
     }
@@ -928,6 +936,13 @@ fn process<'a>(
     let seed = request.seed.unwrap_or(shared.default_seed);
     let started = Instant::now();
     let identity = QueryIdentity::of(&query);
+    // The answer depends only on the relations the atoms name, so the
+    // data half of both cache keys covers those alone: a mutation of any
+    // other relation leaves this request's entries valid.
+    let mut read: Vec<&str> = query.atoms.iter().map(|a| a.relation.as_str()).collect();
+    read.sort_unstable();
+    read.dedup();
+    let data = fingerprint_relations(&snapshot.db, &read);
     spans.set(Phase::Fingerprint, started.elapsed().as_micros() as u64);
     *slow_id = Some(SlowIdentity {
         db: db_name,
@@ -946,7 +961,7 @@ fn process<'a>(
     // is deliberately not part of the key — budgets bound execution work,
     // and a hit does none.
     let result_key = ResultKey {
-        data: snapshot.fingerprint,
+        data,
         fingerprint: identity.fingerprint,
         method: request.method,
         seed,
@@ -972,12 +987,11 @@ fn process<'a>(
         });
     }
 
-    let plan_key = result_key.clone();
     let started = Instant::now();
     let cached_plan = if explaining {
         None
     } else {
-        shared.cache.get(&plan_key, &identity.shape)
+        shared.cache.get(&result_key, &identity.shape)
     };
     lookup_us += started.elapsed().as_micros() as u64;
     spans.set(Phase::CacheLookup, lookup_us);
@@ -1026,17 +1040,8 @@ fn process<'a>(
                     shared.decomps.insert(key, identity.shape.clone(), ranks);
                 }
             }
-            let built = Arc::new(report.plan);
             let micros = started.elapsed().as_micros() as u64;
-            // A racing worker may have published the same key first; the
-            // cache keeps the existing plan so concurrent identical
-            // requests all run one plan.
-            let plan = if explaining {
-                built
-            } else {
-                shared.cache.insert(plan_key, identity.shape.clone(), built)
-            };
-            (plan, false, micros, report.pass_spans)
+            (Arc::new(report.plan), false, micros, report.pass_spans)
         }
     };
     spans.set(Phase::Plan, plan_micros);
@@ -1099,15 +1104,20 @@ fn process<'a>(
     let columns: Vec<String> = query.free.iter().map(|&f| query.vars.name(f)).collect();
     let rows = rel.into_tuples();
     if !explaining {
-        shared.results.insert(
-            result_key,
-            identity.shape,
-            Arc::new(CachedResult {
-                columns: columns.clone(),
-                rows: rows.clone(),
-                stats: stats.clone(),
-            }),
-        );
+        let entry = Arc::new(CachedResult {
+            columns: columns.clone(),
+            rows: rows.clone(),
+            stats: stats.clone(),
+        });
+        // A resident plan pins the relation versions it scans, so it is
+        // kept only when the result cache refuses the result — the one
+        // case in which a repeat of this request would plan again.
+        if !cache_hit && !shared.results.admits(&entry) {
+            shared
+                .cache
+                .insert(result_key.clone(), identity.shape.clone(), plan);
+        }
+        shared.results.insert(result_key, identity.shape, entry);
     }
     let explain = analyze.then(|| {
         Box::new(ExplainData {
@@ -1241,8 +1251,9 @@ mod tests {
         let stats = h.stats();
         assert_eq!(stats.decomp_cache_hits, 0, "cold request decomposes");
         assert_eq!(stats.passes_run, 2, "bucket recipe = decompose + build");
-        // A mutation bumps the content fingerprint: every cached plan is
-        // stale (plans embed snapshot scans)…
+        // An add to `edge` changes the fingerprint of the one relation
+        // the pentagon reads: its cached plan is stale (plans embed
+        // snapshot scans)…
         h.catalog()
             .add(DEFAULT_DB, "edge", vec![4, 5].into())
             .unwrap();
@@ -1348,6 +1359,92 @@ mod tests {
         assert!(!fresh.cache_hit, "plans embed scans, so they re-plan too");
         assert!(fresh.rows.len() > cold.rows.len(), "new data must show up");
         assert!(h.execute(req()).unwrap().result_cache_hit, "then re-caches");
+        engine.shutdown();
+    }
+
+    #[test]
+    fn join_misses_after_an_add_to_either_relation() {
+        let catalog = three_color_catalog();
+        catalog.add(DEFAULT_DB, "color", vec![1].into()).unwrap();
+        let engine = Engine::start(catalog, small_cfg());
+        let h = engine.handle();
+        let req = || Request::query("q(x, y) :- edge(x, y), color(x)");
+        assert!(!h.execute(req()).unwrap().result_cache_hit);
+        assert!(h.execute(req()).unwrap().result_cache_hit);
+        for (rel, tuple) in [("color", vec![2]), ("edge", vec![4, 1]), ("color", vec![4])] {
+            h.catalog().add(DEFAULT_DB, rel, tuple.into()).unwrap();
+            let fresh = h.execute(req()).unwrap();
+            assert!(!fresh.result_cache_hit, "an add to {rel} must miss");
+            assert!(h.execute(req()).unwrap().result_cache_hit);
+        }
+        // An add to a relation the join does not read leaves it warm.
+        h.catalog()
+            .add(DEFAULT_DB, "unread", vec![9].into())
+            .unwrap();
+        let warm = h.execute(req()).unwrap();
+        assert!(warm.result_cache_hit, "unread relations are not in the key");
+        assert_eq!(warm.rows.len(), 5, "colors 1, 2, 4 with their edges");
+        engine.shutdown();
+    }
+
+    #[test]
+    fn cached_results_do_not_pin_old_relation_versions() {
+        // A plan embeds `Arc<Relation>` scans. Kept beside its cached
+        // result, it would hold every superseded version of a relation
+        // that keeps growing until the plan cache evicted it.
+        let engine = Engine::start(three_color_catalog(), small_cfg());
+        let h = engine.handle();
+        let req = || Request::query("q(x) :- edge(x, y)");
+        let mut superseded = Vec::new();
+        for tuple in [[4, 5], [5, 4]] {
+            h.catalog()
+                .add(DEFAULT_DB, "edge", tuple.to_vec().into())
+                .unwrap();
+            let current = h.catalog().snapshot(DEFAULT_DB).unwrap().db;
+            superseded.push(Arc::downgrade(&current.expect("edge")));
+            drop(current);
+            assert!(!h.execute(req()).unwrap().result_cache_hit);
+        }
+        assert!(
+            superseded[0].upgrade().is_none(),
+            "the version before the second add must be freed"
+        );
+        assert!(superseded[1].upgrade().is_some(), "the current one lives");
+        let stats = h.stats();
+        assert_eq!(stats.cache.len, 0, "cached results need no cached plan");
+        engine.shutdown();
+    }
+
+    #[test]
+    fn plans_of_refused_results_stay_cached() {
+        // Room for the three rows of `q(x) :- edge(x, y)`, not for the 30
+        // colorings the pentagon returns with its whole head.
+        let small = CachedResult {
+            columns: vec!["x".into()],
+            rows: (1..=3).map(|c| vec![c].into_boxed_slice()).collect(),
+            stats: ExecStats::default(),
+        };
+        let mut cfg = small_cfg();
+        cfg.result_cache_bytes = small.approx_bytes();
+        let engine = Engine::start(three_color_catalog(), cfg);
+        let h = engine.handle();
+        let m = Method::EarlyProjection;
+        let wide = || {
+            let head = "q(u, v, w, y, z)";
+            let body = "edge(u,v), edge(v,w), edge(w,y), edge(y,z), edge(z,u)";
+            Request::new(format!("{head} :- {body}"), m)
+        };
+        assert!(!h.execute(wide()).unwrap().cache_hit);
+        let again = h.execute(wide()).unwrap();
+        assert!(!again.result_cache_hit, "the result is too large to keep");
+        assert!(again.cache_hit, "so its plan is kept instead");
+        assert_eq!(again.rows.len(), 30);
+        let narrow = || Request::new("q(x) :- edge(x, y)", m);
+        assert!(!h.execute(narrow()).unwrap().cache_hit);
+        assert!(h.execute(narrow()).unwrap().result_cache_hit);
+        let stats = h.stats();
+        assert_eq!(stats.results.oversized, 2);
+        assert_eq!(stats.cache.len, 1, "only the refused result's plan");
         engine.shutdown();
     }
 

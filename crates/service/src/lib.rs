@@ -17,15 +17,18 @@
 //!   below are instantiations: a weight-budgeted LRU whose every hit
 //!   re-verifies the [`ppr_query::QueryShape`] that built the entry, so a
 //!   fingerprint collision costs a recomputation, never a wrong answer.
-//! * [`result_cache::ResultCache`] — a byte-budgeted LRU from (database
-//!   content fingerprint, [`ppr_query::Fingerprint`], method, seed) to
-//!   result sets. A catalog mutation changes the key, so it invalidates
-//!   every older entry with no invalidation protocol.
+//! * [`result_cache::ResultCache`] — a byte-budgeted LRU from (content
+//!   fingerprint of the relations the query reads,
+//!   [`ppr_query::Fingerprint`], method, seed) to result sets. A catalog
+//!   mutation changes the key of exactly the queries that read the
+//!   mutated relation, so it invalidates their older entries with no
+//!   invalidation protocol and leaves every other entry warm.
 //! * [`cache::PlanCache`] — an LRU under the same key to compiled
-//!   [`ppr_relalg::Plan`]s, shared by every renaming of a hot query.
+//!   [`ppr_relalg::Plan`]s, holding only plans whose results the result
+//!   cache refused (too large, or caching disabled).
 //! * [`decomp::DecompCache`] — a structure-keyed LRU of bucket
 //!   elimination's chosen variable orders, keyed **without** the database
-//!   identity: a catalog mutation forces a re-plan, but a structurally
+//!   identity: a mutation of a relation forces a re-plan, but a structurally
 //!   repeated query skips re-decomposition because the optimizer pipeline
 //!   ([`ppr_core::passes`], docs/PLANNING.md) consumes the cached order
 //!   as a pass hint.
@@ -74,7 +77,8 @@ pub mod server;
 
 pub use cache::PlanCache;
 pub use catalog::{
-    fingerprint_db, Catalog, CatalogError, DbFingerprint, DbInfo, DbSnapshot, DbVersion, DEFAULT_DB,
+    fingerprint_db, fingerprint_relations, Catalog, CatalogError, DbFingerprint, DbInfo,
+    DbSnapshot, DbVersion, DEFAULT_DB,
 };
 pub use client::Client;
 pub use decomp::{DecompCache, DecompKey};

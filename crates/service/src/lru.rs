@@ -164,6 +164,12 @@ impl<K: Eq + Hash + Clone, V: CacheValue> Lru<K, V> {
         self.budget > 0
     }
 
+    /// Whether [`insert`](Lru::insert) would keep `value` rather than
+    /// refuse it as heavier than the whole budget.
+    pub fn admits(&self, value: &V) -> bool {
+        value.weight() <= self.budget
+    }
+
     /// The value under `key` if it was built for `shape`, refreshing its
     /// recency; a key match for another shape is a counted collision.
     pub fn get(&self, key: &K, shape: &QueryShape) -> Option<V> {

@@ -4,17 +4,20 @@
 //! It is the serving-side analogue of reusing decompositions across
 //! isomorphic instances: the key is
 //! `(DbFingerprint, Fingerprint, Method, seed)` — a *content hash* of
-//! the database crossed with the canonical query identity — so a
-//! repeated query — under any variable renaming or atom reordering,
-//! against the same database or any content-identical one (another name,
-//! another load order, a recovered post-crash catalog) — returns its
-//! rows without touching the executor, and **any content-changing
-//! mutation invalidates naturally**: a `load`/`add` that changes the data
-//! changes the fingerprint, the next request computes a key nobody has
-//! written, and the stale entry simply ages out of the LRU. There is no
-//! purge logic to get wrong — and nothing to *wrongly* purge: a restart
-//! or a no-op mutation keeps the fingerprint, so warm entries survive
-//! both.
+//! the relations the query's atoms name
+//! ([`crate::catalog::fingerprint_relations`]) crossed with the
+//! canonical query identity — so a repeated query — under any variable
+//! renaming or atom reordering, against the same database or any whose
+//! read relations have the same content (another name, another load
+//! order, other unread relations, a recovered post-crash catalog) —
+//! returns its rows without touching the executor, and **a mutation
+//! invalidates exactly what it must**: a `load`/`add` that changes a
+//! relation's content changes the key of every query that reads it, the
+//! next such request computes a key nobody has written, and the stale
+//! entry simply ages out of the LRU; queries over other relations keep
+//! their keys and stay warm. There is no purge logic to get wrong — and
+//! nothing to *wrongly* purge: a restart or a no-op mutation keeps the
+//! fingerprint, so warm entries survive both.
 //!
 //! Results (unlike plans) have data-dependent size, so the cache is an
 //! [`Lru`] budgeted in **bytes**: [`CachedResult::approx_bytes`].
@@ -33,12 +36,13 @@ use ppr_relalg::{ExecStats, Value};
 use crate::catalog::DbFingerprint;
 use crate::lru::{self, CacheStats, CacheValue, Lru};
 
-/// Key of the result and plan caches: which data (content hash), which
-/// query (canonical fingerprint), and which plan family (method +
-/// tie-breaking seed).
+/// Key of the result and plan caches: which data (content hash of the
+/// relations the query reads), which query (canonical fingerprint), and
+/// which plan family (method + tie-breaking seed).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResultKey {
-    /// Content fingerprint of the data the entry was computed from.
+    /// Content fingerprint of the relations the query reads, as they
+    /// were when the entry was computed.
     pub data: DbFingerprint,
     /// Canonical query fingerprint.
     pub fingerprint: Fingerprint,

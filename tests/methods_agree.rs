@@ -223,9 +223,10 @@ proptest! {
     /// One oracle across the engine's cache states. For every method,
     /// `EngineHandle::execute` returns exactly the oracle's rows: cold;
     /// warm, for the query renamed with its atoms permuted (a result-cache
-    /// hit); after a `Catalog::add` of `edge(1,1)` (a miss, since the data
-    /// changed); and after the durable catalog is reopened from its data
-    /// directory.
+    /// hit); after a `Catalog::add` to a relation the query does not read
+    /// (still a hit); after a `Catalog::add` of `edge(1,1)` (a miss, since
+    /// the data it reads changed); and after the durable catalog is
+    /// reopened from its data directory.
     #[test]
     fn engine_matches_oracle_across_cache_states(
         order in 3usize..8,
@@ -267,6 +268,12 @@ proptest! {
         }
 
         let catalog = handle.catalog();
+        catalog.add(DEFAULT_DB, "unread", vec![1, 1].into_boxed_slice()).expect("add");
+        for method in all_methods() {
+            let (rows, hit) = engine_rows(&handle, &text, method);
+            prop_assert!(hit, "{} after an unread add", method.name());
+            prop_assert_eq!(&rows, &expected, "{} after an unread add", method.name());
+        }
         catalog.add(DEFAULT_DB, "edge", vec![1, 1].into_boxed_slice()).expect("add");
         let mutated = catalog.snapshot(DEFAULT_DB).expect("default db").db;
         let expected = oracle_rows(&q, &mutated);

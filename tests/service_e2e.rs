@@ -121,8 +121,21 @@ fn catalog_mutations_invalidate_result_cache_over_the_wire() {
     assert_eq!(warm.rows, cold.rows, "cached rows must be byte-identical");
     assert_eq!(warm.columns, cold.columns);
 
-    // `add` bumps the version: the very next run misses both caches and
-    // sees the new data (a third color enlarges the answer set).
+    // Caches key on the content of the relations a query reads, so an
+    // `add` to a relation the square does not read leaves it warm.
+    let unread = client
+        .add("two", "unread", vec![5].into_boxed_slice())
+        .expect("add unread");
+    assert!(unread > v1, "add must bump the version");
+    let still_warm = client.run(&req).unwrap();
+    assert!(
+        still_warm.result_cache_hit,
+        "an add to an unread relation must not invalidate"
+    );
+    assert_eq!(still_warm.rows, cold.rows);
+
+    // `add` to `edge` bumps the version: the very next run misses both
+    // caches and sees the new data (a third color enlarges the answer set).
     let v2 = client
         .add("two", "edge", vec![0, 2].into_boxed_slice())
         .expect("add");
