@@ -162,7 +162,7 @@ pub struct DbSnapshot {
 }
 
 /// One row of [`Catalog::list`] — what the `dbs` wire verb reports.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DbInfo {
     /// Database name.
     pub name: String,

@@ -248,7 +248,7 @@ mod tests {
         let cold = client.trace(&req).unwrap();
         assert!(!cold.result_cache_hit);
         assert_eq!(cold.rows, 6, "K3 symmetric pairs");
-        assert!(cold.tuples_flowed > 0, "cold trace executed");
+        assert!(cold.digest.tuples_flowed > 0, "cold trace executed");
         assert!(
             cold.spans.total() <= cold.total_us,
             "span sum {} must not exceed wall time {}",
