@@ -240,6 +240,29 @@ mod tests {
     }
 
     #[test]
+    fn trace_and_explain_count_the_rows_run_returns() {
+        let (mut server, addr, engine) = serve();
+        let mut client = Client::connect(addr).unwrap();
+        let req = Request::new("q(x, y) :- edge(x, y), edge(y, x)", Method::EarlyProjection);
+        // Explain bypasses the result cache: this one runs before any
+        // result is cached, the one at the end after.
+        let cold = client.explain(&req, ExplainMode::Analyze).unwrap();
+        // A fresh result: the trace executes and caches it…
+        let fresh = client.trace(&req).unwrap();
+        assert!(!fresh.result_cache_hit);
+        let run = client.run(&req).unwrap();
+        assert!(run.result_cache_hit, "…so the run after it is a hit");
+        let hit = client.trace(&req).unwrap();
+        assert!(hit.result_cache_hit);
+        let warm = client.explain(&req, ExplainMode::Analyze).unwrap();
+        let rows = run.rows.len() as u64;
+        assert_eq!(rows, 6);
+        assert_eq!([cold.rows, fresh.rows, hit.rows, warm.rows], [rows; 4]);
+        server.shutdown();
+        engine.shutdown();
+    }
+
+    #[test]
     fn trace_slowlog_and_span_stats_over_tcp() {
         let (mut server, addr, engine) = serve();
         let mut client = Client::connect(addr).unwrap();

@@ -20,7 +20,8 @@
 //!    against the snapshot, compute the canonical
 //!    [`ppr_query::QueryIdentity`] once for both caches.
 //! 4. **Result cache** — a hit on `(data fingerprint, query fingerprint,
-//!    method, seed)` returns the cached rows with **zero execution**. The
+//!    method, seed)` answers with the cached entry itself — the shared
+//!    `Arc<CachedResult>`, not a copy of its rows — and **zero execution**. The
 //!    data fingerprint covers only the relations the query's atoms name
 //!    ([`crate::catalog::fingerprint_relations`]), so a content-changing
 //!    mutation invalidates exactly the entries of queries that read the
@@ -30,12 +31,20 @@
 //!    result key, data identity included, because plans embed
 //!    `Arc<Relation>` scans of the snapshot they were built on.
 //! 6. **Execute + publish** — the streaming executor under the request
-//!    budget clamped by the server maximum; a successful result is
-//!    offered to the result cache (byte-budgeted, LRU). Only when the
+//!    budget clamped by the server maximum; the executor's rows move once
+//!    into a new `Arc<CachedResult>`, which is both the answer and what
+//!    the result cache (byte-budgeted, LRU) is offered. Only when the
 //!    result cache refuses it (oversized, or a zero budget) does the plan
 //!    go into the plan cache: a resident plan pins the relation versions
 //!    it scans, and a plan whose result is cached would never be looked
 //!    up again while that result stays.
+//!
+//! A worker takes one job per wake from the queue, and the completion
+//! callback gets the crate-private `Answer`: the event loop encodes the
+//! reply straight from its shared entry, so a hit never copies a row.
+//! Only [`EngineHandle::execute`], where a result leaves the crate, turns
+//! it into an owned [`Response`] — moving the rows when nothing else holds
+//! the entry, copying them when the cache does.
 //!
 //! Shutdown is graceful: the queue closes, workers drain every admitted
 //! request (each waiting client still gets its answer), then exit.
@@ -63,8 +72,8 @@ use crate::result_cache::{CachedResult, ResultCache, ResultCacheStats, ResultKey
 use crate::ServiceError;
 
 /// Completion callback for an asynchronously submitted request. Invoked
-/// exactly once — with the response, or with the admission/refusal error.
-pub type ReplyFn = Box<dyn FnOnce(Result<Response, ServiceError>) + Send + 'static>;
+/// exactly once — with the answer, or with the admission/refusal error.
+pub(crate) type ReplyFn = Box<dyn FnOnce(Result<Answer, ServiceError>) + Send + 'static>;
 
 /// What an `explain` request wants back.
 ///
@@ -229,6 +238,15 @@ pub struct Response {
 }
 
 impl Response {
+    /// The header flags of this response, as an [`Answer`] carries them.
+    pub(crate) fn reuse(&self) -> Reuse {
+        Reuse {
+            cache_hit: self.cache_hit,
+            result_cache_hit: self.result_cache_hit,
+            plan_micros: self.plan_micros,
+        }
+    }
+
     /// An empty cold-execution response — the decoding seed for the wire
     /// layer and the only way to construct one outside this crate (the
     /// struct is `#[non_exhaustive]`).
@@ -242,6 +260,56 @@ impl Response {
             plan_micros: 0,
             trace: TraceSpans::new(),
             explain: None,
+        }
+    }
+}
+
+/// What a request reused instead of computing: the three header flags
+/// every answer carries beside its result.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Reuse {
+    /// Planning was skipped: a plan-cache or result-cache hit.
+    pub(crate) cache_hit: bool,
+    /// The result came from the result cache (zero execution).
+    pub(crate) result_cache_hit: bool,
+    /// Time spent building the plan (0 on either kind of hit).
+    pub(crate) plan_micros: u64,
+}
+
+/// The engine's answer to one request, as the worker hands it to the
+/// completion callback: the result — on a hit the very entry the result
+/// cache holds, on a miss the new entry it was offered — and this
+/// request's own header. [`Answer::into_response`] is the one way out of
+/// the crate.
+pub(crate) struct Answer {
+    /// Columns, rows and the stats of the execution that produced them.
+    pub(crate) result: Arc<CachedResult>,
+    pub(crate) reuse: Reuse,
+    /// Per-phase spans, as on [`Response::trace`].
+    pub(crate) trace: TraceSpans,
+    /// Planner/operator detail, as on [`Response::explain`].
+    pub(crate) explain: Option<Box<ExplainData>>,
+}
+
+impl Answer {
+    /// The owned public form. Moves the rows out when the answer is the
+    /// entry's only holder (explain, a refused or uncached result, a
+    /// decoded reply) and copies them when the result cache shares it.
+    pub(crate) fn into_response(self) -> Response {
+        let CachedResult {
+            columns,
+            rows,
+            stats,
+        } = Arc::unwrap_or_clone(self.result);
+        Response {
+            columns,
+            rows,
+            stats,
+            cache_hit: self.reuse.cache_hit,
+            result_cache_hit: self.reuse.result_cache_hit,
+            plan_micros: self.reuse.plan_micros,
+            trace: self.trace,
+            explain: self.explain,
         }
     }
 }
@@ -391,18 +459,20 @@ impl EngineHandle {
         self.submit(request, move |result| {
             let _ = tx.send(result);
         });
-        rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
+        rx.recv()
+            .unwrap_or(Err(ServiceError::ShuttingDown))
+            .map(Answer::into_response)
     }
 
     /// Submits `request` without waiting: `on_done` is invoked exactly
-    /// once — from a worker thread with the response, or inline with the
+    /// once — from a worker thread with the answer, or inline with the
     /// admission error ([`ServiceError::Overloaded`] /
     /// [`ServiceError::ShuttingDown`]). This is the pipelining primitive:
     /// a connection can keep many requests in flight and complete them
     /// out of order.
-    pub fn submit<F>(&self, request: Request, on_done: F)
+    pub(crate) fn submit<F>(&self, request: Request, on_done: F)
     where
-        F: FnOnce(Result<Response, ServiceError>) + Send + 'static,
+        F: FnOnce(Result<Answer, ServiceError>) + Send + 'static,
     {
         self.submit_job(Job {
             request,
@@ -423,7 +493,7 @@ impl EngineHandle {
     /// `db` — callers group requests by effective database first.
     ///
     /// [`submit`]: EngineHandle::submit
-    pub fn submit_batch(&self, db: Option<&str>, batch: Vec<(Request, ReplyFn)>) {
+    pub(crate) fn submit_batch(&self, db: Option<&str>, batch: Vec<(Request, ReplyFn)>) {
         if batch.is_empty() {
             return;
         }
@@ -714,57 +784,46 @@ impl Engine {
     }
 }
 
-/// Jobs a worker drains per queue lock. Bounded so one worker cannot
-/// hoard a burst while its siblings idle; small enough that a pipelined
-/// batch still spreads across the pool.
-const WORKER_BATCH: usize = 8;
-
 fn worker_loop(shared: &Shared) {
-    // Batch pop: under pipelined load the queue holds whole bursts, and
-    // draining one per lock acquisition made the mutex+condvar round trip
-    // a per-request cost. A lone queued job still pops immediately —
-    // `pop_batch` never waits for a full batch.
-    while let Some(jobs) = shared.queue.pop_batch(WORKER_BATCH) {
-        for job in jobs {
-            let mut spans = TraceSpans::new();
-            spans.set(Phase::QueueWait, job.submitted.elapsed().as_micros() as u64);
-            let mut slow_id = None;
-            // Panic isolation: requests come off the wire, and a panic
-            // escaping `process` would kill this worker *and* leak its
-            // in-flight slot — enough such requests would empty the pool
-            // and leave later admitted requests waiting forever.
-            // Known-bad inputs are rejected with typed errors before they
-            // can panic; this is the backstop for the unknown ones.
-            // `process` writes spans through an out-parameter so a failed
-            // (or panicked) request keeps the phases it did complete.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                process(
-                    shared,
-                    &job.request,
-                    job.pinned.as_ref(),
-                    &mut spans,
-                    &mut slow_id,
-                )
-            }))
-            .unwrap_or_else(|payload| {
-                let msg = panic_message(payload.as_ref());
-                ppr_obs::ppr_error!("worker caught a panic processing a request: {msg}");
-                Err(ServiceError::Internal(msg))
-            })
-            .map(|mut resp| {
-                resp.trace = spans;
-                resp
-            });
-            // Total latency is measured from admission, so the recorded
-            // spans always sum to at most the recorded total.
-            let total_us = job.submitted.elapsed().as_micros() as u64;
-            record_completion(shared, &job.request, &result, spans, total_us, slow_id);
-            shared.served.fetch_add(1, Ordering::Relaxed);
-            shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            // The callback owns delivery; a vanished caller (client
-            // disconnected mid-request) just makes it a no-op.
-            (job.reply)(result);
-        }
+    while let Some(job) = shared.queue.pop() {
+        let mut spans = TraceSpans::new();
+        spans.set(Phase::QueueWait, job.submitted.elapsed().as_micros() as u64);
+        let mut slow_id = None;
+        // Panic isolation: requests come off the wire, and a panic
+        // escaping `process` would kill this worker *and* leak its
+        // in-flight slot — enough such requests would empty the pool
+        // and leave later admitted requests waiting forever.
+        // Known-bad inputs are rejected with typed errors before they
+        // can panic; this is the backstop for the unknown ones.
+        // `process` writes spans through an out-parameter so a failed
+        // (or panicked) request keeps the phases it did complete.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            process(
+                shared,
+                &job.request,
+                job.pinned.as_ref(),
+                &mut spans,
+                &mut slow_id,
+            )
+        }))
+        .unwrap_or_else(|payload| {
+            let msg = panic_message(payload.as_ref());
+            ppr_obs::ppr_error!("worker caught a panic processing a request: {msg}");
+            Err(ServiceError::Internal(msg))
+        })
+        .map(|mut answer| {
+            answer.trace = spans;
+            answer
+        });
+        // Total latency is measured from admission, so the recorded
+        // spans always sum to at most the recorded total.
+        let total_us = job.submitted.elapsed().as_micros() as u64;
+        record_completion(shared, &job.request, &result, spans, total_us, slow_id);
+        shared.served.fetch_add(1, Ordering::Relaxed);
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        // The callback owns delivery; a vanished caller (client
+        // disconnected mid-request) just makes it a no-op.
+        (job.reply)(result);
     }
 }
 
@@ -789,7 +848,7 @@ struct SlowIdentity<'a> {
 fn record_completion(
     shared: &Shared,
     request: &Request,
-    result: &Result<Response, ServiceError>,
+    result: &Result<Answer, ServiceError>,
     spans: TraceSpans,
     total_us: u64,
     slow_id: Option<SlowIdentity<'_>>,
@@ -801,15 +860,16 @@ fn record_completion(
     }
     obs.total_us.record(total_us);
     let (rows, digest, op_digest, outcome) = match result {
-        Ok(resp) => {
-            obs.result_rows.record(resp.rows.len() as u64);
-            let (digest, op_digest) = if resp.result_cache_hit {
+        Ok(answer) => {
+            let (rows, stats) = (answer.result.rows.len() as u64, &answer.result.stats);
+            obs.result_rows.record(rows);
+            let (digest, op_digest) = if answer.reuse.result_cache_hit {
                 // A result-cache hit executed nothing; recording the
                 // original execution's flow (or its operator profile)
                 // would double-count it.
                 (ppr_relalg::ExecDigest::default(), String::new())
             } else {
-                let op_digest = match resp.stats.op_profile.as_deref() {
+                let op_digest = match stats.op_profile.as_deref() {
                     Some(profile) => {
                         // Per-operator metrics ride on the same profile
                         // the slow-log digest compresses.
@@ -821,13 +881,13 @@ fn record_completion(
                     }
                     None => String::new(),
                 };
-                (resp.stats.digest(), op_digest)
+                (stats.digest(), op_digest)
             };
             obs.tuples_flowed.record(digest.tuples_flowed);
             obs.rows_scanned.record(digest.rows_scanned);
             obs.index_probes.add(digest.index_probes);
             obs.index_builds.add(digest.index_builds);
-            (resp.rows.len() as u64, digest, op_digest, "ok")
+            (rows, digest, op_digest, "ok")
         }
         Err(e) => {
             obs.errors_total.inc();
@@ -904,7 +964,7 @@ fn process<'a>(
     pinned: Option<&'a (String, DbSnapshot)>,
     spans: &mut TraceSpans,
     slow_id: &mut Option<SlowIdentity<'a>>,
-) -> Result<Response, ServiceError> {
+) -> Result<Answer, ServiceError> {
     // One snapshot for the whole request: concurrent catalog mutations
     // publish new versions beside it and never tear this evaluation.
     // Batch submission already pinned one; single submission resolves it
@@ -974,14 +1034,14 @@ fn process<'a>(
     };
     let mut lookup_us = started.elapsed().as_micros() as u64;
     spans.set(Phase::CacheLookup, lookup_us);
-    if let Some(cached) = cached {
-        return Ok(Response {
-            columns: cached.columns.clone(),
-            rows: cached.rows.clone(),
-            stats: cached.stats.clone(),
-            cache_hit: true,
-            result_cache_hit: true,
-            plan_micros: 0,
+    if let Some(result) = cached {
+        return Ok(Answer {
+            result,
+            reuse: Reuse {
+                cache_hit: true,
+                result_cache_hit: true,
+                plan_micros: 0,
+            },
             trace: TraceSpans::new(),
             explain: None,
         });
@@ -1051,13 +1111,17 @@ fn process<'a>(
         // executor *would* build, with every counter zero.
         let shape = streaming_shape(&plan);
         let columns: Vec<String> = query.free.iter().map(|&f| query.vars.name(f)).collect();
-        return Ok(Response {
-            columns,
-            rows: Vec::new(),
-            stats: ExecStats::default(),
-            cache_hit,
-            result_cache_hit: false,
-            plan_micros,
+        return Ok(Answer {
+            result: Arc::new(CachedResult {
+                columns,
+                rows: Vec::new(),
+                stats: ExecStats::default(),
+            }),
+            reuse: Reuse {
+                cache_hit,
+                result_cache_hit: false,
+                plan_micros,
+            },
             trace: TraceSpans::new(),
             explain: Some(Box::new(ExplainData {
                 analyze: false,
@@ -1101,24 +1165,6 @@ fn process<'a>(
     spans.set(Phase::Exec, started.elapsed().as_micros() as u64);
     let (rel, stats) = executed.map_err(ServiceError::Exec)?;
 
-    let columns: Vec<String> = query.free.iter().map(|&f| query.vars.name(f)).collect();
-    let rows = rel.into_tuples();
-    if !explaining {
-        let entry = Arc::new(CachedResult {
-            columns: columns.clone(),
-            rows: rows.clone(),
-            stats: stats.clone(),
-        });
-        // A resident plan pins the relation versions it scans, so it is
-        // kept only when the result cache refuses the result — the one
-        // case in which a repeat of this request would plan again.
-        if !cache_hit && !shared.results.admits(&entry) {
-            shared
-                .cache
-                .insert(result_key.clone(), identity.shape.clone(), plan);
-        }
-        shared.results.insert(result_key, identity.shape, entry);
-    }
     let explain = analyze.then(|| {
         Box::new(ExplainData {
             analyze: true,
@@ -1130,13 +1176,33 @@ fn process<'a>(
                 .unwrap_or_default(),
         })
     });
-    Ok(Response {
-        columns,
-        rows,
+    // The rows move once, into the entry that is both this request's
+    // answer and what the result cache is offered.
+    let result = Arc::new(CachedResult {
+        columns: query.free.iter().map(|&f| query.vars.name(f)).collect(),
+        rows: rel.into_tuples(),
         stats,
-        cache_hit,
-        result_cache_hit: false,
-        plan_micros,
+    });
+    if !explaining {
+        // A resident plan pins the relation versions it scans, so it is
+        // kept only when the result cache refuses the result — the one
+        // case in which a repeat of this request would plan again.
+        if !cache_hit && !shared.results.admits(&result) {
+            shared
+                .cache
+                .insert(result_key.clone(), identity.shape.clone(), plan);
+        }
+        shared
+            .results
+            .insert(result_key, identity.shape, result.clone());
+    }
+    Ok(Answer {
+        result,
+        reuse: Reuse {
+            cache_hit,
+            result_cache_hit: false,
+            plan_micros,
+        },
         trace: TraceSpans::new(),
         explain,
     })
@@ -1334,6 +1400,54 @@ mod tests {
         // The plan cache saw only the cold request.
         assert_eq!(stats.cache.misses, 1);
         assert_eq!(stats.cache.hits, 0);
+        engine.shutdown();
+    }
+
+    /// The worker's answer, as the event loop receives it.
+    fn answer(h: &EngineHandle, request: Request) -> Answer {
+        let (tx, rx) = mpsc::channel();
+        h.submit(request, move |r| {
+            let _ = tx.send(r);
+        });
+        rx.recv().unwrap().unwrap()
+    }
+
+    #[test]
+    fn hits_and_the_miss_before_them_share_one_entry_with_the_cache() {
+        let engine = Engine::start(three_color_catalog(), small_cfg());
+        let h = engine.handle();
+        let req = || pentagon_request(Method::EarlyProjection);
+        let miss = answer(&h, req());
+        assert!(!miss.reuse.result_cache_hit);
+        // What the cache holds for this request, fetched as a hit would.
+        let query = ppr_query::parse_query(&req().query).unwrap();
+        let identity = QueryIdentity::of(&query);
+        let db = h.catalog().snapshot(DEFAULT_DB).unwrap().db;
+        let key = ResultKey {
+            data: fingerprint_relations(&db, &["edge"]),
+            fingerprint: identity.fingerprint,
+            method: Method::EarlyProjection,
+            seed: 0,
+        };
+        let cached = h.shared.results.get(&key, &identity.shape).unwrap();
+        assert!(
+            Arc::ptr_eq(&miss.result, &cached),
+            "the miss copied its rows"
+        );
+        let hit = answer(&h, req());
+        assert!(hit.reuse.result_cache_hit);
+        assert!(Arc::ptr_eq(&hit.result, &cached), "the hit copied its rows");
+        // Out of the crate, a hit is still owned rows equal to a cold run.
+        let owned = h.execute(req()).unwrap();
+        assert!(owned.result_cache_hit);
+        let mut cfg = small_cfg();
+        cfg.result_cache_bytes = 0;
+        let cold_engine = Engine::start(three_color_catalog(), cfg);
+        let cold = cold_engine.handle().execute(req()).unwrap();
+        assert!(!cold.result_cache_hit);
+        assert!(!cold.rows.is_empty());
+        assert_eq!((&owned.columns, &owned.rows), (&cold.columns, &cold.rows));
+        cold_engine.shutdown();
         engine.shutdown();
     }
 
@@ -1578,8 +1692,8 @@ mod tests {
         h.submit(pentagon_request(Method::EarlyProjection), move |r| {
             let _ = tx.send(r);
         });
-        let resp = rx.recv().unwrap().unwrap();
-        assert!(!resp.rows.is_empty());
+        let answer = rx.recv().unwrap().unwrap();
+        assert!(!answer.result.rows.is_empty());
 
         // Batch submission: all requests resolve against the snapshot
         // pinned at submit time, so a mutation racing in *after* the
@@ -1603,7 +1717,7 @@ mod tests {
             .add(DEFAULT_DB, "edge", vec![7, 8].into())
             .unwrap();
         let rows: Vec<_> = (0..reqs.len())
-            .map(|_| rx.recv().unwrap().unwrap().rows)
+            .map(|_| rx.recv().unwrap().unwrap().result.rows.clone())
             .collect();
         for r in &rows {
             assert_eq!(r, &rows[0], "one snapshot per batch");

@@ -99,8 +99,9 @@ struct Completion {
 }
 
 /// The worker→loop handoff: a locked vector plus the eventfd doorbell.
-/// Workers push and ring; the loop drains on readiness. `wake` alone is
-/// the shutdown signal.
+/// A push that makes the vector non-empty rings; the loop drains the
+/// whole vector on readiness, so later pushes before that drain ride on
+/// the same ring. `wake` alone is the shutdown signal.
 pub(crate) struct CompletionQueue {
     ready: Mutex<Vec<Completion>>,
     doorbell: EventFd,
@@ -108,13 +109,21 @@ pub(crate) struct CompletionQueue {
 
 impl CompletionQueue {
     fn push(&self, completion: Completion) {
-        self.ready
-            .lock()
-            .expect("completion queue")
-            .push(completion);
-        self.doorbell.signal();
+        let first = {
+            let mut ready = self.ready.lock().expect("completion queue");
+            ready.push(completion);
+            ready.len() == 1
+        };
+        if first {
+            self.doorbell.signal();
+        }
     }
 
+    /// Takes every pending completion. The doorbell is cleared *before*
+    /// the vector is taken: a push landing between the two finds the
+    /// vector non-empty and its completion is taken here, and a push after
+    /// the take finds it empty and rings again — no completion waits for
+    /// a ring that never comes.
     fn drain(&self) -> Vec<Completion> {
         self.doorbell.drain();
         mem::take(&mut *self.ready.lock().expect("completion queue"))
@@ -666,17 +675,17 @@ impl Loop {
         let started = Instant::now();
         self.engine.submit(request, move |result| {
             let reply = match shape {
-                ReplyShape::Rows => protocol::encode_result(&result),
+                ReplyShape::Rows => protocol::encode_answer(&result),
                 ReplyShape::Trace => {
                     let total_us = started.elapsed().as_micros() as u64;
                     protocol::encode_trace_report(
-                        &result.map(|resp| TraceReport::of(&resp, total_us)),
+                        &result.map(|answer| TraceReport::of(&answer, total_us)),
                     )
                 }
                 ReplyShape::Explain => {
                     let total_us = started.elapsed().as_micros() as u64;
                     protocol::encode_explain_report(
-                        &result.map(|resp| ExplainReport::of(&resp, total_us)),
+                        &result.map(|answer| ExplainReport::of(answer, total_us)),
                     )
                 }
             };
@@ -709,7 +718,7 @@ impl Loop {
                 let reply: ReplyFn = Box::new(move |result| {
                     queue.push(Completion {
                         token,
-                        line: protocol::tag_reply(id, &protocol::encode_result(&result)),
+                        line: protocol::tag_reply(id, &protocol::encode_answer(&result)),
                         release: Some(id),
                         serial: false,
                     });
@@ -885,5 +894,40 @@ impl Loop {
                 self.close_conn(slot, conn, CloseReason::Shutdown);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn completion(token: u64) -> Completion {
+        Completion {
+            token,
+            line: String::new(),
+            release: None,
+            serial: false,
+        }
+    }
+
+    #[test]
+    fn the_doorbell_rings_once_per_drain() {
+        let queue = CompletionQueue {
+            ready: Mutex::new(Vec::new()),
+            doorbell: EventFd::new().unwrap(),
+        };
+        queue.push(completion(1));
+        queue.push(completion(2));
+        assert_eq!(queue.doorbell.drain(), 1, "two pushes, one ring");
+        let tokens: Vec<u64> = queue.drain().iter().map(|c| c.token).collect();
+        assert_eq!(tokens, [1, 2], "one drain returns both");
+        assert_eq!(queue.doorbell.drain(), 0);
+        queue.push(completion(3));
+        assert_eq!(
+            queue.doorbell.drain(),
+            1,
+            "a push after a drain rings again"
+        );
+        assert_eq!(queue.drain().len(), 1);
     }
 }

@@ -174,10 +174,16 @@ impl EventFd {
         unsafe { write(self.fd, one.to_ne_bytes().as_ptr(), 8) };
     }
 
-    /// Clears the counter so level-triggered epoll stops reporting it.
-    pub fn drain(&self) {
+    /// Clears the counter so level-triggered epoll stops reporting it,
+    /// and returns how many rings it held (0 when none).
+    pub fn drain(&self) -> u64 {
         let mut buf = [0u8; 8];
-        unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
+        let n = unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
+        if n == 8 {
+            u64::from_ne_bytes(buf)
+        } else {
+            0
+        }
     }
 }
 

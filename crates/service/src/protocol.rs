@@ -15,12 +15,14 @@
 use ppr_core::methods::Method;
 use ppr_obs::{OpKind, OpNode, PassSpan, Phase, Quantiles, SlowEntry, TraceSpans, PHASES};
 use ppr_relalg::budget::BudgetKind;
-use ppr_relalg::{ExecDigest, RelalgError, Value};
+use ppr_relalg::{ExecDigest, ExecStats, RelalgError, Value};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::catalog::{DbInfo, DbVersion};
-use crate::engine::{EngineStats, ExplainMode, Request, Response};
+use crate::engine::{Answer, EngineStats, ExplainMode, Request, Response, Reuse};
+use crate::result_cache::CachedResult;
 use crate::ServiceError;
 
 /// Hard cap on accepted line length (1 MiB): a wire peer cannot make the
@@ -840,44 +842,71 @@ pub fn decode_ack(line: &str) -> Result<Ack, ServiceError> {
     }
 }
 
-/// The result header, before the hand-written `cols= rows= data=`.
-const RESULT: &[Field<Response>] = &[
+/// The result header's first keys: what the request reused.
+const REUSE: &[Field<Reuse>] = &[
     field!(key::CACHE_HIT, r => r.cache_hit),
     field!(key::RESULT_HIT, r => r.result_cache_hit),
     field!(key::PLAN_US, r => r.plan_micros),
-    field!("elapsed_us", r => r.stats.elapsed),
-    field!("cpu_us", r => r.stats.cpu_time),
-    field!(key::TUPLES, r => r.stats.tuples_flowed),
-    field!(key::SCANNED, r => r.stats.rows_scanned),
-    field!(key::EMITTED, r => r.stats.rows_emitted),
-    field!(key::IX_PROBES, r => r.stats.index_probes),
-    field!(key::IX_BUILDS, r => r.stats.index_builds),
-    field!("materializations", r => r.stats.materializations),
-    field!(key::JOIN_STAGES, r => r.stats.join_stages),
-    field!("max_arity", r => r.stats.max_intermediate_arity),
-    field!(key::THREADS, r => r.stats.threads_used),
+];
+
+/// The rest of the result header, before the hand-written
+/// `cols= rows= data=`: the stats of the execution that produced the rows.
+const EXEC: &[Field<ExecStats>] = &[
+    field!("elapsed_us", s => s.elapsed),
+    field!("cpu_us", s => s.cpu_time),
+    field!(key::TUPLES, s => s.tuples_flowed),
+    field!(key::SCANNED, s => s.rows_scanned),
+    field!(key::EMITTED, s => s.rows_emitted),
+    field!(key::IX_PROBES, s => s.index_probes),
+    field!(key::IX_BUILDS, s => s.index_builds),
+    field!("materializations", s => s.materializations),
+    field!(key::JOIN_STAGES, s => s.join_stages),
+    field!("max_arity", s => s.max_intermediate_arity),
+    field!(key::THREADS, s => s.threads_used),
 ];
 
 /// Encodes an evaluation outcome as one `ok`/`err` line.
 pub fn encode_result(result: &Result<Response, ServiceError>) -> String {
-    let r = match result {
-        Ok(r) => r,
-        Err(e) => return encode_error(e),
-    };
+    match result {
+        Ok(r) => result_line(&r.reuse(), &r.columns, &r.rows, &r.stats),
+        Err(e) => encode_error(e),
+    }
+}
+
+/// [`encode_result`] of the engine's answer, written straight from the
+/// result it shares with the result cache.
+pub(crate) fn encode_answer(result: &Result<Answer, ServiceError>) -> String {
+    match result {
+        Ok(a) => {
+            let r = &a.result;
+            result_line(&a.reuse, &r.columns, &r.rows, &r.stats)
+        }
+        Err(e) => encode_error(e),
+    }
+}
+
+fn result_line(
+    reuse: &Reuse,
+    columns: &[String],
+    rows: &[Box<[Value]>],
+    stats: &ExecStats,
+) -> String {
     // Sized once: 512 bytes hold the header's keys and numbers.
-    let columns = r.columns.join(",");
-    let mut line = String::with_capacity(512 + columns.len() + tuples_len_bound(&r.rows));
+    let columns = columns.join(",");
+    let mut line = String::with_capacity(512 + columns.len() + tuples_len_bound(rows));
     line.push_str("ok");
-    put_fields(&mut line, RESULT, r);
-    let (rows, count) = (key::ROWS, r.rows.len());
+    put_fields(&mut line, REUSE, reuse);
+    put_fields(&mut line, EXEC, stats);
+    let count = rows.len();
     write!(
         line,
-        " {}={columns} {rows}={count} {}=",
+        " {}={columns} {}={count} {}=",
         key::COLS,
+        key::ROWS,
         key::DATA
     )
     .expect(WRITE);
-    push_tuples(&mut line, &r.rows);
+    push_tuples(&mut line, rows);
     line
 }
 
@@ -887,32 +916,44 @@ pub fn decode_result(line: &str) -> Result<Response, ServiceError> {
     let Some((head, data)) = rest.split_once(&format!("{}=", key::DATA)) else {
         return perr("ok line needs data=");
     };
-    let mut resp = Response::empty();
+    let (mut reuse, mut stats) = (Reuse::default(), ExecStats::default());
+    let mut columns = Vec::new();
     let mut expected_rows = None;
-    take_fields(head, RESULT, &mut resp, |resp, k, v| {
+    take_fields(head, REUSE, &mut reuse, |_, k, v| {
+        if let Some(f) = EXEC.iter().find(|f| f.key == k) {
+            set_field(f, &mut stats, v)?;
+            return Ok(true);
+        }
         match k {
-            key::COLS if v.is_empty() => resp.columns = Vec::new(),
-            key::COLS => resp.columns = v.split(',').map(str::to_string).collect(),
+            key::COLS if v.is_empty() => columns = Vec::new(),
+            key::COLS => columns = v.split(',').map(str::to_string).collect(),
             key::ROWS => expected_rows = Some(parse_num::<usize>(k, v)?),
             _ => return Ok(false),
         }
         Ok(true)
     })?;
-    resp.rows = if !data.is_empty() {
+    let rows = if !data.is_empty() {
         decode_tuples(data)?
-    } else if resp.columns.is_empty() && expected_rows == Some(1) {
+    } else if columns.is_empty() && expected_rows == Some(1) {
         // A Boolean `true`: one row of no columns, which `data=` cannot show.
         vec![Box::from([])]
     } else {
         Vec::new()
     };
-    match expected_rows {
-        Some(n) if n != resp.rows.len() => perr(format!(
-            "row count {} does not match rows={n}",
-            resp.rows.len()
-        )),
-        _ => Ok(resp),
+    if let Some(n) = expected_rows.filter(|&n| n != rows.len()) {
+        return perr(format!("row count {} does not match rows={n}", rows.len()));
     }
+    let answer = Answer {
+        result: Arc::new(CachedResult {
+            columns,
+            rows,
+            stats,
+        }),
+        reuse,
+        trace: TraceSpans::new(),
+        explain: None,
+    };
+    Ok(answer.into_response())
 }
 
 /// The `which=` names of the three budgets.
@@ -1090,16 +1131,17 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Summarizes `resp`, observed to take `total_us` of wall time: spans
-    /// ride on [`Response::trace`], the digest comes from its stats.
-    pub fn of(resp: &Response, total_us: u64) -> TraceReport {
+    /// Summarizes `answer`, observed to take `total_us` of wall time: the
+    /// spans ride on the answer, the row count and digest come from the
+    /// result it shares with the result cache.
+    pub(crate) fn of(answer: &Answer, total_us: u64) -> TraceReport {
         TraceReport {
-            spans: resp.trace,
+            spans: answer.trace,
             total_us,
-            rows: resp.rows.len() as u64,
-            cache_hit: resp.cache_hit,
-            result_cache_hit: resp.result_cache_hit,
-            digest: resp.stats.digest(),
+            rows: answer.result.rows.len() as u64,
+            cache_hit: answer.reuse.cache_hit,
+            result_cache_hit: answer.reuse.result_cache_hit,
+            digest: answer.result.stats.digest(),
         }
     }
 }
@@ -1175,18 +1217,19 @@ pub struct ExplainReport {
 }
 
 impl ExplainReport {
-    /// Summarizes an explained response observed to take `total_us` of
-    /// wall time. A response without explain data (not produced by an
-    /// explain request) yields empty pass and operator lists.
-    pub fn of(resp: &Response, total_us: u64) -> ExplainReport {
-        let data = resp.explain.as_deref().cloned().unwrap_or_default();
+    /// Summarizes an explained answer observed to take `total_us` of
+    /// wall time; the row count comes from its result. An answer without
+    /// explain data (not produced by an explain request) yields empty
+    /// pass and operator lists.
+    pub(crate) fn of(answer: Answer, total_us: u64) -> ExplainReport {
+        let data = answer.explain.map(|d| *d).unwrap_or_default();
         ExplainReport {
             analyze: data.analyze,
-            plan_us: resp.plan_micros,
+            plan_us: answer.reuse.plan_micros,
             total_us,
-            rows: resp.rows.len() as u64,
-            cache_hit: resp.cache_hit,
-            result_cache_hit: resp.result_cache_hit,
+            rows: answer.result.rows.len() as u64,
+            cache_hit: answer.reuse.cache_hit,
+            result_cache_hit: answer.reuse.result_cache_hit,
             passes: data.passes,
             ops: data.ops,
         }
@@ -2102,7 +2145,11 @@ mod tests {
         assert_eq!(decode_ack(&encode_ack(&Ok(ack.clone()))).unwrap(), ack);
 
         let mut resp = sample_response();
-        fill(RESULT, &mut resp, n);
+        let mut reuse = Reuse::default();
+        fill(REUSE, &mut reuse, n);
+        (resp.cache_hit, resp.result_cache_hit, resp.plan_micros) =
+            (reuse.cache_hit, reuse.result_cache_hit, reuse.plan_micros);
+        fill(EXEC, &mut resp.stats, n);
         assert_eq!(
             decode_result(&encode_result(&Ok(resp.clone()))).unwrap(),
             resp
@@ -2222,7 +2269,8 @@ mod tests {
             (
                 "### 4.1",
                 vec![[
-                    keys(RESULT),
+                    keys(REUSE),
+                    keys(EXEC),
                     vec!["cols".into(), key::ROWS.into(), "data".into()],
                 ]
                 .concat()],

@@ -5,7 +5,10 @@
 //! `try_push` that reports "full" without ever waiting. This is the
 //! smallest queue with those two properties: a `Mutex<VecDeque>` plus one
 //! condvar. The lock is held for O(1) push/pop only — the expensive work
-//! (planning, execution) happens outside.
+//! (planning, execution) happens outside. Producers may enqueue a burst
+//! under one lock; consumers always take one item per wake, and a burst
+//! wakes one consumer per item, so pipelined requests run side by side
+//! instead of queueing behind whichever worker woke first.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -64,6 +67,8 @@ impl<T> BoundedQueue<T> {
     /// mutex round trip, not one per request. Items that do not fit are
     /// handed back: `Full(tail)` carries the unpushed suffix (everything
     /// before it was enqueued), `Closed(all)` hands the whole batch back.
+    /// Wakes one consumer per enqueued item, so a burst of `k` spreads
+    /// over `k` idle consumers instead of waking the pool to race for it.
     pub fn try_push_batch(&self, mut items: Vec<T>) -> Result<(), PushError<Vec<T>>> {
         if items.is_empty() {
             return Ok(());
@@ -74,14 +79,10 @@ impl<T> BoundedQueue<T> {
         }
         let free = self.capacity.saturating_sub(state.items.len());
         let take = free.min(items.len());
-        for item in items.drain(..take) {
-            state.items.push_back(item);
-        }
+        state.items.extend(items.drain(..take));
         drop(state);
-        match take {
-            0 => {}
-            1 => self.available.notify_one(),
-            _ => self.available.notify_all(),
+        for _ in 0..take {
+            self.available.notify_one();
         }
         if items.is_empty() {
             Ok(())
@@ -90,24 +91,16 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeues up to `max` items under **one** lock acquisition,
-    /// blocking while the queue is open and empty. Returns as soon as
-    /// anything is available — it never waits to fill the batch, so a
-    /// lone item pops with the latency of a plain single-item pop.
-    /// FIFO order is preserved within the returned batch. Returns `None`
-    /// once the queue is closed *and* drained — consumers see every item
-    /// pushed before `close`, which is what makes engine shutdown
-    /// graceful. This is the consumer half of pipelined submission: a
-    /// burst pushed by [`try_push_batch`] is drained with one mutex
-    /// round trip instead of one per item.
-    ///
-    /// [`try_push_batch`]: BoundedQueue::try_push_batch
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
+    /// Dequeues one item, blocking while the queue is open and empty.
+    /// Returns `None` once the queue is closed *and* drained — consumers
+    /// see every item pushed before `close`, which is what makes engine
+    /// shutdown graceful. One item per wake is what lets a pipelined
+    /// burst run on as many consumers as it has items.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("queue lock");
         loop {
-            if !state.items.is_empty() {
-                let take = state.items.len().min(max.max(1));
-                return Some(state.items.drain(..take).collect());
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
             }
             if state.closed {
                 return None;
@@ -139,19 +132,13 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Single-item pop for tests, on top of the batch primitive.
-    fn pop1<T>(q: &BoundedQueue<T>) -> Option<T> {
-        q.pop_batch(1)
-            .map(|mut batch| batch.pop().expect("non-empty batch"))
-    }
-
     #[test]
     fn fifo_order() {
         let q = BoundedQueue::new(4);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        assert_eq!(pop1(&q), Some(1));
-        assert_eq!(pop1(&q), Some(2));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]
@@ -173,9 +160,9 @@ mod tests {
         };
         assert_eq!(leftover, vec![3]);
         assert_eq!(q.len(), 3);
-        assert_eq!(pop1(&q), Some(0));
-        assert_eq!(pop1(&q), Some(1));
-        assert_eq!(pop1(&q), Some(2));
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
         // With room again, the whole batch fits.
         q.try_push_batch(vec![7, 8]).unwrap();
         assert_eq!(q.len(), 2);
@@ -185,29 +172,35 @@ mod tests {
     }
 
     #[test]
-    fn batch_pop_drains_up_to_max_without_waiting_for_more() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i).unwrap();
+    fn a_burst_of_k_is_taken_by_k_different_consumers() {
+        // Each consumer takes one item and then holds at the barrier, so
+        // the k items arrive only if the push woke k different consumers.
+        let k = 4;
+        let q = Arc::new(BoundedQueue::<u32>::new(16));
+        let barrier = Arc::new(std::sync::Barrier::new(k + 1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumers: Vec<_> = (0..k)
+            .map(|_| {
+                let (q, barrier, tx) = (q.clone(), barrier.clone(), tx.clone());
+                std::thread::spawn(move || {
+                    tx.send(q.pop().expect("an item")).unwrap();
+                    barrier.wait();
+                })
+            })
+            .collect();
+        // Let every consumer block in `pop` before the burst lands.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        q.try_push_batch((0..k as u32).collect()).unwrap();
+        let timeout = std::time::Duration::from_secs(5);
+        let mut items: Vec<u32> = (0..k)
+            .map(|_| rx.recv_timeout(timeout).expect("a consumer left asleep"))
+            .collect();
+        barrier.wait();
+        for c in consumers {
+            c.join().unwrap();
         }
-        // Never more than max, FIFO within the batch.
-        assert_eq!(q.pop_batch(3), Some(vec![0, 1, 2]));
-        // Never waits to fill: returns what is there.
-        assert_eq!(q.pop_batch(3), Some(vec![3, 4]));
-        q.try_push(9).unwrap();
-        // A degenerate max still makes progress.
-        assert_eq!(q.pop_batch(0), Some(vec![9]));
-        q.close();
-        assert_eq!(q.pop_batch(3), None);
-    }
-
-    #[test]
-    fn batch_pop_sees_items_pushed_before_close() {
-        let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
-        q.close();
-        assert_eq!(q.pop_batch(4), Some(vec![1]));
-        assert_eq!(q.pop_batch(4), None);
+        items.sort_unstable();
+        assert_eq!(items, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -216,15 +209,15 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert_eq!(q.try_push(2), Err(PushError::Closed(2)));
-        assert_eq!(pop1(&q), Some(1));
-        assert_eq!(pop1(&q), None);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn close_wakes_blocked_consumers() {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
         let q2 = q.clone();
-        let h = std::thread::spawn(move || pop1(&q2));
+        let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), None);
@@ -252,7 +245,7 @@ mod tests {
             let q = q.clone();
             consumers.push(std::thread::spawn(move || {
                 let mut got = Vec::new();
-                while let Some(x) = pop1(&q) {
+                while let Some(x) = q.pop() {
                     got.push(x);
                 }
                 got

@@ -22,6 +22,12 @@
 //! Results (unlike plans) have data-dependent size, so the cache is an
 //! [`Lru`] budgeted in **bytes**: [`CachedResult::approx_bytes`].
 //!
+//! An entry is an `Arc<CachedResult>` shared, not copied: the engine
+//! inserts the same `Arc` its miss answered with, and a hit's
+//! [`Lru::get`] hands back a clone of the `Arc` the worker encodes the
+//! reply from. Rows are copied only where a result leaves the crate as
+//! an owned [`crate::engine::Response`].
+//!
 //! Budgets are deliberately *not* part of the key: execution budgets
 //! bound work, successful results are budget-independent (an exhausted
 //! budget is an error, never a truncation), and a hit does no work at

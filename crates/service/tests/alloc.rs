@@ -1,37 +1,57 @@
 //! Allocation guard for the three kernels every `run` crosses, result-cache
 //! hit or not: rule text in (`parse_query`), cache identity
 //! (`QueryIdentity::of`), reply text out (`encode_result` + `tag_reply`);
-//! and for the result-cache lookup every hit pays between them.
+//! for the result-cache lookup every hit pays between them; and for a
+//! whole hit served over a socket, which must not copy the cached rows.
 //! Heap allocations are the one cost figure of theirs that does not drift
 //! with the host. A counting `#[global_allocator]` needs its own test
 //! binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use ppr_core::methods::Method;
 use ppr_graph::families;
+use ppr_query::Database;
 use ppr_query::{parse_query, QueryIdentity};
-use ppr_relalg::ExecStats;
-use ppr_service::protocol::{encode_result, tag_reply};
+use ppr_relalg::{AttrId, ExecStats, Relation, Schema};
+use ppr_service::protocol::{encode_request, encode_result, tag_reply, tag_request};
 use ppr_service::result_cache::{CachedResult, ResultKey};
-use ppr_service::{DbFingerprint, Response, ResultCache};
+use ppr_service::{
+    Catalog, DbFingerprint, Engine, EngineConfig, Request, Response, ResultCache, Server,
+};
 
 thread_local! {
     /// Allocations made by this thread (the harness runs tests on several).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations made by every thread of the process.
+static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test here: the process-wide count sees all threads, so
+/// the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+}
+
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a `const`-initialised thread-local
-// `Cell` with no destructor, so touching it neither allocates nor unwinds
-// (`try_with` only fails during thread teardown, where the count is moot).
+// `GlobalAlloc` contract; the counters are a `const`-initialised
+// thread-local `Cell` with no destructor and a static atomic, so touching
+// them neither allocates nor unwinds (`try_with` only fails during thread
+// teardown, where the count is moot).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count_one();
         System.alloc(layout)
     }
 
@@ -40,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,6 +87,7 @@ fn ladder_rule() -> String {
 
 #[test]
 fn a_hit_parses_and_identifies_in_flat_buffers() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rule = ladder_rule();
     let (query, parsing) = allocations_during(|| parse_query(&rule).expect("well-formed"));
     assert_eq!(query.num_atoms(), 43);
@@ -84,6 +105,7 @@ fn a_hit_parses_and_identifies_in_flat_buffers() {
 
 #[test]
 fn a_reply_is_written_into_one_buffer_and_tagged_into_another() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut response = Response::empty();
     response.columns = (0..8).map(|i| format!("x{i}")).collect();
     response.rows = (0..430u32)
@@ -100,6 +122,7 @@ fn a_reply_is_written_into_one_buffer_and_tagged_into_another() {
 
 #[test]
 fn a_warm_result_cache_hit_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let query = parse_query(&ladder_rule()).expect("well-formed");
     let identity = QueryIdentity::of(&query);
     let key = ResultKey {
@@ -118,4 +141,60 @@ fn a_warm_result_cache_hit_allocates_nothing() {
     let (hit, lookup) = allocations_during(|| cache.get(&key, &identity.shape));
     assert_eq!(hit.expect("warm key").rows.len(), 430);
     assert_eq!(lookup, 0, "ResultCache::get on a hit: {lookup} allocations");
+}
+
+/// A binary relation `name` of `rows` rows.
+fn relation(name: &str, rows: u32) -> Relation {
+    let schema = Schema::new(vec![AttrId(0), AttrId(1)]);
+    let rows = (0..rows).map(|i| vec![i, i + 1].into()).collect();
+    Relation::from_distinct_rows(name, schema, rows)
+}
+
+/// Allocations the server makes per result-cache hit on `rel`, served
+/// over a v2 socket one tagged `run` at a time: the process-wide count
+/// minus this (client) thread's own.
+fn server_allocations_per_hit(addr: std::net::SocketAddr, rel: &str) -> u64 {
+    const HITS: u64 = 200;
+    let mut socket = TcpStream::connect(addr).unwrap();
+    let mut replies = BufReader::new(socket.try_clone().unwrap());
+    let mut reply = String::new();
+    socket.write_all(b"hello proto=2\n").unwrap();
+    replies.read_line(&mut reply).unwrap();
+    let run = encode_request(&Request::query(format!("q(x, y) :- {rel}(x, y)")));
+    let lines: Vec<String> = (0..=HITS).map(|id| tag_request(id, &run) + "\n").collect();
+    let mut serve = |line: &String| {
+        socket.write_all(line.as_bytes()).unwrap();
+        reply.clear();
+        replies.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("ok id="), "{reply}");
+    };
+    // The first run misses and fills the cache; the rest are hits.
+    serve(&lines[0]);
+    let process = PROCESS_ALLOCATIONS.load(Ordering::Relaxed);
+    let (_, client) = allocations_during(|| lines[1..].iter().for_each(&mut serve));
+    assert!(reply.contains(" result_hit=1 "), "{reply}");
+    (PROCESS_ALLOCATIONS.load(Ordering::Relaxed) - process - client) / HITS
+}
+
+#[test]
+fn a_hit_served_over_a_socket_does_not_copy_the_cached_rows() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new();
+    db.add(relation("thin", 4));
+    db.add(relation("wide", 430));
+    let engine = Engine::start(Catalog::with_default(db), EngineConfig::default());
+    let mut server = Server::builder()
+        .addr("127.0.0.1:0")
+        .engine(engine.handle())
+        .start()
+        .unwrap();
+    let thin = server_allocations_per_hit(server.local_addr(), "thin");
+    let wide = server_allocations_per_hit(server.local_addr(), "wide");
+    server.shutdown();
+    engine.shutdown();
+    // A copy of the rows would cost one allocation per row.
+    assert!(
+        wide <= thin + 3,
+        "{thin} allocations per 4-row hit, {wide} per 430-row hit"
+    );
 }
