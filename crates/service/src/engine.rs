@@ -7,15 +7,19 @@
 //! [`ResultCache`], a [`PlanCache`], and a pool of worker threads
 //! draining a bounded queue. The life of a request:
 //!
-//! 1. **Admission** — [`EngineHandle::execute`] fast-fails with
-//!    [`ServiceError::Overloaded`] when the in-flight cap or the bounded
+//! 1. **Admission** — one function admits every request, in batches
+//!    (the event loop's pipelined runs) or alone ([`EngineHandle::execute`]
+//!    is a batch of one). It fast-fails with [`ServiceError::Overloaded`]
+//!    when the in-flight cap (`workers + queue_capacity`) or the bounded
 //!    queue is full. Nothing ever waits for queue space: under overload
 //!    the server sheds load in O(1) rather than building an unbounded
 //!    backlog.
-//! 2. **Snapshot** — the worker resolves the request's database name
-//!    against the catalog, pinning one `(Arc<Database>, DbVersion)`
-//!    snapshot for the whole request; concurrent mutations publish new
-//!    versions beside it and never tear an evaluation.
+//! 2. **Snapshot** — admission resolves the batch's database name
+//!    against the catalog once, pinning one `(Arc<Database>, DbVersion)`
+//!    snapshot into every job (an unknown name fails the batch right
+//!    there, before any worker); concurrent mutations publish new
+//!    versions beside it and never tear an evaluation. The worker drops
+//!    its pin before it replies.
 //! 3. **Parse + identity** — parse the Datalog-ish text, check every atom
 //!    against the snapshot, compute the canonical
 //!    [`ppr_query::QueryIdentity`] once for both caches.
@@ -324,10 +328,9 @@ pub struct EngineConfig {
     /// Worker threads executing requests.
     pub workers: usize,
     /// Bounded-queue capacity (requests admitted but not yet picked up).
+    /// Admission caps requests queued + executing at `workers +
+    /// queue_capacity`.
     pub queue_capacity: usize,
-    /// Hard cap on requests queued + executing; 0 derives
-    /// `workers + queue_capacity`.
-    pub max_inflight: usize,
     /// Plan-cache entries.
     pub cache_capacity: usize,
     /// Result-cache byte budget; 0 disables result caching (every request
@@ -350,7 +353,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 4,
             queue_capacity: 64,
-            max_inflight: 0,
             cache_capacity: 256,
             result_cache_bytes: 8 << 20,
             max_budget: Budget::tuples(u64::MAX).with_timeout(Duration::from_secs(60)),
@@ -362,10 +364,11 @@ impl Default for EngineConfig {
 
 struct Job {
     request: Request,
-    /// Snapshot pinned at submission time (batch submission): the worker
-    /// skips catalog resolution and every request of the batch evaluates
+    /// The database `snapshot` was resolved from, shared by the batch.
+    db: Arc<str>,
+    /// Snapshot pinned at admission: every request of a batch evaluates
     /// against the same published version.
-    pinned: Option<(String, DbSnapshot)>,
+    snapshot: DbSnapshot,
     /// When admission accepted the job — the worker's pickup time minus
     /// this is the queue-wait span.
     submitted: Instant,
@@ -441,14 +444,11 @@ pub struct EngineHandle {
 impl EngineHandle {
     /// The largest per-connection pipeline window that admission control
     /// can never shed: a lone client with at most this many requests in
-    /// flight always fits both the in-flight cap and the queue outright,
-    /// so backpressure (not `Overloaded`) is what bounds it.
+    /// flight always fits the queue — and so the in-flight cap, which is
+    /// the queue plus one slot per worker — outright, so backpressure
+    /// (not `Overloaded`) is what bounds it.
     pub fn safe_window(&self) -> usize {
-        self.shared
-            .queue
-            .capacity()
-            .min(self.shared.max_inflight)
-            .max(1)
+        self.shared.queue.capacity()
     }
 
     /// Submits `request` and blocks until its result. Fast-fails with
@@ -456,47 +456,29 @@ impl EngineHandle {
     /// [`ServiceError::ShuttingDown`] during drain.
     pub fn execute(&self, request: Request) -> Result<Response, ServiceError> {
         let (tx, rx) = mpsc::channel();
-        self.submit(request, move |result| {
+        let reply: ReplyFn = Box::new(move |result| {
             let _ = tx.send(result);
         });
+        self.submit(vec![(request, reply)]);
         rx.recv()
             .unwrap_or(Err(ServiceError::ShuttingDown))
             .map(Answer::into_response)
     }
 
-    /// Submits `request` without waiting: `on_done` is invoked exactly
-    /// once — from a worker thread with the answer, or inline with the
-    /// admission error ([`ServiceError::Overloaded`] /
-    /// [`ServiceError::ShuttingDown`]). This is the pipelining primitive:
-    /// a connection can keep many requests in flight and complete them
-    /// out of order.
-    pub(crate) fn submit<F>(&self, request: Request, on_done: F)
-    where
-        F: FnOnce(Result<Answer, ServiceError>) + Send + 'static,
-    {
-        self.submit_job(Job {
-            request,
-            pinned: None,
-            submitted: Instant::now(),
-            reply: Box::new(on_done),
-        });
-    }
-
-    /// Submits a whole batch against one database under **one** catalog
-    /// lookup and **one** queue lock: the snapshot of `db` (the engine
-    /// default when `None`) is resolved once and pinned into every
-    /// request of the batch, so the batch evaluates against a single
-    /// published version and submission does no per-request locking.
-    /// Every callback is invoked exactly once, as in [`submit`].
-    ///
-    /// Requests carrying their own `db` field are still evaluated against
-    /// `db` — callers group requests by effective database first.
-    ///
-    /// [`submit`]: EngineHandle::submit
-    pub(crate) fn submit_batch(&self, db: Option<&str>, batch: Vec<(Request, ReplyFn)>) {
-        if batch.is_empty() {
+    /// Submits a batch without waiting — the one way into the worker
+    /// pool. Every request of the batch must name the same database
+    /// (`Request::db`; the engine default when `None`): admission
+    /// resolves its snapshot once, from the first request, and pins it
+    /// into every job, so the batch evaluates against a single published
+    /// version; one queue lock admits the lot. Each callback is invoked
+    /// exactly once — from a worker thread with the answer, or inline
+    /// with the admission error ([`ServiceError::UnknownDatabase`],
+    /// [`ServiceError::Overloaded`], [`ServiceError::ShuttingDown`]).
+    pub(crate) fn submit(&self, mut batch: Vec<(Request, ReplyFn)>) {
+        let Some((first, _)) = batch.first() else {
             return;
-        }
+        };
+        let name: Arc<str> = Arc::from(first.db.as_deref().unwrap_or(DEFAULT_DB));
         let s = &self.shared;
         if !s.accepting.load(Ordering::Acquire) {
             for (_, reply) in batch {
@@ -504,44 +486,46 @@ impl EngineHandle {
             }
             return;
         }
-        let name = db.unwrap_or(DEFAULT_DB);
-        let Some(snapshot) = s.catalog.snapshot(name) else {
+        let Some(snapshot) = s.catalog.snapshot(&name) else {
             for (_, reply) in batch {
                 reply(Err(ServiceError::UnknownDatabase(name.to_string())));
             }
             return;
         };
-        // Reserve in-flight slots for the whole batch at once; the
-        // suffix that does not fit under the cap is refused without ever
-        // touching the queue.
+        // Reserve in-flight slots for the whole batch at once, before
+        // touching the queue, so the cap covers queued *and* executing
+        // requests; the suffix that does not fit is refused outright.
         let want = batch.len();
         let prior = s.inflight.fetch_add(want, Ordering::AcqRel);
         let granted = s.max_inflight.saturating_sub(prior).min(want);
         if granted < want {
             s.inflight.fetch_sub(want - granted, Ordering::AcqRel);
         }
-        let mut batch = batch;
-        let refused: Vec<(Request, ReplyFn)> = batch.split_off(granted);
+        let refused = batch.split_off(granted);
+        let overloaded = || ServiceError::Overloaded {
+            inflight: prior,
+            capacity: s.max_inflight,
+        };
         let submitted = Instant::now();
         let jobs: Vec<Job> = batch
             .into_iter()
             .map(|(request, reply)| Job {
                 request,
-                pinned: Some((name.to_string(), snapshot.clone())),
+                db: name.clone(),
+                snapshot: snapshot.clone(),
                 submitted,
                 reply,
             })
             .collect();
+        // From here on only the jobs pin the version.
+        drop(snapshot);
         match s.queue.try_push_batch(jobs) {
             Ok(()) => {}
             Err(PushError::Full(tail)) => {
                 for job in tail {
                     s.inflight.fetch_sub(1, Ordering::AcqRel);
                     s.rejected.fetch_add(1, Ordering::Relaxed);
-                    (job.reply)(Err(ServiceError::Overloaded {
-                        inflight: prior,
-                        capacity: s.max_inflight,
-                    }));
+                    (job.reply)(Err(overloaded()));
                 }
             }
             Err(PushError::Closed(all)) => {
@@ -553,45 +537,7 @@ impl EngineHandle {
         }
         for (_, reply) in refused {
             s.rejected.fetch_add(1, Ordering::Relaxed);
-            reply(Err(ServiceError::Overloaded {
-                inflight: prior,
-                capacity: s.max_inflight,
-            }));
-        }
-    }
-
-    fn submit_job(&self, job: Job) {
-        let s = &self.shared;
-        if !s.accepting.load(Ordering::Acquire) {
-            (job.reply)(Err(ServiceError::ShuttingDown));
-            return;
-        }
-        // Reserve an in-flight slot before touching the queue so the cap
-        // covers queued *and* executing requests.
-        let prior = s.inflight.fetch_add(1, Ordering::AcqRel);
-        if prior >= s.max_inflight {
-            s.inflight.fetch_sub(1, Ordering::AcqRel);
-            s.rejected.fetch_add(1, Ordering::Relaxed);
-            (job.reply)(Err(ServiceError::Overloaded {
-                inflight: prior,
-                capacity: s.max_inflight,
-            }));
-            return;
-        }
-        match s.queue.try_push(job) {
-            Ok(()) => {}
-            Err(PushError::Full(job)) => {
-                s.inflight.fetch_sub(1, Ordering::AcqRel);
-                s.rejected.fetch_add(1, Ordering::Relaxed);
-                (job.reply)(Err(ServiceError::Overloaded {
-                    inflight: prior,
-                    capacity: s.max_inflight,
-                }));
-            }
-            Err(PushError::Closed(job)) => {
-                s.inflight.fetch_sub(1, Ordering::AcqRel);
-                (job.reply)(Err(ServiceError::ShuttingDown));
-            }
+            reply(Err(overloaded()));
         }
     }
 
@@ -728,11 +674,6 @@ impl Engine {
     /// [`Catalog::with_default`]`(db)`.
     pub fn start(catalog: Catalog, cfg: EngineConfig) -> Engine {
         let workers = cfg.workers.max(1);
-        let max_inflight = if cfg.max_inflight == 0 {
-            workers + cfg.queue_capacity
-        } else {
-            cfg.max_inflight
-        };
         // Both count-budgeted caches hold at least one entry.
         let entries = cfg.cache_capacity.max(1);
         let shared = Arc::new(Shared {
@@ -743,7 +684,7 @@ impl Engine {
             queue: BoundedQueue::new(cfg.queue_capacity.max(1)),
             accepting: AtomicBool::new(true),
             inflight: AtomicUsize::new(0),
-            max_inflight,
+            max_inflight: workers + cfg.queue_capacity,
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             max_budget: cfg.max_budget,
@@ -786,8 +727,15 @@ impl Engine {
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
+        let Job {
+            request,
+            db,
+            snapshot,
+            submitted,
+            reply,
+        } = job;
         let mut spans = TraceSpans::new();
-        spans.set(Phase::QueueWait, job.submitted.elapsed().as_micros() as u64);
+        spans.set(Phase::QueueWait, submitted.elapsed().as_micros() as u64);
         let mut slow_id = None;
         // Panic isolation: requests come off the wire, and a panic
         // escaping `process` would kill this worker *and* leak its
@@ -798,13 +746,7 @@ fn worker_loop(shared: &Shared) {
         // `process` writes spans through an out-parameter so a failed
         // (or panicked) request keeps the phases it did complete.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process(
-                shared,
-                &job.request,
-                job.pinned.as_ref(),
-                &mut spans,
-                &mut slow_id,
-            )
+            process(shared, &request, &db, &snapshot, &mut spans, &mut slow_id)
         }))
         .unwrap_or_else(|payload| {
             let msg = panic_message(payload.as_ref());
@@ -817,13 +759,17 @@ fn worker_loop(shared: &Shared) {
         });
         // Total latency is measured from admission, so the recorded
         // spans always sum to at most the recorded total.
-        let total_us = job.submitted.elapsed().as_micros() as u64;
-        record_completion(shared, &job.request, &result, spans, total_us, slow_id);
+        let total_us = submitted.elapsed().as_micros() as u64;
+        record_completion(shared, &request, &result, spans, total_us, slow_id);
         shared.served.fetch_add(1, Ordering::Relaxed);
         shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        // Release the pinned version before the caller hears back: a
+        // caller that mutates the catalog on reply must not find the
+        // superseded relations still held by this worker.
+        drop(snapshot);
         // The callback owns delivery; a vanished caller (client
         // disconnected mid-request) just makes it a no-op.
-        (job.reply)(result);
+        reply(result);
     }
 }
 
@@ -958,29 +904,17 @@ fn check_relations(query: &ConjunctiveQuery, db: &Database) -> Result<(), Servic
     Ok(())
 }
 
+/// Evaluates one request against the snapshot admission pinned for it:
+/// concurrent catalog mutations publish new versions beside it and never
+/// tear this evaluation.
 fn process<'a>(
     shared: &Shared,
-    request: &'a Request,
-    pinned: Option<&'a (String, DbSnapshot)>,
+    request: &Request,
+    db: &'a str,
+    snapshot: &DbSnapshot,
     spans: &mut TraceSpans,
     slow_id: &mut Option<SlowIdentity<'a>>,
 ) -> Result<Answer, ServiceError> {
-    // One snapshot for the whole request: concurrent catalog mutations
-    // publish new versions beside it and never tear this evaluation.
-    // Batch submission already pinned one; single submission resolves it
-    // here.
-    let (db_name, snapshot) = match pinned {
-        Some((name, snap)) => (name.as_str(), snap.clone()),
-        None => {
-            let name = request.db.as_deref().unwrap_or(DEFAULT_DB);
-            let snap = shared
-                .catalog
-                .snapshot(name)
-                .ok_or_else(|| ServiceError::UnknownDatabase(name.to_string()))?;
-            (name, snap)
-        }
-    };
-
     // Span writes go through the out-parameter *before* each `?` so a
     // failed request keeps the phases it did complete.
     let started = Instant::now();
@@ -1005,7 +939,7 @@ fn process<'a>(
     let data = fingerprint_relations(&snapshot.db, &read);
     spans.set(Phase::Fingerprint, started.elapsed().as_micros() as u64);
     *slow_id = Some(SlowIdentity {
-        db: db_name,
+        db,
         version: snapshot.version.0,
         fingerprint: identity.fingerprint.0,
         passes_run: 0,
@@ -1281,6 +1215,17 @@ mod tests {
             matches!(out, Err(ServiceError::UnknownDatabase(_))),
             "{out:?}"
         );
+        // Admission answers it: no worker saw the request, so no served,
+        // request, error or phase counter moved, and nothing was shed.
+        let stats = h.stats();
+        assert_eq!((stats.served, stats.rejected, stats.inflight), (0, 0, 0));
+        let obs = h.metrics();
+        assert_eq!(obs.requests_total.get(), 0);
+        assert_eq!(obs.errors_total.get(), 0);
+        assert_eq!(obs.total_us.snapshot().count, 0);
+        for phase in PHASES {
+            assert_eq!(obs.phase_us[phase as usize].snapshot().count, 0);
+        }
         engine.shutdown();
     }
 
@@ -1403,12 +1348,18 @@ mod tests {
         engine.shutdown();
     }
 
+    /// A callback that forwards the answer into `tx`.
+    fn send_to(tx: &mpsc::Sender<Result<Answer, ServiceError>>) -> ReplyFn {
+        let tx = tx.clone();
+        Box::new(move |r| {
+            let _ = tx.send(r);
+        })
+    }
+
     /// The worker's answer, as the event loop receives it.
     fn answer(h: &EngineHandle, request: Request) -> Answer {
         let (tx, rx) = mpsc::channel();
-        h.submit(request, move |r| {
-            let _ = tx.send(r);
-        });
+        h.submit(vec![(request, send_to(&tx))]);
         rx.recv().unwrap().unwrap()
     }
 
@@ -1530,6 +1481,22 @@ mod tests {
     }
 
     #[test]
+    fn the_worker_drops_its_snapshot_before_it_replies() {
+        // A caller that mutates the catalog on reply must find the
+        // version it ran against held by the catalog alone.
+        let engine = Engine::start(three_color_catalog(), small_cfg());
+        let h = engine.handle();
+        let db = Arc::downgrade(&h.catalog().snapshot(DEFAULT_DB).unwrap().db);
+        let (tx, rx) = mpsc::channel();
+        let reply: ReplyFn = Box::new(move |r| {
+            let _ = tx.send((r.is_ok(), db.strong_count()));
+        });
+        h.submit(vec![(mutual_edge_request(), reply)]);
+        assert_eq!(rx.recv().unwrap(), (true, 1), "the worker still pins it");
+        engine.shutdown();
+    }
+
+    #[test]
     fn plans_of_refused_results_stay_cached() {
         // Room for the three rows of `q(x) :- edge(x, y)`, not for the 30
         // colorings the pentagon returns with its whole head.
@@ -1644,7 +1611,6 @@ mod tests {
         let cfg = EngineConfig {
             workers: 1,
             queue_capacity: 1,
-            max_inflight: 2,
             ..Default::default()
         };
         let engine = Engine::start(three_color_catalog(), cfg);
@@ -1687,30 +1653,20 @@ mod tests {
         let engine = Engine::start(three_color_catalog(), small_cfg());
         let h = engine.handle();
 
-        // Async single submission: the callback fires with the answer.
-        let (tx, rx) = mpsc::channel();
-        h.submit(pentagon_request(Method::EarlyProjection), move |r| {
-            let _ = tx.send(r);
-        });
-        let answer = rx.recv().unwrap().unwrap();
+        // A batch of one: the callback fires with the answer.
+        let answer = answer(&h, pentagon_request(Method::EarlyProjection));
         assert!(!answer.result.rows.is_empty());
 
-        // Batch submission: all requests resolve against the snapshot
-        // pinned at submit time, so a mutation racing in *after* the
-        // submit is invisible to the whole batch.
+        // A batch: all requests resolve against the snapshot pinned at
+        // submit time, so a mutation racing in *after* the submit is
+        // invisible to the whole batch.
         let reqs = ["q(x, y) :- edge(x, y), edge(y, x)"; 4];
         let (tx, rx) = mpsc::channel();
-        let batch: Vec<(Request, ReplyFn)> = reqs
+        let batch = reqs
             .iter()
-            .map(|q| {
-                let tx = tx.clone();
-                let reply: ReplyFn = Box::new(move |r| {
-                    let _ = tx.send(r);
-                });
-                (Request::query(*q), reply)
-            })
+            .map(|q| (Request::query(*q), send_to(&tx)))
             .collect();
-        h.submit_batch(None, batch);
+        h.submit(batch);
         // Mutate immediately; batched requests may still be queued, but
         // their pinned snapshot predates this version bump.
         h.catalog()
@@ -1724,19 +1680,16 @@ mod tests {
             assert_eq!(r.len(), 6, "pre-mutation K3 answer");
         }
 
-        // Batch against an unknown database fails every callback.
+        // A batch against an unknown database fails every callback.
         let (tx, rx) = mpsc::channel();
-        let reply: ReplyFn = Box::new(move |r| {
-            let _ = tx.send(r);
-        });
-        h.submit_batch(
-            Some("nope"),
-            vec![(Request::query("q() :- edge(x, y)"), reply)],
-        );
-        assert!(matches!(
-            rx.recv().unwrap(),
-            Err(ServiceError::UnknownDatabase(_))
-        ));
+        let nope = || Request::query("q() :- edge(x, y)").on("nope");
+        h.submit(vec![(nope(), send_to(&tx)), (nope(), send_to(&tx))]);
+        for _ in 0..2 {
+            assert!(matches!(
+                rx.recv().unwrap(),
+                Err(ServiceError::UnknownDatabase(_))
+            ));
+        }
         engine.shutdown();
     }
 
@@ -1745,22 +1698,15 @@ mod tests {
         let cfg = EngineConfig {
             workers: 1,
             queue_capacity: 2,
-            max_inflight: 3,
             ..Default::default()
         };
         let engine = Engine::start(three_color_catalog(), cfg);
         let h = engine.handle();
         let (tx, rx) = mpsc::channel();
-        let batch: Vec<(Request, ReplyFn)> = (0..6)
-            .map(|_| {
-                let tx = tx.clone();
-                let reply: ReplyFn = Box::new(move |r| {
-                    let _ = tx.send(r);
-                });
-                (pentagon_request(Method::EarlyProjection), reply)
-            })
+        let batch = (0..6)
+            .map(|_| (pentagon_request(Method::EarlyProjection), send_to(&tx)))
             .collect();
-        h.submit_batch(None, batch);
+        h.submit(batch);
         let results: Vec<_> = (0..6).map(|_| rx.recv().unwrap()).collect();
         let ok = results.iter().filter(|r| r.is_ok()).count();
         let overloaded = results

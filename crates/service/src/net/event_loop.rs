@@ -42,8 +42,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::{EngineHandle, ReplyFn, Request};
-use crate::protocol::{self, ExplainReport, LineFramer, TraceReport};
-use crate::server::{self, Dispatch, MAX_CONNECTIONS, OUTBUF_LIMIT, WINDOW};
+use crate::protocol::{self, Command, ExplainReport, LineFramer, TraceReport};
+use crate::server::{self, Dispatch, ReplyShape, MAX_CONNECTIONS, OUTBUF_LIMIT, WINDOW};
 use crate::ServiceError;
 
 use super::sys::{
@@ -51,16 +51,6 @@ use super::sys::{
 };
 use super::timer::TimerWheel;
 use super::{CloseReason, NetMetrics};
-
-/// How a serially-submitted request's reply line is encoded: the row
-/// result (`run`), a [`TraceReport`] (`trace`), or an [`ExplainReport`]
-/// (`explain`) — the latter two clocked end-to-end by the server.
-#[derive(Clone, Copy)]
-enum ReplyShape {
-    Rows,
-    Trace,
-    Explain,
-}
 
 /// Token for the listening socket.
 const LISTENER: u64 = u64::MAX;
@@ -92,10 +82,8 @@ struct Completion {
     token: u64,
     /// The fully encoded reply line (tagged if the request was).
     line: String,
-    /// v2 window id to free.
+    /// v2 window id to free; `None` completes a serial hold.
     release: Option<u64>,
-    /// Completes a v1/untagged serial hold.
-    serial: bool,
 }
 
 /// The worker→loop handoff: a locked vector plus the eventfd doorbell.
@@ -521,13 +509,12 @@ impl Loop {
 
     /// Processes framed lines until the connection blocks on input, a
     /// serial hold, or a full window. Consecutive tagged `run`s against
-    /// the same effective database accumulate into one batch, flushed —
+    /// the same effective database accumulate into one batch, submitted —
     /// pinning its catalog snapshot — before any other command is
     /// handled, which keeps pipelined execution serially equivalent
     /// around `use`/`load`/`add`.
     fn process(&mut self, conn: &mut Conn) -> Result<(), CloseReason> {
-        let mut batch: Vec<(u64, Request)> = Vec::new();
-        let mut batch_db: Option<String> = None;
+        let mut batch: Vec<(Request, ReplyFn)> = Vec::new();
         let mut result = Ok(());
         loop {
             if conn.draining || conn.serial_hold || conn.inflight.len() >= conn.window {
@@ -543,12 +530,12 @@ impl Loop {
                     break;
                 }
             };
-            if let Err(reason) = self.handle_line(conn, &line, &mut batch, &mut batch_db) {
+            if let Err(reason) = self.handle_line(conn, &line, &mut batch) {
                 result = Err(reason);
                 break;
             }
         }
-        self.flush_batch(conn, &mut batch, batch_db);
+        self.engine.submit(batch);
         result
     }
 
@@ -556,34 +543,19 @@ impl Loop {
         &self,
         conn: &mut Conn,
         line: &str,
-        batch: &mut Vec<(u64, Request)>,
-        batch_db: &mut Option<String>,
+        batch: &mut Vec<(Request, ReplyFn)>,
     ) -> Result<(), CloseReason> {
         if conn.proto < 2 {
             return self.serial_line(conn, line);
         }
         match protocol::split_request_tag(line) {
             Ok((Some(id), rest)) => match protocol::decode_command(&rest) {
-                Ok(protocol::Command::Run(mut request)) => {
-                    if request.db.is_none() {
-                        request.db = conn.session_db.clone();
-                    }
-                    if !batch.is_empty() && *batch_db != request.db {
-                        self.flush_batch(conn, batch, batch_db.take());
-                    }
-                    *batch_db = request.db.clone();
-                    if conn.inflight.contains(&id) {
-                        self.send_line(conn, &protocol::tag_reply(id, &server::duplicate_id(id)))
-                    } else {
-                        conn.inflight.insert(id);
-                        batch.push((id, request));
-                        Ok(())
-                    }
-                }
                 Ok(cmd) => {
-                    // Tagged catalog verbs / ping / stats / trace come
-                    // after the pending runs have pinned their snapshots.
-                    self.flush_batch(conn, batch, batch_db.take());
+                    // Every verb but `run` comes after the pending runs
+                    // have pinned their snapshots.
+                    if !matches!(cmd, Command::Run(_)) {
+                        self.engine.submit(mem::take(batch));
+                    }
                     if conn.inflight.contains(&id) {
                         return self
                             .send_line(conn, &protocol::tag_reply(id, &server::duplicate_id(id)));
@@ -595,18 +567,16 @@ impl Loop {
                         &mut conn.session_db,
                         conn.window,
                     ) {
-                        Dispatch::Reply(reply) => {
-                            self.send_line(conn, &protocol::tag_reply(id, &reply))
+                        Dispatch::Submit(request, ReplyShape::Rows) => {
+                            if batch.first().is_some_and(|(r, _)| r.db != request.db) {
+                                self.engine.submit(mem::take(batch));
+                            }
+                            conn.inflight.insert(id);
+                            let reply = self.on_reply(conn.token, Some(id), ReplyShape::Rows, true);
+                            batch.push((request, reply));
+                            Ok(())
                         }
-                        Dispatch::Execute(request) => {
-                            self.submit_serial(conn, request, Some(id), ReplyShape::Rows)
-                        }
-                        Dispatch::Trace(request) => {
-                            self.submit_serial(conn, request, Some(id), ReplyShape::Trace)
-                        }
-                        Dispatch::Explain(request) => {
-                            self.submit_serial(conn, request, Some(id), ReplyShape::Explain)
-                        }
+                        dispatch => self.answer(conn, dispatch, Some(id)),
                     }
                 }
                 Err(e) => self.send_line(
@@ -617,7 +587,7 @@ impl Loop {
             Ok((None, _)) => {
                 // Untagged lines remain legal after the upgrade and run
                 // serially, exactly like v1.
-                self.flush_batch(conn, batch, batch_db.take());
+                self.engine.submit(mem::take(batch));
                 self.serial_line(conn, line)
             }
             Err(e) => {
@@ -638,42 +608,51 @@ impl Loop {
             );
         }
         match protocol::decode_command(line) {
-            Ok(cmd) => match server::dispatch_command(
-                cmd,
-                &self.engine,
-                &mut conn.proto,
-                &mut conn.session_db,
-                conn.window,
-            ) {
-                Dispatch::Reply(reply) => self.send_line(conn, &reply),
-                Dispatch::Execute(request) => {
-                    self.submit_serial(conn, request, None, ReplyShape::Rows)
-                }
-                Dispatch::Trace(request) => {
-                    self.submit_serial(conn, request, None, ReplyShape::Trace)
-                }
-                Dispatch::Explain(request) => {
-                    self.submit_serial(conn, request, None, ReplyShape::Explain)
-                }
-            },
+            Ok(cmd) => {
+                let dispatch = server::dispatch_command(
+                    cmd,
+                    &self.engine,
+                    &mut conn.proto,
+                    &mut conn.session_db,
+                    conn.window,
+                );
+                self.answer(conn, dispatch, None)
+            }
             Err(e) => self.send_line(conn, &protocol::encode_result(&Err(e))),
         }
     }
 
-    /// One strictly serial engine submission, completed through the
-    /// event queue with the reply encoded per the requesting verb.
-    fn submit_serial(
+    /// Answers one dispatched command outside a batch: a reply goes out
+    /// now, tagged if the request was; a submission holds the connection
+    /// until its completion lands.
+    fn answer(
         &self,
         conn: &mut Conn,
-        request: Request,
+        dispatch: Dispatch,
         tag: Option<u64>,
-        shape: ReplyShape,
     ) -> Result<(), CloseReason> {
-        conn.serial_hold = true;
+        match (dispatch, tag) {
+            (Dispatch::Reply(reply), None) => self.send_line(conn, &reply),
+            (Dispatch::Reply(reply), Some(id)) => {
+                self.send_line(conn, &protocol::tag_reply(id, &reply))
+            }
+            (Dispatch::Submit(request, shape), tag) => {
+                conn.serial_hold = true;
+                let reply = self.on_reply(conn.token, tag, shape, false);
+                self.engine.submit(vec![(request, reply)]);
+                Ok(())
+            }
+        }
+    }
+
+    /// The completion callback of one submission: encodes the answer as
+    /// `shape` says, tags it if the request was, and hands the line to
+    /// the loop. A `windowed` reply frees its id's window slot; any other
+    /// ends the connection's serial hold.
+    fn on_reply(&self, token: u64, tag: Option<u64>, shape: ReplyShape, windowed: bool) -> ReplyFn {
         let queue = self.queue.clone();
-        let token = conn.token;
         let started = Instant::now();
-        self.engine.submit(request, move |result| {
+        Box::new(move |result| {
             let reply = match shape {
                 ReplyShape::Rows => protocol::encode_answer(&result),
                 ReplyShape::Trace => {
@@ -696,37 +675,9 @@ impl Loop {
             queue.push(Completion {
                 token,
                 line,
-                release: None,
-                serial: true,
+                release: tag.filter(|_| windowed),
             });
-        });
-        Ok(())
-    }
-
-    /// Submits the accumulated tagged batch: one catalog snapshot and
-    /// one queue lock for the lot, completions tagged and window slots
-    /// freed by the callbacks.
-    fn flush_batch(&self, conn: &mut Conn, batch: &mut Vec<(u64, Request)>, db: Option<String>) {
-        if batch.is_empty() {
-            return;
-        }
-        let token = conn.token;
-        let jobs: Vec<(Request, ReplyFn)> = batch
-            .drain(..)
-            .map(|(id, request)| {
-                let queue = self.queue.clone();
-                let reply: ReplyFn = Box::new(move |result| {
-                    queue.push(Completion {
-                        token,
-                        line: protocol::tag_reply(id, &protocol::encode_answer(&result)),
-                        release: Some(id),
-                        serial: false,
-                    });
-                });
-                (request, reply)
-            })
-            .collect();
-        self.engine.submit_batch(db.as_deref(), jobs);
+        })
     }
 
     // ---- write path ------------------------------------------------------
@@ -780,11 +731,11 @@ impl Loop {
             let conn = self.conns[slot].as_mut().expect("live slot");
             conn.out.extend_from_slice(completion.line.as_bytes());
             conn.out.push(b'\n');
-            if let Some(id) = completion.release {
-                conn.inflight.remove(&id);
-            }
-            if completion.serial {
-                conn.serial_hold = false;
+            match completion.release {
+                Some(id) => {
+                    conn.inflight.remove(&id);
+                }
+                None => conn.serial_hold = false,
             }
             conn.last_activity = Instant::now();
             touched.push(slot);
@@ -906,7 +857,6 @@ mod tests {
             token,
             line: String::new(),
             release: None,
-            serial: false,
         }
     }
 

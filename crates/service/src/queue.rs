@@ -2,13 +2,13 @@
 //!
 //! `std::sync::mpsc` channels are single-consumer; the engine's worker
 //! pool needs many consumers, and admission control needs a non-blocking
-//! `try_push` that reports "full" without ever waiting. This is the
-//! smallest queue with those two properties: a `Mutex<VecDeque>` plus one
-//! condvar. The lock is held for O(1) push/pop only — the expensive work
-//! (planning, execution) happens outside. Producers may enqueue a burst
-//! under one lock; consumers always take one item per wake, and a burst
-//! wakes one consumer per item, so pipelined requests run side by side
-//! instead of queueing behind whichever worker woke first.
+//! push that reports "full" without ever waiting. This is the smallest
+//! queue with those two properties: a `Mutex<VecDeque>` plus one condvar.
+//! The lock is held for the push or pop only — the expensive work
+//! (planning, execution) happens outside. Producers enqueue a burst under
+//! one lock; consumers always take one item per wake, and a burst wakes
+//! one consumer per item, so pipelined requests run side by side instead
+//! of queueing behind whichever worker woke first.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -47,26 +47,12 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Enqueues without blocking; fails fast when full or closed.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue lock");
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues a whole batch under **one** lock acquisition — the point
-    /// of pipelined submission is that a burst of requests costs one
-    /// mutex round trip, not one per request. Items that do not fit are
-    /// handed back: `Full(tail)` carries the unpushed suffix (everything
-    /// before it was enqueued), `Closed(all)` hands the whole batch back.
+    /// Enqueues a whole batch without blocking, under **one** lock
+    /// acquisition — the point of pipelined submission is that a burst of
+    /// requests costs one mutex round trip, not one per request. Fails
+    /// fast: items that do not fit are handed back, `Full(tail)` carrying
+    /// the unpushed suffix (everything before it was enqueued) and
+    /// `Closed(all)` the whole batch.
     /// Wakes one consumer per enqueued item, so a burst of `k` spreads
     /// over `k` idle consumers instead of waking the pool to race for it.
     pub fn try_push_batch(&self, mut items: Vec<T>) -> Result<(), PushError<Vec<T>>> {
@@ -135,8 +121,8 @@ mod tests {
     #[test]
     fn fifo_order() {
         let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        q.try_push_batch(vec![1]).unwrap();
+        q.try_push_batch(vec![2]).unwrap();
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
     }
@@ -144,15 +130,15 @@ mod tests {
     #[test]
     fn full_fails_fast() {
         let q = BoundedQueue::new(1);
-        q.try_push(1).unwrap();
-        assert_eq!(q.try_push(2), Err(PushError::Full(2)));
+        q.try_push_batch(vec![1]).unwrap();
+        assert_eq!(q.try_push_batch(vec![2]), Err(PushError::Full(vec![2])));
         assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn batch_push_fills_then_hands_back_the_tail() {
         let q = BoundedQueue::new(3);
-        q.try_push(0).unwrap();
+        q.try_push_batch(vec![0]).unwrap();
         // 3 items into 2 free slots: 1 and 2 land, 3 comes back.
         let leftover = match q.try_push_batch(vec![1, 2, 3]) {
             Err(PushError::Full(tail)) => tail,
@@ -206,9 +192,9 @@ mod tests {
     #[test]
     fn close_drains_then_ends() {
         let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
+        q.try_push_batch(vec![1]).unwrap();
         q.close();
-        assert_eq!(q.try_push(2), Err(PushError::Closed(2)));
+        assert_eq!(q.try_push_batch(vec![2]), Err(PushError::Closed(vec![2])));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
     }
@@ -231,7 +217,7 @@ mod tests {
             let q = q.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    q.try_push(t * 100 + i).unwrap();
+                    q.try_push_batch(vec![t * 100 + i]).unwrap();
                 }
             }));
         }

@@ -32,7 +32,7 @@ use ppr_durability::RecoveryReport;
 use ppr_obs::MetricsServer;
 use ppr_query::Database;
 
-use crate::catalog::{Catalog, DEFAULT_DB};
+use crate::catalog::{Catalog, DbVersion, DEFAULT_DB};
 use crate::engine::{Engine, EngineConfig, EngineHandle, Request};
 use crate::net::NetMetrics;
 use crate::protocol::{self, Ack, Command, HelloAck};
@@ -71,15 +71,12 @@ pub const OUTBUF_LIMIT: usize = 4 << 20;
 /// # }
 /// ```
 ///
-/// The engine comes from one of three places, in precedence order: an
-/// explicit [`engine`](ServerBuilder::engine) handle (the server borrows
-/// it), an explicit [`catalog`](ServerBuilder::catalog) /
-/// [`database`](ServerBuilder::database) (the server starts and owns an
-/// engine over it), or [`data_dir`](ServerBuilder::data_dir) (the server
-/// recovers a durable catalog, then starts and owns an engine). With
-/// none of those, the server owns an engine over an empty memory-only
-/// catalog seeded with whatever [`database`](ServerBuilder::database)
-/// provided — or nothing.
+/// The server borrows the engine of an explicit
+/// [`engine`](ServerBuilder::engine) handle. Without one it starts and
+/// owns an engine over the durable catalog it recovers from
+/// [`data_dir`](ServerBuilder::data_dir), or else over a memory-only
+/// catalog; either is seeded with whatever
+/// [`database`](ServerBuilder::database) provided.
 pub struct ServerBuilder {
     addr: String,
     idle_timeout: Option<Duration>,
@@ -87,7 +84,6 @@ pub struct ServerBuilder {
     metrics_addr: Option<String>,
     engine_config: EngineConfig,
     engine: Option<EngineHandle>,
-    catalog: Option<Catalog>,
     database: Option<Database>,
 }
 
@@ -100,7 +96,6 @@ impl Default for ServerBuilder {
             metrics_addr: None,
             engine_config: EngineConfig::default(),
             engine: None,
-            catalog: None,
             database: None,
         }
     }
@@ -116,7 +111,6 @@ impl ServerBuilder {
 
     /// Serve an engine the caller already runs; the server will not own
     /// or shut it down. Takes precedence over
-    /// [`catalog`](ServerBuilder::catalog) /
     /// [`data_dir`](ServerBuilder::data_dir).
     pub fn engine(mut self, engine: EngineHandle) -> Self {
         self.engine = Some(engine);
@@ -127,12 +121,6 @@ impl ServerBuilder {
     /// [`engine`](ServerBuilder::engine) supplies a handle).
     pub fn engine_config(mut self, cfg: EngineConfig) -> Self {
         self.engine_config = cfg;
-        self
-    }
-
-    /// Serve this catalog through a builder-owned engine.
-    pub fn catalog(mut self, catalog: Catalog) -> Self {
-        self.catalog = Some(catalog);
         self
     }
 
@@ -185,7 +173,6 @@ impl ServerBuilder {
             metrics_addr,
             engine_config,
             engine,
-            catalog,
             database,
         } = self;
 
@@ -195,15 +182,14 @@ impl ServerBuilder {
         let (engine_owned, handle) = match engine {
             Some(handle) => (None, handle),
             None => {
-                let catalog = match (catalog, data_dir) {
-                    (Some(c), _) => c,
-                    (None, Some(dir)) => {
+                let catalog = match data_dir {
+                    Some(dir) => {
                         let (catalog, report) =
                             Catalog::open(dir).map_err(|e| std::io::Error::other(e.to_string()))?;
                         recovery = Some(report);
                         catalog
                     }
-                    (None, None) => Catalog::new(),
+                    None => Catalog::new(),
                 };
                 if let Some(db) = database {
                     // A recovered catalog keeps its own default database.
@@ -348,29 +334,34 @@ impl Drop for Server {
 // Command dispatch
 // ---------------------------------------------------------------------
 
+/// How the reply to a submitted request is encoded.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplyShape {
+    /// The row result (`run`).
+    Rows,
+    /// A [`TraceReport`](protocol::TraceReport) clocked end-to-end by the
+    /// server (`trace`).
+    Trace,
+    /// An [`ExplainReport`](protocol::ExplainReport) clocked end-to-end by
+    /// the server (`explain`).
+    Explain,
+}
+
 /// What a decoded command asks of the event loop: answer immediately,
-/// or hand the request to the engine (serially, from the connection's
-/// point of view).
+/// or hand the request to the engine.
 pub(crate) enum Dispatch {
     /// The reply line, complete (synchronous verbs: hello, ping, stats,
     /// catalog mutations, …).
     Reply(String),
-    /// Execute on the engine; encode with [`protocol::encode_result`].
-    Execute(Request),
-    /// Execute on the engine; encode as a
-    /// [`TraceReport`](protocol::TraceReport) clocked end-to-end by the
-    /// server.
-    Trace(Request),
-    /// Execute on the engine; encode as an
-    /// [`ExplainReport`](protocol::ExplainReport) clocked end-to-end by
-    /// the server.
-    Explain(Request),
+    /// Execute on the engine, against the session database unless the
+    /// request names one; encode the answer as the shape says.
+    Submit(Request, ReplyShape),
 }
 
 /// The per-connection protocol state machine: negotiates the version,
 /// tracks the session database, answers the synchronous verbs in place
 /// and classifies the rest. It never touches a socket or the worker
-/// queue — how a [`Dispatch::Execute`] reaches the engine and how its
+/// queue — how a [`Dispatch::Submit`] reaches the engine and how its
 /// reply reaches the peer is the event loop's business.
 pub(crate) fn dispatch_command(
     cmd: Command,
@@ -379,68 +370,40 @@ pub(crate) fn dispatch_command(
     session_db: &mut Option<String>,
     window: usize,
 ) -> Dispatch {
-    match cmd {
+    let reply = match cmd {
+        Command::Run(request) => return submit(request, session_db, ReplyShape::Rows),
+        Command::Trace(request) => return submit(request, session_db, ReplyShape::Trace),
+        Command::Explain(request) => return submit(request, session_db, ReplyShape::Explain),
         Command::Hello { proto: asked } => {
             // Negotiate down to what this build speaks; the client asked
             // for ≥ 2 (the decoder enforces it), so the connection is
             // tagged from the next line on.
             *proto = asked.min(protocol::PROTO_VERSION);
-            Dispatch::Reply(protocol::encode_hello_ok(&HelloAck {
+            protocol::encode_hello_ok(&HelloAck {
                 proto: *proto,
                 window,
-            }))
+            })
         }
-        Command::Ping => Dispatch::Reply("ok pong".to_string()),
-        Command::Stats => Dispatch::Reply(protocol::encode_stats(&engine.stats())),
-        Command::SlowLog => Dispatch::Reply(protocol::encode_slowlog(&Ok(engine
-            .metrics()
-            .slowlog
-            .snapshot()))),
-        Command::Dbs => Dispatch::Reply(protocol::encode_dbs(&Ok(engine.catalog().list()))),
-        Command::Run(mut request) => {
-            if request.db.is_none() {
-                request.db = session_db.clone();
-            }
-            Dispatch::Execute(request)
-        }
-        Command::Trace(mut request) => {
-            if request.db.is_none() {
-                request.db = session_db.clone();
-            }
-            Dispatch::Trace(request)
-        }
-        Command::Explain(mut request) => {
-            if request.db.is_none() {
-                request.db = session_db.clone();
-            }
-            Dispatch::Explain(request)
-        }
+        Command::Ping => "ok pong".to_string(),
+        Command::Stats => protocol::encode_stats(&engine.stats()),
+        Command::SlowLog => protocol::encode_slowlog(&Ok(engine.metrics().slowlog.snapshot())),
+        Command::Dbs => protocol::encode_dbs(&Ok(engine.catalog().list())),
         // Catalog verbs run on the event loop, not the worker queue:
-        // mutations are O(tiny database), and admission control exists
-        // to bound query execution, not metadata traffic.
+        // admission control exists to bound query execution, not
+        // metadata traffic.
         Command::Use(db) => {
-            let ack = match engine.catalog().snapshot(&db) {
+            let version = match engine.catalog().snapshot(&db) {
                 Some(snap) => {
                     *session_db = Some(db.clone());
-                    Ok(Ack {
-                        db,
-                        version: Some(snap.version),
-                    })
+                    Ok(snap.version)
                 }
-                None => Err(ServiceError::UnknownDatabase(db)),
+                None => Err(ServiceError::UnknownDatabase(db.clone())),
             };
-            Dispatch::Reply(protocol::encode_ack(&ack))
+            ack(db, version)
         }
         Command::Create(db) => {
-            let ack = engine
-                .catalog()
-                .create(&db)
-                .map(|version| Ack {
-                    db,
-                    version: Some(version),
-                })
-                .map_err(ServiceError::from);
-            Dispatch::Reply(protocol::encode_ack(&ack))
+            let version = engine.catalog().create(&db);
+            ack(db, version)
         }
         Command::Drop(db) => {
             let ack = engine
@@ -454,31 +417,38 @@ pub(crate) fn dispatch_command(
                     Ack { db, version: None }
                 })
                 .map_err(ServiceError::from);
-            Dispatch::Reply(protocol::encode_ack(&ack))
+            protocol::encode_ack(&ack)
         }
         Command::Load { db, rel, tuples } => {
-            let ack = engine
-                .catalog()
-                .load(&db, &rel, tuples)
-                .map(|version| Ack {
-                    db,
-                    version: Some(version),
-                })
-                .map_err(ServiceError::from);
-            Dispatch::Reply(protocol::encode_ack(&ack))
+            let version = engine.catalog().load(&db, &rel, tuples);
+            ack(db, version)
         }
         Command::Add { db, rel, tuple } => {
-            let ack = engine
-                .catalog()
-                .add(&db, &rel, tuple)
-                .map(|version| Ack {
-                    db,
-                    version: Some(version),
-                })
-                .map_err(ServiceError::from);
-            Dispatch::Reply(protocol::encode_ack(&ack))
+            let version = engine.catalog().add(&db, &rel, tuple);
+            ack(db, version)
         }
+    };
+    Dispatch::Reply(reply)
+}
+
+/// A query verb's request, aimed at the session database unless it
+/// names its own.
+fn submit(mut request: Request, session_db: &Option<String>, shape: ReplyShape) -> Dispatch {
+    if request.db.is_none() {
+        request.db = session_db.clone();
     }
+    Dispatch::Submit(request, shape)
+}
+
+/// The ack of a verb that left `db` at `version`, or its error.
+fn ack(db: String, version: Result<DbVersion, impl Into<ServiceError>>) -> String {
+    let ack = version
+        .map(|version| Ack {
+            db,
+            version: Some(version),
+        })
+        .map_err(Into::into);
+    protocol::encode_ack(&ack)
 }
 
 /// The reply for a tagged id that is already in flight on this

@@ -195,7 +195,6 @@ fn saturated_server_sheds_load_with_overloaded() {
     let mut cfg = EngineConfig::default();
     cfg.workers = 1;
     cfg.queue_capacity = 1;
-    cfg.max_inflight = 2;
     cfg.result_cache_bytes = 0;
     let engine = Engine::start(color_catalog(), cfg);
     let server = service::Server::builder()
@@ -311,7 +310,8 @@ fn v2_connect(addr: SocketAddr) -> (BufReader<TcpStream>, service::protocol::Hel
 /// scheduler-dependent). Every run hits a fresh engine with the same
 /// per-request seeds, so plans, cache flags, and the remaining execution
 /// stats have no run-order excuse to differ. The list mixes all seven
-/// methods with two deterministic failures to cover the `err` path too.
+/// methods with three deterministic failures, one of each kind a query
+/// can fail with before it executes, to cover the `err` path too.
 ///
 /// The serial reference is taken twice: over the wire as v1 untagged
 /// lines (one reply per request, in order — the event loop's serial
@@ -334,6 +334,8 @@ fn pipelined_replies_are_a_per_id_permutation_of_serial() {
         Method::EarlyProjection,
     ));
     requests.push(Request::new("q(a :- edge(", Method::Straightforward));
+    // An unknown database is answered at admission, before any worker.
+    requests.push(Request::new(PENTAGON, Method::EarlyProjection).on("nosuch"));
     let wire_lines: Vec<String> = requests.iter().map(protocol::encode_request).collect();
 
     // Socket-free reference: the engine's answer, encoded.
@@ -437,7 +439,15 @@ fn pipelined_replies_are_a_per_id_permutation_of_serial() {
     }
     // The mixed list really exercised both reply shapes.
     assert!(serial.iter().filter(|r| r.starts_with("ok ")).count() >= 21);
-    assert_eq!(serial.iter().filter(|r| r.starts_with("err ")).count(), 2);
+    let errors: Vec<&str> = serial
+        .iter()
+        .filter(|r| r.starts_with("err "))
+        .map(|r| r.split(' ').nth(1).unwrap())
+        .collect();
+    assert_eq!(
+        errors,
+        ["kind=missing_relation", "kind=parse", "kind=unknown_db"]
+    );
 }
 
 /// A duplicate in-flight id draws a tagged `err kind=protocol` while the
