@@ -14,9 +14,10 @@
 //!
 //! A boundary is a flat row buffer, not a [`Relation`]: the sink
 //! appends each projected row to one `Vec<Value>` and de-duplicates
-//! through a table of row ids into it, and the pipeline above either
-//! streams that buffer or takes it by value as the build side of a
-//! hash-join stage (row ids grouped by join key, CSR layout, no copy).
+//! through a table of row ids into it (each id stored with its row's hash),
+//! and the pipeline above either streams that buffer or takes it by value
+//! as the build side of a hash-join stage (row ids grouped by join key, CSR
+//! layout, no copy; a join on the whole row probes the sink's own table).
 //! Bucket elimination materializes many small intermediates, so what a
 //! boundary costs per row decides whether keeping them small pays off. The
 //! per-row allocation is paid once per request, where [`execute_with`]
@@ -30,8 +31,7 @@ use crate::budget::{Budget, BudgetKind, Meter};
 use crate::error::RelalgError;
 use crate::plan::Plan;
 use crate::relation::Relation;
-use crate::rows::{GroupIndex, RowSet, Rows, MAX_ROWS};
-use crate::schema::{AttrId, Schema};
+use crate::rows::{RowSet, Rows, MAX_ROWS};
 use crate::stats::ExecStats;
 use crate::value::Value;
 use crate::Result;
@@ -78,11 +78,11 @@ pub fn execute_with(
     budget: &Budget,
     options: ExecOptions,
 ) -> Result<(Relation, ExecStats)> {
-    plan.validate()?;
+    // Validates the whole plan, in the pass that derives the root's schema.
+    let schema = plan.schema()?;
     let mut stats = ExecStats::default();
     let mut meter = budget.start();
-    let (schema, rows) =
-        crate::pipelined::materialize_streaming(plan, &mut meter, &mut stats, options)?;
+    let rows = crate::pipelined::materialize_streaming(plan, &mut meter, &mut stats, options)?;
     // Inside the plan rows stay flat: this is the request's one `Relation`.
     let mut rel = Relation::new("result", schema, rows.into_tuples());
     if matches!(plan, Plan::ProjectDistinct { .. }) && options.dedup_subqueries {
@@ -95,48 +95,20 @@ pub fn execute_with(
     Ok((rel, stats))
 }
 
-/// One probe stage of a pipeline: one join input, grouped by its join-key
-/// columns. Probing allocates nothing: the key is hashed straight out of
-/// the accumulated tuple buffer and compared against the input's rows in
-/// place.
-pub(crate) struct Stage {
-    /// This input's rows and their join-key groups.
-    pub(crate) build: GroupIndex,
-    /// Positions *within the accumulated tuple buffer* of the join-key
-    /// values to probe with.
-    pub(crate) key_pos_in_buf: Vec<usize>,
-    /// Positions within this input's rows of the columns appended to the
-    /// buffer (columns not already bound by earlier stages).
-    pub(crate) extra_pos: Vec<usize>,
-}
-
-/// What a pipeline leaves at its materialization boundary, and what the next
-/// pipeline up streams or builds a [`Stage`] from: flat rows, never a
-/// [`Relation`].
-pub(crate) type SubResult = (Schema, Rows);
-
 /// Where pipeline output goes: a materialization boundary.
-pub(crate) struct Sink {
+pub(crate) struct Sink<'a> {
     /// `SELECT [DISTINCT] keep`: buffer positions projected into each
     /// output row. `None` keeps full tuples (bag semantics) — a pipeline
     /// with no projection.
-    keep_pos: Option<Vec<usize>>,
+    pub(crate) keep_pos: Option<&'a [usize]>,
     /// The de-duplicating table of a `DISTINCT` projection; `None` degrades
-    /// it to a plain projection (bag semantics).
-    seen: Option<RowSet>,
-    rows: Rows,
+    /// it to a plain projection (bag semantics), which is also what a
+    /// projection that can meet no duplicate takes.
+    pub(crate) seen: Option<RowSet>,
+    pub(crate) rows: Rows,
 }
 
-impl Sink {
-    /// The sink of a pipeline whose accumulated schema is `acc`.
-    pub(crate) fn new(acc: &Schema, keep: Option<&[AttrId]>, dedup: bool) -> Sink {
-        Sink {
-            keep_pos: keep.map(|attrs| acc.positions(attrs)),
-            seen: (keep.is_some() && dedup).then(RowSet::default),
-            rows: Rows::new(keep.map_or(acc.arity(), <[AttrId]>::len)),
-        }
-    }
-
+impl Sink<'_> {
     pub(crate) fn emit(
         &mut self,
         buf: &[Value],
@@ -144,7 +116,7 @@ impl Sink {
         stats: &mut ExecStats,
     ) -> Result<()> {
         stats.rows_emitted += 1;
-        match &self.keep_pos {
+        match self.keep_pos {
             None => self.rows.push(buf.iter().copied()),
             Some(keep_pos) => {
                 stats.materialized_rows_in += 1;
@@ -167,46 +139,6 @@ impl Sink {
         }
         Ok(())
     }
-
-    /// The materialized output.
-    pub(crate) fn into_rows(self) -> Rows {
-        self.rows
-    }
-}
-
-/// Flattens a join tree into pipeline inputs, left to right.
-/// `Join(Join(a, b), c)` — the shape the methods' SQL takes — becomes
-/// `[a, b, c]`; right-nested and bushy shapes (which join-expression
-/// trees produce when an interior node skips a no-op projection) flatten
-/// the same way, which is sound because the pipeline natural-joins its
-/// inputs in sequence and ⋈ is associative and commutative.
-pub(crate) fn join_chain(plan: &Plan) -> Vec<&Plan> {
-    match plan {
-        Plan::Join { left, right } => {
-            let mut chain = join_chain(left);
-            chain.extend(join_chain(right));
-            chain
-        }
-        other => vec![other],
-    }
-}
-
-/// Builds one probe stage over `rows` (taken by value, not copied), an
-/// input of schema `input` joined against the accumulated schema `acc`.
-pub(crate) fn build_stage(acc: &Schema, input: &Schema, rows: Rows) -> Stage {
-    let keys = acc.common(input);
-    let extra_pos: Vec<usize> = input
-        .attrs()
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !acc.contains(**a))
-        .map(|(i, _)| i)
-        .collect();
-    Stage {
-        build: GroupIndex::build(rows, input.positions(&keys)),
-        key_pos_in_buf: acc.positions(&keys),
-        extra_pos,
-    }
 }
 
 pub(crate) fn budget_err(kind: crate::budget::BudgetKind, meter: &Meter) -> RelalgError {
@@ -227,7 +159,7 @@ pub(crate) fn attach_flow(e: RelalgError, meter: &Meter) -> RelalgError {
 mod tests {
     use super::*;
     use crate::flow_model;
-    use crate::schema::AttrId;
+    use crate::schema::{AttrId, Schema};
     use crate::value::tuple;
     use std::sync::Arc;
 

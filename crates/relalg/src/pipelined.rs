@@ -9,14 +9,15 @@
 //! * **`TableScan`** — streams the outer input's rows straight off the
 //!   base relation, no bind copy (`Source::Table`).
 //! * **`IxScan`** — answers a single-column `SELECT DISTINCT` subquery by
-//!   reading the cached index's key list (`ix_scan_distinct`).
+//!   reading the cached index's key list (`Run::ix_scan`).
 //! * **`IxJoin`** — an equality join (single shared attribute) probed
 //!   through the base relation's cached [`ColumnIndex`]
 //!   (`StreamStage::Index`); the index is built lazily once per
 //!   relation and shared by every query holding the snapshot `Arc`.
 //! * **`HashJoin`** — fallback for multi-attribute keys, cross products,
 //!   and subquery inputs: a per-query build (`StreamStage::Hash`), which
-//!   takes a subquery's rows by value.
+//!   takes a subquery's rows by value — and, when it is keyed on the whole
+//!   row, the table the subquery's `DISTINCT` sink de-duplicated them with.
 //! * **`Filter`** — repeated-attribute equality checks (`edge(x, x)`),
 //!   applied inline at the scan or per index posting.
 //! * **`Project`** — column collapse at scans and the `DISTINCT`
@@ -25,7 +26,14 @@
 //! Nothing materializes except at `ProjectDistinct` (subquery-dedup)
 //! boundaries, each one flat row buffer (see [`crate::exec`]), streamed by
 //! the next pipeline's source or grouped in place as its hash build. No
-//! [`Relation`] is built below the plan root.
+//! [`Relation`] is built below the plan root. A sink that keeps every
+//! column of a pipeline whose inputs are all sets (de-duplicated base
+//! relations, `DISTINCT` results) meets no duplicate and keeps no table.
+//!
+//! Wiring a pipeline touches no heap of its own: the execution derives
+//! every pipeline's join chain, schema and position lists onto stacks it
+//! reuses (`Scratch`), and each boundary's rows and tables go back to a
+//! pool when the pipeline that read them is done.
 //!
 //! **What is pinned.** The rows and the plan-level counters
 //! (`tuples_flowed`, materializations, their peak size, the widest
@@ -43,6 +51,7 @@
 //! builds at all, which is where the serving stack's exec-phase latency
 //! win comes from.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,14 +59,12 @@ use ppr_obs::{OpKind, OpProfile};
 
 use crate::budget::Meter;
 use crate::error::RelalgError;
-use crate::exec::{
-    attach_flow, budget_err, build_stage, join_chain, ExecOptions, Sink, Stage, SubResult,
-};
+use crate::exec::{attach_flow, budget_err, ExecOptions, Sink};
 use crate::index::ColumnIndex;
 use crate::plan::Plan;
 use crate::relation::Relation;
-use crate::rows::Rows;
-use crate::schema::{AttrId, Schema};
+use crate::rows::{Buffers, GroupIndex, RowSet, Rows};
+use crate::schema::AttrId;
 use crate::stats::ExecStats;
 use crate::value::Value;
 use crate::Result;
@@ -66,8 +73,13 @@ use crate::Result;
 enum Source {
     /// `TableScan`: stream base rows directly, no bind copy. The inline
     /// `Filter`/`Project` of a repeated-attribute binding run in the push
-    /// loop.
-    Table(Arc<Relation>),
+    /// loop: `eq` are the `(first, later)` base-row positions that must
+    /// agree and `out_pos` the positions streamed (`None` = all of them).
+    Table {
+        base: Arc<Relation>,
+        out_pos: Option<Range<usize>>,
+        eq: Range<usize>,
+    },
     /// An already-materialized subquery result, streamed row by row.
     Materialized(Rows),
 }
@@ -75,7 +87,7 @@ enum Source {
 impl Source {
     fn len(&self) -> usize {
         match self {
-            Source::Table(base) => base.len(),
+            Source::Table { base, .. } => base.len(),
             Source::Materialized(rows) => rows.len(),
         }
     }
@@ -83,18 +95,30 @@ impl Source {
     #[inline]
     fn row(&self, i: usize) -> &[Value] {
         match self {
-            Source::Table(base) => &base.tuples()[i],
+            Source::Table { base, .. } => &base.tuples()[i],
             Source::Materialized(rows) => rows.row(i),
         }
     }
 }
 
-/// One probe stage of a streaming pipeline.
+/// One probe stage of a streaming pipeline. Its position lists are ranges
+/// of the execution's [`Scratch::pos`] and [`Scratch::eq`].
 enum StreamStage {
     /// `HashJoin`: per-query hash build over a bound input — the
     /// fallback for multi-attribute keys, cross products, and subquery
     /// inputs.
-    Hash(Stage),
+    Hash {
+        /// This input's rows and their join-key groups.
+        build: GroupIndex,
+        /// The join key's positions within this input's rows, ascending.
+        key_in_row: Range<usize>,
+        /// The same key's positions within the accumulated tuple buffer:
+        /// probing hashes the key straight out of it, allocating nothing.
+        key_in_buf: Range<usize>,
+        /// Positions within this input's rows of the columns appended to
+        /// the buffer (columns not already bound by earlier stages).
+        extra: Range<usize>,
+    },
     /// `IxJoin` (+ inline `Filter`): probe the base relation's cached
     /// secondary index on the single shared attribute; repeated-attribute
     /// checks run per posting.
@@ -104,10 +128,10 @@ enum StreamStage {
         /// Position in the accumulated buffer of the join-key value.
         key_pos_in_buf: usize,
         /// `(first, later)` positions in the base row that must agree.
-        eq_checks: Vec<(usize, usize)>,
+        eq: Range<usize>,
         /// Base-row positions appended to the buffer (attributes not
         /// already bound by earlier stages).
-        extra_pos: Vec<usize>,
+        extra: Range<usize>,
     },
 }
 
@@ -147,6 +171,13 @@ impl NodeAcc {
             incl_ns: 0,
             subs: Vec::new(),
         }
+    }
+
+    /// A node whose construction started at `build_start`.
+    fn built(op: OpKind, target: &str, build_start: Option<Instant>) -> NodeAcc {
+        let mut node = NodeAcc::new(op, target);
+        node.build_ns = build_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        node
     }
 }
 
@@ -194,32 +225,25 @@ impl PipeProf {
     }
 }
 
-/// The shape `ops::bind` would give a scan, computed without touching any
-/// rows: the bound schema (first-occurrence attribute order), the base-row
-/// positions to stream (`None` when the binding has no repeats), and the
-/// repeated-attribute equality checks.
-fn bind_shape(binding: &[AttrId]) -> (Schema, Option<Vec<usize>>, Vec<(usize, usize)>) {
-    let mut out_attrs: Vec<AttrId> = Vec::new();
-    let mut out_pos: Vec<usize> = Vec::new();
-    for (i, &a) in binding.iter().enumerate() {
-        if !out_attrs.contains(&a) {
-            out_attrs.push(a);
-            out_pos.push(i);
-        }
-    }
-    let mut eq_checks: Vec<(usize, usize)> = Vec::new();
-    for (i, &a) in binding.iter().enumerate() {
-        let first = binding.iter().position(|&x| x == a).expect("present");
-        if first != i {
-            eq_checks.push((first, i));
-        }
-    }
-    let identity = out_pos.len() == binding.len();
-    (
-        Schema::new(out_attrs),
-        (!identity).then_some(out_pos),
-        eq_checks,
-    )
+/// The columns `ops::bind` gives a scan, computed without touching any
+/// rows: the binding's distinct attributes in first-occurrence order, each
+/// with its base-row position.
+fn bound(binding: &[AttrId]) -> impl Iterator<Item = (usize, AttrId)> + Clone + '_ {
+    let first = |&(i, a): &(usize, &AttrId)| !binding[..i].contains(a);
+    binding
+        .iter()
+        .enumerate()
+        .filter(first)
+        .map(|(i, &a)| (i, a))
+}
+
+/// A binding's repeated-attribute checks: the `(first, later)` base-row
+/// positions that must agree.
+fn eq_checks(binding: &[AttrId]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    binding.iter().enumerate().filter_map(|(i, a)| {
+        let first = binding.iter().position(|x| x == a).expect("present");
+        (first != i).then_some((first, i))
+    })
 }
 
 #[inline]
@@ -227,18 +251,44 @@ fn eq_ok(eq_checks: &[(usize, usize)], row: &[Value]) -> bool {
     eq_checks.iter().all(|&(a, b)| row[a] == row[b])
 }
 
-/// `ops::bind` into flat rows: the scan's bound schema and the base rows
-/// that pass its repeated-attribute checks, repeated columns collapsed.
-fn bind_rows(base: &Relation, binding: &[AttrId]) -> SubResult {
-    let (schema, out_pos, eq_checks) = bind_shape(binding);
-    let mut rows = Rows::new(schema.arity());
-    for t in base.tuples().iter().filter(|t| eq_ok(&eq_checks, t)) {
-        match &out_pos {
-            None => rows.push(t.iter().copied()),
-            Some(pos) => rows.push(pos.iter().map(|&p| t[p])),
+/// Flattens a join tree onto `chain` as pipeline inputs, left to right.
+/// `Join(Join(a, b), c)` — the shape the methods' SQL takes — becomes
+/// `[a, b, c]`; right-nested and bushy shapes (which join-expression
+/// trees produce when an interior node skips a no-op projection) flatten
+/// the same way, which is sound because the pipeline natural-joins its
+/// inputs in sequence and ⋈ is associative and commutative.
+fn push_chain<'p>(plan: &'p Plan, chain: &mut Vec<&'p Plan>) {
+    match plan {
+        Plan::Join { left, right } => {
+            push_chain(left, chain);
+            push_chain(right, chain);
+        }
+        other => chain.push(other),
+    }
+}
+
+/// Appends `items` to `list` and returns where they went.
+fn push_span<T>(list: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> Range<usize> {
+    let start = list.len();
+    list.extend(items);
+    start..list.len()
+}
+
+/// Natural-joins an input's attributes onto the accumulated schema
+/// `acc[from..]`: appends those not already there, in input order.
+fn join_attrs(acc: &mut Vec<AttrId>, from: usize, input: impl Iterator<Item = AttrId>) {
+    for a in input {
+        if !acc[from..].contains(&a) {
+            acc.push(a);
         }
     }
-    (schema, rows)
+}
+
+/// Position of `attr` in the accumulated schema `acc`.
+fn position(acc: &[AttrId], attr: AttrId) -> usize {
+    acc.iter()
+        .position(|&a| a == attr)
+        .unwrap_or_else(|| panic!("attribute {attr} not in the pipeline"))
 }
 
 /// The operator tree the streaming executor *would* run for `plan` under
@@ -249,67 +299,68 @@ fn bind_rows(base: &Relation, binding: &[AttrId]) -> SubResult {
 pub fn streaming_shape(plan: &Plan) -> OpProfile {
     match plan {
         Plan::Scan { .. } | Plan::Join { .. } => pipeline_shape(plan, false),
-        Plan::ProjectDistinct { input, keep } => match ix_scan_shape(input, keep) {
-            Some(node) => node,
+        Plan::ProjectDistinct { input, keep } => match ix_scan_target(input, keep) {
+            Some((base, _)) => OpProfile::node(OpKind::IxScan, base.name()),
             None => pipeline_shape(input, true),
         },
     }
 }
 
-/// Shape counterpart of [`ix_scan_distinct`]'s applicability test.
-fn ix_scan_shape(input: &Plan, keep: &[AttrId]) -> Option<OpProfile> {
-    if keep.len() != 1 {
-        return None;
-    }
-    let Plan::Scan { base, binding } = input else {
+/// Whether a `SELECT DISTINCT keep` over `input` is answered by `IxScan`,
+/// given subquery dedup: a single kept attribute of a scan whose binding
+/// repeats none (repeats add a selection the index does not see). Returns
+/// the scan and the kept attribute's base column.
+fn ix_scan_target<'p>(input: &'p Plan, keep: &[AttrId]) -> Option<(&'p Arc<Relation>, usize)> {
+    let (Plan::Scan { base, binding }, [kept]) = (input, keep) else {
         return None;
     };
-    let (_, out_pos, _) = bind_shape(binding);
-    if out_pos.is_some() || !binding.contains(&keep[0]) {
+    if bound(binding).count() != binding.len() {
         return None;
     }
-    Some(OpProfile::node(OpKind::IxScan, base.name()))
+    let col = binding.iter().position(|a| a == kept)?;
+    Some((base, col))
 }
 
-/// Shape counterpart of [`pipeline_streaming`]: walks the join chain
-/// making the same IxJoin-vs-HashJoin choices, building zeroed nodes.
+/// Shape counterpart of [`Run::pipeline`]: walks the join chain making
+/// the same IxJoin-vs-HashJoin choices, building zeroed nodes.
 fn pipeline_shape(plan: &Plan, distinct: bool) -> OpProfile {
-    let chain = join_chain(plan);
-    let (mut acc, mut tree) = match chain[0] {
+    let mut chain = Vec::new();
+    push_chain(plan, &mut chain);
+    let mut acc: Vec<AttrId> = Vec::new();
+    let mut tree = match chain[0] {
         Plan::Scan { base, binding } => {
-            let (schema, _, _) = bind_shape(binding);
-            (schema, OpProfile::node(OpKind::TableScan, base.name()))
+            acc.extend(bound(binding).map(|(_, a)| a));
+            OpProfile::node(OpKind::TableScan, base.name())
         }
         sub @ Plan::ProjectDistinct { keep, .. } => {
+            acc.extend_from_slice(keep);
             let mut node = OpProfile::node(OpKind::TableScan, "");
             node.children.push(streaming_shape(sub));
-            (Schema::new(keep.clone()), node)
+            node
         }
-        Plan::Join { .. } => unreachable!("join_chain flattens both spines"),
+        Plan::Join { .. } => unreachable!("push_chain flattens both spines"),
     };
     for node in &chain[1..] {
-        let (kind, target, schema, sub) = match node {
+        let mut stage = match node {
             Plan::Scan { base, binding } => {
-                let (schema, _, _) = bind_shape(binding);
-                let kind = if acc.common(&schema).len() == 1 {
+                let keys = bound(binding).filter(|(_, a)| acc.contains(a)).count();
+                join_attrs(&mut acc, 0, bound(binding).map(|(_, a)| a));
+                let kind = if keys == 1 {
                     OpKind::IxJoin
                 } else {
                     OpKind::HashJoin
                 };
-                (kind, base.name().to_string(), schema, None)
+                OpProfile::node(kind, base.name())
             }
-            sub @ Plan::ProjectDistinct { keep, .. } => (
-                OpKind::HashJoin,
-                String::new(),
-                Schema::new(keep.clone()),
-                Some(streaming_shape(sub)),
-            ),
-            Plan::Join { .. } => unreachable!("join_chain flattens both spines"),
+            sub @ Plan::ProjectDistinct { keep, .. } => {
+                join_attrs(&mut acc, 0, keep.iter().copied());
+                let mut stage = OpProfile::node(OpKind::HashJoin, "");
+                stage.children.push(streaming_shape(sub));
+                stage
+            }
+            Plan::Join { .. } => unreachable!("push_chain flattens both spines"),
         };
-        acc = acc.join(&schema);
-        let mut stage = OpProfile::node(kind, target);
-        stage.children.push(tree);
-        stage.children.extend(sub);
+        stage.children.insert(0, tree);
         tree = stage;
     }
     let mut root = OpProfile::node(
@@ -324,8 +375,8 @@ fn pipeline_shape(plan: &Plan, distinct: bool) -> OpProfile {
     root
 }
 
-/// Runs the pipeline ending at `plan`, recursing into `ProjectDistinct`
-/// inputs first.
+/// Runs the pipelines of `plan`, subqueries first, and returns the root
+/// pipeline's rows.
 /// Under [`ppr_obs::ProfileMode::On`] the per-operator profile of the
 /// root pipeline lands in [`ExecStats::op_profile`].
 pub(crate) fn materialize_streaming(
@@ -333,270 +384,429 @@ pub(crate) fn materialize_streaming(
     meter: &mut Meter,
     stats: &mut ExecStats,
     options: ExecOptions,
-) -> Result<SubResult> {
-    let (out, prof) = materialize_streaming_prof(plan, meter, stats, options)?;
+) -> Result<Rows> {
+    let mut run = Run {
+        meter,
+        stats,
+        options,
+        s: Scratch::default(),
+    };
+    let (out, prof) = run.materialize(plan)?;
     if let Some(p) = prof {
-        stats.op_profile = Some(Box::new(p));
+        run.stats.op_profile = Some(Box::new(p));
     }
-    Ok(out)
+    Ok(out.rows)
 }
 
-/// [`materialize_streaming`] returning the pipeline's profile instead of
-/// stashing it, so subquery recursion can attach child profiles to the
-/// operator they feed.
-fn materialize_streaming_prof(
-    plan: &Plan,
-    meter: &mut Meter,
-    stats: &mut ExecStats,
-    options: ExecOptions,
-) -> Result<(SubResult, Option<OpProfile>)> {
-    match plan {
-        Plan::Scan { .. } | Plan::Join { .. } => {
-            pipeline_streaming(plan, None, meter, stats, options)
-        }
-        Plan::ProjectDistinct { input, keep } => {
-            let ((schema, rows), prof) = match ix_scan_distinct(input, keep, meter, stats, options)?
-            {
-                Some(pair) => pair,
-                None => pipeline_streaming(input, Some(keep), meter, stats, options)?,
-            };
-            stats.materializations += 1;
-            stats.peak_materialized = stats.peak_materialized.max(rows.len() as u64);
-            stats.materialized_rows_out += rows.len() as u64;
-            Ok(((schema, rows), prof))
-        }
-    }
+/// What a pipeline leaves at its materialization boundary, and what the
+/// next pipeline up streams or builds a hash join from: flat rows, never a
+/// [`Relation`], and the `DISTINCT` table that de-duplicated them when the
+/// sink kept one.
+struct Boundary {
+    rows: Rows,
+    set: Option<RowSet>,
 }
 
-/// The `IxScan` operator: a single-column `SELECT DISTINCT` over a plain
-/// scan is exactly the cached index's key list in first-occurrence order,
-/// so the whole subquery pipeline collapses into one index read.
-///
-/// Returns `None` when the shape does not apply (multi-column keep,
-/// repeated attributes adding a selection, dedup disabled) and the caller
-/// falls back to the general pipeline. The meter still ticks once per
-/// base row — the logical tuple flow is a plan property and must equal
-/// the general pipeline's.
-fn ix_scan_distinct(
-    input: &Plan,
-    keep: &[AttrId],
-    meter: &mut Meter,
-    stats: &mut ExecStats,
+/// The shape of one execution's pipelines, and the buffers they
+/// materialize into. Pipelines nest — a subquery's pipeline runs to
+/// completion while the pipeline reading it is being wired — so each list
+/// is a stack: a pipeline pushes above what its consumer pushed and
+/// truncates back when it is done. The lists grow to the plan's deepest
+/// nesting once per execution instead of being allocated per pipeline.
+#[derive(Default)]
+struct Scratch<'p> {
+    /// Join chains: each pipeline's inputs, left to right.
+    chain: Vec<&'p Plan>,
+    /// Accumulated schemas: the attributes of each pipeline's buffer.
+    acc: Vec<AttrId>,
+    /// Position lists of stages, sources and sinks, addressed by range.
+    pos: Vec<usize>,
+    /// Repeated-attribute checks, addressed by range.
+    eq: Vec<(usize, usize)>,
+    /// Probe stages.
+    stages: Vec<StreamStage>,
+    /// The accumulated tuple: only one pipeline at a time pushes rows.
+    buf: Vec<Value>,
+    /// Row buffers and tables of consumed boundaries.
+    buffers: Buffers,
+}
+
+/// One execution in progress.
+struct Run<'p, 'm> {
+    meter: &'m mut Meter,
+    stats: &'m mut ExecStats,
     options: ExecOptions,
-) -> Result<Option<(SubResult, Option<OpProfile>)>> {
-    if !options.dedup_subqueries || keep.len() != 1 {
-        return Ok(None);
+    s: Scratch<'p>,
+}
+
+/// A wired pipeline's stages and the lists their ranges address.
+struct Wired<'a> {
+    stages: &'a [StreamStage],
+    pos: &'a [usize],
+    eq: &'a [(usize, usize)],
+}
+
+impl<'p> Run<'p, '_> {
+    /// Runs the pipeline ending at `plan`, recursing into `ProjectDistinct`
+    /// inputs first; returns the pipeline's profile instead of stashing it,
+    /// so subquery recursion can attach child profiles to the operator they
+    /// feed.
+    fn materialize(&mut self, plan: &'p Plan) -> Result<(Boundary, Option<OpProfile>)> {
+        match plan {
+            Plan::Scan { .. } | Plan::Join { .. } => self.pipeline(plan, None),
+            Plan::ProjectDistinct { input, keep } => {
+                let (out, prof) = match self.ix_scan(input, keep)? {
+                    Some(pair) => pair,
+                    None => self.pipeline(input, Some(keep))?,
+                };
+                let rows = out.rows.len() as u64;
+                self.stats.materializations += 1;
+                self.stats.peak_materialized = self.stats.peak_materialized.max(rows);
+                self.stats.materialized_rows_out += rows;
+                Ok((out, prof))
+            }
+        }
     }
-    let Plan::Scan { base, binding } = input else {
-        return Ok(None);
-    };
-    let (schema, out_pos, _) = bind_shape(binding);
-    if out_pos.is_some() {
-        // Repeated attributes add a selection the index does not see.
-        return Ok(None);
-    }
-    let Some(col) = binding.iter().position(|&a| a == keep[0]) else {
-        return Ok(None);
-    };
-    let start = options.profile.is_on().then(Instant::now);
-    let (index, built) = base.column_index(col);
-    stats.index_builds += built as u64;
-    if built {
-        stats.rows_scanned += base.len() as u64;
-    }
-    stats.index_probes += 1;
-    for _ in 0..base.len() {
-        if let Some(kind) = meter.on_tuple() {
+
+    /// The `IxScan` operator: a single-column `SELECT DISTINCT` over a plain
+    /// scan is exactly the cached index's key list in first-occurrence order,
+    /// so the whole subquery pipeline collapses into one index read.
+    ///
+    /// Returns `None` when the shape does not apply (see [`ix_scan_target`];
+    /// dedup disabled) and the caller falls back to the general pipeline.
+    /// The meter still ticks once per base row — the logical tuple flow is a
+    /// plan property and must equal the general pipeline's.
+    fn ix_scan(
+        &mut self,
+        input: &Plan,
+        keep: &[AttrId],
+    ) -> Result<Option<(Boundary, Option<OpProfile>)>> {
+        if !self.options.dedup_subqueries {
+            return Ok(None);
+        }
+        let Some((base, col)) = ix_scan_target(input, keep) else {
+            return Ok(None);
+        };
+        let (meter, stats) = (&mut *self.meter, &mut *self.stats);
+        let start = self.options.profile.is_on().then(Instant::now);
+        let (index, built) = base.column_index(col);
+        stats.index_builds += built as u64;
+        if built {
+            stats.rows_scanned += base.len() as u64;
+        }
+        stats.index_probes += 1;
+        for _ in 0..base.len() {
+            if let Some(kind) = meter.on_tuple() {
+                return Err(budget_err(kind, meter));
+            }
+        }
+        stats.materialized_rows_in += base.len() as u64;
+        // The working-label width the equivalent pipeline would have seen.
+        stats.max_intermediate_arity = stats.max_intermediate_arity.max(base.arity());
+        let keys = index.first_keys();
+        if let Some(kind) = meter.on_materialized_rows(keys.len() as u64) {
             return Err(budget_err(kind, meter));
         }
+        stats.rows_emitted += keys.len() as u64;
+        let prof = start.map(|s| {
+            let mut node = OpProfile::node(OpKind::IxScan, base.name());
+            node.rows_in = base.len() as u64;
+            node.rows_out = keys.len() as u64;
+            node.probes = 1;
+            node.time_us = s.elapsed().as_micros() as u64;
+            node
+        });
+        let rows = self.s.buffers.column(keys);
+        Ok(Some((Boundary { rows, set: None }, prof)))
     }
-    stats.materialized_rows_in += base.len() as u64;
-    // The working-label width the equivalent pipeline would have seen.
-    stats.max_intermediate_arity = stats.max_intermediate_arity.max(schema.arity());
-    let keys = index.first_keys();
-    if let Some(kind) = meter.on_materialized_rows(keys.len() as u64) {
-        return Err(budget_err(kind, meter));
-    }
-    stats.rows_emitted += keys.len() as u64;
-    let prof = start.map(|s| {
-        let mut node = OpProfile::node(OpKind::IxScan, base.name());
-        node.rows_in = base.len() as u64;
-        node.rows_out = keys.len() as u64;
-        node.probes = 1;
-        node.time_us = s.elapsed().as_micros() as u64;
-        node
-    });
-    let out = (Schema::new(vec![keep[0]]), Rows::from_column(keys));
-    Ok(Some((out, prof)))
-}
 
-/// Wires and runs one streaming join pipeline: a [`Source`], a stage per
-/// further input, and a sink (with the `DISTINCT` projection when `keep`
-/// is given).
-fn pipeline_streaming(
-    plan: &Plan,
-    keep: Option<&[AttrId]>,
-    meter: &mut Meter,
-    stats: &mut ExecStats,
-    options: ExecOptions,
-) -> Result<(SubResult, Option<OpProfile>)> {
-    let chain = join_chain(plan);
-    // The profile-or-not decision is made here, once per pipeline build:
-    // `None` keeps the per-row cost at a null check, no clock reads.
-    let profiling = options.profile.is_on();
-    let mut prof: Option<PipeProf> = profiling.then(|| PipeProf { nodes: Vec::new() });
+    /// Wires and runs one streaming join pipeline: a [`Source`], a stage per
+    /// further input, and a sink (with the `DISTINCT` projection when `keep`
+    /// is given). Its shape goes onto the [`Scratch`] stacks and comes off
+    /// again at the end, its consumed boundaries' buffers into the pool.
+    fn pipeline(
+        &mut self,
+        plan: &'p Plan,
+        keep: Option<&'p [AttrId]>,
+    ) -> Result<(Boundary, Option<OpProfile>)> {
+        // The profile-or-not decision is made here, once per pipeline build:
+        // `None` keeps the per-row cost at a null check, no clock reads.
+        let profiling = self.options.profile.is_on();
+        let mut prof: Option<PipeProf> = profiling.then(|| PipeProf { nodes: Vec::new() });
+        let s = &self.s;
+        let (chain_lo, acc_lo, pos_lo, eq_lo, stages_lo) = (
+            s.chain.len(),
+            s.acc.len(),
+            s.pos.len(),
+            s.eq.len(),
+            s.stages.len(),
+        );
+        push_chain(plan, &mut self.s.chain);
+        let chain_hi = self.s.chain.len();
+        // A natural join of sets is a set, so a sink keeping every column of
+        // a pipeline whose inputs all are sets meets no duplicate.
+        let mut inputs_are_sets = true;
 
-    // Source: scans stream straight off the base relation (no bind copy);
-    // subqueries materialize first.
-    // `eq_checks` are the `(first, later)` source-row positions that must
-    // agree and `out_pos` the positions streamed (`None` = all of them).
-    let (mut acc, source, out_pos, eq_checks) = match chain[0] {
-        Plan::Scan { base, binding } => {
-            let (schema, out_pos, eq_checks) = bind_shape(binding);
-            if let Some(p) = prof.as_mut() {
-                p.nodes.push(NodeAcc::new(OpKind::TableScan, base.name()));
-            }
-            (schema, Source::Table(Arc::clone(base)), out_pos, eq_checks)
-        }
-        sub @ Plan::ProjectDistinct { .. } => {
-            let ((schema, rows), sub_prof) =
-                materialize_streaming_prof(sub, meter, stats, options)?;
-            if let Some(p) = prof.as_mut() {
-                // Streaming a materialized intermediate: the subquery
-                // that produced it hangs off the scan node.
-                let mut node = NodeAcc::new(OpKind::TableScan, "");
-                node.subs.extend(sub_prof);
-                p.nodes.push(node);
-            }
-            (schema, Source::Materialized(rows), None, Vec::new())
-        }
-        Plan::Join { .. } => unreachable!("join_chain flattens both spines"),
-    };
-    stats.max_intermediate_arity = stats.max_intermediate_arity.max(acc.arity());
-
-    // Join stages: an IxJoin over the cached index when the join key is a
-    // single attribute of a plain scan; a per-query HashJoin otherwise.
-    let mut stages: Vec<StreamStage> = Vec::with_capacity(chain.len().saturating_sub(1));
-    for node in &chain[1..] {
-        let stage = match node {
+        // Source: scans stream straight off the base relation (no bind copy);
+        // subqueries materialize first.
+        let source = match self.s.chain[chain_lo] {
             Plan::Scan { base, binding } => {
-                let (schema, _, eq_checks) = bind_shape(binding);
-                let keys = acc.common(&schema);
-                if keys.len() == 1 {
-                    let key = keys[0];
-                    let col = binding
-                        .iter()
-                        .position(|&a| a == key)
-                        .expect("key is bound");
+                inputs_are_sets &= base.is_deduped();
+                if let Some(p) = prof.as_mut() {
+                    p.nodes.push(NodeAcc::new(OpKind::TableScan, base.name()));
+                }
+                let s = &mut self.s;
+                s.acc.extend(bound(binding).map(|(_, a)| a));
+                let collapses = s.acc.len() - acc_lo < binding.len();
+                let out_pos = collapses.then(|| push_span(&mut s.pos, bound(binding).map(|b| b.0)));
+                let eq = push_span(&mut s.eq, eq_checks(binding));
+                Source::Table {
+                    base: Arc::clone(base),
+                    out_pos,
+                    eq,
+                }
+            }
+            sub @ Plan::ProjectDistinct { keep, .. } => {
+                inputs_are_sets &= self.options.dedup_subqueries;
+                let (Boundary { rows, set }, sub_prof) = self.materialize(sub)?;
+                if let Some(set) = set {
+                    self.s.buffers.recycle_set(set);
+                }
+                if let Some(p) = prof.as_mut() {
+                    // Streaming a materialized intermediate: the subquery
+                    // that produced it hangs off the scan node.
+                    let mut node = NodeAcc::new(OpKind::TableScan, "");
+                    node.subs.extend(sub_prof);
+                    p.nodes.push(node);
+                }
+                self.s.acc.extend_from_slice(keep);
+                Source::Materialized(rows)
+            }
+            Plan::Join { .. } => unreachable!("push_chain flattens both spines"),
+        };
+        self.widest(acc_lo);
+
+        // Join stages: an IxJoin over the cached index when the join key is a
+        // single attribute of a plain scan; a per-query HashJoin otherwise.
+        for i in chain_lo + 1..chain_hi {
+            let stage = match self.s.chain[i] {
+                Plan::Scan { base, binding } => {
+                    inputs_are_sets &= base.is_deduped();
+                    let acc = &self.s.acc[acc_lo..];
+                    let mut keys = bound(binding).filter(|(_, a)| acc.contains(a));
                     let build_start = profiling.then(Instant::now);
-                    let (index, built) = base.column_index(col);
-                    stats.index_builds += built as u64;
-                    if built {
-                        stats.rows_scanned += base.len() as u64;
-                    }
-                    let extra_pos: Vec<usize> = schema
-                        .attrs()
-                        .iter()
-                        .filter(|a| !acc.contains(**a))
-                        .map(|a| binding.iter().position(|x| x == a).expect("bound"))
-                        .collect();
-                    let stage = StreamStage::Index {
-                        base: Arc::clone(base),
-                        index,
-                        key_pos_in_buf: acc.position(key).expect("key in acc"),
-                        eq_checks,
-                        extra_pos,
+                    let (stage, kind) = match (keys.next(), keys.next()) {
+                        (Some((col, key)), None) => {
+                            let stage = self.index_stage(acc_lo, base, binding, col, key);
+                            (stage, OpKind::IxJoin)
+                        }
+                        _ => {
+                            self.stats.rows_scanned += base.len() as u64;
+                            let rows = self.bind_rows(base, binding);
+                            self.stats.rows_scanned += rows.len() as u64;
+                            let input = bound(binding).map(|(_, a)| a);
+                            (self.hash_stage(acc_lo, input, rows, None), OpKind::HashJoin)
+                        }
                     };
                     if let Some(p) = prof.as_mut() {
-                        let mut n = NodeAcc::new(OpKind::IxJoin, base.name());
-                        n.build_ns = build_start.expect("profiling").elapsed().as_nanos() as u64;
-                        p.nodes.push(n);
+                        p.nodes.push(NodeAcc::built(kind, base.name(), build_start));
                     }
-                    acc = acc.join(&schema);
                     stage
-                } else {
+                }
+                sub @ Plan::ProjectDistinct { keep, .. } => {
+                    inputs_are_sets &= self.options.dedup_subqueries;
+                    let (Boundary { rows, set }, sub_prof) = self.materialize(sub)?;
+                    self.stats.rows_scanned += rows.len() as u64;
+                    // Time only the hash build: the subquery's own time is
+                    // already inside `sub_prof`'s nodes.
                     let build_start = profiling.then(Instant::now);
-                    stats.rows_scanned += base.len() as u64;
-                    let (schema, bound) = bind_rows(base, binding);
-                    stats.rows_scanned += bound.len() as u64;
-                    let stage = build_stage(&acc, &schema, bound);
+                    let stage = self.hash_stage(acc_lo, keep.iter().copied(), rows, set);
                     if let Some(p) = prof.as_mut() {
-                        let mut n = NodeAcc::new(OpKind::HashJoin, base.name());
-                        n.build_ns = build_start.expect("profiling").elapsed().as_nanos() as u64;
-                        p.nodes.push(n);
+                        let mut node = NodeAcc::built(OpKind::HashJoin, "", build_start);
+                        node.subs.extend(sub_prof);
+                        p.nodes.push(node);
                     }
-                    acc = acc.join(&schema);
-                    StreamStage::Hash(stage)
+                    stage
                 }
-            }
-            sub @ Plan::ProjectDistinct { .. } => {
-                let ((schema, rows), sub_prof) =
-                    materialize_streaming_prof(sub, meter, stats, options)?;
-                stats.rows_scanned += rows.len() as u64;
-                // Time only the hash build: the subquery's own time is
-                // already inside `sub_prof`'s nodes.
-                let build_start = profiling.then(Instant::now);
-                let stage = build_stage(&acc, &schema, rows);
-                if let Some(p) = prof.as_mut() {
-                    let mut n = NodeAcc::new(OpKind::HashJoin, "");
-                    n.build_ns = build_start.expect("profiling").elapsed().as_nanos() as u64;
-                    n.subs.extend(sub_prof);
-                    p.nodes.push(n);
-                }
-                acc = acc.join(&schema);
-                StreamStage::Hash(stage)
-            }
-            Plan::Join { .. } => unreachable!("join_chain flattens both spines"),
-        };
-        stats.max_intermediate_arity = stats.max_intermediate_arity.max(acc.arity());
-        stages.push(stage);
-    }
-    stats.join_stages += stages.len() as u64;
+                Plan::Join { .. } => unreachable!("push_chain flattens both spines"),
+            };
+            self.widest(acc_lo);
+            self.s.stages.push(stage);
+        }
+        self.stats.join_stages += (chain_hi - chain_lo - 1) as u64;
 
-    if let Some(p) = prof.as_mut() {
-        let kind = if keep.is_some() {
-            OpKind::Distinct
-        } else {
-            OpKind::Bag
-        };
-        p.nodes.push(NodeAcc::new(kind, ""));
-    }
-    let out_schema = keep.map_or_else(|| acc.clone(), |attrs| acc.project(attrs));
-    let mut sink = Sink::new(&acc, keep, options.dedup_subqueries);
-
-    // Push rows from the source through the stages into the sink.
-    let mut buf: Vec<Value> = Vec::with_capacity(acc.arity());
-    stats.rows_scanned += source.len() as u64;
-    if let Some(p) = prof.as_mut() {
-        p.nodes[0].rows_in += source.len() as u64;
-    }
-    let loop_start = profiling.then(Instant::now);
-    for i in 0..source.len() {
-        let t = source.row(i);
-        if !eq_ok(&eq_checks, t) {
-            continue;
-        }
-        if let Some(kind) = meter.on_tuple() {
-            return Err(budget_err(kind, meter));
-        }
-        buf.clear();
-        match &out_pos {
-            None => buf.extend_from_slice(t),
-            Some(pos) => buf.extend(pos.iter().map(|&p| t[p])),
-        }
         if let Some(p) = prof.as_mut() {
-            p.nodes[0].rows_out += 1;
+            let kind = if keep.is_some() {
+                OpKind::Distinct
+            } else {
+                OpKind::Bag
+            };
+            p.nodes.push(NodeAcc::new(kind, ""));
         }
-        probe_streaming(&stages, 0, &mut buf, &mut sink, meter, stats, prof.as_mut())
-            .map_err(|e| attach_flow(e, meter))?;
-    }
-    if let (Some(p), Some(s)) = (prof.as_mut(), loop_start) {
-        p.nodes[0].incl_ns += s.elapsed().as_nanos() as u64;
+        let s = &mut self.s;
+        let acc = &s.acc[acc_lo..];
+        let keep_pos =
+            keep.map(|attrs| push_span(&mut s.pos, attrs.iter().map(|&a| position(acc, a))));
+        let keeps_all = keep.is_some_and(|attrs| attrs.len() == acc.len());
+        let dedup = keep.is_some() && self.options.dedup_subqueries;
+        let mut sink = Sink {
+            seen: (dedup && !(keeps_all && inputs_are_sets)).then(|| s.buffers.row_set()),
+            rows: s.buffers.rows(keep.map_or(acc.len(), <[AttrId]>::len)),
+            keep_pos: keep_pos.map(|span| &s.pos[span]),
+        };
+
+        // Push rows from the source through the stages into the sink.
+        let mut buf = std::mem::take(&mut s.buf);
+        let wired = Wired {
+            stages: &s.stages[stages_lo..],
+            pos: &s.pos,
+            eq: &s.eq,
+        };
+        let (eq, out_pos) = match &source {
+            Source::Table { out_pos, eq, .. } => {
+                (&s.eq[eq.clone()], out_pos.clone().map(|span| &s.pos[span]))
+            }
+            Source::Materialized(_) => (&[][..], None),
+        };
+        self.stats.rows_scanned += source.len() as u64;
+        if let Some(p) = prof.as_mut() {
+            p.nodes[0].rows_in += source.len() as u64;
+        }
+        let loop_start = profiling.then(Instant::now);
+        for i in 0..source.len() {
+            let t = source.row(i);
+            if !eq_ok(eq, t) {
+                continue;
+            }
+            if let Some(kind) = self.meter.on_tuple() {
+                return Err(budget_err(kind, self.meter));
+            }
+            buf.clear();
+            match out_pos {
+                None => buf.extend_from_slice(t),
+                Some(pos) => buf.extend(pos.iter().map(|&p| t[p])),
+            }
+            if let Some(p) = prof.as_mut() {
+                p.nodes[0].rows_out += 1;
+            }
+            probe_streaming(
+                &wired,
+                0,
+                &mut buf,
+                &mut sink,
+                self.meter,
+                self.stats,
+                prof.as_mut(),
+            )
+            .map_err(|e| attach_flow(e, self.meter))?;
+        }
+        if let (Some(p), Some(start)) = (prof.as_mut(), loop_start) {
+            p.nodes[0].incl_ns += start.elapsed().as_nanos() as u64;
+        }
+
+        let Sink { rows, seen, .. } = sink;
+        s.buf = buf;
+        for stage in s.stages.drain(stages_lo..) {
+            if let StreamStage::Hash { build, .. } = stage {
+                s.buffers.recycle_group(build);
+            }
+        }
+        if let Source::Materialized(streamed) = source {
+            s.buffers.recycle_rows(streamed);
+        }
+        s.chain.truncate(chain_lo);
+        s.acc.truncate(acc_lo);
+        s.pos.truncate(pos_lo);
+        s.eq.truncate(eq_lo);
+        let profile = prof.map(|p| p.finish(rows.len() as u64));
+        Ok((Boundary { rows, set: seen }, profile))
     }
 
-    let rows = sink.into_rows();
-    let profile = prof.map(|p| p.finish(rows.len() as u64));
-    Ok(((out_schema, rows), profile))
+    /// Records the width of the pipeline buffer whose schema starts at
+    /// `acc_lo`.
+    fn widest(&mut self, acc_lo: usize) {
+        let arity = self.s.acc.len() - acc_lo;
+        self.stats.max_intermediate_arity = self.stats.max_intermediate_arity.max(arity);
+    }
+
+    /// An `IxJoin` of a scan whose one shared attribute `key` is bound at
+    /// base column `col`, probing that column's cached index.
+    fn index_stage(
+        &mut self,
+        acc_lo: usize,
+        base: &Arc<Relation>,
+        binding: &[AttrId],
+        col: usize,
+        key: AttrId,
+    ) -> StreamStage {
+        let (index, built) = base.column_index(col);
+        self.stats.index_builds += built as u64;
+        if built {
+            self.stats.rows_scanned += base.len() as u64;
+        }
+        let s = &mut self.s;
+        let acc = &s.acc[acc_lo..];
+        let key_pos_in_buf = position(acc, key);
+        let new = bound(binding).filter(|(_, a)| !acc.contains(a));
+        let extra = push_span(&mut s.pos, new.map(|(i, _)| i));
+        let eq = push_span(&mut s.eq, eq_checks(binding));
+        join_attrs(&mut s.acc, acc_lo, bound(binding).map(|(_, a)| a));
+        StreamStage::Index {
+            base: Arc::clone(base),
+            index,
+            key_pos_in_buf,
+            eq,
+            extra,
+        }
+    }
+
+    /// A `HashJoin` over `rows`, an input whose columns are `input`, keyed on
+    /// the input's columns already in the buffer *in the input's column
+    /// order* — so that a key of the whole row probes the input's `DISTINCT`
+    /// table `set`, which the build then adopts.
+    fn hash_stage(
+        &mut self,
+        acc_lo: usize,
+        input: impl Iterator<Item = AttrId> + Clone,
+        rows: Rows,
+        set: Option<RowSet>,
+    ) -> StreamStage {
+        let s = &mut self.s;
+        let acc = &s.acc[acc_lo..];
+        let keyed = input.clone().enumerate().filter(|(_, a)| acc.contains(a));
+        let key_in_row = push_span(&mut s.pos, keyed.clone().map(|(j, _)| j));
+        let key_in_buf = push_span(&mut s.pos, keyed.map(|(_, a)| position(acc, a)));
+        let new = input.clone().enumerate().filter(|(_, a)| !acc.contains(a));
+        let extra = push_span(&mut s.pos, new.map(|(j, _)| j));
+        let build = s.buffers.build(rows, &s.pos[key_in_row.clone()], set);
+        join_attrs(&mut s.acc, acc_lo, input);
+        StreamStage::Hash {
+            build,
+            key_in_row,
+            key_in_buf,
+            extra,
+        }
+    }
+
+    /// `ops::bind` into flat rows: the base rows that pass the binding's
+    /// repeated-attribute checks, repeated columns collapsed.
+    fn bind_rows(&mut self, base: &Relation, binding: &[AttrId]) -> Rows {
+        let s = &mut self.s;
+        let eq_span = push_span(&mut s.eq, eq_checks(binding));
+        let out_span = push_span(&mut s.pos, bound(binding).map(|b| b.0));
+        let (eq, out) = (&s.eq[eq_span.clone()], &s.pos[out_span.clone()]);
+        let mut rows = s.buffers.rows(out.len());
+        for t in base.tuples().iter().filter(|t| eq_ok(eq, t)) {
+            if out.len() == t.len() {
+                rows.push(t.iter().copied());
+            } else {
+                rows.push(out.iter().map(|&p| t[p]));
+            }
+        }
+        s.eq.truncate(eq_span.start);
+        s.pos.truncate(out_span.start);
+        rows
+    }
 }
 
 /// Depth-first push through the stages, one meter tick per emitted row.
@@ -605,7 +815,7 @@ fn pipeline_streaming(
 /// is the source) and the sink at the last node. All bookkeeping hides
 /// behind the `Option` check, so the unprofiled path is unchanged.
 fn probe_streaming(
-    stages: &[StreamStage],
+    wired: &Wired,
     idx: usize,
     buf: &mut Vec<Value>,
     sink: &mut Sink,
@@ -613,7 +823,7 @@ fn probe_streaming(
     stats: &mut ExecStats,
     mut prof: Option<&mut PipeProf>,
 ) -> Result<()> {
-    if idx == stages.len() {
+    if idx == wired.stages.len() {
         return match prof {
             None => sink.emit(buf, meter, stats),
             Some(p) => {
@@ -627,9 +837,15 @@ fn probe_streaming(
         };
     }
     let start = prof.as_ref().map(|_| Instant::now());
-    match &stages[idx] {
-        StreamStage::Hash(stage) => {
-            let matches = stage.build.get(&stage.key_pos_in_buf, buf);
+    match &wired.stages[idx] {
+        StreamStage::Hash {
+            build,
+            key_in_row,
+            key_in_buf,
+            extra,
+        } => {
+            let key_in_row = &wired.pos[key_in_row.clone()];
+            let matches = build.get(key_in_row, &wired.pos[key_in_buf.clone()], buf);
             if let Some(p) = prof.as_deref_mut() {
                 let n = &mut p.nodes[idx + 1];
                 n.probes += 1;
@@ -637,6 +853,7 @@ fn probe_streaming(
                 n.rows_in += matches.len() as u64;
                 n.rows_out += matches.len() as u64;
             }
+            let extra = &wired.pos[extra.clone()];
             let base_len = buf.len();
             for &ri in matches {
                 if let Some(kind) = meter.on_tuple() {
@@ -645,18 +862,10 @@ fn probe_streaming(
                         tuples_flowed: 0,
                     });
                 }
-                let row = stage.build.row(ri);
+                let row = build.row(ri);
                 buf.truncate(base_len);
-                buf.extend(stage.extra_pos.iter().map(|&p| row[p]));
-                probe_streaming(
-                    stages,
-                    idx + 1,
-                    buf,
-                    sink,
-                    meter,
-                    stats,
-                    prof.as_deref_mut(),
-                )?;
+                buf.extend(extra.iter().map(|&p| row[p]));
+                probe_streaming(wired, idx + 1, buf, sink, meter, stats, prof.as_deref_mut())?;
             }
             buf.truncate(base_len);
         }
@@ -664,8 +873,8 @@ fn probe_streaming(
             base,
             index,
             key_pos_in_buf,
-            eq_checks,
-            extra_pos,
+            eq,
+            extra,
         } => {
             stats.index_probes += 1;
             let postings = index.postings(buf[*key_pos_in_buf]);
@@ -675,12 +884,13 @@ fn probe_streaming(
                 n.probes += 1;
                 n.rows_in += postings.len() as u64;
             }
+            let (eq, extra) = (&wired.eq[eq.clone()], &wired.pos[extra.clone()]);
             let rows = base.tuples();
             let base_len = buf.len();
             for &ri in postings {
                 let row = &rows[ri as usize];
                 // Inline Filter: rows bind would have dropped never meter.
-                if !eq_ok(eq_checks, row) {
+                if !eq_ok(eq, row) {
                     continue;
                 }
                 if let Some(kind) = meter.on_tuple() {
@@ -690,19 +900,11 @@ fn probe_streaming(
                     });
                 }
                 buf.truncate(base_len);
-                buf.extend(extra_pos.iter().map(|&p| row[p]));
+                buf.extend(extra.iter().map(|&p| row[p]));
                 if let Some(p) = prof.as_deref_mut() {
                     p.nodes[idx + 1].rows_out += 1;
                 }
-                probe_streaming(
-                    stages,
-                    idx + 1,
-                    buf,
-                    sink,
-                    meter,
-                    stats,
-                    prof.as_deref_mut(),
-                )?;
+                probe_streaming(wired, idx + 1, buf, sink, meter, stats, prof.as_deref_mut())?;
             }
             buf.truncate(base_len);
         }
@@ -719,7 +921,7 @@ mod tests {
     use crate::budget::Budget;
     use crate::exec::{execute, execute_with};
     use crate::flow_model;
-    use crate::schema::AttrId;
+    use crate::schema::{AttrId, Schema};
     use crate::value::tuple;
 
     fn edge(n: u32) -> Arc<Relation> {

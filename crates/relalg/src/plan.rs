@@ -85,7 +85,17 @@ impl Plan {
     /// One bottom-up pass: each node's schema is derived once, from its
     /// children's, and checked where it is derived.
     fn schema_and_width(&self) -> Result<(Schema, usize)> {
-        let (schema, below) = match self {
+        let mut attrs = Vec::new();
+        let width = self.derive(&mut attrs)?;
+        Ok((Schema::new(attrs), width))
+    }
+
+    /// Appends this node's output attributes to `out`, checking the node,
+    /// and returns the widest schema at or below it. Children derive into
+    /// the same buffer, so the pass allocates only when the buffer grows.
+    fn derive(&self, out: &mut Vec<AttrId>) -> Result<usize> {
+        let lo = out.len();
+        let below = match self {
             Plan::Scan { base, binding } => {
                 if binding.len() != base.arity() {
                     return Err(RelalgError::InvalidPlan(format!(
@@ -95,33 +105,45 @@ impl Plan {
                         base.arity()
                     )));
                 }
-                let mut attrs: Vec<AttrId> = Vec::with_capacity(binding.len());
                 for &a in binding {
-                    if !attrs.contains(&a) {
-                        attrs.push(a);
+                    if !out[lo..].contains(&a) {
+                        out.push(a);
                     }
                 }
-                (Schema::new(attrs), 0)
+                0
             }
             Plan::Join { left, right } => {
-                let (l, l_width) = left.schema_and_width()?;
-                let (r, r_width) = right.schema_and_width()?;
-                (l.join(&r), l_width.max(r_width))
-            }
-            Plan::ProjectDistinct { input, keep } => {
-                let (inner, width) = input.schema_and_width()?;
-                for &a in keep {
-                    if !inner.contains(a) {
-                        return Err(RelalgError::MissingAttr(format!(
-                            "projection keeps {a} but input schema is {inner}"
-                        )));
+                let left_width = left.derive(out)?;
+                let mid = out.len();
+                let right_width = right.derive(out)?;
+                // Left's columns, then right's that are not already there.
+                let mut end = mid;
+                for i in mid..out.len() {
+                    let a = out[i];
+                    if !out[lo..mid].contains(&a) {
+                        out[end] = a;
+                        end += 1;
                     }
                 }
-                (Schema::new(keep.clone()), width)
+                out.truncate(end);
+                left_width.max(right_width)
+            }
+            Plan::ProjectDistinct { input, keep } => {
+                let width = input.derive(out)?;
+                if let Some(a) = keep.iter().find(|a| !out[lo..].contains(a)) {
+                    let inner = Schema::new(out[lo..].to_vec());
+                    return Err(RelalgError::MissingAttr(format!(
+                        "projection keeps {a} but input schema is {inner}"
+                    )));
+                }
+                let distinct = keep.iter().enumerate().all(|(i, a)| !keep[..i].contains(a));
+                assert!(distinct, "schema attributes must be distinct: {keep:?}");
+                out.truncate(lo);
+                out.extend_from_slice(keep);
+                width
             }
         };
-        let width = below.max(schema.arity());
-        Ok((schema, width))
+        Ok(below.max(out.len() - lo))
     }
 
     /// Number of nodes in the plan tree.

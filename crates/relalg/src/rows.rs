@@ -5,9 +5,17 @@
 //! materializing a row costs amortised vector growth instead of a `malloc`.
 //! [`RowSet`] (the `DISTINCT` sink) and [`GroupIndex`] (the hash-join build)
 //! are open-addressing tables of `u32` row ids *into* that buffer: they own
-//! no keys, hashing and comparing the row slices in place. Row ids are `u32`
-//! like [`crate::index::ColumnIndex`] postings; the sink refuses to grow a
-//! boundary past [`MAX_ROWS`] (see [`crate::exec::Sink`]).
+//! no keys, comparing the row slices in place. Each slot keeps its id's
+//! 32-bit key hash beside the id, so a row is hashed once: growth moves
+//! `(hash, id)` pairs, and a probe compares rows only when the hashes agree.
+//! A `DISTINCT` sink's table is already a whole-row index of its rows, so a
+//! hash join keyed on the whole row adopts it ([`Buffers::build`]) instead
+//! of building a second one.
+//!
+//! [`Buffers`] hands the buffers of consumed boundaries to the next ones, so
+//! the pipelines of one execution reuse what the pipelines before them grew.
+//! Row ids are `u32` like [`crate::index::ColumnIndex`] postings; the sink
+//! refuses to grow a boundary past [`MAX_ROWS`] (see [`crate::exec::Sink`]).
 
 use std::hash::Hasher;
 
@@ -25,23 +33,6 @@ pub(crate) struct Rows {
 }
 
 impl Rows {
-    pub(crate) fn new(arity: usize) -> Rows {
-        Rows {
-            arity,
-            len: 0,
-            data: Vec::new(),
-        }
-    }
-
-    /// Single-column rows, one per value.
-    pub(crate) fn from_column(values: &[Value]) -> Rows {
-        Rows {
-            arity: 1,
-            len: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -77,76 +68,120 @@ impl Rows {
     }
 }
 
+/// The 32-bit key hash a table slot keeps: of the whole row for a
+/// [`RowSet`], of the key columns in row order for a [`GroupIndex`].
 #[inline]
-fn hash_values(values: impl Iterator<Item = Value>) -> u64 {
+fn hash_values(values: impl Iterator<Item = Value>) -> u32 {
     let mut hasher = FxHasher::default();
     for v in values {
         hasher.write_u32(v);
     }
-    hasher.finish()
+    hasher.finish() as u32
+}
+
+/// Whether `row`'s values at `row_pos` equal `buf`'s at `buf_pos`, in one
+/// inline loop: keys are a few values, too short to pay for a `memcmp`
+/// call or `Iterator::eq_by` per probe.
+#[inline]
+fn keys_eq(row: &[Value], row_pos: &[usize], buf: &[Value], buf_pos: &[usize]) -> bool {
+    for (&r, &b) in row_pos.iter().zip(buf_pos) {
+        if row[r] != buf[b] {
+            return false;
+        }
+    }
+    true
 }
 
 const EMPTY: u32 = u32::MAX;
 const MIN_SLOTS: usize = 8;
+/// Most slots a [`RowSet`] starts with when a recycled buffer has room for
+/// them: enough that small boundaries never grow, few enough to clear fast.
+const SET_START_SLOTS: usize = 256;
 
 /// Most rows a buffer may hold and still have every row id below [`EMPTY`].
 pub(crate) const MAX_ROWS: usize = EMPTY as usize;
 
+/// A table slot: a row id (or [`EMPTY`]) and the hash of its key.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    hash: u32,
+    id: u32,
+}
+
+const FREE: Slot = Slot { hash: 0, id: EMPTY };
+
 /// Linear-probing table of row ids at ≤ 1/2 load. What an id's key is — the
-/// whole row, some of its columns — is the caller's business, supplied as
-/// hash and match closures. Allocates nothing until the first insert.
-#[derive(Debug, Default)]
+/// whole row, some of its columns — is the caller's business: it supplies
+/// the key's hash and a match closure.
+#[derive(Debug)]
 struct IdTable {
-    /// Empty or a power of two long.
-    slots: Vec<u32>,
+    /// A power of two long, at least [`MIN_SLOTS`].
+    slots: Vec<Slot>,
     used: usize,
 }
 
 impl IdTable {
-    /// Makes room for one more id, doubling the table (and re-placing every
-    /// id by `hash_of`) when that would pass half load.
-    fn reserve_one(&mut self, hash_of: impl Fn(u32) -> u64) {
+    /// An empty table of `len` slots (a power of two) in `buf`'s memory.
+    fn in_buffer(mut buf: Vec<Slot>, len: usize) -> IdTable {
+        debug_assert!(len.is_power_of_two() && len >= MIN_SLOTS);
+        buf.clear();
+        buf.resize(len, FREE);
+        IdTable {
+            slots: buf,
+            used: 0,
+        }
+    }
+
+    /// Makes room for one more id, doubling the table when that would pass
+    /// half load. Growth moves the stored `(hash, id)` pairs; no row is
+    /// hashed again.
+    fn reserve_one(&mut self) {
         if (self.used + 1) * 2 <= self.slots.len() {
             return;
         }
-        let grown = vec![EMPTY; (self.slots.len() * 2).max(MIN_SLOTS)];
-        for id in std::mem::replace(&mut self.slots, grown) {
-            if id != EMPTY {
-                let slot = self
-                    .find(hash_of(id), |_| false)
-                    .expect_err("nothing matches");
-                self.slots[slot] = id;
+        let grown = vec![FREE; self.slots.len() * 2];
+        let mask = grown.len() - 1;
+        for slot in std::mem::replace(&mut self.slots, grown) {
+            if slot.id != EMPTY {
+                let mut at = slot.hash as usize & mask;
+                while self.slots[at].id != EMPTY {
+                    at = (at + 1) & mask;
+                }
+                self.slots[at] = slot;
             }
         }
     }
 
-    /// The stored id `is_match` accepts, or else the empty slot that ended
-    /// the probe — where [`IdTable::occupy`] puts a new id. The table must
-    /// not be empty.
+    /// The slot of the stored id whose hash is `hash` and which `is_match`
+    /// accepts, or else the empty slot that ended the probe — where
+    /// [`IdTable::occupy`] puts a new id.
     #[inline]
-    fn find(&self, hash: u64, is_match: impl Fn(u32) -> bool) -> Result<u32, usize> {
+    fn find(&self, hash: u32, is_match: impl Fn(u32) -> bool) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
+        let mut at = hash as usize & mask;
         loop {
-            match self.slots[slot] {
-                EMPTY => return Err(slot),
-                id if is_match(id) => return Ok(id),
-                _ => slot = (slot + 1) & mask,
+            let slot = self.slots[at];
+            if slot.id == EMPTY {
+                return Err(at);
             }
+            if slot.hash == hash && is_match(slot.id) {
+                return Ok(at);
+            }
+            at = (at + 1) & mask;
         }
     }
 
     /// Stores `id` in the slot a failed [`IdTable::find`] returned, after a
-    /// [`IdTable::reserve_one`].
+    /// [`IdTable::reserve_one`] or sizing for it.
     #[inline]
-    fn occupy(&mut self, slot: usize, id: u32) {
-        self.slots[slot] = id;
+    fn occupy(&mut self, at: usize, hash: u32, id: u32) {
+        self.slots[at] = Slot { hash, id };
         self.used += 1;
     }
 }
 
 /// The set of distinct rows of a [`Rows`] buffer, as ids into it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct RowSet(IdTable);
 
 impl RowSet {
@@ -155,60 +190,188 @@ impl RowSet {
     /// equal row is already there, so first occurrences stay in push order.
     #[inline]
     pub(crate) fn keep_last_if_new(&mut self, rows: &mut Rows) -> bool {
-        let hash_of = |id: u32| hash_values(rows.row(id as usize).iter().copied());
-        self.0.reserve_one(hash_of);
-        let id = (rows.len() - 1) as u32;
-        let last = rows.row(id as usize);
-        match self.0.find(hash_of(id), |r| rows.row(r as usize) == last) {
+        self.0.reserve_one();
+        let id = rows.len() - 1;
+        let last = rows.row(id);
+        let hash = hash_values(last.iter().copied());
+        let found = self.0.find(hash, |r| {
+            let row = rows.row(r as usize);
+            row.iter().zip(last).all(|(a, b)| a == b)
+        });
+        match found {
             Ok(_) => {
                 rows.pop();
                 false
             }
-            Err(slot) => {
-                self.0.occupy(slot, id);
+            Err(at) => {
+                self.0.occupy(at, hash, id as u32);
                 true
             }
         }
     }
 }
 
-/// A hash-join build side: rows grouped by their key columns into a CSR
-/// `offsets`/`postings` pair. Postings are ascending row ids — the order a
-/// per-key `Vec` filled in row order would hold — which is what keeps join
-/// output order (and so every budget trip point) independent of this layout.
+/// How a [`GroupIndex`]'s table entries map to groups of rows.
+#[derive(Debug)]
+enum Groups {
+    /// The table holds every row, keyed by the whole row: each row is its
+    /// own group.
+    Singletons,
+    /// The table holds each group's first row. Postings are ascending row
+    /// ids — the order a per-key `Vec` filled in row order would hold —
+    /// which is what keeps join output order (and so every budget trip
+    /// point) independent of this layout.
+    Csr {
+        /// Row id → group number (groups are numbered by first occurrence).
+        group_of: Vec<u32>,
+        /// Group `g`'s row ids are `postings[offsets[g]..offsets[g + 1]]`.
+        offsets: Vec<u32>,
+        postings: Vec<u32>,
+    },
+}
+
+/// A hash-join build side: rows grouped by their key columns, probed with
+/// the key columns' positions in the rows and, in the same order, in the
+/// probing buffer.
 #[derive(Debug)]
 pub(crate) struct GroupIndex {
     rows: Rows,
-    key_pos: Vec<usize>,
-    /// First row id of each group, keyed by that row's key columns.
-    firsts: IdTable,
-    /// Row id → group number (groups are numbered by first occurrence).
-    group_of: Vec<u32>,
-    /// Group `g`'s row ids are `postings[offsets[g]..offsets[g + 1]]`.
-    offsets: Vec<u32>,
-    postings: Vec<u32>,
+    table: IdTable,
+    groups: Groups,
 }
 
 impl GroupIndex {
-    /// Groups `rows` (at most [`MAX_ROWS`]) by the columns `key_pos`.
-    pub(crate) fn build(rows: Rows, key_pos: Vec<usize>) -> GroupIndex {
-        let (all, pos) = (&rows, &key_pos);
-        let key = |id: u32| pos.iter().map(move |&p| all.row(id as usize)[p]);
-        let mut firsts = IdTable::default();
-        let mut group_of: Vec<u32> = Vec::with_capacity(rows.len());
+    #[inline]
+    pub(crate) fn row(&self, id: u32) -> &[Value] {
+        self.rows.row(id as usize)
+    }
+
+    /// Ids of the rows whose columns `key_pos` equal `buf` at `probe_pos`,
+    /// ascending; empty when there are none.
+    #[inline]
+    pub(crate) fn get(&self, key_pos: &[usize], probe_pos: &[usize], buf: &[Value]) -> &[u32] {
+        if self.rows.len() == 0 {
+            return &[];
+        }
+        let hash = hash_values(probe_pos.iter().map(|&p| buf[p]));
+        let found = self
+            .table
+            .find(hash, |r| keys_eq(self.row(r), key_pos, buf, probe_pos));
+        let Ok(at) = found else {
+            return &[];
+        };
+        let first = &self.table.slots[at].id;
+        match &self.groups {
+            Groups::Singletons => std::slice::from_ref(first),
+            Groups::Csr {
+                group_of,
+                offsets,
+                postings,
+            } => {
+                let group = group_of[*first as usize] as usize;
+                &postings[offsets[group] as usize..offsets[group + 1] as usize]
+            }
+        }
+    }
+}
+
+/// The buffers of the boundaries an execution has consumed, handed to the
+/// ones it builds next.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    values: Vec<Vec<Value>>,
+    ids: Vec<Vec<u32>>,
+    slots: Vec<Vec<Slot>>,
+}
+
+impl Buffers {
+    /// An empty row buffer of `arity`.
+    pub(crate) fn rows(&mut self, arity: usize) -> Rows {
+        Rows {
+            arity,
+            len: 0,
+            data: self.values.pop().unwrap_or_default(),
+        }
+    }
+
+    /// Single-column rows, one per value.
+    pub(crate) fn column(&mut self, values: &[Value]) -> Rows {
+        let mut rows = self.rows(1);
+        rows.data.extend_from_slice(values);
+        rows.len = values.len();
+        rows
+    }
+
+    /// An empty `DISTINCT` table, as large as a recycled buffer allows up
+    /// to [`SET_START_SLOTS`].
+    pub(crate) fn row_set(&mut self) -> RowSet {
+        let buf = self.slots.pop().unwrap_or_default();
+        let room = buf.capacity().min(SET_START_SLOTS);
+        let len = if room < MIN_SLOTS {
+            MIN_SLOTS
+        } else {
+            1 << room.ilog2()
+        };
+        RowSet(IdTable::in_buffer(buf, len))
+    }
+
+    fn ids(&mut self, len: usize) -> Vec<u32> {
+        let mut ids = self.ids.pop().unwrap_or_default();
+        ids.clear();
+        ids.resize(len, 0);
+        ids
+    }
+
+    /// The build side of a hash join over `rows` (at most [`MAX_ROWS`]),
+    /// keyed on the columns `key_pos`. When the key is the whole row in
+    /// column order and `set` is the table that de-duplicated `rows`, the
+    /// build adopts that table: no row is hashed again. Otherwise `set` is
+    /// recycled and the rows are grouped afresh.
+    pub(crate) fn build(
+        &mut self,
+        rows: Rows,
+        key_pos: &[usize],
+        set: Option<RowSet>,
+    ) -> GroupIndex {
+        match set {
+            Some(set) if key_pos.iter().copied().eq(0..rows.arity) => GroupIndex {
+                rows,
+                table: set.0,
+                groups: Groups::Singletons,
+            },
+            set => {
+                if let Some(set) = set {
+                    self.recycle_set(set);
+                }
+                self.group(rows, key_pos)
+            }
+        }
+    }
+
+    /// Groups `rows` by the columns `key_pos`, in tables sized for `rows` up
+    /// front: the build never grows.
+    fn group(&mut self, rows: Rows, key_pos: &[usize]) -> GroupIndex {
+        let len = (rows.len() * 2).next_power_of_two().max(MIN_SLOTS);
+        let mut table = IdTable::in_buffer(self.slots.pop().unwrap_or_default(), len);
+        let mut group_of = self.ids(rows.len());
         // Group sizes first, turned into start offsets below.
-        let mut offsets: Vec<u32> = Vec::new();
-        for id in 0..rows.len() as u32 {
-            firsts.reserve_one(|r| hash_values(key(r)));
-            let group = match firsts.find(hash_values(key(id)), |r| key(r).eq(key(id))) {
-                Ok(first) => group_of[first as usize],
-                Err(slot) => {
-                    firsts.occupy(slot, id);
+        let mut offsets = self.ids(0);
+        offsets.reserve(rows.len() + 1);
+        for id in 0..rows.len() {
+            let row = rows.row(id);
+            let hash = hash_values(key_pos.iter().map(|&p| row[p]));
+            let found = table.find(hash, |r| {
+                keys_eq(rows.row(r as usize), key_pos, row, key_pos)
+            });
+            let group = match found {
+                Ok(at) => group_of[table.slots[at].id as usize],
+                Err(at) => {
+                    table.occupy(at, hash, id as u32);
                     offsets.push(0);
                     (offsets.len() - 1) as u32
                 }
             };
-            group_of.push(group);
+            group_of[id] = group;
             offsets[group as usize] += 1;
         }
         // Counting sort: running ends, then fill each group from its end
@@ -218,7 +381,7 @@ impl GroupIndex {
             end += *size;
             *size = end;
         }
-        let mut postings = vec![0; rows.len()];
+        let mut postings = self.ids(rows.len());
         for (id, &group) in group_of.iter().enumerate().rev() {
             let at = &mut offsets[group as usize];
             *at -= 1;
@@ -227,38 +390,48 @@ impl GroupIndex {
         offsets.push(end);
         GroupIndex {
             rows,
-            key_pos,
-            firsts,
+            table,
+            groups: Groups::Csr {
+                group_of,
+                offsets,
+                postings,
+            },
+        }
+    }
+
+    pub(crate) fn recycle_rows(&mut self, rows: Rows) {
+        keep(&mut self.values, rows.data);
+    }
+
+    pub(crate) fn recycle_set(&mut self, set: RowSet) {
+        keep(&mut self.slots, set.0.slots);
+    }
+
+    pub(crate) fn recycle_group(&mut self, index: GroupIndex) {
+        self.recycle_rows(index.rows);
+        keep(&mut self.slots, index.table.slots);
+        if let Groups::Csr {
             group_of,
             offsets,
             postings,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn row(&self, id: u32) -> &[Value] {
-        self.rows.row(id as usize)
-    }
-
-    /// Ids of the rows whose key columns equal `buf` at `probe_pos`,
-    /// ascending; empty when there are none.
-    #[inline]
-    pub(crate) fn get(&self, probe_pos: &[usize], buf: &[Value]) -> &[u32] {
-        if self.postings.is_empty() {
-            return &[];
-        }
-        let probe = || probe_pos.iter().map(|&p| buf[p]);
-        let found = self.firsts.find(hash_values(probe()), |r| {
-            let row = self.row(r);
-            self.key_pos.iter().map(|&p| row[p]).eq(probe())
-        });
-        match found {
-            Ok(first) => {
-                let group = self.group_of[first as usize] as usize;
-                &self.postings[self.offsets[group] as usize..self.offsets[group + 1] as usize]
+        } = index.groups
+        {
+            for ids in [group_of, offsets, postings] {
+                keep(&mut self.ids, ids);
             }
-            Err(_) => &[],
         }
+    }
+}
+
+/// Largest buffer [`Buffers`] keeps for reuse. Larger ones go back to the
+/// allocator, which returns memory of that size to the system, so a big
+/// boundary does not stay resident for the rest of its execution.
+const MAX_KEPT_BYTES: usize = 64 << 10;
+
+fn keep<T>(pool: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
+    if buf.capacity() * std::mem::size_of::<T>() <= MAX_KEPT_BYTES {
+        buf.clear();
+        pool.push(buf);
     }
 }
 
@@ -283,6 +456,17 @@ mod tests {
         (arity, (0..count).map(row).collect())
     }
 
+    /// `input`'s distinct rows in first-occurrence order, and the table
+    /// that de-duplicated them, as a `DISTINCT` sink leaves them.
+    fn distinct(buffers: &mut Buffers, arity: usize, input: &[Vec<Value>]) -> (Rows, RowSet) {
+        let (mut rows, mut set) = (buffers.rows(arity), buffers.row_set());
+        for row in input {
+            rows.push(row.iter().copied());
+            set.keep_last_if_new(&mut rows);
+        }
+        (rows, set)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -293,7 +477,8 @@ mod tests {
             cells in prop::collection::vec(0u32..6, 0..=3600),
         ) {
             let (arity, input) = rows_of(pick, domain, &cells);
-            let (mut rows, mut set) = (Rows::new(arity), RowSet::default());
+            let mut buffers = Buffers::default();
+            let (mut rows, mut set) = (buffers.rows(arity), buffers.row_set());
             let (mut model, mut expected) = (HashSet::new(), Vec::new());
             for row in &input {
                 rows.push(row.iter().copied());
@@ -317,23 +502,63 @@ mod tests {
             let (arity, input) = rows_of(pick, domain, &cells);
             let key_pos: Vec<usize> = (0..arity).rev().filter(|&p| mask >> p & 1 == 1).collect();
             let key_of = |row: &[Value]| key_pos.iter().map(|&p| row[p]).collect::<Vec<_>>();
-            let mut rows = Rows::new(arity);
+            let mut buffers = Buffers::default();
+            let mut rows = buffers.rows(arity);
             let mut model: BTreeMap<Vec<Value>, Vec<u32>> = BTreeMap::new();
             for (id, row) in input.iter().enumerate() {
                 rows.push(row.iter().copied());
                 model.entry(key_of(row)).or_default().push(id as u32);
             }
-            let index = GroupIndex::build(rows, key_pos.clone());
+            let index = buffers.build(rows, &key_pos, None);
             // Probe from a wider buffer through its own positions, as a
             // pipeline stage does.
             let probe_pos: Vec<usize> = (0..key_pos.len()).map(|i| i + 1).collect();
             for (key, ids) in &model {
                 let buf: Vec<Value> = std::iter::once(9).chain(key.iter().copied()).collect();
-                prop_assert_eq!(index.get(&probe_pos, &buf), ids.as_slice());
+                prop_assert_eq!(index.get(&key_pos, &probe_pos, &buf), ids.as_slice());
             }
             if !key_pos.is_empty() {
                 let absent = vec![domain; key_pos.len() + 1];
-                prop_assert!(index.get(&probe_pos, &absent).is_empty());
+                prop_assert!(index.get(&key_pos, &probe_pos, &absent).is_empty());
+            }
+            // A recycled build answers the same from reused buffers.
+            buffers.recycle_group(index);
+            let mut rows = buffers.rows(arity);
+            for row in &input {
+                rows.push(row.iter().copied());
+            }
+            let again = buffers.build(rows, &key_pos, None);
+            for (key, ids) in &model {
+                let buf: Vec<Value> = std::iter::once(9).chain(key.iter().copied()).collect();
+                prop_assert_eq!(again.get(&key_pos, &probe_pos, &buf), ids.as_slice());
+            }
+        }
+
+        /// A build adopted from a `DISTINCT` sink's table has the postings
+        /// a fresh build over the same rows keyed on the whole row has.
+        #[test]
+        fn adopted_build_has_the_postings_of_a_fresh_one(
+            pick in 0u8..5,
+            domain in 2u32..=3,
+            cells in prop::collection::vec(0u32..6, 0..=3600),
+            absent in prop::collection::vec(3u32..5, 12),
+        ) {
+            let (arity, input) = rows_of(pick, domain, &cells);
+            let mut buffers = Buffers::default();
+            let key_pos: Vec<usize> = (0..arity).collect();
+            let (rows, set) = distinct(&mut buffers, arity, &input);
+            let adopted = buffers.build(rows, &key_pos, Some(set));
+            prop_assert!(matches!(adopted.groups, Groups::Singletons));
+            let (rows, _) = distinct(&mut buffers, arity, &input);
+            let fresh = buffers.build(rows, &key_pos, None);
+            // Probe through a buffer holding the key columns reversed.
+            let probe_pos: Vec<usize> = (0..arity).rev().collect();
+            let miss = absent[..arity].to_vec();
+            for row in input.iter().chain([&miss]) {
+                let buf: Vec<Value> = row.iter().rev().copied().collect();
+                let got = adopted.get(&key_pos, &probe_pos, &buf);
+                prop_assert_eq!(got, fresh.get(&key_pos, &probe_pos, &buf));
+                prop_assert!(got.len() <= 1);
             }
         }
     }

@@ -81,16 +81,56 @@ fn boundaries_allocate_per_buffer_not_per_row() {
 
 #[test]
 fn validation_is_one_pass_over_the_plan() {
-    // A 60-scan left-deep chain, 120 nodes: deriving each node's schema once
-    // is a few allocations per node; re-deriving every subtree at every node
-    // was thousands.
+    // A 60-scan left-deep chain, 120 nodes: every node derives its schema
+    // once, into one buffer the whole pass shares, so the pass allocates as
+    // that buffer grows (6 times here) and not per node. A schema per node
+    // was 240; re-deriving every subtree at every node was thousands.
     let base = diff(3);
     let plan = path(&base, 0, 60, 0..1);
     let (valid, allocations) = allocations_during(|| plan.validate());
     assert!(valid.is_ok());
     assert!(
-        allocations < 4 * plan.node_count() as u64,
+        allocations <= 16,
         "{allocations} allocations for {} nodes",
         plan.node_count()
+    );
+}
+
+#[test]
+fn a_pipeline_costs_a_handful_of_allocations() {
+    // Bucket elimination on a 3-colouring ladder, as the repo benchmark's
+    // `paper_cold` requests run it: every rung is a small pipeline over the
+    // last rung's 3–9-row result, with IxJoin stages on the rails, an
+    // IxScan-answered colour list and a de-duplicated side bucket probed on
+    // its whole row. Rung `i`'s vertices are `2i` and `2i + 1`.
+    const RUNGS: u32 = 12;
+    let base = diff(3);
+    let scan = |u: u32, v: u32| Plan::scan(Arc::clone(&base), vec![AttrId(u), AttrId(v)]);
+    let mut bucket = scan(0, 1).project(vec![AttrId(1), AttrId(0)]);
+    for i in 0..RUNGS {
+        let (a0, b0, a1, b1, z) = (2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3, 1000 + i);
+        let colours = scan(a1, z).project(vec![AttrId(a1)]);
+        let side = scan(b1, z).join(scan(z, a1));
+        bucket = bucket
+            .join(scan(a0, a1))
+            .join(scan(b0, b1))
+            .join(colours)
+            .join(side.project(vec![AttrId(b1), AttrId(a1)]))
+            .project(vec![AttrId(a1), AttrId(b1)]);
+    }
+    let plan = bucket.project(vec![AttrId(2 * RUNGS)]);
+    // Two pipelines a rung, the first bucket's and the root's; the colour
+    // lists are index reads.
+    let pipelines = u64::from(2 * RUNGS + 2);
+    let ((rel, stats), allocations) =
+        allocations_during(|| exec::execute(&plan, &Budget::unlimited()).expect("unlimited"));
+    assert_eq!(rel.len(), 3);
+    assert_eq!(stats.materializations, pipelines + u64::from(RUNGS));
+    assert!(stats.peak_materialized <= 9, "{stats:?}");
+    // 58 (2.2 a pipeline) when written; 1 334 (51) while every pipeline
+    // derived its shape into fresh vectors and grew its own tables.
+    assert!(
+        allocations <= 4 * pipelines,
+        "{allocations} allocations for {pipelines} pipelines"
     );
 }

@@ -27,7 +27,8 @@ mod flow_model;
 /// that is what makes the joins selective and the plans interesting.
 const ATTR_POOL: u32 = 4;
 
-/// Builds the shared base relation from random rows.
+/// Builds the shared base relation from random rows, duplicates kept: a
+/// bag, which the executor must not treat as a set.
 fn base_relation(rows: Vec<Vec<Value>>) -> Arc<Relation> {
     let schema = Schema::new(vec![AttrId(900), AttrId(901)]);
     Relation::new(
@@ -36,6 +37,15 @@ fn base_relation(rows: Vec<Vec<Value>>) -> Arc<Relation> {
         rows.into_iter().map(|r| r.into_boxed_slice()).collect(),
     )
     .into_shared()
+}
+
+/// [`base_relation`] de-duplicated: a set, as every catalog relation is.
+/// A projection keeping every column of a join of sets meets no duplicate,
+/// and the executor then skips its `DISTINCT` table.
+fn deduped_relation(rows: Vec<Vec<Value>>) -> Arc<Relation> {
+    let schema = Schema::new(vec![AttrId(900), AttrId(901)]);
+    let rows = rows.into_iter().map(|r| r.into_boxed_slice()).collect();
+    Relation::from_distinct_rows("edge", schema, rows).into_shared()
 }
 
 /// One atom of the random query: a scan of the base relation binding its
@@ -154,6 +164,30 @@ fn bucket_plan(base: &Arc<Relation>, subs: &[(u8, u8, u8)], root_mask: u16) -> P
     joined.project(keep.map(|(_, &attr)| attr).collect())
 }
 
+/// The shape of bucket elimination's later buckets: a path over
+/// `x0 … x(len)` joined with subqueries whose kept attributes the path
+/// already binds, so each subquery result is probed on its whole row —
+/// through the table its `DISTINCT` sink de-duplicated it with. Each
+/// `(start, span, mask)` is a path over `x(start) … x(start + span)`
+/// keeping the attributes `mask` picks, listed against the path's column
+/// order. The root keeps the attributes `root_mask` picks.
+fn whole_row_plan(base: &Arc<Relation>, len: u8, subs: &[(u8, u8, u8)], root_mask: u16) -> Plan {
+    let scan = |i: u8| {
+        let binding = [i, i + 1].map(|a| AttrId(u32::from(a)));
+        Plan::scan(Arc::clone(base), binding.to_vec())
+    };
+    let path = |from: u8, to: u8| (from + 1..to).fold(scan(from), |p, i| p.join(scan(i)));
+    let sub = |&(start, span, mask): &(u8, u8, u8)| {
+        let start = start % len;
+        let end = (start + 1 + span).min(len);
+        let keep = (start..=end).rev().filter(|a| mask >> (a - start) & 1 == 1);
+        path(start, end).project(keep.map(|a| AttrId(u32::from(a))).collect())
+    };
+    let joined = subs.iter().fold(path(0, len), |plan, s| plan.join(sub(s)));
+    let keep = (0..=len).filter(|a| root_mask >> a & 1 == 1);
+    joined.project(keep.map(|a| AttrId(u32::from(a))).collect())
+}
+
 /// Runs `plan` with subquery dedup on or off.
 fn run(plan: &Plan, budget: &Budget, dedup: bool) -> Result<(Relation, ExecStats), RelalgError> {
     exec::execute_with(
@@ -171,17 +205,18 @@ proptest! {
 
     /// The tentpole guarantee on fully random plans (row counts start at
     /// zero, so empty relations are in scope): the executor computes the
-    /// flow model's rows and counters.
+    /// flow model's rows and counters, over the rows as a bag and as a set.
     #[test]
     fn streaming_matches_every_oracle_on_random_plans(
         rows in prop::collection::vec(prop::collection::vec(0u32..5, 2), 0..=24),
         specs in prop::collection::vec((0u8..8, 0u8..8, prop::bool::ANY, 0u8..=255), 1..=5),
     ) {
-        let base = base_relation(rows);
-        let plan = assemble(&specs, &base);
-        prop_assert!(plan.validate().is_ok());
-        let streaming = run(&plan, &Budget::unlimited(), true).expect("streaming");
-        flow_model::check(&plan, true, &streaming);
+        for base in [base_relation(rows.clone()), deduped_relation(rows)] {
+            let plan = assemble(&specs, &base);
+            prop_assert!(plan.validate().is_ok());
+            let streaming = run(&plan, &Budget::unlimited(), true).expect("streaming");
+            flow_model::check(&plan, true, &streaming);
+        }
     }
 
     /// Dedup ablation (`dedup_subqueries = false` turns every subquery
@@ -226,6 +261,59 @@ proptest! {
         let streaming = run(&plan, &Budget::unlimited(), false).expect("streaming");
         flow_model::check(&plan, false, &streaming);
         prop_assert!(!streaming.0.is_deduped());
+    }
+
+    /// Projections keeping every column (in reverse order), over a bag base
+    /// that repeats each row and over the same rows as a set: the bag's
+    /// duplicates reach every sink and must be removed there, while the
+    /// set's cannot arise.
+    #[test]
+    fn keep_every_column_projections_dedup_bags_only(
+        rows in prop::collection::vec(prop::collection::vec(0u32..4, 2), 1..=12),
+        specs in prop::collection::vec((0u8..8, 0u8..8, prop::bool::ANY), 1..=4),
+    ) {
+        let doubled: Vec<Vec<Value>> = rows.iter().chain(&rows).cloned().collect();
+        for base in [base_relation(doubled), deduped_relation(rows.clone())] {
+            let scan_of = |a: u8, b: u8| {
+                let binding = [a, b].map(|v| AttrId(u32::from(v) % ATTR_POOL));
+                Plan::scan(Arc::clone(&base), binding.to_vec())
+            };
+            let keep_all = |plan: Plan| {
+                let mut keep = plan.schema().expect("valid").attrs().to_vec();
+                keep.reverse();
+                plan.project(keep)
+            };
+            let mut plan = keep_all(scan_of(specs[0].0, specs[0].1));
+            for &(a, b, project) in &specs[1..] {
+                plan = plan.join(scan_of(a, b));
+                if project {
+                    plan = keep_all(plan);
+                }
+            }
+            let plan = keep_all(plan);
+            let streaming = run(&plan, &Budget::unlimited(), true).expect("streaming");
+            flow_model::check(&plan, true, &streaming);
+        }
+    }
+
+    /// Subquery results probed on their whole row, keys listed against the
+    /// probing pipeline's column order: the hash join adopts each
+    /// subquery's `DISTINCT` table, and must probe it in the subquery's
+    /// column order. Over a bag and a set base, with dedup on and off.
+    #[test]
+    fn whole_row_probes_of_subquery_results_agree(
+        rows in prop::collection::vec(prop::collection::vec(0u32..3, 2), 0..=10),
+        len in 2u8..=5,
+        subs in prop::collection::vec((0u8..5, 0u8..3, 0u8..=15), 1..=3),
+        root_mask in 0u16..64,
+        deduped in prop::bool::ANY,
+    ) {
+        let base = if deduped { deduped_relation(rows) } else { base_relation(rows) };
+        let plan = whole_row_plan(&base, len, &subs, root_mask);
+        for dedup in [true, false] {
+            let streaming = run(&plan, &Budget::unlimited(), dedup).expect("streaming");
+            flow_model::check(&plan, dedup, &streaming);
+        }
     }
 
     /// Path queries — the all-index-join shape. Every interior stage is

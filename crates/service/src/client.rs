@@ -417,4 +417,27 @@ mod tests {
         server.shutdown();
         engine.shutdown();
     }
+
+    #[test]
+    fn a_renamed_hit_replies_with_the_requests_own_columns() {
+        let (mut server, addr, engine) = serve();
+        let mut client = Client::connect(addr).unwrap();
+        let mut run = |rule: &str| {
+            client
+                .run(&Request::new(rule, Method::Straightforward))
+                .unwrap()
+        };
+        let first = run("q(a, b) :- edge(a, b), edge(b, a)");
+        let renamed = run("q(x, y) :- edge(x, y), edge(y, x)");
+        assert!(renamed.result_cache_hit, "a renaming is the same entry");
+        assert_eq!(first.columns, ["a", "b"]);
+        assert_eq!(
+            renamed.columns,
+            ["x", "y"],
+            "cols= names this request's head"
+        );
+        assert_eq!(renamed.rows, first.rows);
+        server.shutdown();
+        engine.shutdown();
+    }
 }

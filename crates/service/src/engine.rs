@@ -211,9 +211,9 @@ impl Request {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Response {
-    /// Output column names (the query's free variables, in order). On a
-    /// result-cache hit these are the column names of the query that
-    /// originally produced the rows (same positions under renaming).
+    /// Output column names: the request's own free variables, in order —
+    /// also on a result-cache hit, whose rows a differently spelled query
+    /// may have produced (same positions under renaming).
     pub columns: Vec<String>,
     /// Result rows, byte-identical to library-level evaluation of the
     /// same query, method, and database snapshot — whether executed cold
@@ -286,8 +286,11 @@ pub(crate) struct Reuse {
 /// request's own header. [`Answer::into_response`] is the one way out of
 /// the crate.
 pub(crate) struct Answer {
-    /// Columns, rows and the stats of the execution that produced them.
+    /// Rows and the stats of the execution that produced them.
     pub(crate) result: Arc<CachedResult>,
+    /// The request's own column names, which on a hit may differ from those
+    /// of the query that produced the entry.
+    pub(crate) columns: Vec<String>,
     pub(crate) reuse: Reuse,
     /// Per-phase spans, as on [`Response::trace`].
     pub(crate) trace: TraceSpans,
@@ -297,16 +300,12 @@ pub(crate) struct Answer {
 
 impl Answer {
     /// The owned public form. Moves the rows out when the answer is the
-    /// entry's only holder (explain, a refused or uncached result, a
-    /// decoded reply) and copies them when the result cache shares it.
+    /// entry's only holder (explain, a refused or uncached result) and
+    /// copies them when the result cache shares it.
     pub(crate) fn into_response(self) -> Response {
-        let CachedResult {
-            columns,
-            rows,
-            stats,
-        } = Arc::unwrap_or_clone(self.result);
+        let CachedResult { rows, stats, .. } = Arc::unwrap_or_clone(self.result);
         Response {
-            columns,
+            columns: self.columns,
             rows,
             stats,
             cache_hit: self.reuse.cache_hit,
@@ -923,6 +922,7 @@ fn process<'a>(
         .and_then(|q| check_relations(&q, &snapshot.db).map(|()| q));
     spans.set(Phase::Parse, started.elapsed().as_micros() as u64);
     let query = parsed?;
+    let columns: Vec<String> = query.free.iter().map(|&f| query.vars.name(f)).collect();
 
     // The effective seed is part of both cache keys: it breaks planner
     // ties, so a request carrying an explicit seed must not be answered
@@ -971,6 +971,7 @@ fn process<'a>(
     if let Some(result) = cached {
         return Ok(Answer {
             result,
+            columns,
             reuse: Reuse {
                 cache_hit: true,
                 result_cache_hit: true,
@@ -1044,13 +1045,13 @@ fn process<'a>(
         // Plan mode never executes: render the operator tree the streaming
         // executor *would* build, with every counter zero.
         let shape = streaming_shape(&plan);
-        let columns: Vec<String> = query.free.iter().map(|&f| query.vars.name(f)).collect();
         return Ok(Answer {
             result: Arc::new(CachedResult {
-                columns,
+                columns: columns.clone(),
                 rows: Vec::new(),
                 stats: ExecStats::default(),
             }),
+            columns,
             reuse: Reuse {
                 cache_hit,
                 result_cache_hit: false,
@@ -1113,7 +1114,7 @@ fn process<'a>(
     // The rows move once, into the entry that is both this request's
     // answer and what the result cache is offered.
     let result = Arc::new(CachedResult {
-        columns: query.free.iter().map(|&f| query.vars.name(f)).collect(),
+        columns: columns.clone(),
         rows: rel.into_tuples(),
         stats,
     });
@@ -1132,6 +1133,7 @@ fn process<'a>(
     }
     Ok(Answer {
         result,
+        columns,
         reuse: Reuse {
             cache_hit,
             result_cache_hit: false,
@@ -1399,6 +1401,23 @@ mod tests {
         assert!(!cold.rows.is_empty());
         assert_eq!((&owned.columns, &owned.rows), (&cold.columns, &cold.rows));
         cold_engine.shutdown();
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_renamed_hit_names_the_requests_own_columns() {
+        let engine = Engine::start(three_color_catalog(), EngineConfig::default());
+        let h = engine.handle();
+        let run = |rule: &str| {
+            h.execute(Request::new(rule, Method::Straightforward))
+                .unwrap()
+        };
+        let first = run("q(a, b) :- edge(a, b), edge(b, a)");
+        let renamed = run("q(x, y) :- edge(x, y), edge(y, x)");
+        assert!(renamed.result_cache_hit, "a renaming is the same entry");
+        assert_eq!(first.columns, ["a", "b"]);
+        assert_eq!(renamed.columns, ["x", "y"]);
+        assert_eq!(renamed.rows, first.rows);
         engine.shutdown();
     }
 

@@ -17,12 +17,10 @@ use ppr_obs::{OpKind, OpNode, PassSpan, Phase, Quantiles, SlowEntry, TraceSpans,
 use ppr_relalg::budget::BudgetKind;
 use ppr_relalg::{ExecDigest, ExecStats, RelalgError, Value};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::catalog::{DbInfo, DbVersion};
 use crate::engine::{Answer, EngineStats, ExplainMode, Request, Response, Reuse};
-use crate::result_cache::CachedResult;
 use crate::ServiceError;
 
 /// Hard cap on accepted line length (1 MiB): a wire peer cannot make the
@@ -879,7 +877,7 @@ pub(crate) fn encode_answer(result: &Result<Answer, ServiceError>) -> String {
     match result {
         Ok(a) => {
             let r = &a.result;
-            result_line(&a.reuse, &r.columns, &r.rows, &r.stats)
+            result_line(&a.reuse, &a.columns, &r.rows, &r.stats)
         }
         Err(e) => encode_error(e),
     }
@@ -943,17 +941,16 @@ pub fn decode_result(line: &str) -> Result<Response, ServiceError> {
     if let Some(n) = expected_rows.filter(|&n| n != rows.len()) {
         return perr(format!("row count {} does not match rows={n}", rows.len()));
     }
-    let answer = Answer {
-        result: Arc::new(CachedResult {
-            columns,
-            rows,
-            stats,
-        }),
-        reuse,
+    Ok(Response {
+        columns,
+        rows,
+        stats,
+        cache_hit: reuse.cache_hit,
+        result_cache_hit: reuse.result_cache_hit,
+        plan_micros: reuse.plan_micros,
         trace: TraceSpans::new(),
         explain: None,
-    };
-    Ok(answer.into_response())
+    })
 }
 
 /// The `which=` names of the three budgets.

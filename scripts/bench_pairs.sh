@@ -13,9 +13,19 @@
 # N times per workload (default 10, every workload of BENCHMARK.json), each
 # pair at a seed not used before and with the side that goes first
 # alternating. Prints, per (workload, end-to-end metric), both medians with
-# their quartiles, the change of the median, and how many pairs the working
-# tree won (ties count for neither). Exits 1 if any run returned a wrong
-# answer.
+# their quartiles, the change of the median, how many pairs the working
+# tree won (ties count for neither) and the verdict the merge gate applies:
+#
+#   gain        the working tree won >= 9 of 10 pairs and its median differs
+#               from the base's by more than the base's interquartile range
+#   worse       the median is worse than the base's by more than the metric's
+#               `bound` in BENCHMARK.json
+#   unresolved  the base's interquartile range exceeds that bound (relative
+#               to its median): the runs spread too widely to tell
+#   same        otherwise
+#
+# and, per workload and side, the failed and attempted operations summed
+# over its runs. Exits 1 if any run returned a wrong answer.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -101,15 +111,32 @@ def quartiles(values):
 def fmt(value):
     return f"{value:.1f}" if value >= 10 else f"{value:.3f}"
 
+def verdict(base, cand, wins, bound, lower):
+    mb, mc = statistics.median(base), statistics.median(cand)
+    q1, q3 = quartiles(base)
+    worse_by = (mc - mb) if lower else (mb - mc)
+    if wins * 10 >= 9 * pairs and -worse_by > q3 - q1:
+        return "gain"
+    if mb and worse_by / mb > bound:
+        return "worse"
+    if mb and (q3 - q1) / mb > bound:
+        return "unresolved"
+    return "same"
+
 wrong = 0
-print(f"{'workload':<15}{'metric':<23}{'base median [q1, q3]':>34}{'working tree median [q1, q3]':>34}{'change':>9}{'wins':>7}")
+failures = []
+print(f"{'workload':<15}{'metric':<23}{'base median [q1, q3]':>34}{'working tree median [q1, q3]':>34}{'change':>9}{'wins':>7}  verdict")
 for workload in workloads:
     sides = {"base": [], "cand": []}
     for side, lines in sides.items():
+        failed = attempted = 0
         for pair in range(1, pairs + 1):
             line = json.load(open(f"{runs}/{workload}.{side}.{pair}.json"))
             wrong += not line["correct"]
+            failed += line["failed"]
+            attempted += line["attempted"]
             lines.append(line["metrics"])
+        failures.append(f"{workload:<15}{side:<6}{failed:>10}/{attempted}")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         base = [m[name]["value"] for m in sides["base"]]
@@ -121,7 +148,10 @@ for workload in workloads:
             cells.append(f"{fmt(statistics.median(values))} [{fmt(q1)}, {fmt(q3)}]")
         mb, mc = statistics.median(base), statistics.median(cand)
         change = f"{(mc - mb) / mb * 100:+.1f}%" if mb else "n/a"
-        print(f"{workload:<15}{name:<23}{cells[0]:>34}{cells[1]:>34}{change:>9}{wins:>4}/{pairs}")
+        said = verdict(base, cand, wins, metric["bound"], lower)
+        print(f"{workload:<15}{name:<23}{cells[0]:>34}{cells[1]:>34}{change:>9}{wins:>4}/{pairs}  {said}")
+print(f"\n{'workload':<15}{'side':<6}{'failed/attempted':>17}")
+print("\n".join(failures))
 if wrong:
     sys.exit(f"{wrong} runs returned a wrong answer")
 PY
