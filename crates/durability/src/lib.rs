@@ -11,7 +11,7 @@
 //! plus **startup recovery** that replays the log over the newest valid
 //! snapshot. The split mirrors SpacetimeDB's `commitlog` / `snapshot` /
 //! `datastore` layering: the log is the source of truth for recent
-//! commits, snapshots bound replay time, and the in-memory store is a
+//! commits, snapshots bound replay time, and the recovered catalog is a
 //! pure function of the two.
 //!
 //! Design points, in the order they matter:
@@ -28,19 +28,23 @@
 //!   refuses to start with a typed [`RecoveryError`] rather than serve a
 //!   wrong database. See `docs/DURABILITY.md` for the full corruption
 //!   matrix.
-//! * **The store is catalog-agnostic.** Everything here deals in
-//!   [`DbContents`] — plain relation names, arities, and `u32` tuples —
-//!   so the crate needs nothing from the query layer and the crash-safety
-//!   proptests can drive it directly. `ppr-service` converts contents to
-//!   real schemas on recovery.
+//! * **One copy of every database.** The catalog's published database
+//!   is the only copy in memory. The catalog builds the post-mutation
+//!   database first and hands its relations (`ppr_relalg` [`Relation`]s,
+//!   by reference) to the store, which logs the mutation from their rows
+//!   and, when its cadence says so, checkpoints them. Recovery hands back
+//!   plain [`DbContents`] — names, arities and rows, free of column ids —
+//!   which `ppr-service` turns back into schemas.
 //!
-//! The service side holds the store behind the [`Persister`] trait and
-//! calls one hook per mutating catalog path, inside the catalog's writer
-//! lock, *before* publishing the mutation.
+//! The catalog owns the [`DurableStore`] and calls one `record_*` hook
+//! per mutating path, inside its writer lock, *before* publishing the
+//! mutation.
+//!
+//! [`Relation`]: ppr_relalg::Relation
 
-pub mod snapshot;
+mod snapshot;
 pub mod store;
-pub mod wal;
+mod wal;
 
 use std::fmt;
 
@@ -66,9 +70,10 @@ pub struct RelationData {
     pub tuples: Vec<Tuple>,
 }
 
-/// A whole database's data: the unit snapshots store and recovery
-/// returns. Relations keep their creation order (deterministic, though
-/// nothing downstream depends on it).
+/// A whole database's data as recovery returns it: the snapshot's
+/// relations in the order the snapshot stores them, then the relations
+/// the log's replay created. The order is deterministic, though nothing
+/// downstream depends on it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DbContents {
     /// The database's relations.
@@ -82,9 +87,9 @@ impl DbContents {
     }
 
     /// Replaces (or creates) `rel` with exactly `tuples` — the `load`
-    /// verb's semantics. Tuples must be pre-deduplicated; the caller
-    /// (catalog or WAL replay) guarantees it.
-    pub fn apply_load(&mut self, rel: &str, arity: usize, tuples: Vec<Tuple>) {
+    /// verb's semantics, replayed. Tuples are pre-deduplicated: the
+    /// catalog logged them after its own dedup.
+    pub(crate) fn apply_load(&mut self, rel: &str, arity: usize, tuples: Vec<Tuple>) {
         match self.relations.iter_mut().find(|r| r.name == rel) {
             Some(r) => {
                 r.arity = arity;
@@ -99,31 +104,26 @@ impl DbContents {
     }
 
     /// Appends one tuple to `rel`, creating the relation with the
-    /// tuple's arity if absent — the `add` verb's semantics, including
-    /// its first-occurrence dedup (a duplicate add is a no-op).
-    pub fn apply_add(&mut self, rel: &str, tuple: &Tuple) {
+    /// tuple's arity if absent — the `add` verb's semantics, replayed,
+    /// including its first-occurrence dedup (a duplicate add is a no-op).
+    pub(crate) fn apply_add(&mut self, rel: &str, tuple: Tuple) {
         match self.relations.iter_mut().find(|r| r.name == rel) {
             Some(r) => {
-                if !r.tuples.contains(tuple) {
-                    r.tuples.push(tuple.clone());
+                if !r.tuples.contains(&tuple) {
+                    r.tuples.push(tuple);
                 }
             }
             None => self.relations.push(RelationData {
                 name: rel.to_string(),
                 arity: tuple.len(),
-                tuples: vec![tuple.clone()],
+                tuples: vec![tuple],
             }),
         }
-    }
-
-    /// Total number of tuples across all relations.
-    pub fn tuple_count(&self) -> usize {
-        self.relations.iter().map(|r| r.tuples.len()).sum()
     }
 }
 
 /// Why a mutation could not be made durable. The catalog refuses the
-/// mutation (nothing is published) when its persister returns this.
+/// mutation (nothing is published) when a store hook returns this.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistError {
     /// The operation that failed (`create`, `append`, `snapshot`, …).
@@ -150,8 +150,8 @@ impl fmt::Display for PersistError {
 impl std::error::Error for PersistError {}
 
 /// Counter snapshot of a store's activity since open, plus what recovery
-/// did at open. Exposed on `/metrics` via
-/// [`Persister::render_prometheus`].
+/// did at open. The same counters are on `/metrics` via
+/// [`DurableStore::render_prometheus`].
 #[derive(Debug, Clone, Default)]
 pub struct DurabilityStats {
     /// WAL records appended (commits logged).
@@ -166,53 +166,4 @@ pub struct DurabilityStats {
     pub snapshot_writes: u64,
     /// What recovery found at open.
     pub recovery: RecoveryReport,
-}
-
-/// The hook the catalog calls on every mutating path, *before*
-/// publishing the mutation, while holding its writer lock (so calls are
-/// totally ordered per catalog). An `Err` aborts the mutation; the
-/// catalog stays on its previous state and the client sees a typed
-/// error — never an acknowledged-but-volatile write.
-///
-/// `version` is the catalog-wide `DbVersion` counter value assigned to
-/// the mutation (this crate only transports the number); it is persisted
-/// so recovered databases resume their pre-crash version numbering.
-pub trait Persister: Send + Sync {
-    /// A database was created empty.
-    fn record_create(&self, db: &str, version: u64) -> Result<(), PersistError>;
-    /// A database was dropped. Must be durable (a recovered catalog may
-    /// not resurrect the name).
-    fn record_drop(&self, db: &str, version: u64) -> Result<(), PersistError>;
-    /// `load`: `rel` now contains exactly `tuples` (pre-deduplicated).
-    fn record_load(
-        &self,
-        db: &str,
-        rel: &str,
-        arity: usize,
-        tuples: &[Tuple],
-        version: u64,
-    ) -> Result<(), PersistError>;
-    /// `add`: one tuple appended to `rel` (created if absent).
-    fn record_add(
-        &self,
-        db: &str,
-        rel: &str,
-        tuple: &Tuple,
-        version: u64,
-    ) -> Result<(), PersistError>;
-    /// Wholesale create-or-replace of a database (the embedded
-    /// `Catalog::insert` path). Persisted as a fresh snapshot.
-    fn record_insert(
-        &self,
-        db: &str,
-        contents: &DbContents,
-        version: u64,
-    ) -> Result<(), PersistError>;
-    /// Activity counters for stats lines and benches.
-    fn stats(&self) -> DurabilityStats;
-    /// Prometheus exposition of the store's metrics, appended to the
-    /// engine's `/metrics` page.
-    fn render_prometheus(&self) -> String {
-        String::new()
-    }
 }

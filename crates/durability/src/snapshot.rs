@@ -25,58 +25,39 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use ppr_relalg::Relation;
+
+use crate::store::{io_err, RecoveryError};
 use crate::wal::{crc32, put_str, put_u32, put_u64, Cursor};
 use crate::{DbContents, RelationData};
 
 /// First 8 bytes of every snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"PPRSNAP1";
+const SNAP_MAGIC: &[u8; 8] = b"PPRSNAP1";
 
 /// Name of the in-progress temporary file within a database directory.
-pub const SNAP_TMP: &str = "snap.tmp";
+pub(crate) const SNAP_TMP: &str = "snap.tmp";
 
-/// One database's checkpoint: its contents as of WAL record `seq`,
-/// published at catalog version `version`.
+/// One database's checkpoint as read back: its contents as of WAL record
+/// `seq`, published at catalog version `version`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotData {
+pub(crate) struct SnapshotData {
     /// Last WAL sequence number the snapshot covers (0 = none).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Catalog version of the covered state.
-    pub version: u64,
+    pub(crate) version: u64,
     /// The database's full contents.
-    pub contents: DbContents,
+    pub(crate) contents: DbContents,
 }
-
-/// Why a snapshot file could not be read.
-#[derive(Debug)]
-pub enum SnapError {
-    /// Bad magic, bad checksum, or an undecodable body.
-    Corrupt { path: PathBuf, detail: String },
-    /// I/O failure while reading.
-    Io { path: PathBuf, detail: String },
-}
-
-impl std::fmt::Display for SnapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapError::Corrupt { path, detail } => {
-                write!(f, "corrupt snapshot {}: {detail}", path.display())
-            }
-            SnapError::Io { path, detail } => write!(f, "reading {}: {detail}", path.display()),
-        }
-    }
-}
-
-impl std::error::Error for SnapError {}
 
 /// The canonical file name for a snapshot at `seq`.
-pub fn snapshot_file_name(seq: u64) -> String {
+fn snapshot_file_name(seq: u64) -> String {
     format!("snap.{seq:020}")
 }
 
 /// Parses a `snap.<seq>` file name back to its sequence number.
-pub fn parse_snapshot_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
     let digits = name.strip_prefix("snap.")?;
     if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -84,17 +65,22 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn encode_body(data: &SnapshotData) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_u64(&mut body, data.seq);
-    put_u64(&mut body, data.version);
-    put_u32(&mut body, data.contents.relations.len() as u32);
-    for rel in &data.contents.relations {
-        put_str(&mut body, &rel.name);
-        put_u32(&mut body, rel.arity as u32);
-        put_u32(&mut body, rel.tuples.len() as u32);
-        for t in &rel.tuples {
-            debug_assert_eq!(t.len(), rel.arity);
+/// Serializes `relations` in the order given, into one exactly-sized
+/// buffer.
+fn encode_body(seq: u64, version: u64, relations: &[&Relation]) -> Vec<u8> {
+    let size = relations
+        .iter()
+        .map(|r| 2 + r.name().len() + 8 + 4 * r.arity() * r.len())
+        .sum::<usize>();
+    let mut body = Vec::with_capacity(20 + size);
+    put_u64(&mut body, seq);
+    put_u64(&mut body, version);
+    put_u32(&mut body, relations.len() as u32);
+    for rel in relations {
+        put_str(&mut body, rel.name());
+        put_u32(&mut body, rel.arity() as u32);
+        put_u32(&mut body, rel.len() as u32);
+        for t in rel.tuples() {
             for &v in t.iter() {
                 put_u32(&mut body, v);
             }
@@ -141,11 +127,17 @@ fn decode_body(body: &[u8]) -> Result<SnapshotData, String> {
     })
 }
 
-/// Writes `data` as `snap.<seq>` in `dir` via tmp + rename. `sync`
+/// Writes `relations` as `snap.<seq>` in `dir` via tmp + rename. `sync`
 /// controls whether the file and directory are fsynced (the store's
-/// [`SyncPolicy`](crate::SyncPolicy)). Returns the final path.
-pub fn write_snapshot(dir: &Path, data: &SnapshotData, sync: bool) -> io::Result<PathBuf> {
-    let body = encode_body(data);
+/// [`SyncPolicy`](crate::SyncPolicy)).
+pub(crate) fn write_snapshot(
+    dir: &Path,
+    seq: u64,
+    version: u64,
+    relations: &[&Relation],
+    sync: bool,
+) -> io::Result<()> {
+    let body = encode_body(seq, version, relations);
     let tmp = dir.join(SNAP_TMP);
     {
         let mut f = OpenOptions::new()
@@ -161,24 +153,22 @@ pub fn write_snapshot(dir: &Path, data: &SnapshotData, sync: bool) -> io::Result
             f.sync_data()?;
         }
     }
-    let path = dir.join(snapshot_file_name(data.seq));
-    fs::rename(&tmp, &path)?;
+    fs::rename(&tmp, dir.join(snapshot_file_name(seq)))?;
     if sync {
         File::open(dir)?.sync_all()?;
     }
-    Ok(path)
+    Ok(())
 }
 
-/// Reads one snapshot file back.
-pub fn read_snapshot(path: &Path) -> Result<SnapshotData, SnapError> {
+/// Reads `db`'s snapshot file at `path` back. Bad magic, a bad checksum
+/// or an undecodable body is corruption.
+pub(crate) fn read_snapshot(path: &Path, db: &str) -> Result<SnapshotData, RecoveryError> {
     let mut bytes = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| SnapError::Io {
-            path: path.to_path_buf(),
-            detail: e.to_string(),
-        })?;
-    let corrupt = |detail: &str| SnapError::Corrupt {
+        .map_err(|e| io_err(path, e))?;
+    let corrupt = |detail: &str| RecoveryError::CorruptSnapshot {
+        db: db.to_string(),
         path: path.to_path_buf(),
         detail: detail.to_string(),
     };
@@ -203,31 +193,31 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotData, SnapError> {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
+    use ppr_relalg::{AttrId, Schema};
+
     use super::*;
 
     fn t(vals: &[u32]) -> Box<[u32]> {
         vals.to_vec().into_boxed_slice()
     }
 
-    fn sample() -> SnapshotData {
-        SnapshotData {
-            seq: 42,
-            version: 1007,
-            contents: DbContents {
-                relations: vec![
-                    RelationData {
-                        name: "edge".into(),
-                        arity: 2,
-                        tuples: vec![t(&[1, 2]), t(&[2, 3]), t(&[3, 1])],
-                    },
-                    RelationData {
-                        name: "color".into(),
-                        arity: 1,
-                        tuples: vec![t(&[0]), t(&[1]), t(&[2])],
-                    },
-                ],
-            },
-        }
+    fn sample() -> Vec<Relation> {
+        let rel = |name: &str, arity: u32, rows: Vec<Box<[u32]>>| {
+            Relation::new(name, Schema::new((0..arity).map(AttrId).collect()), rows)
+        };
+        vec![
+            rel("edge", 2, vec![t(&[1, 2]), t(&[2, 3]), t(&[3, 1])]),
+            rel("color", 1, vec![t(&[0]), t(&[1]), t(&[2])]),
+        ]
+    }
+
+    fn write_sample(dir: &Path, sync: bool) -> PathBuf {
+        let relations = sample();
+        let refs: Vec<&Relation> = relations.iter().collect();
+        write_snapshot(dir, 42, 1007, &refs, sync).unwrap();
+        dir.join(snapshot_file_name(42))
     }
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -239,17 +229,36 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let dir = tmpdir("roundtrip");
-        let data = sample();
-        let path = write_snapshot(&dir, &data, true).unwrap();
-        assert_eq!(path.file_name().unwrap(), snapshot_file_name(42).as_str());
-        assert_eq!(read_snapshot(&path).unwrap(), data);
+        let path = write_sample(&dir, true);
+        let back = read_snapshot(&path, "g").unwrap();
+        assert_eq!((back.seq, back.version), (42, 1007));
+        let expected: Vec<RelationData> = sample()
+            .into_iter()
+            .map(|r| RelationData {
+                name: r.name().to_string(),
+                arity: r.arity(),
+                tuples: r.into_tuples(),
+            })
+            .collect();
+        assert_eq!(
+            back.contents.relations, expected,
+            "relations in the order given"
+        );
         assert!(!dir.join(SNAP_TMP).exists(), "tmp file renamed away");
+    }
+
+    #[test]
+    fn body_is_sized_exactly() {
+        let relations = sample();
+        let refs: Vec<&Relation> = relations.iter().collect();
+        let body = encode_body(1, 2, &refs);
+        assert_eq!(body.len(), body.capacity());
     }
 
     #[test]
     fn any_flipped_byte_is_detected() {
         let dir = tmpdir("flip");
-        let path = write_snapshot(&dir, &sample(), false).unwrap();
+        let path = write_sample(&dir, false);
         let good = std::fs::read(&path).unwrap();
         // Every offset: magic, header, and body flips must all refuse.
         for at in 0..good.len() {
@@ -257,7 +266,10 @@ mod tests {
             bad[at] ^= 0x01;
             std::fs::write(&path, &bad).unwrap();
             assert!(
-                matches!(read_snapshot(&path), Err(SnapError::Corrupt { .. })),
+                matches!(
+                    read_snapshot(&path, "g"),
+                    Err(RecoveryError::CorruptSnapshot { .. })
+                ),
                 "flip at byte {at} went undetected"
             );
         }

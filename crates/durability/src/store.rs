@@ -1,5 +1,5 @@
 //! The durable store: one directory per database, recovery at open,
-//! and the [`Persister`] implementation the catalog commits through.
+//! and the commit hooks the catalog calls on every mutation.
 //!
 //! ## On-disk layout
 //!
@@ -22,14 +22,17 @@
 //!
 //! Every mutation appends one record and (under [`SyncPolicy::Always`])
 //! fsyncs before returning — the catalog publishes only after the hook
-//! succeeds, so an acknowledged mutation is always on disk. After
+//! succeeds, so an acknowledged mutation is always on disk. The store
+//! holds no rows of its own: the catalog builds the post-mutation
+//! database first and hands its relations to the hook. After
 //! [`StoreOptions::snapshot_every`] records (or
-//! [`StoreOptions::snapshot_bytes`] of log), the store checkpoints: it
-//! writes `snap.tmp` from its in-memory mirror, fsyncs, renames to
-//! `snap.<seq>`, fsyncs the directory, *then* truncates the log and
-//! deletes older snapshots. Each step is safe to crash in: recovery
-//! ignores `snap.tmp`, skips log records a snapshot already covers, and
-//! uses the newest readable snapshot.
+//! [`StoreOptions::snapshot_bytes`] of log), the store checkpoints those
+//! relations: it writes `snap.tmp`, fsyncs, renames to `snap.<seq>`,
+//! fsyncs the directory, *then* truncates the log and deletes older
+//! snapshots. A wholesale `insert` is the same checkpoint, taken at
+//! once. Each step is safe to crash in: recovery ignores `snap.tmp`,
+//! skips log records a snapshot already covers, and uses the newest
+//! readable snapshot.
 //!
 //! `drop` renames the directory to `#trash.<db>.<version>` (atomic),
 //! fsyncs the data dir, then deletes the trash best-effort; recovery
@@ -37,6 +40,7 @@
 //! a crash between them leaves a directory with no acknowledged record,
 //! which recovery deletes (the create was never acked).
 
+use std::borrow::Cow;
 use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -45,13 +49,12 @@ use std::time::Instant;
 
 use ppr_obs::{Counter, Histogram, Registry};
 use ppr_relalg::value::Tuple;
+use ppr_relalg::Relation;
 use rustc_hash::FxHashMap;
 
-use crate::snapshot::{
-    parse_snapshot_name, read_snapshot, write_snapshot, SnapError, SnapshotData, SNAP_TMP,
-};
-use crate::wal::{scan_wal, WalError, WalRecord, WalWriter};
-use crate::{DbContents, DurabilityStats, PersistError, Persister};
+use crate::snapshot::{parse_snapshot_name, read_snapshot, write_snapshot, SNAP_TMP};
+use crate::wal::{scan_wal, WalRecord, WalWriter, MAX_NAME};
+use crate::{DbContents, DurabilityStats, PersistError};
 
 /// Name of the commit log within a database directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -197,7 +200,7 @@ impl std::fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-fn io_err(path: &Path, e: io::Error) -> RecoveryError {
+pub(crate) fn io_err(path: &Path, e: io::Error) -> RecoveryError {
     RecoveryError::Io {
         path: path.to_path_buf(),
         detail: e.to_string(),
@@ -217,18 +220,28 @@ fn safe_name(name: &str) -> bool {
         && name != ".."
 }
 
-/// Per-database writer state: the open log, the contents mirror the
-/// next checkpoint will serialize, and the counters that drive the
-/// checkpoint cadence.
+/// A relation name the log and snapshot formats can hold.
+fn check_relation(rel: &str) -> Result<(), PersistError> {
+    if rel.len() <= MAX_NAME {
+        Ok(())
+    } else {
+        Err(PersistError {
+            op: "name",
+            detail: format!("relation name of {} bytes exceeds {MAX_NAME}", rel.len()),
+        })
+    }
+}
+
+/// Per-database writer state: the open log and the counters that drive
+/// the checkpoint cadence.
 struct DbState {
     wal: WalWriter,
-    mirror: DbContents,
     next_seq: u64,
     records_since_snapshot: u64,
 }
 
-/// The durable store. One instance per `--data-dir`, shared by all
-/// connections through the catalog's [`Persister`] handle.
+/// The durable store. One instance per `--data-dir`, owned by the
+/// catalog, which calls one `record_*` hook per mutation.
 pub struct DurableStore {
     dir: PathBuf,
     opts: StoreOptions,
@@ -246,7 +259,7 @@ impl DurableStore {
     /// Opens (creating if needed) a data directory, runs recovery, and
     /// returns the store plus every database it found. The caller
     /// rebuilds its catalog from the [`RecoveredDb`]s; after that, every
-    /// mutation must flow through the [`Persister`] hooks.
+    /// mutation must flow through the `record_*` hooks.
     pub fn open(
         dir: impl Into<PathBuf>,
         opts: StoreOptions,
@@ -372,49 +385,24 @@ impl DurableStore {
         // Newest snapshot is the base; a published-but-unreadable one is
         // corruption (tmp+rename means crashes never publish partials).
         let base = match snaps.last() {
-            Some((_, p)) => match read_snapshot(p) {
-                Ok(data) => {
-                    report.snapshots_loaded += 1;
-                    Some(data)
-                }
-                Err(SnapError::Corrupt { path, detail }) => {
-                    return Err(RecoveryError::CorruptSnapshot {
-                        db: name.to_string(),
-                        path,
-                        detail,
-                    })
-                }
-                Err(SnapError::Io { path, detail }) => {
-                    return Err(RecoveryError::Io { path, detail })
-                }
-            },
+            Some((_, p)) => Some(read_snapshot(p, name)?),
             None => None,
         };
+        let had_snapshot = base.is_some();
+        report.snapshots_loaded += u64::from(had_snapshot);
         // Older snapshots are superseded; finish the interrupted GC.
         for (_, p) in snaps.iter().rev().skip(1) {
             fs::remove_file(p).map_err(|e| io_err(p, e))?;
         }
 
-        let (mut contents, mut version, snap_seq) = match &base {
-            Some(s) => (s.contents.clone(), s.version, s.seq),
+        let (mut contents, mut version, snap_seq) = match base {
+            Some(s) => (s.contents, s.version, s.seq),
             None => (DbContents::default(), 0, 0),
         };
 
         let (records, wal) = match wal_path {
             Some(wp) => {
-                let scan = scan_wal(&wp).map_err(|e| match e {
-                    WalError::Corrupt { offset, detail, .. } => RecoveryError::CorruptWal {
-                        db: name.to_string(),
-                        offset,
-                        detail,
-                    },
-                    WalError::BadMagic { path } => RecoveryError::CorruptWal {
-                        db: name.to_string(),
-                        offset: 0,
-                        detail: format!("{} has bad magic", path.display()),
-                    },
-                    WalError::Io { path, detail } => RecoveryError::Io { path, detail },
-                })?;
+                let scan = scan_wal(&wp, name)?;
                 if scan.torn_at.is_some() {
                     report.torn_tails += 1;
                 }
@@ -422,47 +410,47 @@ impl DurableStore {
                 (scan.records, writer)
             }
             None => {
-                if base.is_none() {
+                if !had_snapshot {
                     // Neither a snapshot nor a log: nothing was ever
                     // acknowledged here.
                     return Ok(None);
                 }
-                // Crash between snapshot write and log creation
-                // (record_insert); start a fresh log.
+                // A snapshot with no log: older builds' `insert` wrote
+                // the snapshot first and could crash before creating
+                // the log. Start a fresh one.
                 let wp = path.join(WAL_FILE);
                 let writer = WalWriter::create(&wp).map_err(|e| io_err(&wp, e))?;
                 (Vec::new(), writer)
             }
         };
 
+        if !had_snapshot && records.is_empty() {
+            // A log with only a magic and no snapshot: torn create.
+            return Ok(None);
+        }
         let mut last_seq = snap_seq;
         let mut replayed = 0u64;
-        for rec in &records {
+        for rec in records {
             // Records a snapshot already covers linger until the next
             // checkpoint truncates the log; skip them.
             if rec.seq() <= snap_seq {
                 continue;
             }
+            version = rec.version();
+            last_seq = rec.seq();
+            replayed += 1;
             match rec {
                 WalRecord::Create { .. } => {}
                 WalRecord::Load {
                     rel, arity, tuples, ..
-                } => contents.apply_load(rel, *arity as usize, tuples.clone()),
-                WalRecord::Add { rel, tuple, .. } => contents.apply_add(rel, tuple),
+                } => contents.apply_load(&rel, arity as usize, tuples.into_owned()),
+                WalRecord::Add { rel, tuple, .. } => contents.apply_add(&rel, tuple.into_owned()),
             }
-            version = rec.version();
-            last_seq = rec.seq();
-            replayed += 1;
         }
         report.replayed_records += replayed;
-        if base.is_none() && records.is_empty() {
-            // A log with only a magic and no snapshot: torn create.
-            return Ok(None);
-        }
 
         let state = DbState {
             wal,
-            mirror: contents.clone(),
             next_seq: last_seq + 1,
             records_since_snapshot: replayed,
         };
@@ -474,16 +462,6 @@ impl DurableStore {
             },
             state,
         )))
-    }
-
-    /// The data directory this store owns.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// What recovery did when this store was opened.
-    pub fn recovery_report(&self) -> &RecoveryReport {
-        &self.recovery
     }
 
     fn db_dir(&self, db: &str) -> PathBuf {
@@ -511,61 +489,179 @@ impl DurableStore {
             .map_err(|e| PersistError::io("dir fsync", &e))
     }
 
-    /// Appends `record` to `db`'s log (which must exist), fsyncs per
-    /// policy, applies the mutation to the mirror, and checkpoints if
-    /// the cadence says so.
-    fn append(&self, db: &str, make: impl FnOnce(u64) -> WalRecord) -> Result<(), PersistError> {
+    /// A database was created empty.
+    pub fn record_create(&self, db: &str, version: u64) -> Result<(), PersistError> {
+        self.check_name(db)?;
+        let mut dbs = self.dbs.lock().expect("store lock");
+        if dbs.contains_key(db) {
+            return Err(PersistError {
+                op: "create",
+                detail: format!("database {db} already has durable state"),
+            });
+        }
+        let dir = self.db_dir(db);
+        fs::create_dir_all(&dir).map_err(|e| PersistError::io("create", &e))?;
+        let wal_path = dir.join(WAL_FILE);
+        let mut wal = WalWriter::create(&wal_path).map_err(|e| PersistError::io("create", &e))?;
+        self.commit(&mut wal, &WalRecord::Create { seq: 1, version })?;
+        self.sync_dir(&dir)?;
+        self.sync_dir(&self.dir)?;
+        dbs.insert(
+            db.to_string(),
+            DbState {
+                wal,
+                next_seq: 2,
+                records_since_snapshot: 1,
+            },
+        );
+        Ok(())
+    }
+
+    /// A database was dropped. Durable before it returns: a recovered
+    /// catalog never resurrects the name.
+    pub fn record_drop(&self, db: &str, version: u64) -> Result<(), PersistError> {
+        self.check_name(db)?;
+        let mut dbs = self.dbs.lock().expect("store lock");
+        if dbs.remove(db).is_none() {
+            return Err(PersistError {
+                op: "drop",
+                detail: format!("database {db} has no durable state"),
+            });
+        }
+        let dir = self.db_dir(db);
+        let trash = self.dir.join(format!("{TRASH_PREFIX}{db}.{version}"));
+        fs::rename(&dir, &trash).map_err(|e| PersistError::io("drop", &e))?;
+        self.sync_dir(&self.dir)?;
+        // The rename made the drop durable; deleting the bytes is
+        // best-effort (recovery sweeps any leftover trash).
+        let _ = fs::remove_dir_all(&trash);
+        Ok(())
+    }
+
+    /// `load`: `rel` now holds exactly its (distinct) rows, and
+    /// `relations` is the whole database after the load. The log record
+    /// is encoded straight from `rel`'s rows.
+    pub fn record_load(
+        &self,
+        db: &str,
+        rel: &Relation,
+        version: u64,
+        relations: &[&Relation],
+    ) -> Result<(), PersistError> {
+        check_relation(rel.name())?;
+        self.append(db, relations, |seq| WalRecord::Load {
+            seq,
+            version,
+            rel: Cow::Borrowed(rel.name()),
+            arity: rel.arity() as u32,
+            tuples: Cow::Borrowed(rel.tuples()),
+        })
+    }
+
+    /// `add`: `tuple` appended to `rel` (created if absent), and
+    /// `relations` is the whole database after the add.
+    pub fn record_add(
+        &self,
+        db: &str,
+        rel: &str,
+        tuple: &Tuple,
+        version: u64,
+        relations: &[&Relation],
+    ) -> Result<(), PersistError> {
+        check_relation(rel)?;
+        self.append(db, relations, |seq| WalRecord::Add {
+            seq,
+            version,
+            rel: Cow::Borrowed(rel),
+            tuple: Cow::Borrowed(tuple),
+        })
+    }
+
+    /// Wholesale create-or-replace of a database with `relations` (the
+    /// embedded `Catalog::insert` path): a checkpoint taken at once.
+    pub fn record_insert(
+        &self,
+        db: &str,
+        relations: &[&Relation],
+        version: u64,
+    ) -> Result<(), PersistError> {
+        self.check_name(db)?;
+        for rel in relations {
+            check_relation(rel.name())?;
+        }
+        let mut dbs = self.dbs.lock().expect("store lock");
+        if let Some(state) = dbs.get_mut(db) {
+            return self.checkpoint(db, state, version, relations);
+        }
+        let dir = self.db_dir(db);
+        fs::create_dir_all(&dir).map_err(|e| PersistError::io("insert", &e))?;
+        let wal =
+            WalWriter::create(&dir.join(WAL_FILE)).map_err(|e| PersistError::io("insert", &e))?;
+        let mut state = DbState {
+            wal,
+            next_seq: 1,
+            records_since_snapshot: 0,
+        };
+        self.checkpoint(db, &mut state, version, relations)?;
+        self.sync_dir(&self.dir)?;
+        dbs.insert(db.to_string(), state);
+        Ok(())
+    }
+
+    /// Appends the record `make` builds at `db`'s next sequence number,
+    /// and checkpoints `relations` if the cadence says so.
+    fn append<'a>(
+        &self,
+        db: &str,
+        relations: &[&Relation],
+        make: impl FnOnce(u64) -> WalRecord<'a>,
+    ) -> Result<(), PersistError> {
+        self.check_name(db)?;
         let mut dbs = self.dbs.lock().expect("store lock");
         let state = dbs.get_mut(db).ok_or_else(|| PersistError {
             op: "append",
             detail: format!("database {db} has no durable state (missed create?)"),
         })?;
         let record = make(state.next_seq);
-        let bytes = state
-            .wal
-            .append(&record)
-            .map_err(|e| PersistError::io("append", &e))?;
-        if self.opts.sync.on() {
-            let t = Instant::now();
-            state
-                .wal
-                .sync()
-                .map_err(|e| PersistError::io("fsync", &e))?;
-            self.fsync_us.record(t.elapsed().as_micros() as u64);
-            self.fsyncs.inc();
-        }
-        self.wal_appends.inc();
-        self.wal_bytes.add(bytes);
-        match &record {
-            WalRecord::Create { .. } => {}
-            WalRecord::Load {
-                rel, arity, tuples, ..
-            } => state
-                .mirror
-                .apply_load(rel, *arity as usize, tuples.clone()),
-            WalRecord::Add { rel, tuple, .. } => state.mirror.apply_add(rel, tuple),
-        }
+        self.commit(&mut state.wal, &record)?;
         state.next_seq += 1;
         state.records_since_snapshot += 1;
         if state.records_since_snapshot >= self.opts.snapshot_every
             || state.wal.len >= self.opts.snapshot_bytes
         {
-            self.checkpoint(db, state, record.version())?;
+            self.checkpoint(db, state, record.version(), relations)?;
         }
         Ok(())
     }
 
-    /// Writes a snapshot of `state`'s mirror at its last-used sequence
-    /// number, then truncates the log and deletes older snapshots.
-    fn checkpoint(&self, db: &str, state: &mut DbState, version: u64) -> Result<(), PersistError> {
+    /// Appends `record` to `wal`, fsyncs per policy, and counts both.
+    fn commit(&self, wal: &mut WalWriter, record: &WalRecord) -> Result<(), PersistError> {
+        let bytes = wal
+            .append(record)
+            .map_err(|e| PersistError::io("append", &e))?;
+        if self.opts.sync.on() {
+            let t = Instant::now();
+            wal.sync().map_err(|e| PersistError::io("fsync", &e))?;
+            self.fsync_us.record(t.elapsed().as_micros() as u64);
+            self.fsyncs.inc();
+        }
+        self.wal_appends.inc();
+        self.wal_bytes.add(bytes);
+        Ok(())
+    }
+
+    /// Writes `relations` as a snapshot covering every record logged so
+    /// far, then truncates the log and deletes older snapshots.
+    fn checkpoint(
+        &self,
+        db: &str,
+        state: &mut DbState,
+        version: u64,
+        relations: &[&Relation],
+    ) -> Result<(), PersistError> {
         let dir = self.db_dir(db);
         let seq = state.next_seq - 1;
-        let data = SnapshotData {
-            seq,
-            version,
-            contents: state.mirror.clone(),
-        };
-        write_snapshot(&dir, &data, self.opts.sync.on())
+        write_snapshot(&dir, seq, version, relations, self.opts.sync.on())
             .map_err(|e| PersistError::io("snapshot", &e))?;
         self.snapshot_writes.inc();
         // The snapshot is durable; everything below is cleanup that
@@ -586,158 +682,9 @@ impl DurableStore {
         }
         Ok(())
     }
-}
 
-impl Persister for DurableStore {
-    fn record_create(&self, db: &str, version: u64) -> Result<(), PersistError> {
-        self.check_name(db)?;
-        let mut dbs = self.dbs.lock().expect("store lock");
-        if dbs.contains_key(db) {
-            return Err(PersistError {
-                op: "create",
-                detail: format!("database {db} already has durable state"),
-            });
-        }
-        let dir = self.db_dir(db);
-        fs::create_dir_all(&dir).map_err(|e| PersistError::io("create", &e))?;
-        let wal_path = dir.join(WAL_FILE);
-        let mut wal = WalWriter::create(&wal_path).map_err(|e| PersistError::io("create", &e))?;
-        wal.append(&WalRecord::Create { seq: 1, version })
-            .map_err(|e| PersistError::io("create", &e))?;
-        if self.opts.sync.on() {
-            let t = Instant::now();
-            wal.sync().map_err(|e| PersistError::io("fsync", &e))?;
-            self.fsync_us.record(t.elapsed().as_micros() as u64);
-            self.fsyncs.inc();
-        }
-        self.wal_appends.inc();
-        self.sync_dir(&dir)?;
-        self.sync_dir(&self.dir)?;
-        dbs.insert(
-            db.to_string(),
-            DbState {
-                wal,
-                mirror: DbContents::default(),
-                next_seq: 2,
-                records_since_snapshot: 1,
-            },
-        );
-        Ok(())
-    }
-
-    fn record_drop(&self, db: &str, version: u64) -> Result<(), PersistError> {
-        self.check_name(db)?;
-        let mut dbs = self.dbs.lock().expect("store lock");
-        if dbs.remove(db).is_none() {
-            return Err(PersistError {
-                op: "drop",
-                detail: format!("database {db} has no durable state"),
-            });
-        }
-        let dir = self.db_dir(db);
-        let trash = self.dir.join(format!("{TRASH_PREFIX}{db}.{version}"));
-        fs::rename(&dir, &trash).map_err(|e| PersistError::io("drop", &e))?;
-        self.sync_dir(&self.dir)?;
-        // The rename made the drop durable; deleting the bytes is
-        // best-effort (recovery sweeps any leftover trash).
-        let _ = fs::remove_dir_all(&trash);
-        Ok(())
-    }
-
-    fn record_load(
-        &self,
-        db: &str,
-        rel: &str,
-        arity: usize,
-        tuples: &[Tuple],
-        version: u64,
-    ) -> Result<(), PersistError> {
-        self.check_name(db)?;
-        self.append(db, |seq| WalRecord::Load {
-            seq,
-            version,
-            rel: rel.to_string(),
-            arity: arity as u32,
-            tuples: tuples.to_vec(),
-        })
-    }
-
-    fn record_add(
-        &self,
-        db: &str,
-        rel: &str,
-        tuple: &Tuple,
-        version: u64,
-    ) -> Result<(), PersistError> {
-        self.check_name(db)?;
-        self.append(db, |seq| WalRecord::Add {
-            seq,
-            version,
-            rel: rel.to_string(),
-            tuple: tuple.clone(),
-        })
-    }
-
-    fn record_insert(
-        &self,
-        db: &str,
-        contents: &DbContents,
-        version: u64,
-    ) -> Result<(), PersistError> {
-        self.check_name(db)?;
-        let mut dbs = self.dbs.lock().expect("store lock");
-        let dir = self.db_dir(db);
-        fs::create_dir_all(&dir).map_err(|e| PersistError::io("insert", &e))?;
-        let seq = match dbs.get(db) {
-            Some(state) => state.next_seq,
-            None => 1,
-        };
-        let data = SnapshotData {
-            seq,
-            version,
-            contents: contents.clone(),
-        };
-        write_snapshot(&dir, &data, self.opts.sync.on())
-            .map_err(|e| PersistError::io("insert", &e))?;
-        self.snapshot_writes.inc();
-        let wal_path = dir.join(WAL_FILE);
-        let mut wal = match dbs.remove(db) {
-            Some(mut state) => {
-                state
-                    .wal
-                    .truncate_to_header()
-                    .map_err(|e| PersistError::io("insert", &e))?;
-                state.wal
-            }
-            None => WalWriter::create(&wal_path).map_err(|e| PersistError::io("insert", &e))?,
-        };
-        if self.opts.sync.on() {
-            wal.sync().map_err(|e| PersistError::io("fsync", &e))?;
-        }
-        self.sync_dir(&dir)?;
-        self.sync_dir(&self.dir)?;
-        // GC snapshots the new one supersedes.
-        for entry in fs::read_dir(&dir).map_err(|e| PersistError::io("insert", &e))? {
-            let entry = entry.map_err(|e| PersistError::io("insert", &e))?;
-            if let Some(s) = parse_snapshot_name(&entry.file_name().to_string_lossy()) {
-                if s < seq {
-                    fs::remove_file(entry.path()).map_err(|e| PersistError::io("insert", &e))?;
-                }
-            }
-        }
-        dbs.insert(
-            db.to_string(),
-            DbState {
-                wal,
-                mirror: contents.clone(),
-                next_seq: seq + 1,
-                records_since_snapshot: 0,
-            },
-        );
-        Ok(())
-    }
-
-    fn stats(&self) -> DurabilityStats {
+    /// Activity counters since open, plus what recovery did.
+    pub fn stats(&self) -> DurabilityStats {
         DurabilityStats {
             wal_appends: self.wal_appends.get(),
             wal_bytes: self.wal_bytes.get(),
@@ -748,17 +695,27 @@ impl Persister for DurableStore {
         }
     }
 
-    fn render_prometheus(&self) -> String {
+    /// Prometheus exposition of the store's metrics, appended to the
+    /// engine's `/metrics` page.
+    pub fn render_prometheus(&self) -> String {
         self.registry.render_prometheus()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use ppr_relalg::{AttrId, Schema};
+
     use super::*;
 
     fn t(vals: &[u32]) -> Tuple {
         vals.to_vec().into_boxed_slice()
+    }
+
+    fn rel(name: &str, rows: &[&[u32]]) -> Relation {
+        let arity = rows[0].len() as u32;
+        let schema = Schema::new((0..arity).map(AttrId).collect());
+        Relation::new(name, schema, rows.iter().map(|r| t(r)).collect())
     }
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -787,11 +744,16 @@ mod tests {
             let (store, recovered, _) = DurableStore::open(&dir, opts(1000)).unwrap();
             assert!(recovered.is_empty());
             store.record_create("g", 1).unwrap();
+            let mut edge = rel("edge", &[&[1, 2], &[2, 3]]);
+            store.record_load("g", &edge, 2, &[&edge]).unwrap();
+            edge.insert(t(&[3, 1]));
             store
-                .record_load("g", "edge", 2, &[t(&[1, 2]), t(&[2, 3])], 2)
+                .record_add("g", "edge", &t(&[3, 1]), 3, &[&edge])
                 .unwrap();
-            store.record_add("g", "edge", &t(&[3, 1]), 3).unwrap();
-            store.record_add("g", "edge", &t(&[1, 2]), 4).unwrap(); // duplicate
+            // A duplicate: logged, but the relation is unchanged.
+            store
+                .record_add("g", "edge", &t(&[1, 2]), 4, &[&edge])
+                .unwrap();
         }
         let (_, recovered, report) = reopen(&dir);
         assert_eq!(recovered.len(), 1);
@@ -809,9 +771,11 @@ mod tests {
         {
             let (store, _, _) = DurableStore::open(&dir, opts(3)).unwrap();
             store.record_create("g", 1).unwrap();
+            let mut e = Relation::empty("e", Schema::new(vec![AttrId(0), AttrId(1)]));
             for i in 0..10u32 {
+                e.insert(t(&[i, i + 1]));
                 store
-                    .record_add("g", "e", &t(&[i, i + 1]), 2 + i as u64)
+                    .record_add("g", "e", &t(&[i, i + 1]), 2 + i as u64, &[&e])
                     .unwrap();
             }
             let stats = store.stats();
@@ -860,19 +824,19 @@ mod tests {
         let dir = tmpdir("insert");
         {
             let (store, _, _) = DurableStore::open(&dir, opts(1000)).unwrap();
-            let contents = DbContents {
-                relations: vec![crate::RelationData {
-                    name: "edge".into(),
-                    arity: 2,
-                    tuples: vec![t(&[5, 6])],
-                }],
-            };
-            store.record_insert("default", &contents, 7).unwrap();
-            store.record_add("default", "edge", &t(&[6, 7]), 8).unwrap();
-            // Wholesale replace resets the log.
-            store.record_insert("default", &contents, 9).unwrap();
+            let edge = rel("edge", &[&[5, 6]]);
+            store.record_insert("default", &[&edge], 7).unwrap();
+            let mut grown = edge.clone();
+            grown.insert(t(&[6, 7]));
             store
-                .record_add("default", "edge", &t(&[9, 9]), 10)
+                .record_add("default", "edge", &t(&[6, 7]), 8, &[&grown])
+                .unwrap();
+            // Wholesale replace resets the log.
+            store.record_insert("default", &[&edge], 9).unwrap();
+            let mut grown = edge.clone();
+            grown.insert(t(&[9, 9]));
+            store
+                .record_add("default", "edge", &t(&[9, 9]), 10, &[&grown])
                 .unwrap();
         }
         let (_, recovered, _) = reopen(&dir);
@@ -921,11 +885,42 @@ mod tests {
     }
 
     #[test]
+    fn unencodable_relation_names_are_refused_before_anything_is_written() {
+        let dir = tmpdir("long-names");
+        let (store, _, _) = DurableStore::open(&dir, opts(1)).unwrap();
+        store.record_create("g", 1).unwrap();
+        let long = "r".repeat(MAX_NAME + 1);
+        let wal_len = || fs::metadata(dir.join("g").join(WAL_FILE)).unwrap().len();
+        let before = wal_len();
+        let bad = rel(&long, &[&[1, 2]]);
+        let refused = [
+            store.record_load("g", &bad, 2, &[&bad]),
+            store.record_add("g", &long, &t(&[1, 2]), 3, &[&bad]),
+            store.record_insert("g", &[&bad], 4),
+            store.record_insert("fresh", &[&bad], 5),
+        ];
+        for result in refused {
+            assert_eq!(result.unwrap_err().op, "name");
+        }
+        assert_eq!(wal_len(), before, "nothing appended");
+        assert!(!dir.join("fresh").exists(), "nothing created");
+        assert_eq!(store.stats().snapshot_writes, 0);
+
+        // The longest encodable name still round-trips.
+        let longest = rel(&"r".repeat(MAX_NAME), &[&[1, 2]]);
+        store.record_load("g", &longest, 6, &[&longest]).unwrap();
+        drop(store);
+        let (_, recovered, _) = reopen(&dir);
+        assert_eq!(recovered[0].contents.relations[0].name.len(), MAX_NAME);
+    }
+
+    #[test]
     fn fsync_metrics_move_under_always() {
         let dir = tmpdir("metrics");
         let (store, _, _) = DurableStore::open(&dir, opts(1000)).unwrap();
         store.record_create("g", 1).unwrap();
-        store.record_add("g", "e", &t(&[1, 2]), 2).unwrap();
+        let e = rel("e", &[&[1, 2]]);
+        store.record_add("g", "e", &t(&[1, 2]), 2, &[&e]).unwrap();
         let s = store.stats();
         assert_eq!(s.wal_appends, 2);
         assert!(s.fsyncs >= 2);

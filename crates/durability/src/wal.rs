@@ -23,23 +23,30 @@
 //! store already acknowledged cannot be reread, so recovery refuses to
 //! start rather than reconstruct a wrong database.
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ppr_relalg::value::Tuple;
 
+use crate::store::{io_err, RecoveryError};
+
 /// First 8 bytes of every WAL file.
-pub const WAL_MAGIC: &[u8; 8] = b"PPRWAL1\n";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"PPRWAL1\n";
 
 /// Hard cap on one record's payload; anything claiming more is treated
 /// like a length past EOF (no allocation is attempted).
-pub const MAX_RECORD: u32 = 1 << 28;
+pub(crate) const MAX_RECORD: u32 = 1 << 28;
+
+/// Longest relation name a record or snapshot can hold (its length is
+/// stored as a `u16`).
+pub(crate) const MAX_NAME: usize = u16::MAX as usize;
 
 /// CRC-32 (IEEE 802.3, reflected, the zlib polynomial) over `bytes`.
 /// Table-free bitwise form: the WAL's records are small and append-path
 /// cost is dominated by `fsync`, so simplicity wins over a table.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &b in bytes {
         crc ^= b as u32;
@@ -53,9 +60,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// One committed catalog mutation. `seq` is per-database and contiguous;
 /// `version` is the catalog-wide version the mutation was acknowledged
-/// under.
+/// under. The store appends records that borrow the catalog's rows;
+/// the scanner hands back records that own theirs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+pub(crate) enum WalRecord<'a> {
     /// The database was created empty. Always a log's first record.
     Create { seq: u64, version: u64 },
     /// `rel` was replaced with exactly `tuples` (pre-deduplicated, in
@@ -63,22 +71,22 @@ pub enum WalRecord {
     Load {
         seq: u64,
         version: u64,
-        rel: String,
+        rel: Cow<'a, str>,
         arity: u32,
-        tuples: Vec<Tuple>,
+        tuples: Cow<'a, [Tuple]>,
     },
     /// One tuple appended to `rel` (relation created if absent).
     Add {
         seq: u64,
         version: u64,
-        rel: String,
-        tuple: Tuple,
+        rel: Cow<'a, str>,
+        tuple: Cow<'a, Tuple>,
     },
 }
 
-impl WalRecord {
+impl WalRecord<'_> {
     /// The record's per-database sequence number.
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         match self {
             WalRecord::Create { seq, .. }
             | WalRecord::Load { seq, .. }
@@ -87,7 +95,7 @@ impl WalRecord {
     }
 
     /// The catalog version assigned to the mutation.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         match self {
             WalRecord::Create { version, .. }
             | WalRecord::Load { version, .. }
@@ -95,9 +103,18 @@ impl WalRecord {
         }
     }
 
-    /// Serializes the payload (everything the checksum covers).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+    /// Serializes the whole frame: length and checksum, then the payload
+    /// (everything the checksum covers), in one exactly-sized buffer.
+    fn frame(&self) -> Vec<u8> {
+        let body = match self {
+            WalRecord::Create { .. } => 0,
+            WalRecord::Load {
+                rel, arity, tuples, ..
+            } => 2 + rel.len() + 8 + 4 * *arity as usize * tuples.len(),
+            WalRecord::Add { rel, tuple, .. } => 2 + rel.len() + 4 + 4 * tuple.len(),
+        };
+        let mut out = Vec::with_capacity(8 + 17 + body);
+        out.extend_from_slice(&[0; 8]);
         match self {
             WalRecord::Create { seq, version } => {
                 out.push(1);
@@ -117,7 +134,7 @@ impl WalRecord {
                 put_str(&mut out, rel);
                 put_u32(&mut out, *arity);
                 put_u32(&mut out, tuples.len() as u32);
-                for t in tuples {
+                for t in tuples.iter() {
                     for &v in t.iter() {
                         put_u32(&mut out, v);
                     }
@@ -139,13 +156,17 @@ impl WalRecord {
                 }
             }
         }
+        let len = (out.len() - 8) as u32;
+        let crc = crc32(&out[8..]);
+        out[..4].copy_from_slice(&len.to_le_bytes());
+        out[4..8].copy_from_slice(&crc.to_le_bytes());
         out
     }
 
     /// Parses a payload. `Err` carries a short description of the first
     /// structural problem (the checksum has already passed, so this only
     /// fires on truncated-in-frame or crafted payloads).
-    pub fn decode_payload(buf: &[u8]) -> Result<WalRecord, String> {
+    fn decode_payload(buf: &[u8]) -> Result<WalRecord<'static>, String> {
         let mut c = Cursor { buf, at: 0 };
         let kind = c.u8()?;
         let seq = c.u64()?;
@@ -172,9 +193,9 @@ impl WalRecord {
                 WalRecord::Load {
                     seq,
                     version,
-                    rel,
+                    rel: Cow::Owned(rel),
                     arity,
-                    tuples,
+                    tuples: Cow::Owned(tuples),
                 }
             }
             3 => {
@@ -190,8 +211,8 @@ impl WalRecord {
                 WalRecord::Add {
                     seq,
                     version,
-                    rel,
-                    tuple: t.into_boxed_slice(),
+                    rel: Cow::Owned(rel),
+                    tuple: Cow::Owned(t.into_boxed_slice()),
                 }
             }
             k => return Err(format!("unknown record kind {k}")),
@@ -213,18 +234,18 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
-    assert!(bytes.len() <= u16::MAX as usize, "name too long for WAL");
+    assert!(bytes.len() <= MAX_NAME, "the store refuses longer names");
     out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
     out.extend_from_slice(bytes);
 }
 
 pub(crate) struct Cursor<'a> {
-    pub buf: &'a [u8],
-    pub at: usize,
+    pub(crate) buf: &'a [u8],
+    pub(crate) at: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
 
@@ -237,19 +258,19 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    pub fn u8(&mut self) -> Result<u8, String> {
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u32(&mut self) -> Result<u32, String> {
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub fn u64(&mut self) -> Result<u64, String> {
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn str(&mut self) -> Result<String, String> {
+    pub(crate) fn str(&mut self) -> Result<String, String> {
         let len = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| "name not utf-8".to_string())
@@ -258,72 +279,26 @@ impl<'a> Cursor<'a> {
 
 /// What scanning a WAL file found.
 #[derive(Debug)]
-pub struct WalScan {
+pub(crate) struct WalScan {
     /// Every record up to the first problem (or EOF), in order.
-    pub records: Vec<WalRecord>,
+    pub(crate) records: Vec<WalRecord<'static>>,
     /// Byte offset one past the last good record — the length the file
     /// should be truncated to when `torn_at` is set.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// Offset of a torn tail, if the file ends mid-record.
-    pub torn_at: Option<u64>,
+    pub(crate) torn_at: Option<u64>,
 }
 
-/// Why a WAL could not be read as history.
-#[derive(Debug)]
-pub enum WalError {
-    /// A record before the end of the file failed its checksum, failed to
-    /// decode, or broke sequence contiguity.
-    Corrupt {
-        /// The log file.
-        path: PathBuf,
-        /// Byte offset of the bad record's frame.
-        offset: u64,
-        /// What was wrong.
-        detail: String,
-    },
-    /// The file does not start with [`WAL_MAGIC`] (and is long enough
-    /// that a torn creation cannot explain it).
-    BadMagic { path: PathBuf },
-    /// An I/O error while reading.
-    Io { path: PathBuf, detail: String },
-}
-
-impl std::fmt::Display for WalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalError::Corrupt {
-                path,
-                offset,
-                detail,
-            } => write!(
-                f,
-                "corrupt WAL record in {} at byte {offset}: {detail}",
-                path.display()
-            ),
-            WalError::BadMagic { path } => {
-                write!(f, "{} is not a WAL file (bad magic)", path.display())
-            }
-            WalError::Io { path, detail } => {
-                write!(f, "reading {}: {detail}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for WalError {}
-
-/// Scans `path` front to back, separating good history from a torn tail,
-/// and refusing (`Err`) on mid-log corruption. A file shorter than the
+/// Scans `db`'s log at `path` front to back, separating good history
+/// from a torn tail, and refusing (`Err`) on mid-log corruption or a
+/// file that does not start with [`WAL_MAGIC`]. A file shorter than the
 /// magic — the residue of a crash during creation — scans as empty with
 /// `torn_at = Some(0)`.
-pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
+pub(crate) fn scan_wal(path: &Path, db: &str) -> Result<WalScan, RecoveryError> {
     let mut bytes = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| WalError::Io {
-            path: path.to_path_buf(),
-            detail: e.to_string(),
-        })?;
+        .map_err(|e| io_err(path, e))?;
     if bytes.len() < WAL_MAGIC.len() {
         // Torn creation: nothing in here was ever acknowledged.
         return Ok(WalScan {
@@ -333,8 +308,10 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
         });
     }
     if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(WalError::BadMagic {
-            path: path.to_path_buf(),
+        return Err(RecoveryError::CorruptWal {
+            db: db.to_string(),
+            offset: 0,
+            detail: format!("{} has bad magic", path.display()),
         });
     }
 
@@ -350,7 +327,7 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
                 torn_at: None,
             });
         }
-        let torn = move |records: Vec<WalRecord>| {
+        let torn = move |records: Vec<WalRecord<'static>>| {
             Ok(WalScan {
                 records,
                 valid_len: at as u64,
@@ -395,8 +372,8 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
             None => at += 8 + len as usize,
             Some(_) if last => return torn(records),
             Some(detail) => {
-                return Err(WalError::Corrupt {
-                    path: path.to_path_buf(),
+                return Err(RecoveryError::CorruptWal {
+                    db: db.to_string(),
                     offset: at as u64,
                     detail,
                 })
@@ -407,18 +384,17 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, WalError> {
 
 /// Append handle on one database's WAL. Framing and checksums live here;
 /// fsync policy is the caller's (the store times it for metrics).
-pub struct WalWriter {
+pub(crate) struct WalWriter {
     file: File,
-    path: PathBuf,
     /// File length in bytes (all-good records; the writer never leaves a
     /// known-bad tail behind).
-    pub len: u64,
+    pub(crate) len: u64,
 }
 
 impl WalWriter {
     /// Creates a fresh WAL (truncating anything present) and writes the
     /// magic. The caller fsyncs per its policy.
-    pub fn create(path: &Path) -> io::Result<WalWriter> {
+    pub(crate) fn create(path: &Path) -> io::Result<WalWriter> {
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -427,19 +403,17 @@ impl WalWriter {
         file.write_all(WAL_MAGIC)?;
         Ok(WalWriter {
             file,
-            path: path.to_path_buf(),
             len: WAL_MAGIC.len() as u64,
         })
     }
 
     /// Opens an existing WAL for appending, first truncating it to
     /// `valid_len` (dropping a torn tail found by [`scan_wal`]).
-    pub fn open(path: &Path, valid_len: u64) -> io::Result<WalWriter> {
+    pub(crate) fn open(path: &Path, valid_len: u64) -> io::Result<WalWriter> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(valid_len.max(WAL_MAGIC.len() as u64))?;
         let mut w = WalWriter {
             file,
-            path: path.to_path_buf(),
             len: valid_len,
         };
         if valid_len < WAL_MAGIC.len() as u64 {
@@ -455,46 +429,39 @@ impl WalWriter {
 
     /// Appends one framed record. Returns the frame's size in bytes. The
     /// caller decides whether to [`sync`](WalWriter::sync) afterwards.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
-        let payload = record.encode_payload();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+    pub(crate) fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
+        let frame = record.frame();
         self.file.write_all(&frame)?;
         self.len += frame.len() as u64;
         Ok(frame.len() as u64)
     }
 
     /// `fsync`s the file.
-    pub fn sync(&mut self) -> io::Result<()> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
     }
 
     /// Truncates back to just the magic — called after a snapshot has
     /// captured everything the log held.
-    pub fn truncate_to_header(&mut self) -> io::Result<()> {
+    pub(crate) fn truncate_to_header(&mut self) -> io::Result<()> {
         self.file.set_len(WAL_MAGIC.len() as u64)?;
         self.file.seek(SeekFrom::Start(WAL_MAGIC.len() as u64))?;
         self.len = WAL_MAGIC.len() as u64;
         Ok(())
     }
-
-    /// The log file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn t(vals: &[u32]) -> Tuple {
         vals.to_vec().into_boxed_slice()
     }
 
-    fn sample_records() -> Vec<WalRecord> {
+    fn sample_records() -> Vec<WalRecord<'static>> {
         vec![
             WalRecord::Create { seq: 1, version: 4 },
             WalRecord::Load {
@@ -502,13 +469,13 @@ mod tests {
                 version: 5,
                 rel: "edge".into(),
                 arity: 2,
-                tuples: vec![t(&[1, 2]), t(&[2, 3])],
+                tuples: vec![t(&[1, 2]), t(&[2, 3])].into(),
             },
             WalRecord::Add {
                 seq: 3,
                 version: 6,
                 rel: "edge".into(),
-                tuple: t(&[3, 1]),
+                tuple: Cow::Owned(t(&[3, 1])),
             },
         ]
     }
@@ -531,8 +498,9 @@ mod tests {
     #[test]
     fn payloads_round_trip() {
         for r in sample_records() {
-            let p = r.encode_payload();
-            assert_eq!(WalRecord::decode_payload(&p).unwrap(), r);
+            let frame = r.frame();
+            assert_eq!(WalRecord::decode_payload(&frame[8..]).unwrap(), r);
+            assert_eq!(frame.len(), frame.capacity(), "sized exactly");
         }
     }
 
@@ -548,7 +516,7 @@ mod tests {
         let path = tmpfile("roundtrip");
         let records = sample_records();
         write_all(&path, &records);
-        let scan = scan_wal(&path).unwrap();
+        let scan = scan_wal(&path, "g").unwrap();
         assert_eq!(scan.records, records);
         assert!(scan.torn_at.is_none());
     }
@@ -565,27 +533,27 @@ mod tests {
         // records survive.
         for cut in (good_len - 5)..good_len {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let scan = scan_wal(&path).unwrap();
+            let scan = scan_wal(&path, "g").unwrap();
             assert!(scan.torn_at.is_some());
             assert_eq!(scan.records.len(), 2, "cut at {cut}");
         }
 
         // Flip a payload byte in the middle record: corruption.
         let mut bad = full.clone();
-        let mid = WAL_MAGIC.len() + 8 + sample_records()[0].encode_payload().len() + 12;
+        let frames: Vec<usize> = sample_records().iter().map(|r| r.frame().len()).collect();
+        let mid = WAL_MAGIC.len() + frames[0] + 8 + 12;
         bad[mid] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(scan_wal(&path), Err(WalError::Corrupt { .. })));
+        assert!(matches!(
+            scan_wal(&path, "g"),
+            Err(RecoveryError::CorruptWal { .. })
+        ));
 
         // Flip the same byte when the middle record is the *last* one:
         // now it is a torn tail.
-        let second_end = WAL_MAGIC.len()
-            + 8
-            + sample_records()[0].encode_payload().len()
-            + 8
-            + sample_records()[1].encode_payload().len();
+        let second_end = WAL_MAGIC.len() + frames[0] + frames[1];
         std::fs::write(&path, &bad[..second_end]).unwrap();
-        let scan = scan_wal(&path).unwrap();
+        let scan = scan_wal(&path, "g").unwrap();
         assert_eq!(scan.records.len(), 1);
         assert!(scan.torn_at.is_some());
     }
@@ -594,7 +562,7 @@ mod tests {
     fn truncated_creation_scans_empty() {
         let path = tmpfile("torn-create");
         std::fs::write(&path, &WAL_MAGIC[..3]).unwrap();
-        let scan = scan_wal(&path).unwrap();
+        let scan = scan_wal(&path, "g").unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.torn_at, Some(0));
     }
@@ -607,19 +575,19 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..w.len as usize - 3]).unwrap();
 
-        let scan = scan_wal(&path).unwrap();
+        let scan = scan_wal(&path, "g").unwrap();
         assert_eq!(scan.records.len(), 2);
         let mut w = WalWriter::open(&path, scan.valid_len).unwrap();
         w.append(&WalRecord::Add {
             seq: 3,
             version: 9,
             rel: "edge".into(),
-            tuple: t(&[7, 7]),
+            tuple: Cow::Owned(t(&[7, 7])),
         })
         .unwrap();
         w.sync().unwrap();
 
-        let scan = scan_wal(&path).unwrap();
+        let scan = scan_wal(&path, "g").unwrap();
         assert!(scan.torn_at.is_none());
         assert_eq!(scan.records.len(), 3);
         assert_eq!(scan.records[2].version(), 9);
@@ -634,6 +602,9 @@ mod tests {
         // A trailing record keeps the gap mid-log.
         w.append(&WalRecord::Create { seq: 4, version: 3 }).unwrap();
         w.sync().unwrap();
-        assert!(matches!(scan_wal(&path), Err(WalError::Corrupt { .. })));
+        assert!(matches!(
+            scan_wal(&path, "g"),
+            Err(RecoveryError::CorruptWal { .. })
+        ));
     }
 }

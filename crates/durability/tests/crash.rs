@@ -18,15 +18,21 @@
 //!   truncated away) or refuse with a typed [`RecoveryError`]. It must
 //!   **never** serve contents that differ from every acknowledged state.
 //!
-//! The store is driven directly through the [`Persister`] trait — this
+//! The store is driven directly through its `record_*` hooks — this
 //! suite is deliberately below the catalog, so it pins the durability
-//! contract itself, not the service wiring over it.
+//! contract itself, not the service wiring over it. The acknowledged
+//! states come from a model local to this file (a load replaces a
+//! relation; an add appends unless the row is present), not from the
+//! replay code under test, and the store checkpoints the model's
+//! relations just as it checkpoints the catalog's.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ppr_durability::store::WAL_FILE;
-use ppr_durability::{DbContents, DurableStore, Persister, StoreOptions, SyncPolicy, Tuple};
+use ppr_durability::{DbContents, DurableStore, StoreOptions, SyncPolicy, Tuple};
+use ppr_relalg::{AttrId, Relation, Schema};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,30 +106,66 @@ fn mutations(seed: u64) -> Vec<Mutation> {
         .collect()
 }
 
+/// The oracle: relation name → (arity, rows in first-occurrence order).
+type Model = BTreeMap<String, (usize, Vec<Tuple>)>;
+
+/// The model's relations as the catalog would hold them.
+fn relations(model: &Model) -> Vec<Relation> {
+    model
+        .iter()
+        .map(|(name, (arity, rows))| {
+            let schema = Schema::new((0..*arity as u32).map(AttrId).collect());
+            Relation::new(name.as_str(), schema, rows.clone())
+        })
+        .collect()
+}
+
+fn model_of(contents: DbContents) -> Model {
+    contents
+        .relations
+        .into_iter()
+        .map(|r| (r.name, (r.arity, r.tuples)))
+        .collect()
+}
+
 /// Runs the sequence against a fresh store in `dir`, returning the
-/// acknowledged `(contents, version)` after every step. `states[0]` is
+/// acknowledged `(model, version)` after every step. `states[0]` is
 /// the freshly created empty database; `states[i]` is after mutation
 /// `i`. Versions are `i + 1` by construction (one catalog tick each).
-fn run_sequence(dir: &Path, muts: &[Mutation]) -> Vec<(DbContents, u64)> {
+fn run_sequence(dir: &Path, muts: &[Mutation]) -> Vec<(Model, u64)> {
     let (store, recovered, _) = DurableStore::open(dir, opts()).unwrap();
     assert!(recovered.is_empty());
     let mut states = Vec::with_capacity(muts.len() + 1);
-    let mut mirror = DbContents::default();
+    let mut model = Model::new();
     store.record_create(DB, 1).unwrap();
-    states.push((mirror.clone(), 1));
+    states.push((model.clone(), 1));
     for (i, m) in muts.iter().enumerate() {
         let version = i as u64 + 2;
         match m {
             Mutation::Load { rel, arity, tuples } => {
-                store.record_load(DB, rel, *arity, tuples, version).unwrap();
-                mirror.apply_load(rel, *arity, tuples.clone());
+                model.insert(rel.clone(), (*arity, tuples.clone()));
             }
             Mutation::Add { rel, tuple } => {
-                store.record_add(DB, rel, tuple, version).unwrap();
-                mirror.apply_add(rel, tuple);
+                let (_, rows) = model
+                    .entry(rel.clone())
+                    .or_insert_with(|| (tuple.len(), Vec::new()));
+                if !rows.contains(tuple) {
+                    rows.push(tuple.clone());
+                }
             }
         }
-        states.push((mirror.clone(), version));
+        let rels = relations(&model);
+        let after: Vec<&Relation> = rels.iter().collect();
+        match m {
+            Mutation::Load { rel, .. } => {
+                let loaded = rels.iter().find(|r| r.name() == rel).unwrap();
+                store.record_load(DB, loaded, version, &after).unwrap();
+            }
+            Mutation::Add { rel, tuple } => {
+                store.record_add(DB, rel, tuple, version, &after).unwrap();
+            }
+        }
+        states.push((model.clone(), version));
     }
     states
 }
@@ -131,14 +173,14 @@ fn run_sequence(dir: &Path, muts: &[Mutation]) -> Vec<(DbContents, u64)> {
 /// Which acknowledged state (if any) the recovered directory holds.
 /// `Ok(None)` = the database was swept (nothing acknowledged survived the
 /// corruption point — only legal when the creation itself was cut off).
-fn recover(dir: &Path) -> Result<Option<(DbContents, u64)>, ppr_durability::RecoveryError> {
+fn recover(dir: &Path) -> Result<Option<(Model, u64)>, ppr_durability::RecoveryError> {
     let (_store, recovered, _) = DurableStore::open(dir, opts())?;
     let mut it = recovered.into_iter();
     let db = it.next();
     assert!(it.next().is_none(), "only one database in play");
     Ok(db.map(|d| {
         assert_eq!(d.name, DB);
-        (d.contents, d.version)
+        (model_of(d.contents), d.version)
     }))
 }
 

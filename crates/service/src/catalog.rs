@@ -37,15 +37,18 @@
 //!
 //! ## Durability
 //!
-//! [`Catalog::open`] recovers a catalog from a data directory and wires
-//! a [`Persister`] (the `ppr-durability` store) into every mutating
-//! path: the mutation is logged — and under the default sync policy
-//! `fsync`ed — *before* it is published, so a client that saw `ok` will
-//! see the mutation after a crash. A persist failure aborts the
-//! mutation with [`CatalogError::Persist`]; the in-memory state never
-//! runs ahead of the log. Catalogs built with [`Catalog::new`] /
-//! [`Catalog::with_default`] have no persister and behave exactly as
-//! before — memory-only mode is byte-for-byte unchanged on the wire.
+//! [`Catalog::open`] recovers a catalog from a data directory and hands
+//! every mutation to its [`DurableStore`]. The writer builds the
+//! post-mutation database first; the store logs the mutation — and
+//! under the default sync policy `fsync`s it — *before* the database is
+//! published, so a client that saw `ok` will see the mutation after a
+//! crash. When its cadence says so, the store checkpoints that same
+//! database: the published database is the only copy in memory. A
+//! persist failure aborts the mutation with [`CatalogError::Persist`];
+//! the in-memory state never runs ahead of the log. Catalogs built with
+//! [`Catalog::new`] / [`Catalog::with_default`] have no store and behave
+//! exactly as before — memory-only mode is byte-for-byte unchanged on
+//! the wire.
 //!
 //! Relations created over the wire get fresh [`AttrId`] columns from a
 //! catalog-wide allocator, far above the interned query-variable space,
@@ -62,8 +65,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ppr_durability::{
-    DbContents, DurabilityStats, DurableStore, Persister, RecoveryError, RecoveryReport,
-    RelationData, StoreOptions,
+    DbContents, DurabilityStats, DurableStore, PersistError, RecoveryError, RecoveryReport,
+    StoreOptions,
 };
 use ppr_query::Database;
 use ppr_relalg::{AttrId, Relation, Schema, Value};
@@ -219,6 +222,12 @@ impl fmt::Display for CatalogError {
 
 impl std::error::Error for CatalogError {}
 
+impl From<PersistError> for CatalogError {
+    fn from(e: PersistError) -> Self {
+        CatalogError::Persist(e.to_string())
+    }
+}
+
 /// A named collection of versioned databases, shared between the engine's
 /// workers (readers) and the wire mutation verbs (writers).
 pub struct Catalog {
@@ -232,8 +241,8 @@ pub struct Catalog {
     ticks: AtomicU64,
     /// Column-id allocator for wire-created relations.
     next_col: AtomicU32,
-    /// Durability hook; `None` for memory-only catalogs.
-    persister: Option<Arc<dyn Persister>>,
+    /// The durable store; `None` for memory-only catalogs.
+    store: Option<DurableStore>,
 }
 
 impl Default for Catalog {
@@ -251,7 +260,7 @@ impl Catalog {
             write: Mutex::new(()),
             ticks: AtomicU64::new(0),
             next_col: AtomicU32::new(WIRE_COL_BASE),
-            persister: None,
+            store: None,
         }
     }
 
@@ -303,7 +312,7 @@ impl Catalog {
                 );
             }
         }
-        catalog.persister = Some(Arc::new(store));
+        catalog.store = Some(store);
         Ok((catalog, report))
     }
 
@@ -313,38 +322,32 @@ impl Catalog {
     fn rebuild(&self, contents: DbContents) -> Database {
         let mut database = Database::new();
         for rel in contents.relations {
-            let base = self.next_col.fetch_add(rel.arity as u32, Ordering::Relaxed);
-            let schema = Schema::new((0..rel.arity as u32).map(|i| AttrId(base + i)).collect());
-            let mut relation = Relation::new(&rel.name, schema, rel.tuples);
+            let mut relation = Relation::new(&rel.name, self.fresh_schema(rel.arity), rel.tuples);
             relation.dedup();
             database.add(relation);
         }
         database
     }
 
-    /// The durability hook, if this catalog persists (set by
+    /// `arity` columns no other relation uses.
+    fn fresh_schema(&self, arity: usize) -> Schema {
+        let base = self.next_col.fetch_add(arity as u32, Ordering::Relaxed);
+        Schema::new((0..arity as u32).map(|i| AttrId(base + i)).collect())
+    }
+
+    /// The durable store, if this catalog persists (set by
     /// [`Catalog::open`]).
-    pub fn persister(&self) -> Option<&Arc<dyn Persister>> {
-        self.persister.as_ref()
+    pub fn persister(&self) -> Option<&DurableStore> {
+        self.store.as_ref()
     }
 
     /// Durability counters, if this catalog persists.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.persister.as_ref().map(|p| p.stats())
+        self.store.as_ref().map(DurableStore::stats)
     }
 
     fn next_version(&self) -> DbVersion {
         DbVersion(self.ticks.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-
-    fn persist<F>(&self, commit: F) -> Result<(), CatalogError>
-    where
-        F: FnOnce(&dyn Persister) -> Result<(), ppr_durability::PersistError>,
-    {
-        match &self.persister {
-            Some(p) => commit(p.as_ref()).map_err(|e| CatalogError::Persist(e.to_string())),
-            None => Ok(()),
-        }
     }
 
     /// Publishes `db` under `name`, creating or wholesale-replacing it.
@@ -357,7 +360,9 @@ impl Catalog {
         let name = name.into();
         let _w = self.write.lock().expect("catalog write lock");
         let version = self.next_version();
-        self.persist(|p| p.record_insert(&name, &contents_of(&db), version.0))?;
+        if let Some(store) = &self.store {
+            store.record_insert(&name, &relations(&db), version.0)?;
+        }
         self.publish_at(&name, db, version);
         Ok(version)
     }
@@ -375,7 +380,9 @@ impl Catalog {
             return Err(CatalogError::DatabaseExists(name.to_string()));
         }
         let version = self.next_version();
-        self.persist(|p| p.record_create(name, version.0))?;
+        if let Some(store) = &self.store {
+            store.record_create(name, version.0)?;
+        }
         self.publish_at(name, Database::new(), version);
         Ok(version)
     }
@@ -394,7 +401,9 @@ impl Catalog {
             return Err(CatalogError::UnknownDatabase(name.to_string()));
         }
         let version = self.next_version();
-        self.persist(|p| p.record_drop(name, version.0))?;
+        if let Some(store) = &self.store {
+            store.record_drop(name, version.0)?;
+        }
         self.map.lock().expect("catalog map lock").remove(name);
         Ok(())
     }
@@ -438,16 +447,17 @@ impl Catalog {
             .ok_or_else(|| CatalogError::UnknownDatabase(db.to_string()))?;
         // Tuple work happens here, outside the map lock: readers snapshot
         // the *old* version undisturbed until the swap below.
-        let base = self.next_col.fetch_add(arity as u32, Ordering::Relaxed);
-        let schema = Schema::new((0..arity as u32).map(|i| AttrId(base + i)).collect());
-        let mut relation = Relation::new(rel, schema, tuples);
+        let mut relation = Relation::new(rel, self.fresh_schema(arity), tuples);
         relation.dedup();
-        let version = self.next_version();
-        // The log stores the post-dedup rows in relation order, so replay
-        // reconstructs byte-identical scans.
-        self.persist(|p| p.record_load(db, rel, arity, relation.tuples(), version.0))?;
         let mut next = (*current.db).clone();
         next.add(relation);
+        let version = self.next_version();
+        if let Some(store) = &self.store {
+            // The log stores the post-dedup rows in relation order, so
+            // replay reconstructs byte-identical scans.
+            let loaded = next.get(rel).expect("just added");
+            store.record_load(db, loaded, version.0, &relations(&next))?;
+        }
         self.publish_at(db, next, version);
         Ok(version)
     }
@@ -469,22 +479,19 @@ impl Catalog {
                 });
             }
         }
-        let version = self.next_version();
-        self.persist(|p| p.record_add(db, rel, &tuple, version.0))?;
         // The clone keeps the relation's digest, which `insert` updates
         // in O(1), so publishing re-fingerprints no rows.
         let mut relation = match current.db.get(rel) {
             Some(existing) => (**existing).clone(),
-            None => {
-                let arity = tuple.len() as u32;
-                let base = self.next_col.fetch_add(arity, Ordering::Relaxed);
-                let schema = Schema::new((0..arity).map(|i| AttrId(base + i)).collect());
-                Relation::empty(rel, schema)
-            }
+            None => Relation::empty(rel, self.fresh_schema(tuple.len())),
         };
-        relation.insert(tuple);
+        relation.insert(tuple.clone());
         let mut next = (*current.db).clone();
         next.add(relation);
+        let version = self.next_version();
+        if let Some(store) = &self.store {
+            store.record_add(db, rel, &tuple, version.0, &relations(&next))?;
+        }
         self.publish_at(db, next, version);
         Ok(version)
     }
@@ -546,22 +553,13 @@ impl Catalog {
     }
 }
 
-/// Extracts a database's logical content for wholesale persistence
-/// (attribute ids are deliberately dropped).
-fn contents_of(db: &Database) -> DbContents {
-    let relations = db
-        .names()
+/// `db`'s relations in name order: what the store logs and checkpoints
+/// (it persists names, arities and rows, never column ids).
+fn relations(db: &Database) -> Vec<&Relation> {
+    db.names()
         .into_iter()
-        .map(|name| {
-            let rel = db.get(name).expect("name came from names()");
-            RelationData {
-                name: name.to_string(),
-                arity: rel.arity(),
-                tuples: rel.tuples().to_vec(),
-            }
-        })
-        .collect();
-    DbContents { relations }
+        .map(|name| &**db.get(name).expect("name came from names()"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -878,6 +876,117 @@ mod tests {
         let snap = c.snapshot(DEFAULT_DB).unwrap();
         assert_eq!(snap.fingerprint, fp, "fingerprint ignores column ids");
         assert_eq!(snap.db.expect("edge").len(), 1);
+    }
+
+    /// Copies a live data directory, so recovery can run beside the
+    /// catalog still writing the original.
+    fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+        let _ = std::fs::remove_dir_all(to);
+        for db in std::fs::read_dir(from).unwrap() {
+            let db = db.unwrap();
+            std::fs::create_dir_all(to.join(db.file_name())).unwrap();
+            for file in std::fs::read_dir(db.path()).unwrap() {
+                let file = file.unwrap();
+                let target = to.join(db.file_name()).join(file.file_name());
+                std::fs::copy(file.path(), target).unwrap();
+            }
+        }
+    }
+
+    /// Every database of `got` matches `want`: names, versions,
+    /// fingerprints, and every relation's rows in order.
+    fn assert_same_catalog(got: &Catalog, want: &Catalog, step: &str) {
+        assert_eq!(got.names(), want.names(), "after {step}");
+        for name in want.names() {
+            let (g, w) = (got.snapshot(&name).unwrap(), want.snapshot(&name).unwrap());
+            assert_eq!(g.version, w.version, "{name} after {step}");
+            assert_eq!(g.fingerprint, w.fingerprint, "{name} after {step}");
+            assert_eq!(g.db.names(), w.db.names(), "{name} after {step}");
+            for rel in w.db.names() {
+                let (gr, wr) = (g.db.expect(rel), w.db.expect(rel));
+                assert_eq!(gr.tuples(), wr.tuples(), "{name}.{rel} after {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_checkpoint_holds_the_published_database() {
+        // With a checkpoint after every record, each mutation's snapshot
+        // replaces the log: a snapshot of the wrong database would lose
+        // an acknowledged write at the very next reopen.
+        let dir = tmpdir("checkpoint-every");
+        let copy = tmpdir("checkpoint-every-copy");
+        let options = StoreOptions {
+            sync: ppr_durability::SyncPolicy::Never,
+            snapshot_every: 1,
+            snapshot_bytes: 1 << 20,
+        };
+        let (c, _) = Catalog::open_with(&dir, options).unwrap();
+        let reopened_matches = |step: &str| {
+            copy_dir(&dir, &copy);
+            let (recovered, _) = Catalog::open_with(&copy, options).unwrap();
+            assert_same_catalog(&recovered, &c, step);
+        };
+        c.create("a").unwrap();
+        c.create("b").unwrap();
+        reopened_matches("create");
+        c.load("a", "e", vec![tuple(&[1, 2]), tuple(&[2, 3])])
+            .unwrap();
+        c.load("b", "f", vec![tuple(&[9])]).unwrap();
+        reopened_matches("load");
+        c.add("a", "e", tuple(&[3, 1])).unwrap();
+        reopened_matches("add");
+        c.add("a", "g", tuple(&[7])).unwrap();
+        reopened_matches("add to a new relation");
+        c.add("a", "e", tuple(&[1, 2])).unwrap();
+        reopened_matches("duplicate add");
+        c.load("a", "e", vec![tuple(&[8, 8])]).unwrap();
+        reopened_matches("re-load");
+        let mut replaced = Database::new();
+        replaced.add(Relation::new(
+            "edge",
+            Schema::new(vec![AttrId(1), AttrId(2)]),
+            vec![tuple(&[4, 5]), tuple(&[5, 4])],
+        ));
+        c.insert("b", replaced).unwrap();
+        reopened_matches("insert");
+        c.add("b", "edge", tuple(&[6, 6])).unwrap();
+        reopened_matches("add after insert");
+        c.drop_db("a").unwrap();
+        reopened_matches("drop");
+        assert_eq!(c.durability_stats().unwrap().snapshot_writes, 8);
+    }
+
+    #[test]
+    fn a_name_the_log_cannot_hold_is_refused_not_a_panic() {
+        let dir = tmpdir("long-name");
+        let (c, _) = Catalog::open(&dir).unwrap();
+        c.create("g").unwrap();
+        let long = "r".repeat(70_000);
+        assert!(matches!(
+            c.add("g", &long, tuple(&[1, 2])),
+            Err(CatalogError::Persist(_))
+        ));
+        assert!(matches!(
+            c.load("g", &long, vec![tuple(&[1, 2])]),
+            Err(CatalogError::Persist(_))
+        ));
+        let mut db = Database::new();
+        db.add(Relation::new(
+            &long,
+            Schema::new(vec![AttrId(1)]),
+            vec![tuple(&[1])],
+        ));
+        assert!(matches!(c.insert("h", db), Err(CatalogError::Persist(_))));
+        assert!(c.snapshot("h").is_none());
+        assert!(c.snapshot("g").unwrap().db.is_empty(), "nothing published");
+
+        // The catalog is not poisoned: the next mutation goes through.
+        c.add("g", "e", tuple(&[1, 2])).unwrap();
+        drop(c);
+        let (c, _) = Catalog::open(&dir).unwrap();
+        assert_eq!(c.names(), vec!["g".to_string()]);
+        assert_eq!(c.snapshot("g").unwrap().db.expect("e").len(), 1);
     }
 
     #[test]

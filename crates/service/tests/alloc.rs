@@ -2,8 +2,9 @@
 //! hit or not: rule text in (`parse_query`), cache identity
 //! (`QueryIdentity::of`), reply text out (`encode_result` + `tag_reply`);
 //! for the result-cache lookup every hit pays between them; and for a
-//! whole hit served over a socket, which must not copy the cached rows.
-//! Heap allocations are the one cost figure of theirs that does not drift
+//! whole hit served over a socket, which must not copy the cached rows;
+//! and for a durable catalog's `load` and `add`, which must cost what the
+//! memory-only catalog's do plus a constant. Heap allocations are the one cost figure of theirs that does not drift
 //! with the host. A counting `#[global_allocator]` needs its own test
 //! binary.
 
@@ -15,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ppr_core::methods::Method;
+use ppr_durability::{StoreOptions, SyncPolicy};
 use ppr_graph::families;
 use ppr_query::Database;
 use ppr_query::{parse_query, QueryIdentity};
@@ -197,4 +199,44 @@ fn a_hit_served_over_a_socket_does_not_copy_the_cached_rows() {
         wide <= thin + 3,
         "{thin} allocations per 4-row hit, {wide} per 430-row hit"
     );
+}
+
+/// Allocations of a `load` of `n` rows and of an `add` into those `n`
+/// rows, on a fresh `catalog` holding an empty database `g`.
+fn load_and_add(catalog: &Catalog, n: u32) -> (u64, u64) {
+    catalog.create("g").unwrap();
+    let rows: Vec<Box<[u32]>> = (0..n).map(|i| vec![i, i + 1].into()).collect();
+    let (_, load) = allocations_during(|| catalog.load("g", "e", rows).unwrap());
+    let row: Box<[u32]> = vec![n, 0].into();
+    let (_, add) = allocations_during(|| catalog.add("g", "e", row).unwrap());
+    (load, add)
+}
+
+#[test]
+fn a_durable_mutation_costs_a_constant_over_the_memory_only_one() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A checkpoint after every record: each mutation also writes a
+    // snapshot of the whole database.
+    let options = StoreOptions {
+        sync: SyncPolicy::Never,
+        snapshot_every: 1,
+        snapshot_bytes: 1 << 30,
+    };
+    for n in [64, 4096] {
+        let dir = std::env::temp_dir().join(format!("ppr-alloc-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (durable, _) = Catalog::open_with(&dir, options).unwrap();
+        let (durable_load, durable_add) = load_and_add(&durable, n);
+        let (memory_load, memory_add) = load_and_add(&Catalog::new(), n);
+        // The store keeps no copy of the database, and the log record
+        // and the snapshot are each encoded into one exactly-sized
+        // buffer, so no extra allocation depends on n (at 4 096 rows a
+        // copy would cost 4 096).
+        assert!(
+            durable_load <= memory_load + 32 && durable_add <= memory_add + 32,
+            "n = {n}: load {durable_load} vs {memory_load}, add {durable_add} vs {memory_add}"
+        );
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

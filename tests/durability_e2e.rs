@@ -248,3 +248,30 @@ fn fresh_data_dir_round_trips_cleanly() {
     serve.wait().expect("wait");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A relation name longer than the log can hold (its length is a `u16`)
+/// still fits in one request line. The durable server refuses that
+/// mutation with an `err` line instead of panicking on the event-loop
+/// thread, and the same connection keeps mutating and querying.
+#[test]
+fn unloggable_relation_name_is_refused_and_the_server_keeps_serving() {
+    let dir = tmpdir("long-name");
+    let (mut serve, addr) = spawn_serve(&dir);
+    let mut client = Client::connect(&addr).expect("connect");
+    let long = "r".repeat(70_000);
+    let refused = client.add("default", &long, vec![1, 2].into_boxed_slice());
+    assert!(refused.is_err(), "{refused:?}");
+
+    let v = client
+        .add("default", "edge", vec![7, 8].into_boxed_slice())
+        .expect("a normal add after the refusal");
+    let reply = client
+        .run(&request("q(x, y) :- edge(x, y)", None))
+        .expect("a query after the refusal");
+    assert!(reply.rows.iter().any(|r| r.as_ref() == [7, 8]));
+    assert_eq!(client.dbs().expect("dbs")[0].version, v);
+
+    serve.kill().expect("kill");
+    serve.wait().expect("wait");
+    let _ = std::fs::remove_dir_all(&dir);
+}
