@@ -19,8 +19,8 @@
 //!   [`ProfileMode::On`], and the [`PassSpan`]s the planning pipeline
 //!   records, both shipped by the `explain` verb.
 //! - [`log`] — a tiny leveled logger gated by the `PPR_LOG` env var
-//!   (`error|warn|info|debug|off`, default `warn`, plus a `json` output
-//!   mode), for diagnostics that must never pollute CLI stdout.
+//!   (`error|warn|info|debug|off`, default `warn`), for diagnostics that
+//!   must never pollute CLI stdout.
 //! - [`expose`] — Prometheus-style text rendering plus a minimal
 //!   HTTP/1.1 endpoint ([`MetricsServer`]) for `ppr serve
 //!   --metrics-addr`.
@@ -38,7 +38,7 @@ pub mod slowlog;
 pub mod trace;
 
 pub use expose::{MetricsServer, Routes};
-pub use log::{Level, LogFormat};
+pub use log::Level;
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, Quantiles, Registry};
 pub use profile::{OpKind, OpNode, OpProfile, PassSpan, ProfileMode, OP_KINDS};
 pub use slowlog::{SlowEntry, SlowLog};

@@ -1,16 +1,8 @@
 //! Minimal leveled logger, gated by the `PPR_LOG` environment variable.
 //!
-//! `PPR_LOG` takes a comma-separated spec of a level
-//! (`off|error|warn|info|debug`, default `warn`) and an output format
-//! (`plain|json`, default `plain`) in either order: `PPR_LOG=debug`,
-//! `PPR_LOG=json`, `PPR_LOG=debug,json`. Output goes to **stderr** only
-//! — CLI user-facing stdout stays clean — one line per event:
-//!
-//! - plain: `[ppr WARN] module::path: message`
-//! - json: `{"ts":1723111845123,"level":"warn","target":"module::path",`
-//!   `"msg":"message"}` (one object per line; `ts` is Unix milliseconds;
-//!   extra key/value fields follow `msg` when the call site supplies
-//!   them via [`log_kv`]).
+//! `PPR_LOG` names the level (`off|error|warn|info|debug`, default
+//! `warn`). Output goes to **stderr** only — CLI user-facing stdout stays
+//! clean — one line per event: `[ppr WARN] module::path: message`.
 //!
 //! Use through the crate-root macros [`ppr_error!`], [`ppr_warn!`],
 //! [`ppr_info!`], [`ppr_debug!`]; each checks [`enabled`] first, so a
@@ -23,7 +15,6 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Log severity, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -52,16 +43,9 @@ impl Level {
         }
     }
 
-    fn json_tag(self) -> &'static str {
-        match self {
-            Level::Off => "off",
-            Level::Error => "error",
-            Level::Warn => "warn",
-            Level::Info => "info",
-            Level::Debug => "debug",
-        }
-    }
-
+    /// Parses a `PPR_LOG` value. An unknown one yields `None`, and the
+    /// default applies: a typo'd spec degrades to `warn` rather than
+    /// panicking inside a logging call.
     fn from_env(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "none" | "0" => Some(Level::Off),
@@ -74,32 +58,10 @@ impl Level {
     }
 }
 
-/// How log lines are rendered to stderr.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[repr(u8)]
-pub enum LogFormat {
-    /// `[ppr LEVEL] target: message` (the default).
-    #[default]
-    Plain = 0,
-    /// One JSON object per line (machine-ingestable).
-    Json = 1,
-}
-
-impl LogFormat {
-    fn from_env(s: &str) -> Option<LogFormat> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "plain" | "text" => Some(LogFormat::Plain),
-            "json" => Some(LogFormat::Json),
-            _ => None,
-        }
-    }
-}
-
 /// Sentinel meaning "read `PPR_LOG` on first use".
 const UNSET: u8 = u8::MAX;
 
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(UNSET);
-static FORMAT: AtomicU8 = AtomicU8::new(UNSET);
 
 fn decode(v: u8) -> Level {
     match v {
@@ -111,65 +73,22 @@ fn decode(v: u8) -> Level {
     }
 }
 
-/// Splits a `PPR_LOG` spec into its level and format parts. Unknown
-/// tokens are ignored (a typo'd spec degrades to the defaults rather
-/// than panicking inside a logging call).
-fn parse_spec(spec: &str) -> (Option<Level>, Option<LogFormat>) {
-    let mut level = None;
-    let mut format = None;
-    for token in spec.split(',') {
-        if let Some(l) = Level::from_env(token) {
-            level = Some(l);
-        } else if let Some(f) = LogFormat::from_env(token) {
-            format = Some(f);
-        }
-    }
-    (level, format)
-}
-
-/// Reads `PPR_LOG` once and caches both the threshold and the format.
-fn init_from_env() -> (Level, LogFormat) {
-    let spec = std::env::var("PPR_LOG").unwrap_or_default();
-    let (level, format) = parse_spec(&spec);
-    let level = level.unwrap_or(Level::Warn);
-    let format = format.unwrap_or(LogFormat::Plain);
-    MAX_LEVEL.store(level as u8, Ordering::Relaxed);
-    FORMAT.store(format as u8, Ordering::Relaxed);
-    (level, format)
-}
-
-/// The active threshold: `PPR_LOG` if set and valid, else `warn`.
+/// The active threshold: `PPR_LOG` if set and valid, else `warn`. The
+/// variable is read once and cached.
 pub fn max_level() -> Level {
     let v = MAX_LEVEL.load(Ordering::Relaxed);
     if v != UNSET {
         return decode(v);
     }
-    init_from_env().0
-}
-
-/// The active output format: `PPR_LOG` if it names one, else plain.
-pub fn format() -> LogFormat {
-    let v = FORMAT.load(Ordering::Relaxed);
-    match v {
-        0 => LogFormat::Plain,
-        1 => LogFormat::Json,
-        _ => init_from_env().1,
-    }
+    let spec = std::env::var("PPR_LOG").unwrap_or_default();
+    let level = Level::from_env(&spec).unwrap_or(Level::Warn);
+    MAX_LEVEL.store(level as u8, Ordering::Relaxed);
+    level
 }
 
 /// Overrides the threshold at runtime (wins over `PPR_LOG`).
 pub fn set_max_level(level: Level) {
-    if FORMAT.load(Ordering::Relaxed) == UNSET {
-        // Keep the format consistent with the env spec even when the
-        // level is pinned programmatically first.
-        init_from_env();
-    }
     MAX_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// Overrides the output format at runtime (wins over `PPR_LOG`).
-pub fn set_format(format: LogFormat) {
-    FORMAT.store(format as u8, Ordering::Relaxed);
 }
 
 /// Whether events at `level` are currently emitted.
@@ -177,83 +96,10 @@ pub fn enabled(level: Level) -> bool {
     level != Level::Off && level <= max_level()
 }
 
-/// Escapes `s` for inclusion in a JSON string literal (quotes,
-/// backslashes, and control characters; everything else passes through,
-/// which is valid JSON since strings are UTF-8).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders one event in the JSON format (split from [`log_kv`] so tests
-/// can check the shape without capturing stderr).
-fn render_json(
-    ts_ms: u128,
-    level: Level,
-    target: &str,
-    msg: &str,
-    kv: &[(&str, String)],
-) -> String {
-    let mut line = format!(
-        "{{\"ts\":{},\"level\":\"{}\",\"target\":\"{}\",\"msg\":\"{}\"",
-        ts_ms,
-        level.json_tag(),
-        json_escape(target),
-        json_escape(msg),
-    );
-    for (k, v) in kv {
-        line.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
-    }
-    line.push('}');
-    line
-}
-
 /// Emits one line to stderr. Called by the macros after their
 /// [`enabled`] check; calling it directly bypasses the threshold.
 pub fn log(level: Level, target: &str, args: fmt::Arguments<'_>) {
-    log_kv(level, target, args, &[]);
-}
-
-/// [`log`] with extra structured fields, appended after `msg` in the
-/// JSON format and as trailing `k=v` pairs in the plain format.
-pub fn log_kv(level: Level, target: &str, args: fmt::Arguments<'_>, kv: &[(&str, String)]) {
-    match format() {
-        LogFormat::Plain => {
-            if kv.is_empty() {
-                eprintln!("[ppr {}] {}: {}", level.tag(), target, args);
-            } else {
-                let pairs: Vec<String> = kv.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                eprintln!(
-                    "[ppr {}] {}: {} {}",
-                    level.tag(),
-                    target,
-                    args,
-                    pairs.join(" ")
-                );
-            }
-        }
-        LogFormat::Json => {
-            let ts_ms = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_millis())
-                .unwrap_or(0);
-            eprintln!(
-                "{}",
-                render_json(ts_ms, level, target, &args.to_string(), kv)
-            );
-        }
-    }
+    eprintln!("[ppr {}] {}: {}", level.tag(), target, args);
 }
 
 /// Logs at [`Level::Error`].
@@ -320,60 +166,5 @@ mod tests {
         set_max_level(Level::Warn);
         assert!(enabled(Level::Warn));
         assert!(!enabled(Level::Info));
-    }
-
-    #[test]
-    fn spec_parses_level_and_format_in_any_order() {
-        assert_eq!(parse_spec("debug"), (Some(Level::Debug), None));
-        assert_eq!(parse_spec("json"), (None, Some(LogFormat::Json)));
-        assert_eq!(
-            parse_spec("debug,json"),
-            (Some(Level::Debug), Some(LogFormat::Json))
-        );
-        assert_eq!(
-            parse_spec("JSON, info"),
-            (Some(Level::Info), Some(LogFormat::Json))
-        );
-        assert_eq!(
-            parse_spec("warn,plain"),
-            (Some(Level::Warn), Some(LogFormat::Plain))
-        );
-        // Unknown tokens are ignored, not fatal.
-        assert_eq!(parse_spec("verbose,yaml"), (None, None));
-    }
-
-    #[test]
-    fn json_lines_are_escaped_objects() {
-        let line = render_json(
-            1723111845123,
-            Level::Warn,
-            "ppr_service::engine",
-            "worker panicked: \"index out of bounds\"\n\tat stage 2",
-            &[("db", "graphs".to_string()), ("seq", "7".to_string())],
-        );
-        assert!(line.starts_with("{\"ts\":1723111845123,\"level\":\"warn\","));
-        assert!(line.contains("\"target\":\"ppr_service::engine\""));
-        assert!(line.contains("\\\"index out of bounds\\\""));
-        assert!(line.contains("\\n\\tat stage 2"));
-        assert!(line.contains("\"db\":\"graphs\""));
-        assert!(line.contains("\"seq\":\"7\""));
-        assert!(line.ends_with('}'));
-        // One object per line: the rendered form never embeds a raw newline.
-        assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn format_override_wins() {
-        set_format(LogFormat::Json);
-        assert_eq!(format(), LogFormat::Json);
-        set_format(LogFormat::Plain);
-        assert_eq!(format(), LogFormat::Plain);
     }
 }

@@ -8,30 +8,20 @@
 //! catalog's copy-on-write updates keep this sound — cloning a relation
 //! starts with a cold cache, and in-place mutation clears it.
 //!
-//! Two representations are used, chosen by relation size at build time:
-//!
-//! * **hashed** — `value → Vec<row>` (small relations, the paper's
-//!   six-tuple `edge` tables);
-//! * **sorted** — a CSR layout (`keys` sorted ascending, `offsets`,
-//!   `rows`) probed by binary search; denser and cache-friendlier for
-//!   large relations.
-//!
-//! Both keep postings in ascending row order, which is what lets the
-//! streaming executor's `IxJoin` reproduce the hash pipeline's output
-//! byte for byte: probing an index yields matches in exactly the order a
-//! per-query build table would have recorded them.
+//! An index is a hash-join build keyed on its one column: the column is
+//! copied into a one-column row buffer and grouped by the routine that
+//! builds a join's build side (`rows::Buffers::group`), so the executor
+//! has one grouping table. Its postings are ascending row positions, which
+//! is what lets the streaming executor's `IxJoin` reproduce a per-query
+//! hash join's output byte for byte: probing an index yields matches in
+//! exactly the order a per-query build table would have recorded them.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use rustc_hash::FxHashMap;
-
 use crate::relation::Relation;
+use crate::rows::{Buffers, GroupIndex};
 use crate::value::Value;
-
-/// Relations at or above this row count get the sorted (CSR)
-/// representation; smaller ones stay hashed.
-const SORTED_MIN_ROWS: usize = 4096;
 
 /// A secondary index on one column: value → ascending row positions.
 pub struct ColumnIndex {
@@ -39,78 +29,30 @@ pub struct ColumnIndex {
     /// result of `SELECT DISTINCT col` under the executor's
     /// first-occurrence dedup, which is what `IxScan` streams.
     first_keys: Vec<Value>,
-    repr: Repr,
-}
-
-enum Repr {
-    /// value → row positions (ascending).
-    Hashed(FxHashMap<Value, Vec<u32>>),
-    /// CSR: `keys` sorted ascending; key `i`'s postings are
-    /// `rows[offsets[i]..offsets[i + 1]]`.
-    Sorted {
-        keys: Vec<Value>,
-        offsets: Vec<u32>,
-        rows: Vec<u32>,
-    },
+    /// The column's values grouped by value.
+    groups: GroupIndex,
 }
 
 impl ColumnIndex {
-    /// Builds the index over column `col` of `rel` (one pass plus, for
-    /// large relations, a key sort into the CSR layout).
+    /// Builds the index over column `col` of `rel`: one copy of the column
+    /// and one grouping pass over it.
     pub fn build(rel: &Relation, col: usize) -> ColumnIndex {
-        let tuples = rel.tuples();
         assert!(
             col < rel.arity(),
             "column {col} out of range for arity {}",
             rel.arity()
         );
-        let mut first_keys: Vec<Value> = Vec::new();
-        let mut postings: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-        for (i, t) in tuples.iter().enumerate() {
-            let v = t[col];
-            postings
-                .entry(v)
-                .or_insert_with(|| {
-                    first_keys.push(v);
-                    Vec::new()
-                })
-                .push(i as u32);
-        }
-        let repr = if tuples.len() >= SORTED_MIN_ROWS {
-            let mut keys: Vec<Value> = postings.keys().copied().collect();
-            keys.sort_unstable();
-            let mut offsets: Vec<u32> = Vec::with_capacity(keys.len() + 1);
-            let mut rows: Vec<u32> = Vec::with_capacity(tuples.len());
-            offsets.push(0);
-            for k in &keys {
-                rows.extend_from_slice(&postings[k]);
-                offsets.push(rows.len() as u32);
-            }
-            Repr::Sorted {
-                keys,
-                offsets,
-                rows,
-            }
-        } else {
-            Repr::Hashed(postings)
-        };
-        ColumnIndex { first_keys, repr }
+        let mut buffers = Buffers::default();
+        let column = buffers.column(rel.tuples().iter().map(|t| t[col]));
+        let groups = buffers.group(column, &[0]);
+        let first_keys = groups.first_rows().map(|row| row[0]).collect();
+        ColumnIndex { first_keys, groups }
     }
 
     /// Row positions holding `v`, ascending; empty when `v` is absent.
     #[inline]
     pub fn postings(&self, v: Value) -> &[u32] {
-        match &self.repr {
-            Repr::Hashed(map) => map.get(&v).map_or(&[], |p| p.as_slice()),
-            Repr::Sorted {
-                keys,
-                offsets,
-                rows,
-            } => match keys.binary_search(&v) {
-                Ok(i) => &rows[offsets[i] as usize..offsets[i + 1] as usize],
-                Err(_) => &[],
-            },
-        }
+        self.groups.get(&[0], &[0], &[v])
     }
 
     /// Distinct key values in first-occurrence row order.
@@ -118,26 +60,11 @@ impl ColumnIndex {
     pub fn first_keys(&self) -> &[Value] {
         &self.first_keys
     }
-
-    /// Number of distinct key values.
-    pub fn distinct_keys(&self) -> usize {
-        self.first_keys.len()
-    }
-
-    /// Whether the sorted (CSR) representation was chosen.
-    pub fn is_sorted(&self) -> bool {
-        matches!(self.repr, Repr::Sorted { .. })
-    }
 }
 
 impl fmt::Debug for ColumnIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ColumnIndex({} keys, {})",
-            self.first_keys.len(),
-            if self.is_sorted() { "sorted" } else { "hashed" }
-        )
+        write!(f, "ColumnIndex({} keys)", self.first_keys.len())
     }
 }
 
@@ -195,6 +122,8 @@ mod tests {
     use super::*;
     use crate::schema::{AttrId, Schema};
     use crate::value::tuple;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn rel(rows: &[[Value; 2]]) -> Relation {
         Relation::new(
@@ -211,7 +140,6 @@ mod tests {
         assert_eq!(ix.postings(1), &[0, 2, 4]);
         assert_eq!(ix.postings(2), &[1, 3]);
         assert_eq!(ix.postings(9), &[] as &[u32]);
-        assert!(!ix.is_sorted());
     }
 
     #[test]
@@ -219,24 +147,6 @@ mod tests {
         let r = rel(&[[3, 0], [1, 0], [3, 0], [2, 0], [1, 0]]);
         let ix = ColumnIndex::build(&r, 0);
         assert_eq!(ix.first_keys(), &[3, 1, 2]);
-        assert_eq!(ix.distinct_keys(), 3);
-    }
-
-    #[test]
-    fn large_relations_use_the_sorted_repr() {
-        let rows: Vec<[Value; 2]> = (0..SORTED_MIN_ROWS as Value).map(|i| [i % 97, i]).collect();
-        let r = rel(&rows);
-        let ix = ColumnIndex::build(&r, 0);
-        assert!(ix.is_sorted());
-        // Same answers as the hashed path would give.
-        let expected: Vec<u32> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t[0] == 13)
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(ix.postings(13), expected.as_slice());
-        assert_eq!(ix.postings(97), &[] as &[u32]);
     }
 
     #[test]
@@ -245,5 +155,40 @@ mod tests {
         let ix = ColumnIndex::build(&r, 1);
         assert_eq!(ix.postings(7), &[0, 1]);
         assert_eq!(ix.first_keys(), &[7, 8]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Up to 9 000 rows, so relations on both sides of 4 096 rows (where
+        /// an earlier layout switched representation) are drawn, over
+        /// domains from one key to nearly all-distinct keys.
+        #[test]
+        fn postings_and_first_keys_match_a_btreemap_model(
+            cells in prop::collection::vec(0u32..u32::MAX, 0..=9000),
+            domain in 1u32..6000,
+            col in 0usize..2,
+        ) {
+            let rows: Vec<[Value; 2]> = cells.iter().map(|&c| [c % domain, c / domain]).collect();
+            let ix = ColumnIndex::build(&rel(&rows), col);
+            let mut model: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
+            let mut first_keys = Vec::new();
+            for (id, row) in rows.iter().enumerate() {
+                let ids = model.entry(row[col]).or_default();
+                if ids.is_empty() {
+                    first_keys.push(row[col]);
+                }
+                ids.push(id as u32);
+            }
+            for (&key, ids) in &model {
+                let postings = ix.postings(key);
+                prop_assert!(postings.windows(2).all(|w| w[0] < w[1]));
+                prop_assert_eq!(postings, ids.as_slice());
+            }
+            let absent = (0..).find(|v| !model.contains_key(v)).expect("a free value");
+            prop_assert!(ix.postings(absent).is_empty());
+            prop_assert!(ix.postings(Value::MAX).is_empty());
+            prop_assert_eq!(ix.first_keys(), first_keys.as_slice());
+        }
     }
 }

@@ -14,10 +14,15 @@
 //!   ([`index`]) cached on the shared snapshot, and
 //!   [`plan::Plan::ProjectDistinct`] nodes (the `SELECT DISTINCT` subquery
 //!   boundaries of the paper) materialize and de-duplicate their input.
+//!   Boundaries are flat row buffers, and one grouping table (the
+//!   crate-private `rows` module) builds both the per-query hash joins
+//!   and the cached column indexes.
 //! * [`ops`] — the textbook materialized operators (natural join by hash,
 //!   sort-merge or nested loop; project-distinct; semijoin; bind), used by
 //!   the join-algorithm ablation, the semijoin reducer of `ppr-core`, and
-//!   the tests' flow model of the executor.
+//!   the tests' flow model of the executor. They key rows in plain hash
+//!   maps and share no code with the executor's tables, so the flow model
+//!   is an independent reference.
 //!
 //! Execution is instrumented ([`stats::ExecStats`]) and budgeted
 //! ([`budget::Budget`]): runs that would exceed a tuple or wall-clock budget
@@ -32,7 +37,6 @@ pub mod exec;
 #[cfg(test)]
 mod flow_model;
 pub mod index;
-pub mod key;
 pub mod ops;
 pub mod pipelined;
 pub mod plan;

@@ -5,11 +5,65 @@
 //! plan and checks [`crate::exec::execute`] against it. They are also used
 //! directly by `ppr-core`'s semijoin pre-reduction (`core::reduce`) and by
 //! the join-algorithm ablation (`experiments ablation-join`).
+//!
+//! To stay an independent reference they share no code with the executor's
+//! row buffers and grouping tables (`crate::rows`): the hash operators key
+//! rows by their key columns as boxed slices in plain `FxHashMap`s and
+//! `FxHashSet`s, probed through one reused scratch slice, and sort-merge
+//! sorts by the key columns.
 
-use crate::key::{JoinKey, KeyedMap, KeyedSet};
+use std::cmp::Ordering;
+
+use rustc_hash::{FxHashMap, FxHashSet};
+
 use crate::relation::Relation;
 use crate::schema::{AttrId, Schema};
 use crate::value::{Tuple, Value};
+
+/// `row`'s values at `pos`, written into `scratch`: the probe key of the
+/// hash operators, built without allocating.
+fn key<'a>(pos: &[usize], row: &[Value], scratch: &'a mut Vec<Value>) -> &'a [Value] {
+    scratch.clear();
+    scratch.extend(pos.iter().map(|&p| row[p]));
+    scratch
+}
+
+/// What every natural join needs: the output schema, the key positions on
+/// each side, and the right columns the output appends.
+struct JoinShape {
+    schema: Schema,
+    left_key: Vec<usize>,
+    right_key: Vec<usize>,
+    right_extra: Vec<usize>,
+}
+
+impl JoinShape {
+    fn of(left: &Relation, right: &Relation) -> JoinShape {
+        let keys = left.schema().common(right.schema());
+        let right_extra = (0..right.arity())
+            .filter(|&i| !left.schema().contains(right.schema().attrs()[i]))
+            .collect();
+        JoinShape {
+            schema: left.schema().join(right.schema()),
+            left_key: left.schema().positions(&keys),
+            right_key: right.schema().positions(&keys),
+            right_extra,
+        }
+    }
+
+    /// The output row joining `lt` with `rt`.
+    fn row(&self, lt: &[Value], rt: &[Value]) -> Tuple {
+        let mut out = Vec::with_capacity(self.schema.arity());
+        out.extend_from_slice(lt);
+        out.extend(self.right_extra.iter().map(|&p| rt[p]));
+        out.into_boxed_slice()
+    }
+
+    fn relation(self, left: &Relation, right: &Relation, rows: Vec<Tuple>) -> Relation {
+        let name = format!("({}⋈{})", left.name(), right.name());
+        Relation::new(name, self.schema, rows)
+    }
+}
 
 /// Natural join `left ⋈ right` on all shared attributes (cross product when
 /// none are shared). Hash join: builds on `right`, probes with `left`.
@@ -26,50 +80,30 @@ use crate::value::{Tuple, Value};
 /// assert_eq!(&*j.tuples()[0], &[1, 10, 7]);
 /// ```
 pub fn natural_join(left: &Relation, right: &Relation) -> Relation {
-    let keys = left.schema().common(right.schema());
-    let out_schema = left.schema().join(right.schema());
-    let left_key_pos = left.schema().positions(&keys);
-    let right_key_pos = right.schema().positions(&keys);
-    // Right columns that are new (not join keys) get appended to output.
-    let right_extra_pos: Vec<usize> = right
-        .schema()
-        .attrs()
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !left.schema().contains(**a))
-        .map(|(i, _)| i)
-        .collect();
-
-    let mut table: KeyedMap<Vec<usize>> = KeyedMap::with_capacity(keys.len(), right.len());
-    let mut scratch: Vec<Value> = Vec::with_capacity(keys.len());
-    for (i, t) in right.tuples().iter().enumerate() {
-        table
-            .entry_or_default(&right_key_pos, t, &mut scratch)
-            .push(i);
-    }
-
-    let mut rows: Vec<Tuple> = Vec::new();
-    for lt in left.tuples() {
-        if let Some(matches) = table.get(&left_key_pos, lt, &mut scratch) {
-            for &ri in matches {
-                let rt = &right.tuples()[ri];
-                let mut out = Vec::with_capacity(out_schema.arity());
-                out.extend_from_slice(lt);
-                out.extend(right_extra_pos.iter().map(|&p| rt[p]));
-                rows.push(out.into_boxed_slice());
+    let shape = JoinShape::of(left, right);
+    let mut table: FxHashMap<Box<[Value]>, Vec<&Tuple>> = FxHashMap::default();
+    let mut scratch = Vec::new();
+    for rt in right.tuples() {
+        let k = key(&shape.right_key, rt, &mut scratch);
+        match table.get_mut(k) {
+            Some(matches) => matches.push(rt),
+            None => {
+                table.insert(k.into(), vec![rt]);
             }
         }
     }
-    Relation::new(
-        format!("({}⋈{})", left.name(), right.name()),
-        out_schema,
-        rows,
-    )
+    let mut rows = Vec::new();
+    for lt in left.tuples() {
+        if let Some(matches) = table.get(key(&shape.left_key, lt, &mut scratch)) {
+            rows.extend(matches.iter().map(|rt| shape.row(lt, rt)));
+        }
+    }
+    shape.relation(left, right, rows)
 }
 
 /// Which join implementation [`join_with`] uses. The paper selected hash
-/// joins "as hash joins proved most efficient in our setting" (§2); the
-/// `ablation_join_algorithm` bench reproduces that comparison.
+/// joins "as hash joins proved most efficient in our setting" (§2);
+/// `experiments ablation-join` reproduces that comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAlgorithm {
     /// Build a hash table on the right input, probe with the left.
@@ -90,117 +124,80 @@ pub fn join_with(left: &Relation, right: &Relation, algorithm: JoinAlgorithm) ->
     }
 }
 
-/// Sort-merge natural join.
-pub fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
-    let keys = left.schema().common(right.schema());
-    let out_schema = left.schema().join(right.schema());
-    let left_key_pos = left.schema().positions(&keys);
-    let right_key_pos = right.schema().positions(&keys);
-    let right_extra_pos: Vec<usize> = right
-        .schema()
-        .attrs()
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !left.schema().contains(**a))
-        .map(|(i, _)| i)
-        .collect();
+/// How `a`'s values at `a_pos` compare, lexicographically, with `b`'s at
+/// `b_pos`.
+fn cmp_keys(a: &[Value], a_pos: &[usize], b: &[Value], b_pos: &[usize]) -> Ordering {
+    let a_key = a_pos.iter().map(|&p| a[p]);
+    a_key.cmp(b_pos.iter().map(|&p| b[p]))
+}
 
-    // Key each row once ([`JoinKey`] allocates only for keys wider than
-    // two values), instead of re-extracting a `Vec` per comparison.
-    let mut l: Vec<(JoinKey, &Tuple)> = left
-        .tuples()
-        .iter()
-        .map(|t| (JoinKey::from_row(&left_key_pos, t), t))
-        .collect();
-    let mut r: Vec<(JoinKey, &Tuple)> = right
-        .tuples()
-        .iter()
-        .map(|t| (JoinKey::from_row(&right_key_pos, t), t))
-        .collect();
-    l.sort_by(|a, b| a.0.cmp(&b.0));
-    r.sort_by(|a, b| a.0.cmp(&b.0));
+/// Sort-merge natural join: both sides sorted by their key columns, then
+/// merged run by run.
+fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
+    let shape = JoinShape::of(left, right);
+    let (lk, rk) = (&shape.left_key, &shape.right_key);
+    let mut l: Vec<&Tuple> = left.tuples().iter().collect();
+    let mut r: Vec<&Tuple> = right.tuples().iter().collect();
+    l.sort_by(|a, b| cmp_keys(a, lk, b, lk));
+    r.sort_by(|a, b| cmp_keys(a, rk, b, rk));
 
-    let mut rows: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
+    let mut rows = Vec::new();
+    let (mut i, mut j) = (0, 0);
     while i < l.len() && j < r.len() {
-        match l[i].0.cmp(&r[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Run boundaries on both sides.
-                let i_end = (i..l.len()).find(|&x| l[x].0 != l[i].0).unwrap_or(l.len());
-                let j_end = (j..r.len()).find(|&x| r[x].0 != r[j].0).unwrap_or(r.len());
-                for (_, lt) in &l[i..i_end] {
-                    for (_, rt) in &r[j..j_end] {
-                        let mut out = Vec::with_capacity(out_schema.arity());
-                        out.extend_from_slice(lt);
-                        out.extend(right_extra_pos.iter().map(|&p| rt[p]));
-                        rows.push(out.into_boxed_slice());
-                    }
+        match cmp_keys(l[i], lk, r[j], rk) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                // The runs of equal keys on both sides.
+                let ends = |x: usize, y: usize| cmp_keys(l[x], lk, r[y], rk).is_ne();
+                let i_end = (i..l.len()).find(|&x| ends(x, j)).unwrap_or(l.len());
+                let j_end = (j..r.len()).find(|&y| ends(i, y)).unwrap_or(r.len());
+                for lt in &l[i..i_end] {
+                    rows.extend(r[j..j_end].iter().map(|rt| shape.row(lt, rt)));
                 }
                 i = i_end;
                 j = j_end;
             }
         }
     }
-    Relation::new(
-        format!("({}⋈{})", left.name(), right.name()),
-        out_schema,
-        rows,
-    )
+    shape.relation(left, right, rows)
 }
 
 /// Nested-loop natural join.
-pub fn nested_loop_join(left: &Relation, right: &Relation) -> Relation {
-    let keys = left.schema().common(right.schema());
-    let out_schema = left.schema().join(right.schema());
-    let left_key_pos = left.schema().positions(&keys);
-    let right_key_pos = right.schema().positions(&keys);
-    let right_extra_pos: Vec<usize> = right
-        .schema()
-        .attrs()
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !left.schema().contains(**a))
-        .map(|(i, _)| i)
-        .collect();
-    let mut rows: Vec<Tuple> = Vec::new();
+fn nested_loop_join(left: &Relation, right: &Relation) -> Relation {
+    let shape = JoinShape::of(left, right);
+    let mut rows = Vec::new();
     for lt in left.tuples() {
         for rt in right.tuples() {
-            if left_key_pos
-                .iter()
-                .zip(&right_key_pos)
-                .all(|(&lp, &rp)| lt[lp] == rt[rp])
-            {
-                let mut out = Vec::with_capacity(out_schema.arity());
-                out.extend_from_slice(lt);
-                out.extend(right_extra_pos.iter().map(|&p| rt[p]));
-                rows.push(out.into_boxed_slice());
+            let keys = shape.left_key.iter().zip(&shape.right_key);
+            if keys.into_iter().all(|(&lp, &rp)| lt[lp] == rt[rp]) {
+                rows.push(shape.row(lt, rt));
             }
         }
     }
-    Relation::new(
-        format!("({}⋈{})", left.name(), right.name()),
-        out_schema,
-        rows,
-    )
+    shape.relation(left, right, rows)
 }
 
 /// `π_keep` with set semantics (`SELECT DISTINCT keep`).
 pub fn project_distinct(rel: &Relation, keep: &[AttrId]) -> Relation {
     let pos = rel.schema().positions(keep);
-    let schema = rel.schema().project(keep);
-    let mut seen = KeyedSet::with_capacity(pos.len(), rel.len());
-    let mut scratch: Vec<Value> = Vec::with_capacity(pos.len());
+    let mut seen: FxHashSet<Tuple> = FxHashSet::default();
+    let mut scratch = Vec::new();
     let mut rows = Vec::new();
     for t in rel.tuples() {
-        // Duplicates cost a set probe only; the output row is allocated
-        // just for first occurrences.
-        if seen.insert(&pos, t, &mut scratch) {
-            rows.push(pos.iter().map(|&p| t[p]).collect());
+        // Duplicates cost a set probe only; first occurrences are boxed
+        // twice, for the set and for the output.
+        let k = key(&pos, t, &mut scratch);
+        if !seen.contains(k) {
+            seen.insert(k.into());
+            rows.push(k.into());
         }
     }
-    let mut r = Relation::new(format!("π({})", rel.name()), schema, rows);
+    let mut r = Relation::new(
+        format!("π({})", rel.name()),
+        rel.schema().project(keep),
+        rows,
+    );
     r.dedup(); // rows already distinct; this just sets the mark
     r
 }
@@ -209,33 +206,24 @@ pub fn project_distinct(rel: &Relation, keep: &[AttrId]) -> Relation {
 /// in `right`. This is the Wong–Youssefi reduction step; the paper notes it
 /// is useless on its 3-COLOR workloads (projecting the edge relation yields
 /// all values). `core::reduce` applies it as a semijoin pre-reduction.
+/// With no shared attributes it keeps all of `left` iff `right` is
+/// nonempty: every right row is a partner under the empty key.
 pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
     let keys = left.schema().common(right.schema());
-    if keys.is_empty() {
-        // ⋉ with no shared attributes keeps everything iff right is
-        // nonempty.
-        let rows = if right.is_empty() {
-            Vec::new()
-        } else {
-            left.tuples().to_vec()
-        };
-        return Relation::new(
-            format!("({}⋉{})", left.name(), right.name()),
-            left.schema().clone(),
-            rows,
-        );
-    }
     let left_pos = left.schema().positions(&keys);
     let right_pos = right.schema().positions(&keys);
-    let mut table = KeyedSet::with_capacity(keys.len(), right.len());
-    let mut scratch: Vec<Value> = Vec::with_capacity(keys.len());
+    let mut table: FxHashSet<Tuple> = FxHashSet::default();
+    let mut scratch = Vec::new();
     for t in right.tuples() {
-        table.insert(&right_pos, t, &mut scratch);
+        let k = key(&right_pos, t, &mut scratch);
+        if !table.contains(k) {
+            table.insert(k.into());
+        }
     }
     let rows = left
         .tuples()
         .iter()
-        .filter(|t| table.contains(&left_pos, t, &mut scratch))
+        .filter(|t| table.contains(key(&left_pos, t, &mut scratch)))
         .cloned()
         .collect();
     Relation::new(

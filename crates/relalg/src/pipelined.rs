@@ -13,7 +13,8 @@
 //! * **`IxJoin`** — an equality join (single shared attribute) probed
 //!   through the base relation's cached [`ColumnIndex`]
 //!   (`StreamStage::Index`); the index is built lazily once per
-//!   relation and shared by every query holding the snapshot `Arc`.
+//!   relation, by the grouping routine that builds a `HashJoin`'s
+//!   build side, and shared by every query holding the snapshot `Arc`.
 //! * **`HashJoin`** — fallback for multi-attribute keys, cross products,
 //!   and subquery inputs: a per-query build (`StreamStage::Hash`), which
 //!   takes a subquery's rows by value — and, when it is keyed on the whole
@@ -516,7 +517,7 @@ impl<'p> Run<'p, '_> {
             node.time_us = s.elapsed().as_micros() as u64;
             node
         });
-        let rows = self.s.buffers.column(keys);
+        let rows = self.s.buffers.column(keys.iter().copied());
         Ok(Some((Boundary { rows, set: None }, prof)))
     }
 

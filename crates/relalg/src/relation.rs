@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 use rustc_hash::FxHashSet;
 
 use crate::index::{ColumnIndex, IndexCache};
-use crate::schema::{AttrId, Schema};
+use crate::schema::Schema;
 use crate::value::{Tuple, Value};
 
 /// A named, materialized relation: a schema plus a bag of tuples.
@@ -205,21 +205,6 @@ impl Relation {
         }
     }
 
-    /// The column of values for `attr`; panics if absent.
-    pub fn column(&self, attr: AttrId) -> Vec<Value> {
-        let pos = self
-            .schema
-            .position(attr)
-            .unwrap_or_else(|| panic!("attribute {attr} not in {}", self.schema));
-        self.tuples.iter().map(|t| t[pos]).collect()
-    }
-
-    /// Renames the relation (schema unchanged).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Wraps the relation for cheap sharing between plans.
     pub fn into_shared(self) -> Arc<Relation> {
         Arc::new(self)
@@ -280,6 +265,7 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::AttrId;
     use crate::value::tuple;
 
     fn schema2() -> Schema {
@@ -382,12 +368,6 @@ mod tests {
             vec![tuple(&[1, 2])],
         );
         assert!(!a.set_eq(&b));
-    }
-
-    #[test]
-    fn column_extraction() {
-        let r = Relation::new("r", schema2(), vec![tuple(&[1, 2]), tuple(&[3, 4])]);
-        assert_eq!(r.column(AttrId(1)), vec![2, 4]);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! `(hash, id)` pairs, and a probe compares rows only when the hashes agree.
 //! A `DISTINCT` sink's table is already a whole-row index of its rows, so a
 //! hash join keyed on the whole row adopts it ([`Buffers::build`]) instead
-//! of building a second one.
+//! of building a second one. [`Buffers::group`] is the executor's one
+//! grouping routine: it builds the hash joins' build sides and the base
+//! relations' cached [`crate::index::ColumnIndex`]es alike.
 //!
 //! [`Buffers`] hands the buffers of consumed boundaries to the next ones, so
 //! the pipelines of one execution reuse what the pipelines before them grew.
-//! Row ids are `u32` like [`crate::index::ColumnIndex`] postings; the sink
-//! refuses to grow a boundary past [`MAX_ROWS`] (see [`crate::exec::Sink`]).
+//! Row ids are `u32`; the sink refuses to grow a boundary past [`MAX_ROWS`]
+//! (see [`crate::exec::Sink`]).
 
 use std::hash::Hasher;
 
@@ -94,9 +96,11 @@ fn keys_eq(row: &[Value], row_pos: &[usize], buf: &[Value], buf_pos: &[usize]) -
 
 const EMPTY: u32 = u32::MAX;
 const MIN_SLOTS: usize = 8;
-/// Most slots a [`RowSet`] starts with when a recycled buffer has room for
-/// them: enough that small boundaries never grow, few enough to clear fast.
-const SET_START_SLOTS: usize = 256;
+/// Most slots a table starts with: enough that small boundaries never
+/// grow, few enough to clear fast, and few enough that grouping many rows
+/// under few keys (a column index) never allocates a table for one key
+/// per row.
+const START_SLOTS: usize = 256;
 
 /// Most rows a buffer may hold and still have every row id below [`EMPTY`].
 pub(crate) const MAX_ROWS: usize = EMPTY as usize;
@@ -273,6 +277,20 @@ impl GroupIndex {
             }
         }
     }
+
+    /// The first row of each group, groups in first-occurrence order.
+    pub(crate) fn first_rows(&self) -> impl Iterator<Item = &[Value]> {
+        let count = match &self.groups {
+            Groups::Singletons => self.rows.len(),
+            Groups::Csr { offsets, .. } => offsets.len() - 1,
+        };
+        (0..count).map(|group| match &self.groups {
+            Groups::Singletons => self.rows.row(group),
+            Groups::Csr {
+                offsets, postings, ..
+            } => self.row(postings[offsets[group] as usize]),
+        })
+    }
 }
 
 /// The buffers of the boundaries an execution has consumed, handed to the
@@ -295,18 +313,18 @@ impl Buffers {
     }
 
     /// Single-column rows, one per value.
-    pub(crate) fn column(&mut self, values: &[Value]) -> Rows {
+    pub(crate) fn column(&mut self, values: impl Iterator<Item = Value>) -> Rows {
         let mut rows = self.rows(1);
-        rows.data.extend_from_slice(values);
-        rows.len = values.len();
+        rows.data.extend(values);
+        rows.len = rows.data.len();
         rows
     }
 
     /// An empty `DISTINCT` table, as large as a recycled buffer allows up
-    /// to [`SET_START_SLOTS`].
+    /// to [`START_SLOTS`].
     pub(crate) fn row_set(&mut self) -> RowSet {
         let buf = self.slots.pop().unwrap_or_default();
-        let room = buf.capacity().min(SET_START_SLOTS);
+        let room = buf.capacity().min(START_SLOTS);
         let len = if room < MIN_SLOTS {
             MIN_SLOTS
         } else {
@@ -348,16 +366,20 @@ impl Buffers {
         }
     }
 
-    /// Groups `rows` by the columns `key_pos`, in tables sized for `rows` up
-    /// front: the build never grows.
-    fn group(&mut self, rows: Rows, key_pos: &[usize]) -> GroupIndex {
-        let len = (rows.len() * 2).next_power_of_two().max(MIN_SLOTS);
+    /// Groups `rows` by the columns `key_pos`. The id buffers are sized for
+    /// `rows` up front; the table starts at up to [`START_SLOTS`] and
+    /// doubles as groups arrive. Groups are numbered by first occurrence.
+    pub(crate) fn group(&mut self, rows: Rows, key_pos: &[usize]) -> GroupIndex {
+        let len = (rows.len() * 2)
+            .next_power_of_two()
+            .clamp(MIN_SLOTS, START_SLOTS);
         let mut table = IdTable::in_buffer(self.slots.pop().unwrap_or_default(), len);
         let mut group_of = self.ids(rows.len());
         // Group sizes first, turned into start offsets below.
         let mut offsets = self.ids(0);
         offsets.reserve(rows.len() + 1);
         for id in 0..rows.len() {
+            table.reserve_one();
             let row = rows.row(id);
             let hash = hash_values(key_pos.iter().map(|&p| row[p]));
             let found = table.find(hash, |r| {
@@ -505,11 +527,17 @@ mod tests {
             let mut buffers = Buffers::default();
             let mut rows = buffers.rows(arity);
             let mut model: BTreeMap<Vec<Value>, Vec<u32>> = BTreeMap::new();
+            let mut firsts = Vec::new();
             for (id, row) in input.iter().enumerate() {
                 rows.push(row.iter().copied());
-                model.entry(key_of(row)).or_default().push(id as u32);
+                let ids = model.entry(key_of(row)).or_default();
+                if ids.is_empty() {
+                    firsts.push(row.clone());
+                }
+                ids.push(id as u32);
             }
             let index = buffers.build(rows, &key_pos, None);
+            prop_assert_eq!(index.first_rows().map(<[Value]>::to_vec).collect::<Vec<_>>(), firsts);
             // Probe from a wider buffer through its own positions, as a
             // pipeline stage does.
             let probe_pos: Vec<usize> = (0..key_pos.len()).map(|i| i + 1).collect();
@@ -551,6 +579,7 @@ mod tests {
             prop_assert!(matches!(adopted.groups, Groups::Singletons));
             let (rows, _) = distinct(&mut buffers, arity, &input);
             let fresh = buffers.build(rows, &key_pos, None);
+            prop_assert!(adopted.first_rows().eq(fresh.first_rows()));
             // Probe through a buffer holding the key columns reversed.
             let probe_pos: Vec<usize> = (0..arity).rev().collect();
             let miss = absent[..arity].to_vec();

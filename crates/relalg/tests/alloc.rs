@@ -134,3 +134,17 @@ fn a_pipeline_costs_a_handful_of_allocations() {
         "{allocations} allocations for {pipelines} pipelines"
     );
 }
+
+#[test]
+fn indexing_a_column_allocates_per_buffer_not_per_key() {
+    // 8 192 rows with 4 096 distinct keys in the indexed column, two rows a
+    // key: the index is a handful of flat buffers. One posting list per key
+    // was 4 096 allocations and more.
+    let rows = (0..8192u32).map(|i| Box::from([i % 4096, i].as_slice()));
+    let rel = Relation::new("r", Schema::new(vec![AttrId(0), AttrId(1)]), rows.collect());
+    let ((index, built), allocations) = allocations_during(|| rel.column_index(0));
+    assert!(built);
+    assert_eq!(index.first_keys().len(), 4096);
+    assert_eq!(index.postings(7), &[7, 4103]);
+    assert!(allocations <= 16, "{allocations} allocations for one index");
+}
