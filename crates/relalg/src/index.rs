@@ -44,7 +44,8 @@ impl ColumnIndex {
         );
         let mut buffers = Buffers::default();
         let column = buffers.column(rel.tuples().iter().map(|t| t[col]));
-        let groups = buffers.group(column, &[0]);
+        let mut groups = buffers.group(column, &[0]);
+        groups.shrink_to_fit();
         let first_keys = groups.first_rows().map(|row| row[0]).collect();
         ColumnIndex { first_keys, groups }
     }

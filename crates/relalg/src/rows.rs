@@ -4,10 +4,12 @@
 //! [`Rows`] keeps a boundary's rows back to back in one `Vec<Value>`, so
 //! materializing a row costs amortised vector growth instead of a `malloc`.
 //! [`RowSet`] (the `DISTINCT` sink) and [`GroupIndex`] (the hash-join build)
-//! are open-addressing tables of `u32` row ids *into* that buffer: they own
-//! no keys, comparing the row slices in place. Each slot keeps its id's
-//! 32-bit key hash beside the id, so a row is hashed once: growth moves
-//! `(hash, id)` pairs, and a probe compares rows only when the hashes agree.
+//! are open-addressing tables of `u32` ids *into* that buffer — row ids in
+//! a `RowSet`, group numbers in a built `GroupIndex`, whose groups' first
+//! rows hold their keys: they own no keys, comparing the row slices in
+//! place. Each slot keeps its id's 32-bit key hash beside the id, so a row
+//! is hashed once: growth moves `(hash, id)` pairs, and a probe compares
+//! rows only when the hashes agree.
 //! A `DISTINCT` sink's table is already a whole-row index of its rows, so a
 //! hash join keyed on the whole row adopts it ([`Buffers::build`]) instead
 //! of building a second one. [`Buffers::group`] is the executor's one
@@ -215,19 +217,18 @@ impl RowSet {
     }
 }
 
-/// How a [`GroupIndex`]'s table entries map to groups of rows.
+/// How a [`GroupIndex`]'s groups, which its table slots hold by number,
+/// map to rows.
 #[derive(Debug)]
 enum Groups {
-    /// The table holds every row, keyed by the whole row: each row is its
-    /// own group.
+    /// The table holds every row, keyed by the whole row: group `g` is row
+    /// `g`.
     Singletons,
-    /// The table holds each group's first row. Postings are ascending row
+    /// Groups are numbered by first occurrence. Postings are ascending row
     /// ids — the order a per-key `Vec` filled in row order would hold —
     /// which is what keeps join output order (and so every budget trip
     /// point) independent of this layout.
     Csr {
-        /// Row id → group number (groups are numbered by first occurrence).
-        group_of: Vec<u32>,
         /// Group `g`'s row ids are `postings[offsets[g]..offsets[g + 1]]`.
         offsets: Vec<u32>,
         postings: Vec<u32>,
@@ -250,6 +251,17 @@ impl GroupIndex {
         self.rows.row(id as usize)
     }
 
+    /// The first row of group `group`.
+    #[inline]
+    fn first_row(&self, group: u32) -> &[Value] {
+        match &self.groups {
+            Groups::Singletons => self.row(group),
+            Groups::Csr { offsets, postings } => {
+                self.row(postings[offsets[group as usize] as usize])
+            }
+        }
+    }
+
     /// Ids of the rows whose columns `key_pos` equal `buf` at `probe_pos`,
     /// ascending; empty when there are none.
     #[inline]
@@ -258,22 +270,18 @@ impl GroupIndex {
             return &[];
         }
         let hash = hash_values(probe_pos.iter().map(|&p| buf[p]));
-        let found = self
-            .table
-            .find(hash, |r| keys_eq(self.row(r), key_pos, buf, probe_pos));
+        let found = self.table.find(hash, |g| {
+            keys_eq(self.first_row(g), key_pos, buf, probe_pos)
+        });
         let Ok(at) = found else {
             return &[];
         };
-        let first = &self.table.slots[at].id;
+        let group = &self.table.slots[at].id;
         match &self.groups {
-            Groups::Singletons => std::slice::from_ref(first),
-            Groups::Csr {
-                group_of,
-                offsets,
-                postings,
-            } => {
-                let group = group_of[*first as usize] as usize;
-                &postings[offsets[group] as usize..offsets[group + 1] as usize]
+            Groups::Singletons => std::slice::from_ref(group),
+            Groups::Csr { offsets, postings } => {
+                let g = *group as usize;
+                &postings[offsets[g] as usize..offsets[g + 1] as usize]
             }
         }
     }
@@ -284,12 +292,15 @@ impl GroupIndex {
             Groups::Singletons => self.rows.len(),
             Groups::Csr { offsets, .. } => offsets.len() - 1,
         };
-        (0..count).map(|group| match &self.groups {
-            Groups::Singletons => self.rows.row(group),
-            Groups::Csr {
-                offsets, postings, ..
-            } => self.row(postings[offsets[group] as usize]),
-        })
+        (0..count as u32).map(|group| self.first_row(group))
+    }
+
+    /// Gives back the capacity its group offsets reserved for one group a
+    /// row, for a build that is kept rather than recycled.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        if let Groups::Csr { offsets, .. } = &mut self.groups {
+            offsets.shrink_to_fit();
+        }
     }
 }
 
@@ -369,6 +380,9 @@ impl Buffers {
     /// Groups `rows` by the columns `key_pos`. The id buffers are sized for
     /// `rows` up front; the table starts at up to [`START_SLOTS`] and
     /// doubles as groups arrive. Groups are numbered by first occurrence.
+    /// While grouping, a table slot holds its group's first row and
+    /// `group_of` maps rows to groups; once the postings are laid out, each
+    /// slot holds its group's number and `group_of` goes back to the pool.
     pub(crate) fn group(&mut self, rows: Rows, key_pos: &[usize]) -> GroupIndex {
         let len = (rows.len() * 2)
             .next_power_of_two()
@@ -410,14 +424,14 @@ impl Buffers {
             postings[*at as usize] = id as u32;
         }
         offsets.push(end);
+        for slot in table.slots.iter_mut().filter(|slot| slot.id != EMPTY) {
+            slot.id = group_of[slot.id as usize];
+        }
+        keep(&mut self.ids, group_of);
         GroupIndex {
             rows,
             table,
-            groups: Groups::Csr {
-                group_of,
-                offsets,
-                postings,
-            },
+            groups: Groups::Csr { offsets, postings },
         }
     }
 
@@ -432,15 +446,9 @@ impl Buffers {
     pub(crate) fn recycle_group(&mut self, index: GroupIndex) {
         self.recycle_rows(index.rows);
         keep(&mut self.slots, index.table.slots);
-        if let Groups::Csr {
-            group_of,
-            offsets,
-            postings,
-        } = index.groups
-        {
-            for ids in [group_of, offsets, postings] {
-                keep(&mut self.ids, ids);
-            }
+        if let Groups::Csr { offsets, postings } = index.groups {
+            keep(&mut self.ids, offsets);
+            keep(&mut self.ids, postings);
         }
     }
 }

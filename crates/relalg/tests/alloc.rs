@@ -1,7 +1,7 @@
 //! Allocation guard: what a materialization boundary costs, counted in
 //! heap allocations — the one executor cost figure that does not drift
-//! with the host. A counting `#[global_allocator]` needs its own test
-//! binary.
+//! with the host — and what a cached column index keeps, counted in live
+//! heap bytes. A counting `#[global_allocator]` needs its own test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,26 +12,35 @@ use ppr_relalg::{exec, AttrId, Budget, Plan, Relation, Schema};
 thread_local! {
     /// Allocations made by this thread (the harness runs tests on several).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed (frees of another
+    /// thread's memory count against the freeing thread).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn count(allocations: u64, bytes: i64) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a `const`-initialised thread-local
-// `Cell` with no destructor, so touching it neither allocates nor unwinds
+// `GlobalAlloc` contract; the counters are `const`-initialised thread-local
+// `Cell`s with no destructor, so touching them neither allocates nor unwinds
 // (`try_with` only fails during thread teardown, where the count is moot).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(1, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(1, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,6 +52,13 @@ fn allocations_during<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = work();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// What `work` returns and the heap bytes it left allocated.
+fn live_bytes_after<T>(work: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let out = work();
+    (out, LIVE_BYTES.with(Cell::get) - before)
 }
 
 /// All ordered pairs of distinct values below `domain`.
@@ -147,4 +163,28 @@ fn indexing_a_column_allocates_per_buffer_not_per_key() {
     assert_eq!(index.first_keys().len(), 4096);
     assert_eq!(index.postings(7), &[7, 4103]);
     assert!(allocations <= 16, "{allocations} allocations for one index");
+}
+
+#[test]
+fn a_cached_column_index_keeps_two_ids_a_row() {
+    // 10 000 `visits(x, c)` rows over three colours, indexed on the colour:
+    // the index keeps its key column and one posting a row (8 bytes), plus
+    // a table and offsets sized to its three groups. It kept 16 bytes a row
+    // while a row → group map stayed beside them and the offsets kept room
+    // for one group a row.
+    const ROWS: u32 = 10_000;
+    let rows = (0..ROWS).map(|i| Box::from([i, i % 3].as_slice()));
+    let rel = Relation::new(
+        "visits",
+        Schema::new(vec![AttrId(0), AttrId(1)]),
+        rows.collect(),
+    );
+    let ((index, built), live) = live_bytes_after(|| rel.column_index(1));
+    assert!(built);
+    assert_eq!(index.first_keys(), &[0, 1, 2]);
+    assert_eq!(index.postings(2).len(), 3333);
+    assert!(
+        live <= 9 * i64::from(ROWS),
+        "{live} live bytes for one index over {ROWS} rows"
+    );
 }
