@@ -12,13 +12,12 @@
 //! * [`methods`] — the evaluation-method taxonomy of the experimental
 //!   study (naive, straightforward, early projection §4, greedy
 //!   reordering §4, bucket elimination §5 with MCS / min-degree /
-//!   min-fill orders) and the algorithms the passes call: naive SQL,
+//!   min-fill orders) and the algorithms the planner's steps call: naive SQL,
 //!   greedy reordering, bucket orders and bucket elimination.
-//! * [`passes`] — the optimizer-pass pipeline, the only planner: each
-//!   method is a recipe of typed [`passes::OptimizerPass`]es (join-order
-//!   selection, chain building, projection pushdown, decomposition), with
-//!   hooks for the serving layer's decomposition cache (see
-//!   docs/PLANNING.md).
+//! * [`passes`] — the planner: [`plan_query`] runs each method's fixed
+//!   recipe of steps (join-order selection, chain building, projection
+//!   pushdown, decomposition), takes the serving layer's cached variable
+//!   orders and reports a span per step (see docs/PLANNING.md).
 //! * [`width`] — join width / induced width APIs surfacing Theorems 1–2 as
 //!   checkable properties.
 //! * [`sqlgen`] — a generic plan → Appendix-A-style SQL emitter.
@@ -43,10 +42,10 @@ pub mod width;
 
 pub use jet::Jet;
 pub use methods::{build_plan, emit_sql, Method, OrderHeuristic};
-pub use passes::{plan_query, OptimizerPass, PassContext, PassManager, PlanReport, PlanState};
+pub use passes::{plan_query, PlanReport};
 
 /// Compiles and runs every Rust snippet in docs/PLANNING.md as a doctest
-/// of this crate, so the planning guide cannot drift from the pipeline
+/// of this crate, so the planning guide cannot drift from the planner
 /// API it documents.
 #[cfg(doctest)]
 #[doc = include_str!("../../../docs/PLANNING.md")]

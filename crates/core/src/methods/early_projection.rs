@@ -1,7 +1,7 @@
-//! Tests of the early-projection method (paper §4) on the plan the pass
-//! pipeline builds for it: the listing-order chain rewritten by
-//! [`crate::passes::pushdown`] into the left-deep join-expression tree,
-//! each variable projected out once its last atom has been joined.
+//! Tests of the early-projection method (paper §4) on the plan
+//! [`crate::passes::plan_query`] builds for it: the left-deep
+//! join-expression tree of the listing order, each variable projected out
+//! once its last atom has been joined.
 
 mod tests {
     use crate::methods::test_support::{

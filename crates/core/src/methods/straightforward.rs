@@ -1,7 +1,6 @@
-//! Tests of the straightforward method (paper §3) on the plan the pass
-//! pipeline builds for it: the scan-join chain of
-//! [`crate::passes::chain`], atoms joined in listing order, free
-//! variables projected once at the root.
+//! Tests of the straightforward method (paper §3) on the plan
+//! [`crate::passes::plan_query`] builds for it: the scan-join chain, atoms
+//! joined in listing order, free variables projected once at the root.
 
 mod tests {
     use crate::methods::test_support::{pentagon, pipeline_plan, triangle_free_pair};

@@ -16,8 +16,7 @@
 //!   with their span breakdown, queryable at runtime.
 //! - [`profile`] — operator- and pass-level profiling records: the
 //!   per-request [`OpProfile`] tree the executor fills in under
-//!   [`ProfileMode::On`], and the [`PassSpan`]s the planning pipeline
-//!   records, both shipped by the `explain` verb.
+//!   [`ProfileMode::On`], and the [`PassSpan`]s the planner records, both shipped by the `explain` verb.
 //! - [`log`] — a tiny leveled logger gated by the `PPR_LOG` env var
 //!   (`error|warn|info|debug|off`, default `warn`), for diagnostics that
 //!   must never pollute CLI stdout.

@@ -5,8 +5,8 @@
 //! elimination spends its time. This module is the shared vocabulary for
 //! that attribution at request granularity: the executor fills in an
 //! [`OpProfile`] tree (one node per physical operator, actual rows and
-//! self time), the planning pipeline records one [`PassSpan`] per
-//! optimizer pass, and the `explain` verb ships both over the wire as
+//! self time), the planner records one [`PassSpan`] per step of a
+//! method's recipe, and the `explain` verb ships both over the wire as
 //! flattened [`OpNode`] rows.
 //!
 //! Profiling is opt-in per request via [`ProfileMode`], checked **once**
@@ -198,11 +198,11 @@ pub struct OpNode {
     pub time_us: u64,
 }
 
-/// One optimizer pass as the planning pipeline ran it: wall time plus a
-/// plan-delta summary (operator counts before and after).
+/// One planner step as a recipe ran it: wall time plus a plan-delta
+/// summary (operator counts before and after).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassSpan {
-    /// Pass name (`push-projections`, `bucket-decompose`, …).
+    /// Step name (`projection-pushdown`, `decompose`, …).
     pub name: String,
     /// Wall-clock time the pass took, in microseconds.
     pub micros: u64,

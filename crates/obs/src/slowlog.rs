@@ -47,7 +47,7 @@ pub struct SlowEntry {
     /// low values on repeated queries show the streaming executor's
     /// cached secondary indexes at work.
     pub rows_scanned: u64,
-    /// Optimizer passes the planning pipeline ran for this request
+    /// Planner steps (passes) run for this request
     /// (0 on a plan- or result-cache hit).
     pub passes_run: u64,
     /// Whether planning reused a cached bucket decomposition (the

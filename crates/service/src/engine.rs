@@ -410,11 +410,11 @@ pub struct EngineStats {
     /// Secondary indexes built (cache misses); stops growing once the
     /// serving snapshot's indexes are warm.
     pub index_builds: u64,
-    /// Optimizer passes executed by the planning pipeline across all
-    /// planned requests (plan- and result-cache hits run none).
+    /// Planner steps run across all planned requests (plan- and
+    /// result-cache hits run none).
     pub passes_run: u64,
     /// Bucket decompositions skipped because the structure-keyed
-    /// [`DecompCache`] supplied the variable order as a pass hint.
+    /// [`DecompCache`] supplied the variable order as a planner hint.
     pub decomp_cache_hits: u64,
     /// Decomposition-cache counters.
     pub decomps: CacheStats,
@@ -999,9 +999,9 @@ fn process<'a>(
             // order, which depends only on query *structure* — so unlike
             // the plan (which embeds snapshot scans), it is reusable
             // across catalog mutations. A cached order, rank-decoded into
-            // this query's own ids, rides into the pass pipeline as a
-            // hint; the `Decompose` pass consumes it instead of
-            // re-decomposing (docs/PLANNING.md).
+            // this query's own ids, rides into the planner as a hint;
+            // the `decompose` step consumes it instead of re-decomposing
+            // (docs/PLANNING.md).
             let decomp_key = match request.method {
                 Method::BucketElimination(heuristic) => Some(DecompKey {
                     fingerprint: identity.fingerprint,
@@ -1293,7 +1293,7 @@ mod tests {
     fn exact_repeat_with_decomp_hint_is_byte_identical() {
         // The plan a hinted pipeline builds for an *exact* repeat must be
         // byte-identical to the cold plan: the decode is the identity and
-        // the Decompose pass consumes no randomness when hinted.
+        // the decompose step consumes no randomness when hinted.
         let engine = Engine::start(three_color_catalog(), plan_only_cfg());
         let h = engine.handle();
         let req = || {
@@ -1779,7 +1779,7 @@ mod tests {
         assert_eq!(resp.rows, warm.rows, "analyze returns the real rows");
         let data = resp.explain.as_deref().expect("explain data");
         assert!(data.analyze);
-        // EarlyProjection's pipeline is three passes, each with a span.
+        // EarlyProjection's recipe is three steps, each with a span.
         let names: Vec<&str> = data.passes.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(
             names,

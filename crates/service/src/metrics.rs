@@ -48,9 +48,8 @@ pub struct ServiceMetrics {
     /// `ppr_index_builds_total` — secondary indexes built (cache misses;
     /// warm snapshots stop incrementing this).
     pub index_builds: Arc<Counter>,
-    /// `ppr_passes_run_total` — optimizer passes executed by the planning
-    /// pipeline across all planned requests (plan- and result-cache hits
-    /// run none).
+    /// `ppr_passes_run_total` — planner steps run across all planned
+    /// requests (plan- and result-cache hits run none).
     pub passes_run: Arc<Counter>,
     /// `ppr_decomp_cache_hits_total` — bucket decompositions skipped
     /// because the structure-keyed [`crate::DecompCache`] supplied the

@@ -3,8 +3,10 @@
 //! (`QueryIdentity::of`), reply text out (`encode_result` + `tag_reply`);
 //! for the result-cache lookup every hit pays between them; and for a
 //! whole hit served over a socket, which must not copy the cached rows;
-//! and for a durable catalog's `load` and `add`, which must cost what the
-//! memory-only catalog's do plus a constant. Heap allocations are the one cost figure of theirs that does not drift
+//! for a durable catalog's `load` and `add`, which must cost what the
+//! memory-only catalog's do plus a constant; and for the planner, which
+//! every result-cache miss runs and which must cost the plan it builds
+//! plus a constant. Heap allocations are the one cost figure of theirs that does not drift
 //! with the host. A counting `#[global_allocator]` needs its own test
 //! binary.
 
@@ -16,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ppr_core::methods::Method;
+use ppr_core::passes::plan_query;
 use ppr_durability::{StoreOptions, SyncPolicy};
 use ppr_graph::families;
 use ppr_query::Database;
@@ -26,6 +29,8 @@ use ppr_service::result_cache::{CachedResult, ResultKey};
 use ppr_service::{
     Catalog, DbFingerprint, Engine, EngineConfig, Request, Response, ResultCache, Server,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 thread_local! {
     /// Allocations made by this thread (the harness runs tests on several).
@@ -102,6 +107,29 @@ fn a_hit_parses_and_identifies_in_flat_buffers() {
     assert!(
         identifying <= 40,
         "QueryIdentity::of: {identifying} allocations"
+    );
+}
+
+#[test]
+fn planning_costs_the_plan_it_builds_plus_a_constant() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const ATOMS: usize = 40;
+    let body: Vec<String> = (0..ATOMS)
+        .map(|i| format!("edge(x{i}, x{})", i + 1))
+        .collect();
+    let query = parse_query(&format!("q(x0) :- {}", body.join(", "))).expect("well-formed");
+    let mut db = Database::new();
+    db.add(relation("edge", 4));
+    let mut rng = StdRng::seed_from_u64(0);
+    let (report, planning) =
+        allocations_during(|| plan_query(Method::Straightforward, &query, &db, &mut rng, None));
+    let (_, copying) = allocations_during(|| report.plan.clone());
+    assert_eq!(report.passes_run, 2);
+    // Beyond the plan: the span list and the two step names. A copy of the
+    // query cost two allocations an atom and two a variable.
+    assert!(
+        planning <= copying + 8,
+        "plan_query: {planning} allocations, cloning its plan: {copying}"
     );
 }
 
