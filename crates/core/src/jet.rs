@@ -106,7 +106,7 @@ impl Jet {
         let order = post_order(&structure.children, structure.root);
         let mut nodes: Vec<JetNode> = (0..n)
             .map(|v| JetNode {
-                children: structure.children[v].clone(),
+                children: Vec::new(),
                 atom: structure.atom[v],
                 working: Vec::new(),
                 projected: Vec::new(),
@@ -166,6 +166,9 @@ impl Jet {
                     })
                     .collect();
             }
+        }
+        for (node, children) in nodes.iter_mut().zip(structure.children) {
+            node.children = children;
         }
         Jet {
             nodes,

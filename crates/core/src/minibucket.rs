@@ -197,8 +197,8 @@ mod tests {
             let true_rel = pipeline_rows(Method::Straightforward, &q, &db);
             // Every true tuple survives the relaxation.
             use rustc_hash::FxHashSet;
-            let relaxed_set: FxHashSet<_> = relaxed.tuples().iter().collect();
-            for t in true_rel.tuples() {
+            let relaxed_set: FxHashSet<_> = relaxed.rows().collect();
+            for t in true_rel.rows() {
                 assert!(relaxed_set.contains(t), "bound {bound} lost {t:?}");
             }
         }

@@ -42,7 +42,7 @@ pub fn contained_in(sub: &ConjunctiveQuery, sup: &ConjunctiveQuery) -> bool {
     // The homomorphism must fix the head: the canonical (frozen) head
     // tuple must appear in the result.
     let head: Vec<Value> = sub.free.iter().map(|a| a.0 as Value).collect();
-    rel.tuples().iter().any(|t| &**t == head.as_slice())
+    rel.contains(&head)
 }
 
 /// Whether two queries with the same head are equivalent.

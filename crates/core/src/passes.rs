@@ -134,16 +134,24 @@ fn join_chain(query: &ConjunctiveQuery, db: &Database) -> Plan {
     plan.project(query.free.clone())
 }
 
+/// Nodes of [`join_chain`]'s plan: a scan an atom, a join between each
+/// two, and the projection.
+fn join_chain_nodes(query: &ConjunctiveQuery) -> u64 {
+    2 * query.num_atoms() as u64
+}
+
 /// The `build-join-chain` and `projection-pushdown` steps: the paper's §4
 /// early projection in the query's atom order, where every variable is
 /// projected out the moment its last occurrence has been joined unless it
 /// is free. That plan is the order's left-deep join-expression tree, whose
 /// labels [`crate::jet`] computes in the one place Theorem 1 needs them.
+/// The first step's span reports the join chain's size, which the second
+/// starts from, without building the chain.
 fn pushdown(spans: &mut Vec<PassSpan>, query: &ConjunctiveQuery, db: &Database) -> Plan {
-    let chain = || join_chain(query, db);
-    let chain = step(spans, "build-join-chain", 0, chain, nodes);
+    let chain = || join_chain_nodes(query);
+    let chain_nodes = step(spans, "build-join-chain", 0, chain, |&n| n);
     let jet = || Jet::left_deep(query).to_plan(query, db);
-    step(spans, "projection-pushdown", nodes(&chain), jet, nodes)
+    step(spans, "projection-pushdown", chain_nodes, jet, nodes)
 }
 
 /// Whether `hint` is a permutation of `vars` — the validity bar for a
@@ -183,6 +191,13 @@ mod tests {
                 (quoted(cells[1]), quoted(cells[2]))
             })
             .collect()
+    }
+
+    #[test]
+    fn join_chain_nodes_counts_the_chain() {
+        for (q, db) in [pentagon(), triangle_free_pair()] {
+            assert_eq!(join_chain_nodes(&q), nodes(&join_chain(&q, &db)));
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl Catalog {
             let rel = db.expect(name);
             let distinct = (0..rel.arity())
                 .map(|c| {
-                    let values: FxHashSet<u32> = rel.tuples().iter().map(|t| t[c]).collect();
+                    let values: FxHashSet<u32> = rel.rows().map(|t| t[c]).collect();
                     values.len() as f64
                 })
                 .collect();

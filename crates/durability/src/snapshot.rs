@@ -80,8 +80,8 @@ fn encode_body(seq: u64, version: u64, relations: &[&Relation]) -> Vec<u8> {
         put_str(&mut body, rel.name());
         put_u32(&mut body, rel.arity() as u32);
         put_u32(&mut body, rel.len() as u32);
-        for t in rel.tuples() {
-            for &v in t.iter() {
+        for t in rel.rows() {
+            for &v in t {
                 put_u32(&mut body, v);
             }
         }

@@ -53,7 +53,7 @@ use ppr_relalg::Relation;
 use rustc_hash::FxHashMap;
 
 use crate::snapshot::{parse_snapshot_name, read_snapshot, write_snapshot, SNAP_TMP};
-use crate::wal::{scan_wal, WalRecord, WalWriter, MAX_NAME};
+use crate::wal::{scan_wal, LoadRows, WalRecord, WalWriter, MAX_NAME};
 use crate::{DbContents, DurabilityStats, PersistError};
 
 /// Name of the commit log within a database directory.
@@ -443,7 +443,7 @@ impl DurableStore {
                 WalRecord::Create { .. } => {}
                 WalRecord::Load {
                     rel, arity, tuples, ..
-                } => contents.apply_load(&rel, arity as usize, tuples.into_owned()),
+                } => contents.apply_load(&rel, arity as usize, tuples.into_tuples()),
                 WalRecord::Add { rel, tuple, .. } => contents.apply_add(&rel, tuple.into_owned()),
             }
         }
@@ -554,7 +554,7 @@ impl DurableStore {
             version,
             rel: Cow::Borrowed(rel.name()),
             arity: rel.arity() as u32,
-            tuples: Cow::Borrowed(rel.tuples()),
+            tuples: LoadRows::Relation(rel),
         })
     }
 
@@ -746,7 +746,7 @@ mod tests {
             store.record_create("g", 1).unwrap();
             let mut edge = rel("edge", &[&[1, 2], &[2, 3]]);
             store.record_load("g", &edge, 2, &[&edge]).unwrap();
-            edge.insert(t(&[3, 1]));
+            edge.insert(&[3, 1]);
             store
                 .record_add("g", "edge", &t(&[3, 1]), 3, &[&edge])
                 .unwrap();
@@ -773,7 +773,7 @@ mod tests {
             store.record_create("g", 1).unwrap();
             let mut e = Relation::empty("e", Schema::new(vec![AttrId(0), AttrId(1)]));
             for i in 0..10u32 {
-                e.insert(t(&[i, i + 1]));
+                e.insert(&[i, i + 1]);
                 store
                     .record_add("g", "e", &t(&[i, i + 1]), 2 + i as u64, &[&e])
                     .unwrap();
@@ -827,14 +827,14 @@ mod tests {
             let edge = rel("edge", &[&[5, 6]]);
             store.record_insert("default", &[&edge], 7).unwrap();
             let mut grown = edge.clone();
-            grown.insert(t(&[6, 7]));
+            grown.insert(&[6, 7]);
             store
                 .record_add("default", "edge", &t(&[6, 7]), 8, &[&grown])
                 .unwrap();
             // Wholesale replace resets the log.
             store.record_insert("default", &[&edge], 9).unwrap();
             let mut grown = edge.clone();
-            grown.insert(t(&[9, 9]));
+            grown.insert(&[9, 9]);
             store
                 .record_add("default", "edge", &t(&[9, 9]), 10, &[&grown])
                 .unwrap();

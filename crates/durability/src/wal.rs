@@ -28,7 +28,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use ppr_relalg::value::Tuple;
+use ppr_relalg::value::{Tuple, Value};
+use ppr_relalg::Relation;
 
 use crate::store::{io_err, RecoveryError};
 
@@ -58,6 +59,49 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The rows of a load record: the catalog's relation when the store
+/// appends one, the decoded tuples when the scanner reads one back.
+#[derive(Debug, Clone)]
+pub(crate) enum LoadRows<'a> {
+    Relation(&'a Relation),
+    Tuples(Vec<Tuple>),
+}
+
+impl LoadRows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            LoadRows::Relation(rel) => rel.len(),
+            LoadRows::Tuples(tuples) => tuples.len(),
+        }
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        let (rel, tuples) = match self {
+            LoadRows::Relation(rel) => (Some(rel.rows()), None),
+            LoadRows::Tuples(tuples) => (None, Some(tuples.iter().map(|t| &**t))),
+        };
+        rel.into_iter()
+            .flatten()
+            .chain(tuples.into_iter().flatten())
+    }
+
+    /// The rows as owned tuples, copied only if borrowed.
+    pub(crate) fn into_tuples(self) -> Vec<Tuple> {
+        match self {
+            LoadRows::Relation(rel) => rel.tuples(),
+            LoadRows::Tuples(tuples) => tuples,
+        }
+    }
+}
+
+impl PartialEq for LoadRows<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.rows().eq(other.rows())
+    }
+}
+
+impl Eq for LoadRows<'_> {}
+
 /// One committed catalog mutation. `seq` is per-database and contiguous;
 /// `version` is the catalog-wide version the mutation was acknowledged
 /// under. The store appends records that borrow the catalog's rows;
@@ -73,7 +117,7 @@ pub(crate) enum WalRecord<'a> {
         version: u64,
         rel: Cow<'a, str>,
         arity: u32,
-        tuples: Cow<'a, [Tuple]>,
+        tuples: LoadRows<'a>,
     },
     /// One tuple appended to `rel` (relation created if absent).
     Add {
@@ -134,8 +178,8 @@ impl WalRecord<'_> {
                 put_str(&mut out, rel);
                 put_u32(&mut out, *arity);
                 put_u32(&mut out, tuples.len() as u32);
-                for t in tuples.iter() {
-                    for &v in t.iter() {
+                for t in tuples.rows() {
+                    for &v in t {
                         put_u32(&mut out, v);
                     }
                 }
@@ -195,7 +239,7 @@ impl WalRecord<'_> {
                     version,
                     rel: Cow::Owned(rel),
                     arity,
-                    tuples: Cow::Owned(tuples),
+                    tuples: LoadRows::Tuples(tuples),
                 }
             }
             3 => {
@@ -469,7 +513,7 @@ mod tests {
                 version: 5,
                 rel: "edge".into(),
                 arity: 2,
-                tuples: vec![t(&[1, 2]), t(&[2, 3])].into(),
+                tuples: LoadRows::Tuples(vec![t(&[1, 2]), t(&[2, 3])]),
             },
             WalRecord::Add {
                 seq: 3,

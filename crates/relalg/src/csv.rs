@@ -46,7 +46,7 @@ pub fn relation_from_csv(name: &str, text: &str, base_col: u32) -> Result<Relati
 /// Renders a relation as CSV (values only, one tuple per line).
 pub fn relation_to_csv(rel: &Relation) -> String {
     let mut out = String::new();
-    for t in rel.tuples() {
+    for t in rel.rows() {
         for (i, v) in t.iter().enumerate() {
             if i > 0 {
                 out.push(',');

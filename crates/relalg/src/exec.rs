@@ -19,9 +19,9 @@
 //! as the build side of a hash-join stage (row ids grouped by join key, CSR
 //! layout, no copy; a join on the whole row probes the sink's own table).
 //! Bucket elimination materializes many small intermediates, so what a
-//! boundary costs per row decides whether keeping them small pays off. The
-//! per-row allocation is paid once per request, where [`execute_with`]
-//! turns the plan root's rows into the returned [`Relation`].
+//! boundary costs per row decides whether keeping them small pays off. No
+//! row is boxed: [`execute_with`] returns the plan root's flat rows as the
+//! chunks of the returned [`Relation`].
 //!
 //! Execution time is therefore proportional to the number of tuples that
 //! flow through probe stages plus the cost of each materialization — the
@@ -83,8 +83,8 @@ pub fn execute_with(
     let mut stats = ExecStats::default();
     let mut meter = budget.start();
     let rows = crate::pipelined::materialize_streaming(plan, &mut meter, &mut stats, options)?;
-    // Inside the plan rows stay flat: this is the request's one `Relation`.
-    let mut rel = Relation::new("result", schema, rows.into_tuples());
+    // The root's rows stay flat: they become the relation's chunks.
+    let mut rel = Relation::from_rows("result", schema, rows);
     if matches!(plan, Plan::ProjectDistinct { .. }) && options.dedup_subqueries {
         rel.assume_deduped();
     }

@@ -11,7 +11,7 @@ pub fn check(plan: &Plan, dedup: bool, (rel, s): &(Relation, ExecStats)) -> u64 
     let mut m = ExecStats::default();
     let model = eval(plan, dedup, &mut m);
     assert_eq!(rel.schema(), model.schema());
-    let (mut got, mut want) = (rel.tuples().to_vec(), model.tuples().to_vec());
+    let (mut got, mut want) = (rel.tuples(), model.tuples());
     got.sort();
     want.sort();
     assert_eq!(got, want, "rows of\n{plan}");
@@ -33,7 +33,7 @@ fn eval(plan: &Plan, dedup: bool, s: &mut ExecStats) -> Relation {
         ops::project_distinct(&inner, keep)
     } else {
         let pos = inner.schema().positions(keep);
-        let rows = inner.tuples().iter();
+        let rows = inner.rows();
         let rows = rows.map(|t| pos.iter().map(|&p| t[p]).collect());
         Relation::new("bag", Schema::new(keep.clone()), rows.collect())
     };

@@ -43,7 +43,7 @@ impl ColumnIndex {
             rel.arity()
         );
         let mut buffers = Buffers::default();
-        let column = buffers.column(rel.tuples().iter().map(|t| t[col]));
+        let column = buffers.column(rel.rows().map(|row| row[col]));
         let mut groups = buffers.group(column, &[0]);
         groups.shrink_to_fit();
         let first_keys = groups.first_rows().map(|row| row[0]).collect();

@@ -81,9 +81,9 @@ impl JoinShape {
 /// ```
 pub fn natural_join(left: &Relation, right: &Relation) -> Relation {
     let shape = JoinShape::of(left, right);
-    let mut table: FxHashMap<Box<[Value]>, Vec<&Tuple>> = FxHashMap::default();
+    let mut table: FxHashMap<Box<[Value]>, Vec<&[Value]>> = FxHashMap::default();
     let mut scratch = Vec::new();
-    for rt in right.tuples() {
+    for rt in right.rows() {
         let k = key(&shape.right_key, rt, &mut scratch);
         match table.get_mut(k) {
             Some(matches) => matches.push(rt),
@@ -93,7 +93,7 @@ pub fn natural_join(left: &Relation, right: &Relation) -> Relation {
         }
     }
     let mut rows = Vec::new();
-    for lt in left.tuples() {
+    for lt in left.rows() {
         if let Some(matches) = table.get(key(&shape.left_key, lt, &mut scratch)) {
             rows.extend(matches.iter().map(|rt| shape.row(lt, rt)));
         }
@@ -136,8 +136,8 @@ fn cmp_keys(a: &[Value], a_pos: &[usize], b: &[Value], b_pos: &[usize]) -> Order
 fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
     let shape = JoinShape::of(left, right);
     let (lk, rk) = (&shape.left_key, &shape.right_key);
-    let mut l: Vec<&Tuple> = left.tuples().iter().collect();
-    let mut r: Vec<&Tuple> = right.tuples().iter().collect();
+    let mut l: Vec<&[Value]> = left.rows().collect();
+    let mut r: Vec<&[Value]> = right.rows().collect();
     l.sort_by(|a, b| cmp_keys(a, lk, b, lk));
     r.sort_by(|a, b| cmp_keys(a, rk, b, rk));
 
@@ -167,8 +167,8 @@ fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
 fn nested_loop_join(left: &Relation, right: &Relation) -> Relation {
     let shape = JoinShape::of(left, right);
     let mut rows = Vec::new();
-    for lt in left.tuples() {
-        for rt in right.tuples() {
+    for lt in left.rows() {
+        for rt in right.rows() {
             let keys = shape.left_key.iter().zip(&shape.right_key);
             if keys.into_iter().all(|(&lp, &rp)| lt[lp] == rt[rp]) {
                 rows.push(shape.row(lt, rt));
@@ -184,7 +184,7 @@ pub fn project_distinct(rel: &Relation, keep: &[AttrId]) -> Relation {
     let mut seen: FxHashSet<Tuple> = FxHashSet::default();
     let mut scratch = Vec::new();
     let mut rows = Vec::new();
-    for t in rel.tuples() {
+    for t in rel.rows() {
         // Duplicates cost a set probe only; first occurrences are boxed
         // twice, for the set and for the output.
         let k = key(&pos, t, &mut scratch);
@@ -214,17 +214,16 @@ pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
     let right_pos = right.schema().positions(&keys);
     let mut table: FxHashSet<Tuple> = FxHashSet::default();
     let mut scratch = Vec::new();
-    for t in right.tuples() {
+    for t in right.rows() {
         let k = key(&right_pos, t, &mut scratch);
         if !table.contains(k) {
             table.insert(k.into());
         }
     }
     let rows = left
-        .tuples()
-        .iter()
+        .rows()
         .filter(|t| table.contains(key(&left_pos, t, &mut scratch)))
-        .cloned()
+        .map(Box::from)
         .collect();
     Relation::new(
         format!("({}⋉{})", left.name(), right.name()),
@@ -261,8 +260,7 @@ pub fn bind(rel: &Relation, binding: &[AttrId]) -> Relation {
         }
     }
     let rows = rel
-        .tuples()
-        .iter()
+        .rows()
         .filter(|t| eq_checks.iter().all(|&(a, b)| t[a] == t[b]))
         .map(|t| out_pos.iter().map(|&p| t[p]).collect::<Tuple>())
         .collect();

@@ -96,7 +96,7 @@ impl Source {
     #[inline]
     fn row(&self, i: usize) -> &[Value] {
         match self {
-            Source::Table { base, .. } => &base.tuples()[i],
+            Source::Table { base, .. } => base.row(i),
             Source::Materialized(rows) => rows.row(i),
         }
     }
@@ -797,7 +797,7 @@ impl<'p> Run<'p, '_> {
         let out_span = push_span(&mut s.pos, bound(binding).map(|b| b.0));
         let (eq, out) = (&s.eq[eq_span.clone()], &s.pos[out_span.clone()]);
         let mut rows = s.buffers.rows(out.len());
-        for t in base.tuples().iter().filter(|t| eq_ok(eq, t)) {
+        for t in base.rows().filter(|t| eq_ok(eq, t)) {
             if out.len() == t.len() {
                 rows.push(t.iter().copied());
             } else {
@@ -886,10 +886,9 @@ fn probe_streaming(
                 n.rows_in += postings.len() as u64;
             }
             let (eq, extra) = (&wired.eq[eq.clone()], &wired.pos[extra.clone()]);
-            let rows = base.tuples();
             let base_len = buf.len();
             for &ri in postings {
-                let row = &rows[ri as usize];
+                let row = base.row(ri as usize);
                 // Inline Filter: rows bind would have dropped never meter.
                 if !eq_ok(eq, row) {
                     continue;

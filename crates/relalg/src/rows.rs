@@ -25,11 +25,12 @@ use std::hash::Hasher;
 
 use rustc_hash::FxHasher;
 
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 
 /// `len` rows of `arity` values each, stored contiguously. `len` is explicit
 /// because Boolean subqueries have arity 0: rows that occupy no values.
-#[derive(Debug)]
+/// A base [`crate::Relation`] is a list of these, shared between snapshots.
+#[derive(Debug, Clone)]
 pub(crate) struct Rows {
     arity: usize,
     len: usize,
@@ -37,9 +38,29 @@ pub(crate) struct Rows {
 }
 
 impl Rows {
+    /// An empty buffer with room for `rows` rows of `arity`.
+    pub(crate) fn with_capacity(arity: usize, rows: usize) -> Rows {
+        Rows {
+            arity,
+            len: 0,
+            data: Vec::with_capacity(arity * rows),
+        }
+    }
+
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    #[inline]
+    pub(crate) fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Every row's values, back to back.
+    #[inline]
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.data
     }
 
     #[inline]
@@ -56,6 +77,17 @@ impl Rows {
         debug_assert_eq!(self.data.len(), self.len * self.arity);
     }
 
+    /// Appends one row, growing the buffer by doubling but never past room
+    /// for `max_rows` rows.
+    pub(crate) fn push_within(&mut self, row: &[Value], max_rows: usize) {
+        debug_assert!(self.len < max_rows);
+        if self.data.len() + self.arity > self.data.capacity() {
+            let rows = (self.len * 2).clamp(1, max_rows);
+            self.data.reserve_exact(rows * self.arity - self.data.len());
+        }
+        self.push(row.iter().copied());
+    }
+
     fn pop(&mut self) {
         self.len -= 1;
         self.data.truncate(self.len * self.arity);
@@ -63,12 +95,6 @@ impl Rows {
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[Value]> {
         (0..self.len).map(|i| self.row(i))
-    }
-
-    /// The rows as owned tuples — the one per-row allocation, paid at the
-    /// plan root where a [`crate::Relation`] is built.
-    pub(crate) fn into_tuples(self) -> Vec<Tuple> {
-        self.iter().map(Box::from).collect()
     }
 }
 
@@ -515,11 +541,11 @@ mod tests {
                 let fresh = model.insert(row.clone());
                 prop_assert_eq!(set.keep_last_if_new(&mut rows), fresh);
                 if fresh {
-                    expected.push(row.clone().into_boxed_slice());
+                    expected.push(row.clone());
                 }
                 prop_assert_eq!(rows.len(), expected.len());
             }
-            prop_assert_eq!(rows.into_tuples(), expected);
+            prop_assert_eq!(rows.iter().map(<[Value]>::to_vec).collect::<Vec<_>>(), expected);
         }
 
         #[test]

@@ -28,10 +28,12 @@
 //!   in-flight requests keep that consistent snapshot for as long as
 //!   they need it. Writers build the successor database beside the
 //!   current one (a [`Database`] clone is cheap — a map of
-//!   `Arc<Relation>` handles — but an `add` clones the one relation it
-//!   grows, which is O(rows)) and publish it with a brief map-lock swap,
-//!   so **writers never block readers** — not even on the durable
-//!   catalog's commit `fsync`, which happens outside the map lock.
+//!   `Arc<Relation>` handles — and an `add` clones the one relation it
+//!   grows, which shares its row chunks and copies only the last one)
+//!   and publish it with a brief map-lock swap, so **writers never block
+//!   readers** — not even on the durable catalog's commit `fsync`, which
+//!   happens outside the map lock. A replaced database is freed after
+//!   the map lock is released, never under it.
 //! * Writers are serialized against each other by a separate mutex, so
 //!   two concurrent `add`s both land (no lost read-modify-write).
 //!
@@ -404,7 +406,10 @@ impl Catalog {
         if let Some(store) = &self.store {
             store.record_drop(name, version.0)?;
         }
-        self.map.lock().expect("catalog map lock").remove(name);
+        let dropped = self.map.lock().expect("catalog map lock").remove(name);
+        // Freed, if no reader holds it, only now that the map lock is
+        // released: every worker's `snapshot` takes that lock.
+        drop(dropped);
         Ok(())
     }
 
@@ -479,13 +484,14 @@ impl Catalog {
                 });
             }
         }
-        // The clone keeps the relation's digest, which `insert` updates
-        // in O(1), so publishing re-fingerprints no rows.
+        // The clone shares the relation's row chunks, so `insert` copies
+        // at most the last one, and keeps its digest, which `insert`
+        // updates in O(1): publishing re-fingerprints no rows.
         let mut relation = match current.db.get(rel) {
             Some(existing) => (**existing).clone(),
             None => Relation::empty(rel, self.fresh_schema(tuple.len())),
         };
-        relation.insert(tuple.clone());
+        relation.insert(&tuple);
         let mut next = (*current.db).clone();
         next.add(relation);
         let version = self.next_version();
@@ -500,14 +506,20 @@ impl Catalog {
     /// Caller holds `write` and has already persisted the mutation.
     fn publish_at(&self, name: &str, next: Database, version: DbVersion) {
         let fingerprint = fingerprint_db(&next);
-        self.map.lock().expect("catalog map lock").insert(
-            name.to_string(),
-            DbSnapshot {
-                db: Arc::new(next),
-                version,
-                fingerprint,
-            },
-        );
+        let snapshot = DbSnapshot {
+            db: Arc::new(next),
+            version,
+            fingerprint,
+        };
+        let replaced = self
+            .map
+            .lock()
+            .expect("catalog map lock")
+            .insert(name.to_string(), snapshot);
+        // A temporary of the statement above would be dropped before the
+        // guard is, freeing the replaced database (when no reader holds
+        // it) under the lock every worker's `snapshot` takes.
+        drop(replaced);
     }
 
     /// Database names, sorted.

@@ -4,11 +4,13 @@
 //! for the result-cache lookup every hit pays between them; and for a
 //! whole hit served over a socket, which must not copy the cached rows;
 //! for a durable catalog's `load` and `add`, which must cost what the
-//! memory-only catalog's do plus a constant; and for the planner, which
-//! every result-cache miss runs and which must cost the plan it builds
-//! plus a constant. Heap allocations are the one cost figure of theirs that does not drift
-//! with the host. A counting `#[global_allocator]` needs its own test
-//! binary.
+//! memory-only catalog's do plus a constant; for an `add` into a large
+//! relation, which must copy one row chunk and not the relation; and for
+//! the planner, which every result-cache miss runs and which must cost
+//! the plan it builds plus a constant. Heap allocations (and, for the
+//! `add`, live heap bytes) are the one cost figure of theirs that does
+//! not drift with the host. A counting `#[global_allocator]` needs its
+//! own test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,10 +21,12 @@ use std::sync::{Arc, Mutex};
 
 use ppr_core::methods::Method;
 use ppr_core::passes::plan_query;
+use ppr_core::Jet;
 use ppr_durability::{StoreOptions, SyncPolicy};
 use ppr_graph::families;
 use ppr_query::Database;
 use ppr_query::{parse_query, QueryIdentity};
+use ppr_relalg::relation::CHUNK_ROWS;
 use ppr_relalg::{AttrId, ExecStats, Relation, Schema};
 use ppr_service::protocol::{encode_request, encode_result, tag_reply, tag_request};
 use ppr_service::result_cache::{CachedResult, ResultKey};
@@ -35,6 +39,9 @@ use rand::SeedableRng;
 thread_local! {
     /// Allocations made by this thread (the harness runs tests on several).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed (frees of another
+    /// thread's memory count against the freeing thread).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Allocations made by every thread of the process.
@@ -44,30 +51,32 @@ static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// the tests take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn count_one() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+fn count(allocations: u64, bytes: i64) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
+    PROCESS_ALLOCATIONS.fetch_add(allocations, Ordering::Relaxed);
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are a `const`-initialised
-// thread-local `Cell` with no destructor and a static atomic, so touching
-// them neither allocates nor unwinds (`try_with` only fails during thread
-// teardown, where the count is moot).
+// `GlobalAlloc` contract; the counters are `const`-initialised thread-local
+// `Cell`s with no destructor and a static atomic, so touching them neither
+// allocates nor unwinds (`try_with` only fails during thread teardown,
+// where the count is moot).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(1, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -79,6 +88,14 @@ fn allocations_during<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = work();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// What `work` returns, the allocations it made and the heap bytes it left
+/// allocated.
+fn allocations_and_live_bytes<T>(work: impl FnOnce() -> T) -> (T, u64, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let (out, allocations) = allocations_during(work);
+    (out, allocations, LIVE_BYTES.with(Cell::get) - before)
 }
 
 /// The benchmark's `ladder15/free` shape: 43 `edge` atoms over 30
@@ -120,17 +137,27 @@ fn planning_costs_the_plan_it_builds_plus_a_constant() {
     let query = parse_query(&format!("q(x0) :- {}", body.join(", "))).expect("well-formed");
     let mut db = Database::new();
     db.add(relation("edge", 4));
-    let mut rng = StdRng::seed_from_u64(0);
-    let (report, planning) =
-        allocations_during(|| plan_query(Method::Straightforward, &query, &db, &mut rng, None));
-    let (_, copying) = allocations_during(|| report.plan.clone());
-    assert_eq!(report.passes_run, 2);
-    // Beyond the plan: the span list and the two step names. A copy of the
-    // query cost two allocations an atom and two a variable.
-    assert!(
-        planning <= copying + 8,
-        "plan_query: {planning} allocations, cloning its plan: {copying}"
-    );
+    // Early projection also builds the left-deep join-expression tree,
+    // whose labels are vectors per node; nothing else. Building the join
+    // chain only to count its nodes cost about as much as the plan again.
+    let (_, labelling) = allocations_during(|| Jet::left_deep(&query));
+    // Beyond that: the span list and the step names. A copy of the query
+    // cost two allocations an atom and two a variable.
+    for (method, steps, tree) in [
+        (Method::Straightforward, 2, 0),
+        (Method::EarlyProjection, 3, labelling),
+    ] {
+        let mut rng = StdRng::seed_from_u64(0);
+        let (report, planning) =
+            allocations_during(|| plan_query(method, &query, &db, &mut rng, None));
+        let (_, copying) = allocations_during(|| report.plan.clone());
+        assert_eq!(report.passes_run, steps);
+        assert!(
+            planning <= copying + tree + 8,
+            "plan_query({method:?}): {planning} allocations, cloning its plan: {copying}, \
+             its join-expression tree: {tree}"
+        );
+    }
 }
 
 #[test]
@@ -267,4 +294,34 @@ fn a_durable_mutation_costs_a_constant_over_the_memory_only_one() {
         drop(durable);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn an_add_copies_one_chunk_not_the_relation() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const ROWS: u32 = 10_000;
+    let catalog = Catalog::new();
+    catalog.create("g").unwrap();
+    let rows: Vec<Box<[u32]>> = (0..ROWS).map(|i| vec![i, i % 3].into()).collect();
+    catalog.load("g", "visits", rows).unwrap();
+    // A reader holds the published snapshot, as an in-flight request
+    // would, so nothing the add replaces is freed under it.
+    let reader = catalog.snapshot("g").unwrap();
+    let row: Box<[u32]> = vec![ROWS, 0].into();
+    let (_, allocations, live) =
+        allocations_and_live_bytes(|| catalog.add("g", "visits", row).unwrap());
+    assert_eq!(reader.db.expect("visits").len(), ROWS as usize);
+    assert_eq!(
+        catalog.snapshot("g").unwrap().db.expect("visits").len(),
+        10_001
+    );
+    // The new snapshot shares every row chunk but the last, whose copy is
+    // at most CHUNK_ROWS rows of two values. A deep clone of the relation
+    // cost one allocation a row and about 40 bytes a row.
+    let chunk = (CHUNK_ROWS * 2 * std::mem::size_of::<u32>()) as i64;
+    assert!(allocations <= 16, "Catalog::add: {allocations} allocations");
+    assert!(
+        live <= chunk + 1024,
+        "Catalog::add: {live} new live bytes, one chunk is {chunk}"
+    );
 }

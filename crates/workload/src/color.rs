@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn edge_relation_excludes_monochromatic() {
         let r = edge_relation(3);
-        for t in r.tuples() {
+        for t in r.rows() {
             assert_ne!(t[0], t[1]);
         }
     }

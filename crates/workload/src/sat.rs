@@ -286,7 +286,7 @@ mod tests {
     fn clause_relation_semantics() {
         // (x ∨ ¬y): rows where x=1 or y=0.
         let r = clause_relation(&[true, false]);
-        for t in r.tuples() {
+        for t in r.rows() {
             assert!(t[0] == 1 || t[1] == 0, "bad row {t:?}");
         }
         assert_eq!(r.len(), 3);

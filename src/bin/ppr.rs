@@ -214,7 +214,7 @@ fn run_and_report(query: &ConjunctiveQuery, db: &Database, flags: &Flags) {
                 stats.materializations
             );
             if flags.has("rows") {
-                for t in rel.tuples().iter().take(50) {
+                for t in rel.rows().take(50) {
                     println!("  {t:?}");
                 }
             }
