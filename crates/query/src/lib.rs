@@ -18,6 +18,9 @@
 //! * [`canonical`] — the Chandra–Merlin canonical database of a query.
 //! * [`mod@fingerprint`] — a canonical 128-bit hash invariant under variable
 //!   renaming and atom reordering, the plan-cache key of `ppr-service`.
+//! * [`scan`] — one scan of a rule's text into borrowed flat arrays, which
+//!   [`parse_query`] builds a query from and [`scan::ScannedRule::identify`]
+//!   fingerprints directly.
 
 pub mod atom;
 pub mod canonical;
@@ -25,11 +28,15 @@ pub mod cq;
 pub mod fingerprint;
 pub mod joingraph;
 pub mod parse;
+pub mod scan;
 pub mod vars;
 
 pub use atom::Atom;
 pub use cq::{ConjunctiveQuery, Database};
-pub use fingerprint::{canonical_var_order, fingerprint, Fingerprint, QueryIdentity, QueryShape};
+pub use fingerprint::{
+    canonical_var_order, fingerprint, Fingerprint, QueryIdentity, QueryShape, RuleIdentity,
+};
 pub use joingraph::JoinGraph;
 pub use parse::{parse_query, parse_relation};
+pub use scan::{scan_rule, ScannedRule};
 pub use vars::Vars;

@@ -16,9 +16,8 @@
 
 use ppr_relalg::{AttrId, Relation, Schema, Value};
 
-use crate::atom::Atom;
 use crate::cq::ConjunctiveQuery;
-use crate::vars::Vars;
+use crate::scan::scan_rule;
 
 /// Parse errors with a human-oriented message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,12 +31,14 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
+pub(crate) fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
 }
 
 /// Parses a rule like `q(x, y) :- e(x, z), e(z, y).` into a query.
-/// The trailing period is optional.
+/// The trailing period is optional. This is [`scan_rule`] plus
+/// [`ScannedRule::to_query`](crate::scan::ScannedRule::to_query): variable
+/// ids are handed out in first-occurrence order over the body.
 ///
 /// ```
 /// let q = ppr_query::parse_query("q(x) :- e(x, y), e(y, x).").unwrap();
@@ -45,78 +46,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
 /// assert_eq!(q.vars.name(q.free[0]), "x");
 /// ```
 pub fn parse_query(input: &str) -> Result<ConjunctiveQuery, ParseError> {
-    let input = input.trim().trim_end_matches('.').trim();
-    let Some((head, body)) = input.split_once(":-") else {
-        return err("expected `head :- body`");
-    };
-    let (_, head_args) = split_atom(head.trim())?;
-    let head: Vec<&str> = arg_names(head_args).collect::<Result<_, _>>()?;
-
-    // One scan over the body: atoms end at the commas outside parentheses,
-    // and each is interned as soon as its comma is seen.
-    let body = body.trim();
-    let mut vars = Vars::new();
-    let mut atoms = Vec::new();
-    // Reported only once the whole body is known to be well-formed.
-    let mut no_arguments = None;
-    let mut atom = |text: std::ops::Range<usize>| -> Result<(), ParseError> {
-        let (name, args) = split_atom(body[text].trim())?;
-        let ids: Vec<AttrId> = arg_names(args)
-            .map(|arg| arg.map(|a| vars.intern(a)))
-            .collect::<Result<_, _>>()?;
-        if ids.is_empty() {
-            no_arguments.get_or_insert(name);
-        }
-        atoms.push(Atom::new(name, ids));
-        Ok(())
-    };
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, &b) in body.as_bytes().iter().enumerate() {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                if depth == 0 {
-                    return err("unbalanced parentheses");
-                }
-                depth -= 1;
-            }
-            b',' if depth == 0 => {
-                atom(start..i)?;
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 {
-        return err("unbalanced parentheses");
-    }
-    if !body[start..].trim().is_empty() {
-        atom(start..body.len())?;
-    }
-    if atoms.is_empty() {
-        return err("body needs at least one atom");
-    }
-    if let Some(name) = no_arguments {
-        return err(format!("atom {name} has no arguments"));
-    }
-
-    let boolean = head.is_empty();
-    let free: Vec<AttrId> = if boolean {
-        // Boolean emulation: project the first body variable (paper §2).
-        vec![atoms[0].args[0]]
-    } else {
-        let mut out = Vec::with_capacity(head.len());
-        for v in head {
-            match vars.get(v) {
-                Some(id) if out.contains(&id) => return err(format!("head variable {v} repeats")),
-                Some(id) => out.push(id),
-                None => return err(format!("head variable {v} not used in body")),
-            }
-        }
-        out
-    };
-    Ok(ConjunctiveQuery::new(atoms, free, vars, boolean))
+    Ok(scan_rule(input)?.to_query())
 }
 
 /// Parses `name = { (v, v, …), … }` into a relation. Column attribute ids
@@ -155,40 +85,6 @@ pub fn parse_relation(input: &str, base_col: u32) -> Result<Relation, ParseError
     let k = arity.ok_or_else(|| ParseError("relation needs at least one tuple".into()))?;
     let attrs: Vec<AttrId> = (0..k as u32).map(|i| AttrId(base_col + i)).collect();
     Ok(Relation::from_distinct_rows(name, Schema::new(attrs), rows))
-}
-
-fn is_identifier(text: &str) -> bool {
-    !text.is_empty() && text.chars().all(|c| c.is_alphanumeric() || c == '_')
-}
-
-/// Splits `name(a, b, c)` into the checked name and the trimmed text
-/// between its first `(` and its final `)` — empty for `name()`.
-fn split_atom(text: &str) -> Result<(&str, &str), ParseError> {
-    let Some(open) = text.find('(') else {
-        return err(format!("expected `name(args)` in `{text}`"));
-    };
-    let Some(inner) = text[open + 1..].strip_suffix(')') else {
-        return err(format!("missing `)` in `{text}`"));
-    };
-    let name = text[..open].trim();
-    if !is_identifier(name) {
-        return err(format!("bad relation name `{name}`"));
-    }
-    Ok((name, inner.trim()))
-}
-
-/// The comma-separated variable names of [`split_atom`]'s argument text,
-/// each trimmed and checked.
-fn arg_names(args: &str) -> impl Iterator<Item = Result<&str, ParseError>> {
-    let names = (!args.is_empty()).then(|| args.split(','));
-    names.into_iter().flatten().map(|a| {
-        let a = a.trim();
-        if is_identifier(a) {
-            Ok(a)
-        } else {
-            err(format!("bad variable `{a}`"))
-        }
-    })
 }
 
 /// Splits `(1,2), (3,4)` into the inner texts `1,2` and `3,4`.

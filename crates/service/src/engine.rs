@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use ppr_core::methods::{Method, OrderHeuristic};
 use ppr_core::passes::plan_query;
 use ppr_obs::{OpNode, PassSpan, Phase, ProfileMode, Quantiles, SlowEntry, TraceSpans, PHASES};
-use ppr_query::{ConjunctiveQuery, Database, QueryIdentity};
+use ppr_query::{ConjunctiveQuery, Database, ScannedRule};
 use ppr_relalg::{exec, streaming_shape, Budget, ExecStats, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -288,9 +288,10 @@ pub(crate) struct Reuse {
 pub(crate) struct Answer {
     /// Rows and the stats of the execution that produced them.
     pub(crate) result: Arc<CachedResult>,
-    /// The request's own column names, which on a hit may differ from those
-    /// of the query that produced the entry.
-    pub(crate) columns: Vec<String>,
+    /// The request's own column names, comma-separated as a reply header
+    /// lists them; on a hit they may differ from those of the query that
+    /// produced the entry.
+    pub(crate) columns: String,
     pub(crate) reuse: Reuse,
     /// Per-phase spans, as on [`Response::trace`].
     pub(crate) trace: TraceSpans,
@@ -305,7 +306,7 @@ impl Answer {
     pub(crate) fn into_response(self) -> Response {
         let CachedResult { rows, stats, .. } = Arc::unwrap_or_clone(self.result);
         Response {
-            columns: self.columns,
+            columns: self.columns.split(',').map(str::to_string).collect(),
             rows,
             stats,
             cache_hit: self.reuse.cache_hit,
@@ -886,22 +887,26 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Validates every atom against the snapshot database before planning, so
 /// a bad request fails with a typed error instead of a worker panic.
-fn check_relations(query: &ConjunctiveQuery, db: &Database) -> Result<(), ServiceError> {
-    for atom in &query.atoms {
-        match db.get(&atom.relation) {
-            None => return Err(ServiceError::MissingRelation(atom.relation.clone())),
-            Some(rel) if rel.arity() != atom.arity() => {
+fn check_relations(rule: &ScannedRule<'_>, db: &Database) -> Result<(), ServiceError> {
+    for (relation, args) in rule.atoms() {
+        let arity = args.len();
+        match db.get(relation) {
+            None => return Err(ServiceError::MissingRelation(relation.to_string())),
+            Some(rel) if rel.arity() != arity => {
                 return Err(ServiceError::MissingRelation(format!(
-                    "{} has arity {}, query uses {}",
-                    atom.relation,
+                    "{relation} has arity {}, query uses {arity}",
                     rel.arity(),
-                    atom.arity()
                 )))
             }
             Some(_) => {}
         }
     }
     Ok(())
+}
+
+/// The names of `query`'s free variables, in order.
+fn column_names(query: &ConjunctiveQuery) -> Vec<String> {
+    query.free.iter().map(|&f| query.vars.name(f)).collect()
 }
 
 /// Evaluates one request against the snapshot admission pinned for it:
@@ -917,27 +922,28 @@ fn process<'a>(
 ) -> Result<Answer, ServiceError> {
     // Span writes go through the out-parameter *before* each `?` so a
     // failed request keeps the phases it did complete.
+    //
+    // The text is scanned once into flat arrays that borrow from it; a
+    // result-cache hit is keyed and answered from those alone, and only a
+    // miss (or an explain) builds the query.
     let started = Instant::now();
-    let parsed = ppr_query::parse_query(&request.query)
+    let scanned = ppr_query::scan_rule(&request.query)
         .map_err(|e| ServiceError::Parse(e.0))
-        .and_then(|q| check_relations(&q, &snapshot.db).map(|()| q));
+        .and_then(|rule| check_relations(&rule, &snapshot.db).map(|()| rule));
     spans.set(Phase::Parse, started.elapsed().as_micros() as u64);
-    let query = parsed?;
-    let columns: Vec<String> = query.free.iter().map(|&f| query.vars.name(f)).collect();
+    let rule = scanned?;
 
     // The effective seed is part of both cache keys: it breaks planner
     // ties, so a request carrying an explicit seed must not be answered
     // with a plan (or rows) built under a different one.
     let seed = request.seed.unwrap_or(shared.default_seed);
     let started = Instant::now();
-    let identity = QueryIdentity::of(&query);
+    let keyed = rule.identify();
+    let identity = &keyed.identity;
     // The answer depends only on the relations the atoms name, so the
     // data half of both cache keys covers those alone: a mutation of any
     // other relation leaves this request's entries valid.
-    let mut read: Vec<&str> = query.atoms.iter().map(|a| a.relation.as_str()).collect();
-    read.sort_unstable();
-    read.dedup();
-    let data = fingerprint_relations(&snapshot.db, &read);
+    let data = fingerprint_relations(&snapshot.db, &rule.read_set());
     spans.set(Phase::Fingerprint, started.elapsed().as_micros() as u64);
     *slow_id = Some(SlowIdentity {
         db,
@@ -969,6 +975,15 @@ fn process<'a>(
     };
     let mut lookup_us = started.elapsed().as_micros() as u64;
     spans.set(Phase::CacheLookup, lookup_us);
+    // The request's own names, sliced from its text: on a hit they may
+    // differ from those of the query that produced the entry.
+    let mut columns = String::with_capacity(rule.columns().map(|c| c.len() + 1).sum());
+    for (i, name) in rule.columns().enumerate() {
+        if i > 0 {
+            columns.push(',');
+        }
+        columns.push_str(name);
+    }
     if let Some(result) = cached {
         return Ok(Answer {
             result,
@@ -982,6 +997,12 @@ fn process<'a>(
             explain: None,
         });
     }
+
+    // Only now is the query built; the parse span counts it.
+    let started = Instant::now();
+    let query = rule.to_query();
+    let built_us = started.elapsed().as_micros() as u64;
+    spans.set(Phase::Parse, spans.get(Phase::Parse) + built_us);
 
     let started = Instant::now();
     let cached_plan = if explaining {
@@ -1011,9 +1032,9 @@ fn process<'a>(
                 }),
                 _ => None,
             };
-            let canonical = decomp_key
-                .is_some()
-                .then(|| ppr_query::canonical_var_order(&query));
+            // The identity's first refinement already sorted out the
+            // colors the canonical order ranks by.
+            let canonical = decomp_key.is_some().then(|| keyed.canonical_var_order());
             let hint = match (&decomp_key, &canonical) {
                 (Some(key), Some(canonical)) => shared
                     .decomps
@@ -1048,7 +1069,7 @@ fn process<'a>(
         let shape = streaming_shape(&plan);
         return Ok(Answer {
             result: Arc::new(CachedResult {
-                columns: columns.clone(),
+                columns: column_names(&query),
                 rows: Vec::new(),
                 stats: ExecStats::default(),
             }),
@@ -1115,7 +1136,7 @@ fn process<'a>(
     // The rows move once, into the entry that is both this request's
     // answer and what the result cache is offered.
     let result = Arc::new(CachedResult {
-        columns: columns.clone(),
+        columns: column_names(&query),
         rows: rel.into_tuples(),
         stats,
     });
@@ -1130,7 +1151,7 @@ fn process<'a>(
         }
         shared
             .results
-            .insert(result_key, identity.shape, result.clone());
+            .insert(result_key, keyed.identity.shape, result.clone());
     }
     Ok(Answer {
         result,
@@ -1375,7 +1396,7 @@ mod tests {
         assert!(!miss.reuse.result_cache_hit);
         // What the cache holds for this request, fetched as a hit would.
         let query = ppr_query::parse_query(&req().query).unwrap();
-        let identity = QueryIdentity::of(&query);
+        let identity = ppr_query::QueryIdentity::of(&query);
         let db = h.catalog().snapshot(DEFAULT_DB).unwrap().db;
         let key = ResultKey {
             data: fingerprint_relations(&db, &["edge"]),

@@ -866,7 +866,7 @@ const EXEC: &[Field<ExecStats>] = &[
 /// Encodes an evaluation outcome as one `ok`/`err` line.
 pub fn encode_result(result: &Result<Response, ServiceError>) -> String {
     match result {
-        Ok(r) => result_line(&r.reuse(), &r.columns, &r.rows, &r.stats),
+        Ok(r) => result_line(&r.reuse(), &r.columns.join(","), &r.rows, &r.stats),
         Err(e) => encode_error(e),
     }
 }
@@ -883,14 +883,8 @@ pub(crate) fn encode_answer(result: &Result<Answer, ServiceError>) -> String {
     }
 }
 
-fn result_line(
-    reuse: &Reuse,
-    columns: &[String],
-    rows: &[Box<[Value]>],
-    stats: &ExecStats,
-) -> String {
+fn result_line(reuse: &Reuse, columns: &str, rows: &[Box<[Value]>], stats: &ExecStats) -> String {
     // Sized once: 512 bytes hold the header's keys and numbers.
-    let columns = columns.join(",");
     let mut line = String::with_capacity(512 + columns.len() + tuples_len_bound(rows));
     line.push_str("ok");
     put_fields(&mut line, REUSE, reuse);

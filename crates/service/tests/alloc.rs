@@ -1,8 +1,9 @@
 //! Allocation guard for the three kernels every `run` crosses, result-cache
-//! hit or not: rule text in (`parse_query`), cache identity
-//! (`QueryIdentity::of`), reply text out (`encode_result` + `tag_reply`);
+//! hit or not: rule text in (`scan_rule`), cache identity (`identify`, from
+//! the scan's arrays), reply text out (`encode_result` + `tag_reply`);
 //! for the result-cache lookup every hit pays between them; and for a
-//! whole hit served over a socket, which must not copy the cached rows;
+//! whole hit served over a socket, which must not copy the cached rows
+//! and must cost no more for 43 atoms than for one;
 //! for a durable catalog's `load` and `add`, which must cost what the
 //! memory-only catalog's do plus a constant; for an `add` into a large
 //! relation, which must copy one row chunk and not the relation; and for
@@ -25,7 +26,7 @@ use ppr_core::Jet;
 use ppr_durability::{StoreOptions, SyncPolicy};
 use ppr_graph::families;
 use ppr_query::Database;
-use ppr_query::{parse_query, QueryIdentity};
+use ppr_query::{parse_query, scan_rule, QueryIdentity};
 use ppr_relalg::relation::CHUNK_ROWS;
 use ppr_relalg::{AttrId, ExecStats, Relation, Schema};
 use ppr_service::protocol::{encode_request, encode_result, tag_reply, tag_request};
@@ -109,21 +110,34 @@ fn ladder_rule() -> String {
     format!("q(x3, x8, x13, x17, x22, x29) :- {}", body.join(", "))
 }
 
+/// Allocations of keying `rule` the way a `run` is keyed from its text:
+/// one scan, then the identity computed from the scan's arrays.
+fn keying(rule: &str) -> (usize, u64) {
+    let ((atoms, identity), allocations) = allocations_during(|| {
+        let scanned = scan_rule(rule).expect("well-formed");
+        (scanned.num_atoms(), scanned.identify())
+    });
+    assert_eq!(
+        identity.identity,
+        QueryIdentity::of(&parse_query(rule).unwrap())
+    );
+    (atoms, allocations)
+}
+
 #[test]
 fn a_hit_parses_and_identifies_in_flat_buffers() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let rule = ladder_rule();
-    let (query, parsing) = allocations_during(|| parse_query(&rule).expect("well-formed"));
-    assert_eq!(query.num_atoms(), 43);
-    // What is left is the query itself: a name and an argument vector per
-    // atom, two copies of each variable name, the containers' growth.
-    assert!(parsing <= 190, "parse_query: {parsing} allocations");
-
-    let (identity, identifying) = allocations_during(|| QueryIdentity::of(&query));
-    assert_eq!(identity.shape.num_vars, 30);
+    let (atoms, ladder) = keying(&ladder_rule());
+    assert_eq!(atoms, 43);
+    let (_, edge) = keying("q(x, y) :- edge(x, y)");
+    // A fixed set of flat arrays, each sized once: the scan's, the
+    // incidence groupings, the refinement colors and the shape's. Building
+    // the query first costs a name and an argument vector per atom and two
+    // copies of each variable name; `parse_query` + `QueryIdentity::of`
+    // were pinned at 190 + 40 allocations for this rule.
     assert!(
-        identifying <= 40,
-        "QueryIdentity::of: {identifying} allocations"
+        ladder <= 32 && ladder <= edge + 2,
+        "scan_rule + identify: {ladder} allocations for 43 atoms, {edge} for one"
     );
 }
 
@@ -207,17 +221,17 @@ fn relation(name: &str, rows: u32) -> Relation {
     Relation::from_distinct_rows(name, schema, rows)
 }
 
-/// Allocations the server makes per result-cache hit on `rel`, served
+/// Allocations the server makes per result-cache hit on `rule`, served
 /// over a v2 socket one tagged `run` at a time: the process-wide count
 /// minus this (client) thread's own.
-fn server_allocations_per_hit(addr: std::net::SocketAddr, rel: &str) -> u64 {
+fn server_allocations_per_hit(addr: std::net::SocketAddr, rule: &str) -> u64 {
     const HITS: u64 = 200;
     let mut socket = TcpStream::connect(addr).unwrap();
     let mut replies = BufReader::new(socket.try_clone().unwrap());
     let mut reply = String::new();
     socket.write_all(b"hello proto=2\n").unwrap();
     replies.read_line(&mut reply).unwrap();
-    let run = encode_request(&Request::query(format!("q(x, y) :- {rel}(x, y)")));
+    let run = encode_request(&Request::query(rule));
     let lines: Vec<String> = (0..=HITS).map(|id| tag_request(id, &run) + "\n").collect();
     let mut serve = |line: &String| {
         socket.write_all(line.as_bytes()).unwrap();
@@ -245,14 +259,38 @@ fn a_hit_served_over_a_socket_does_not_copy_the_cached_rows() {
         .engine(engine.handle())
         .start()
         .unwrap();
-    let thin = server_allocations_per_hit(server.local_addr(), "thin");
-    let wide = server_allocations_per_hit(server.local_addr(), "wide");
+    let thin = server_allocations_per_hit(server.local_addr(), "q(x, y) :- thin(x, y)");
+    let wide = server_allocations_per_hit(server.local_addr(), "q(x, y) :- wide(x, y)");
     server.shutdown();
     engine.shutdown();
     // A copy of the rows would cost one allocation per row.
     assert!(
         wide <= thin + 3,
         "{thin} allocations per 4-row hit, {wide} per 430-row hit"
+    );
+}
+
+#[test]
+fn a_hit_on_43_atoms_allocates_what_a_hit_on_one_does() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new();
+    db.add(relation("edge", 4));
+    let engine = Engine::start(Catalog::with_default(db), EngineConfig::default());
+    let mut server = Server::builder()
+        .addr("127.0.0.1:0")
+        .engine(engine.handle())
+        .start()
+        .unwrap();
+    let one = server_allocations_per_hit(server.local_addr(), "q(x, y) :- edge(x, y)");
+    let ladder = server_allocations_per_hit(server.local_addr(), &ladder_rule());
+    server.shutdown();
+    engine.shutdown();
+    // A hit is keyed from flat arrays over the request's text and builds
+    // no query, so nothing is allocated per atom or per variable. Building
+    // the query made this hit cost 212 allocations, the 1-atom one 52.
+    assert!(
+        ladder <= one + 2,
+        "{one} allocations per 1-atom hit, {ladder} per 43-atom hit"
     );
 }
 

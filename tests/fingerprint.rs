@@ -320,3 +320,162 @@ mod golden {
         }
     }
 }
+
+/// The text path a `run` is keyed by (`scan_rule` + `identify`) against
+/// the query path the replay and the library take (`parse_query` +
+/// `QueryIdentity::of`), on random renderings of the benchmark's families,
+/// SAT queries and random asymmetric queries: renamed, atoms permuted,
+/// spacing varied. Both must also agree with the query the text was
+/// rendered from, which no scanner touched.
+mod parity {
+    use projection_pushing::graph::generate::random_graph_density;
+    use projection_pushing::graph::{families, Graph};
+    use projection_pushing::query::{
+        canonical_var_order, fingerprint, parse_query, scan_rule, Atom, ConjunctiveQuery,
+        QueryIdentity, QueryShape, Vars,
+    };
+    use projection_pushing::relalg::AttrId;
+    use projection_pushing::workload::{color_query, random_sat, sat_query, ColorQueryOptions};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// Digit-free, so a prefix and a distinct number make a distinct name.
+    const PREFIXES: [&str; 5] = ["v", "x_", "é", "Вершина", "名"];
+    const RELATIONS: [&str; 4] = ["e", "r_1", "clause3", "ребро"];
+    const GAPS: [&str; 5] = ["", " ", "\t", "\n", "  "];
+
+    fn color(graph: &Graph, free: bool, rng: &mut StdRng) -> ConjunctiveQuery {
+        let options = if free {
+            ColorQueryOptions::non_boolean()
+        } else {
+            ColorQueryOptions::boolean()
+        };
+        color_query(graph, &options, rng).0
+    }
+
+    fn sat(k: usize, size: usize, free: bool, rng: &mut StdRng) -> ConjunctiveQuery {
+        let instance = random_sat(size + k, 2 * size, k, rng);
+        sat_query(&instance, if free { 0.2 } else { 0.0 }, rng).0
+    }
+
+    /// Atoms over random relations of arity 1 to 4, variables drawn with
+    /// repeats (also within an atom), and a random head or none.
+    fn asymmetric(size: usize, rng: &mut StdRng) -> ConjunctiveQuery {
+        let mut vars = Vars::new();
+        let pool = vars.intern_numbered("v", size + 1);
+        let atoms: Vec<Atom> = (0..size)
+            .map(|_| {
+                let arity = rng.random_range(1..=4);
+                let relation = RELATIONS[rng.random_range(0..RELATIONS.len())];
+                let args = (0..arity).map(|_| pool[rng.random_range(0..pool.len())]);
+                Atom::new(relation, args.collect())
+            })
+            .collect();
+        let mut used: Vec<AttrId> = atoms.iter().flat_map(|a| a.vars()).collect();
+        used.sort_unstable();
+        used.dedup();
+        used.shuffle(rng);
+        let head = rng.random_range(0..=used.len().min(3));
+        let boolean = head == 0;
+        let free = if boolean {
+            vec![atoms[0].args[0]]
+        } else {
+            used[..head].to_vec()
+        };
+        ConjunctiveQuery::new(atoms, free, vars, boolean)
+    }
+
+    fn source(kind: usize, size: usize, free: bool, rng: &mut StdRng) -> ConjunctiveQuery {
+        match kind {
+            0 => color(&families::augmented_path(size), free, rng),
+            1 => color(&families::ladder(size), free, rng),
+            2 => color(&families::augmented_ladder(size), free, rng),
+            3 => color(&families::augmented_circular_ladder(size + 3), free, rng),
+            4 => color(&random_graph_density(size + 4, 2.0, rng), free, rng),
+            5 => sat(3, size, free, rng),
+            6 => sat(2, size, free, rng),
+            _ => asymmetric(size, rng),
+        }
+    }
+
+    /// `query` as rule text under fresh names, its atoms shuffled and
+    /// whitespace wherever the grammar allows it, with the column names a
+    /// reply to it carries.
+    fn render(query: &ConjunctiveQuery, rng: &mut StdRng) -> (String, Vec<String>) {
+        let vars = query.all_vars();
+        let mut numbers: Vec<usize> = (0..vars.len()).collect();
+        numbers.shuffle(rng);
+        let name = |v: AttrId| {
+            let i = vars.iter().position(|&w| w == v).unwrap();
+            format!("{}{}", PREFIXES[numbers[i] % PREFIXES.len()], numbers[i])
+        };
+        let mut atoms: Vec<&Atom> = query.atoms.iter().collect();
+        atoms.shuffle(rng);
+        let head: Vec<String> = if query.is_boolean() {
+            Vec::new()
+        } else {
+            query.free.iter().map(|&v| name(v)).collect()
+        };
+        let columns = if query.is_boolean() {
+            vec![name(atoms[0].args[0])]
+        } else {
+            head.clone()
+        };
+        let mut gap = || GAPS[rng.random_range(0..GAPS.len())];
+        let mut list = |names: Vec<String>| -> String {
+            let mut out = String::new();
+            for (i, n) in names.iter().enumerate() {
+                if i > 0 {
+                    out = out + gap() + ",";
+                }
+                out = out + gap() + n;
+            }
+            out + gap()
+        };
+        let head = list(head);
+        let body: Vec<String> = atoms
+            .iter()
+            .map(|a| {
+                let args = list(a.args.iter().map(|&v| name(v)).collect());
+                format!("{}({args})", a.relation)
+            })
+            .collect();
+        let body = list(body);
+        let text = format!("q({head}) :- {body}.");
+        (text, columns)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_text_path_keys_and_names_a_run_as_the_parsed_query_does(
+            kind in 0usize..8,
+            size in 3usize..10,
+            free in prop::bool::ANY,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let source = source(kind, size, free, &mut rng);
+            let (text, columns) = render(&source, &mut rng);
+
+            let rule = scan_rule(&text).map_err(|e| TestCaseError::fail(e.0))?;
+            let keyed = rule.identify();
+            let parsed = parse_query(&text).unwrap();
+            prop_assert_eq!(&keyed.identity, &QueryIdentity::of(&parsed), "{}", text);
+            prop_assert_eq!(keyed.identity.fingerprint, fingerprint(&source), "{}", text);
+            prop_assert_eq!(&keyed.identity.shape, &QueryShape::of(&source), "{}", text);
+            prop_assert_eq!(keyed.canonical_var_order(), canonical_var_order(&parsed), "{}", text);
+
+            let mut read: Vec<&str> = parsed.atoms.iter().map(|a| a.relation.as_str()).collect();
+            read.sort_unstable();
+            read.dedup();
+            prop_assert_eq!(rule.read_set(), read, "{}", text);
+            let parsed_columns: Vec<String> = parsed.free.iter().map(|&v| parsed.vars.name(v)).collect();
+            prop_assert_eq!(&parsed_columns, &columns, "{}", text);
+            prop_assert_eq!(rule.columns().collect::<Vec<_>>(), columns, "{}", text);
+        }
+    }
+}
