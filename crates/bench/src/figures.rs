@@ -920,4 +920,21 @@ mod tests {
             assert!(golden.contains(&key(row)), "not in results.tsv: {row}");
         }
     }
+
+    /// The `semijoin` block of `results/results.tsv` (the §2 claim that
+    /// semijoins are useless on COLOR workloads) is deterministic: at the
+    /// default three seeds the experiment reprints it byte for byte.
+    #[test]
+    fn semijoin_block_matches_committed_results() {
+        let committed: String = include_str!("../../../results/results.tsv")
+            .lines()
+            .skip_while(|l| *l != "== semijoin ==")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let mut out = Vec::new();
+        semijoin_usefulness(&mut out, &Config::default());
+        assert_eq!(String::from_utf8(out).unwrap(), committed);
+    }
 }

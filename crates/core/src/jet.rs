@@ -290,6 +290,9 @@ fn post_order(children: &[Vec<usize>], root: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use ppr_query::{Atom, Vars};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rustc_hash::FxHashSet;
 
     /// Path query: π_{v0} edge(v0,v1) ⋈ edge(v1,v2) ⋈ edge(v2,v3).
@@ -393,6 +396,109 @@ mod tests {
         let jet = Jet::left_deep(&q);
         assert_eq!(jet.width(), 2);
         assert_eq!(jet.nodes()[jet.root()].projected, vec![v[0]]);
+    }
+
+    /// A random tree whose leaves are the `m` atoms: two or three random
+    /// subtrees go under a fresh node until one is left (a lone leaf gets
+    /// a root above it), then the nodes are renumbered at random.
+    fn random_structure(m: usize, rng: &mut StdRng) -> JetStructure {
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); m];
+        let mut atom: Vec<Option<usize>> = (0..m).map(Some).collect();
+        let mut roots: Vec<usize> = (0..m).collect();
+        while roots.len() > 1 || atom[roots[0]].is_some() {
+            let take = rng.random_range(2..4usize).min(roots.len());
+            let mut group = Vec::new();
+            for _ in 0..take {
+                group.push(roots.swap_remove(rng.random_range(0..roots.len())));
+            }
+            roots.push(children.len());
+            children.push(group);
+            atom.push(None);
+        }
+        let n = children.len();
+        let mut rename: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rename.swap(i, rng.random_range(0..i + 1));
+        }
+        let mut renamed = vec![Vec::new(); n];
+        let mut renamed_atom = vec![None; n];
+        for v in 0..n {
+            renamed[rename[v]] = children[v].iter().map(|&c| rename[c]).collect();
+            renamed_atom[rename[v]] = atom[v];
+        }
+        JetStructure {
+            children: renamed,
+            atom: renamed_atom,
+            root: rename[roots[0]],
+        }
+    }
+
+    /// The atoms in `v`'s subtree.
+    fn subtree_atoms(s: &JetStructure, v: usize, out: &mut Vec<usize>) {
+        out.extend(s.atom[v]);
+        for &c in &s.children[v] {
+            subtree_atoms(s, c, out);
+        }
+    }
+
+    fn sorted(label: &[AttrId]) -> Vec<AttrId> {
+        let mut label = label.to_vec();
+        label.sort_unstable();
+        label
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every node's labels against §5's definition, computed by brute
+        /// force: a leaf works on its atom's variables and an interior node
+        /// on the union of its children's projected labels; a node projects
+        /// the variables of its working label that are free or occur in an
+        /// atom outside its subtree; the root projects exactly `free`.
+        #[test]
+        fn labels_match_the_definition(
+            atoms in prop::collection::vec(prop::collection::vec(0u32..6, 1..4), 1..8),
+            free_mask in prop::collection::vec(prop::bool::ANY, 6),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut vars = Vars::new();
+            let atoms: Vec<Atom> = atoms
+                .iter()
+                .map(|args| Atom::new("r", args.iter().map(|i| vars.intern(&format!("x{i}"))).collect()))
+                .collect();
+            let free = vars.ids().filter(|a| free_mask[a.index()]).collect();
+            let q = ConjunctiveQuery::new(atoms, free, vars, false);
+            let structure = random_structure(q.num_atoms(), &mut StdRng::seed_from_u64(seed));
+            let jet = Jet::new(&q, structure.clone());
+            prop_assert_eq!(jet.root(), structure.root);
+            for v in 0..structure.atom.len() {
+                let node = &jet.nodes()[v];
+                prop_assert_eq!(&node.children, &structure.children[v]);
+                prop_assert_eq!(node.atom, structure.atom[v]);
+                let working: Vec<AttrId> = match structure.atom[v] {
+                    Some(j) => q.atoms[j].args.clone(),
+                    None => structure.children[v]
+                        .iter()
+                        .flat_map(|&c| jet.nodes()[c].projected.clone())
+                        .collect(),
+                };
+                let mut expected = sorted(&working);
+                expected.dedup();
+                prop_assert_eq!(sorted(&node.working), expected);
+                if v == structure.root {
+                    prop_assert_eq!(&node.projected, &q.free);
+                    continue;
+                }
+                let mut inside = Vec::new();
+                subtree_atoms(&structure, v, &mut inside);
+                let needed = |a: &AttrId| {
+                    q.free.contains(a)
+                        || (0..q.num_atoms()).any(|j| !inside.contains(&j) && q.atoms[j].mentions(*a))
+                };
+                let expected: Vec<AttrId> = node.working.iter().copied().filter(needed).collect();
+                prop_assert_eq!(sorted(&node.projected), sorted(&expected));
+            }
+        }
     }
 
     #[test]
