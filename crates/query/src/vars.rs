@@ -1,6 +1,6 @@
 //! Variable interning.
 
-use rustc_hash::FxHashMap;
+use std::collections::HashMap;
 
 use ppr_relalg::AttrId;
 
@@ -9,7 +9,10 @@ use ppr_relalg::AttrId;
 #[derive(Debug, Clone, Default)]
 pub struct Vars {
     names: Vec<String>,
-    map: FxHashMap<String, AttrId>,
+    /// Keyed with the std hasher, like the rule scanner's name index: the
+    /// names come off the wire, and a fixed-key hash lets a crafted
+    /// request collide them.
+    map: HashMap<String, AttrId>,
 }
 
 impl Vars {
