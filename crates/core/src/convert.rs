@@ -17,7 +17,7 @@
 //!
 //! Together: join width = treewidth + 1 (Theorem 1).
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 
 use ppr_graph::TreeDecomposition;
 use ppr_query::{ConjunctiveQuery, JoinGraph};
@@ -28,18 +28,12 @@ use crate::jet::{Jet, JetStructure};
 /// nodes and edges are kept, bags are the working labels (as join-graph
 /// vertices).
 pub fn jet_to_tree_decomposition(jet: &Jet, jg: &JoinGraph) -> TreeDecomposition {
-    let bags: Vec<Vec<usize>> = jet
-        .nodes()
-        .iter()
-        .map(|n| n.working.iter().map(|&a| jg.vertex(a)).collect())
-        .collect();
-    let mut edges = Vec::new();
-    for (v, node) in jet.nodes().iter().enumerate() {
-        for &c in &node.children {
-            edges.push((v, c));
-        }
-    }
-    TreeDecomposition::new(bags, edges)
+    let nodes = 0..jet.num_nodes();
+    let bags = nodes
+        .clone()
+        .map(|v| jet.working(v).iter().map(|&a| jg.vertex(a)).collect());
+    let edges = nodes.flat_map(|v| jet.children(v).iter().map(move |&c| (v, c)));
+    TreeDecomposition::new(bags.collect(), edges.collect())
 }
 
 /// The result of [`mark_and_sweep`]: the simplified decomposition plus the
@@ -210,52 +204,61 @@ pub fn tree_decomposition_to_jet(
     let simplified = mark_and_sweep(td, query, jg);
     let std_ = &simplified.decomposition;
     let n = std_.bags().len();
-    // Root the tree at the target anchor.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let m = query.num_atoms();
+    // Adjacency in compressed sparse row form, neighbors in edge order.
+    let mut adj_start = vec![0; n + 1];
     for &(a, b) in std_.edges() {
-        adj[a].push(b);
-        adj[b].push(a);
+        adj_start[a + 1] += 1;
+        adj_start[b + 1] += 1;
     }
+    for v in 0..n {
+        adj_start[v + 1] += adj_start[v];
+    }
+    let mut fill = adj_start.clone();
+    let mut adj = vec![0; adj_start[n]];
+    for &(a, b) in std_.edges() {
+        adj[fill[a]] = b;
+        fill[a] += 1;
+        adj[fill[b]] = a;
+        fill[b] += 1;
+    }
+    // Root the tree at the target anchor: each node's parent is the node
+    // it was first reached from.
     let root = simplified.target_anchor;
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut visited = vec![false; n];
+    let mut parent = vec![usize::MAX; n];
+    parent[root] = root;
     let mut stack = vec![root];
-    visited[root] = true;
     while let Some(v) = stack.pop() {
-        for &w in &adj[v] {
-            if !visited[w] {
-                visited[w] = true;
-                children[v].push(w);
+        for &w in &adj[adj_start[v]..adj_start[v + 1]] {
+            if parent[w] == usize::MAX {
+                parent[w] = v;
                 stack.push(w);
             }
         }
     }
-    // Attach atom leaves.
-    let mut atom_of: Vec<Option<usize>> = vec![None; n];
-    for (j, &anchor) in simplified.atom_anchor.iter().enumerate() {
-        let leaf = atom_of.len();
-        atom_of.push(Some(j));
-        children.push(Vec::new());
-        children[anchor].push(leaf);
+    // A node's children are the neighbors it reached, then one leaf per
+    // atom anchored at it; the leaf of atom `j` is node `n + j`.
+    let mut anchored: Vec<usize> = (0..m).collect();
+    anchored.sort_by_key(|&j| simplified.atom_anchor[j]);
+    let mut anchored = anchored.into_iter().peekable();
+    let mut child_start = Vec::with_capacity(n + m + 1);
+    let mut children = Vec::with_capacity(n + m);
+    for v in 0..n {
+        child_start.push(children.len());
+        let reached = adj[adj_start[v]..adj_start[v + 1]].iter();
+        children.extend(reached.filter(|&&w| parent[w] == v));
+        while let Some(j) = anchored.next_if(|&j| simplified.atom_anchor[j] == v) {
+            children.push(n + j);
+        }
     }
-    Jet::new(
-        query,
-        JetStructure {
-            children,
-            atom: atom_of,
-            root,
-        },
-    )
-}
-
-/// Connected anchors sanity map (exposed for tests): which simplified node
-/// each atom was anchored to.
-pub fn anchors_of(simplified: &SimplifiedDecomposition) -> FxHashMap<usize, Vec<usize>> {
-    let mut map: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    for (j, &a) in simplified.atom_anchor.iter().enumerate() {
-        map.entry(a).or_default().push(j);
-    }
-    map
+    child_start.resize(n + m + 1, children.len());
+    let structure = JetStructure {
+        child_start,
+        children,
+        atom: (0..n + m).map(|v| v.checked_sub(n)).collect(),
+        root,
+    };
+    Jet::new(query, structure)
 }
 
 #[cfg(test)]
@@ -328,8 +331,8 @@ mod tests {
         let order = mcs_order(&jg.graph, &[], &mut rng());
         let td = TreeDecomposition::from_elimination_order(&jg.graph, &order);
         let simplified = mark_and_sweep(&td, &q, &jg);
-        let map = anchors_of(&simplified);
-        let total: usize = map.values().map(|v| v.len()).sum();
-        assert_eq!(total, q.num_atoms());
+        assert_eq!(simplified.atom_anchor.len(), q.num_atoms());
+        let nodes = simplified.decomposition.bags().len();
+        assert!(simplified.atom_anchor.iter().all(|&a| a < nodes));
     }
 }

@@ -14,43 +14,43 @@
 //! structure allows; the tree's **width** is `max |L_w|`, and the *join
 //! width* of `Q` is the minimum width over all of its join-expression
 //! trees. Theorem 1: the join width equals `tw(join graph) + 1`.
-
-use rustc_hash::FxHashMap;
+//!
+//! A tree is stored flat: its children lists in compressed sparse row form
+//! ([`JetStructure`]) and every node's two labels in one id buffer, so
+//! building one costs a fixed number of allocations whatever its size.
 
 use ppr_query::{ConjunctiveQuery, Database};
 use ppr_relalg::{AttrId, Plan};
 
-/// One node of a join-expression tree.
-#[derive(Debug, Clone)]
-pub struct JetNode {
-    /// Children node indices (empty for leaves).
-    pub children: Vec<usize>,
-    /// For leaves, the index of the atom in the query.
-    pub atom: Option<usize>,
-    /// Working label `L_w`.
-    pub working: Vec<AttrId>,
-    /// Projected label `L_p`.
-    pub projected: Vec<AttrId>,
-}
-
-/// A join-expression tree over a query. Nodes are stored in a vector; the
-/// labels are computed from the structure at construction time.
+/// A join-expression tree over a query: its structure, and the labels
+/// computed from it at construction time.
 #[derive(Debug, Clone)]
 pub struct Jet {
-    nodes: Vec<JetNode>,
-    root: usize,
+    structure: JetStructure,
+    /// Node `v`'s working label is `labels[at[v][0]..at[v][1]]` and its
+    /// projected label `labels[at[v][1]..at[v][2]]`.
+    at: Vec<[usize; 3]>,
+    labels: Vec<AttrId>,
 }
 
-/// Structure description used to build a [`Jet`]: children lists per node
-/// and the leaf → atom assignment.
+/// Structure description used to build a [`Jet`], in compressed sparse row
+/// form: node `v`'s children are `children[child_start[v]..child_start[v + 1]]`.
 #[derive(Debug, Clone)]
 pub struct JetStructure {
-    /// `children[v]` lists the children of node `v`.
-    pub children: Vec<Vec<usize>>,
+    /// Where each node's children start in `children`, plus the end.
+    pub child_start: Vec<usize>,
+    /// The children of every node, node by node.
+    pub children: Vec<usize>,
     /// `atom[v]` is `Some(j)` when node `v` is the leaf for atom `j`.
     pub atom: Vec<Option<usize>>,
     /// Root node index.
     pub root: usize,
+}
+
+impl JetStructure {
+    fn children(&self, v: usize) -> &[usize] {
+        &self.children[self.child_start[v]..self.child_start[v + 1]]
+    }
 }
 
 impl Jet {
@@ -58,157 +58,176 @@ impl Jet {
     /// assigned to exactly one leaf, leaves carry atoms, interior nodes
     /// have children, and the structure is a tree rooted at `root`.
     pub fn new(query: &ConjunctiveQuery, structure: JetStructure) -> Self {
-        let n = structure.children.len();
-        assert_eq!(structure.atom.len(), n);
+        let n = structure.atom.len();
+        assert_eq!(structure.child_start.len(), n + 1);
+        assert_eq!(structure.child_start[n], structure.children.len());
         assert!(structure.root < n);
-        // Tree checks: every non-root node has exactly one parent.
-        let mut parent = vec![usize::MAX; n];
-        for (v, ch) in structure.children.iter().enumerate() {
-            for &c in ch {
-                assert!(c < n && parent[c] == usize::MAX, "node {c} has two parents");
-                assert!(c != structure.root, "root cannot be a child");
-                parent[c] = v;
+        // An attribute is needed above a subtree iff it is free or occurs
+        // in an atom outside the subtree. Both walks below visit the leaves
+        // in the same depth-first order, in which every subtree's leaves
+        // have consecutive ranks, so "occurs outside" means the attribute's
+        // first or last leaf rank falls outside the subtree's: one span per
+        // attribute, indexed by its dense id, instead of an occurrence count
+        // per node. The first walk ranks the leaves and checks that every
+        // node is reached from the root exactly once.
+        let args = query.atoms.iter().flat_map(|atom| &atom.args);
+        let ids = args.clone().map(|a| a.index() + 1).max().unwrap_or(0);
+        let mut span = vec![(usize::MAX, 0); ids];
+        let mut reached = vec![false; n];
+        let mut stack: Vec<(usize, Option<usize>)> = Vec::with_capacity(n);
+        let mut rank = 0;
+        stack.push((structure.root, None));
+        while let Some((v, _)) = stack.pop() {
+            assert!(!reached[v], "node {v} has two parents");
+            reached[v] = true;
+            if let Some(j) = structure.atom[v] {
+                for a in &query.atoms[j].args {
+                    let (first, last) = &mut span[a.index()];
+                    *first = (*first).min(rank);
+                    *last = rank;
+                }
+                rank += 1;
+            }
+            stack.extend(structure.children(v).iter().map(|&c| (c, None)));
+        }
+        assert!(
+            reached.iter().all(|&r| r),
+            "structure is a forest, not a tree"
+        );
+        for f in &query.free {
+            if let Some((_, last)) = span.get_mut(f.index()) {
+                *last = usize::MAX; // free: needed above every subtree
             }
         }
-        let orphan_count = (0..n)
-            .filter(|&v| v != structure.root && parent[v] == usize::MAX)
-            .count();
-        assert_eq!(orphan_count, 0, "structure is a forest, not a tree");
-        // Atom assignment checks.
-        let mut seen_atoms = vec![false; query.num_atoms()];
+        let mut placed = vec![false; query.num_atoms()];
         for (v, a) in structure.atom.iter().enumerate() {
-            match a {
+            let leaf = structure.children(v).is_empty();
+            match *a {
                 Some(j) => {
-                    assert!(
-                        structure.children[v].is_empty(),
-                        "node {v} carries an atom but has children"
-                    );
-                    assert!(!seen_atoms[*j], "atom {j} assigned twice");
-                    seen_atoms[*j] = true;
+                    assert!(leaf, "node {v} carries an atom but has children");
+                    assert!(!placed[j], "atom {j} assigned twice");
+                    placed[j] = true;
                 }
-                None => assert!(
-                    !structure.children[v].is_empty(),
-                    "leaf {v} carries no atom"
-                ),
+                None => assert!(!leaf, "leaf {v} carries no atom"),
             }
         }
         assert!(
-            seen_atoms.iter().all(|&s| s),
+            placed.iter().all(|&p| p),
             "every atom must be assigned to a leaf"
         );
 
-        // An attribute is needed above a subtree iff it is free or occurs
-        // in an atom outside the subtree. A subtree's leaves are contiguous
-        // in post-order, so with leaves ranked in that order, "occurs
-        // outside" means the attribute's first or last leaf rank falls
-        // outside the subtree's leaf interval: one span per attribute
-        // instead of an occurrence count per node.
-        let order = post_order(&structure.children, structure.root);
-        let mut nodes: Vec<JetNode> = (0..n)
-            .map(|v| JetNode {
-                children: Vec::new(),
-                atom: structure.atom[v],
-                working: Vec::new(),
-                projected: Vec::new(),
-            })
-            .collect();
-        let mut span: FxHashMap<AttrId, (usize, usize)> = FxHashMap::default();
-        let mut interval = vec![(usize::MAX, 0); n];
-        let leaves = order.iter().filter_map(|&v| Some((v, structure.atom[v]?)));
-        for (rank, (v, j)) in leaves.enumerate() {
-            nodes[v].working = query.atoms[j].vars();
-            for &a in &nodes[v].working {
-                span.entry(a).or_insert((rank, rank)).1 = rank;
-            }
-            interval[v] = (rank, rank);
-        }
-        for f in &query.free {
-            if let Some(s) = span.get_mut(f) {
-                s.1 = usize::MAX; // free: needed above every subtree
-            }
-        }
-
-        // Bottom-up label computation over the post-order.
-        for &v in &order {
-            if structure.atom[v].is_none() {
-                let mut working: Vec<AttrId> = Vec::new();
-                for &c in &structure.children[v] {
-                    for &a in &nodes[c].projected {
-                        if !working.contains(&a) {
-                            working.push(a);
-                        }
-                    }
-                    interval[v].0 = interval[v].0.min(interval[c].0);
-                    interval[v].1 = interval[v].1.max(interval[c].1);
+        // The second walk computes the labels bottom-up: a node is pushed
+        // again with the rank of its first leaf, and popped, with the
+        // ranks of its subtree's leaves `lo..rank`, after its children. The
+        // buffer is sized for leaves' labels (at most twice an atom's
+        // arity) and for a chain's interior ones; wider labels regrow it.
+        let mut at = vec![[0; 3]; n];
+        let mut labels = Vec::with_capacity(2 * args.count() + 3 * n);
+        rank = 0;
+        stack.push((structure.root, None));
+        while let Some((v, lo)) = stack.pop() {
+            let Some(lo) = lo else {
+                stack.push((v, Some(rank)));
+                stack.extend(structure.children(v).iter().map(|&c| (c, None)));
+                continue;
+            };
+            let start = labels.len();
+            if let Some(j) = structure.atom[v] {
+                for &a in &query.atoms[j].args {
+                    add(&mut labels, start, a);
                 }
-                nodes[v].working = working;
+                rank += 1;
+            }
+            for &c in structure.children(v) {
+                let [_, from, to] = at[c];
+                for i in from..to {
+                    let a = labels[i];
+                    add(&mut labels, start, a);
+                }
             }
             // Projected label: attributes of the working label still
             // needed outside the subtree. The root projects exactly the
             // target schema, in the query's declared order.
+            let mid = labels.len();
             if v == structure.root {
                 for f in &query.free {
                     assert!(
-                        nodes[v].working.contains(f),
+                        labels[start..mid].contains(f),
                         "free variable {f} did not reach the root's working label"
                     );
                 }
-                nodes[v].projected = query.free.clone();
+                labels.extend_from_slice(&query.free);
             } else {
-                let (lo, hi) = interval[v];
-                nodes[v].projected = nodes[v]
-                    .working
-                    .iter()
-                    .copied()
-                    .filter(|a| {
-                        let (first, last) = span[a];
-                        first < lo || last > hi
-                    })
-                    .collect();
+                for i in start..mid {
+                    let (first, last) = span[labels[i].index()];
+                    if first < lo || last >= rank {
+                        labels.push(labels[i]);
+                    }
+                }
             }
-        }
-        for (node, children) in nodes.iter_mut().zip(structure.children) {
-            node.children = children;
+            at[v] = [start, mid, labels.len()];
         }
         Jet {
-            nodes,
-            root: structure.root,
+            structure,
+            at,
+            labels,
         }
     }
 
-    /// The nodes.
-    pub fn nodes(&self) -> &[JetNode] {
-        &self.nodes
+    /// Number of nodes; they are numbered `0..num_nodes()`.
+    pub fn num_nodes(&self) -> usize {
+        self.at.len()
     }
 
     /// Root node index.
     pub fn root(&self) -> usize {
-        self.root
+        self.structure.root
+    }
+
+    /// Node `v`'s children (empty for leaves).
+    pub fn children(&self, v: usize) -> &[usize] {
+        self.structure.children(v)
+    }
+
+    /// For a leaf, the index of its atom in the query.
+    pub fn atom(&self, v: usize) -> Option<usize> {
+        self.structure.atom[v]
+    }
+
+    /// Node `v`'s working label `L_w`.
+    pub fn working(&self, v: usize) -> &[AttrId] {
+        let [start, mid, _] = self.at[v];
+        &self.labels[start..mid]
+    }
+
+    /// Node `v`'s projected label `L_p`.
+    pub fn projected(&self, v: usize) -> &[AttrId] {
+        let [_, mid, end] = self.at[v];
+        &self.labels[mid..end]
     }
 
     /// The width `max_v |L_w(v)|`.
     pub fn width(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.working.len())
-            .max()
-            .unwrap_or(0)
+        let widths = self.at.iter().map(|[start, mid, _]| mid - start);
+        widths.max().unwrap_or(0)
     }
 
     /// Converts the tree into an executable [`Plan`]: each interior node
     /// joins its children left to right and projects (with dedup) onto its
     /// projected label; the root projects onto the query's free variables.
     pub fn to_plan(&self, query: &ConjunctiveQuery, db: &Database) -> Plan {
-        self.node_plan(self.root, query, db)
+        self.node_plan(self.root(), query, db)
     }
 
     fn node_plan(&self, v: usize, query: &ConjunctiveQuery, db: &Database) -> Plan {
-        let node = &self.nodes[v];
-        if let Some(j) = node.atom {
+        if let Some(j) = self.atom(v) {
             let atom = &query.atoms[j];
             return Plan::scan(db.expect(&atom.relation), atom.args.clone());
         }
-        let mut plans = node.children.iter().map(|&c| self.node_plan(c, query, db));
+        let mut plans = self
+            .children(v)
+            .iter()
+            .map(|&c| self.node_plan(c, query, db));
         let mut plan = plans.next().expect("interior node has children");
         for p in plans {
             plan = plan.join(p);
@@ -216,8 +235,9 @@ impl Jet {
         // Materialize only when the projection actually drops attributes
         // (the paper creates a subquery only when a variable dies); the
         // root always projects, fixing the output column order.
-        if v == self.root || node.projected.len() < node.working.len() {
-            plan = plan.project(node.projected.clone());
+        let projected = self.projected(v);
+        if v == self.root() || projected.len() < self.working(v).len() {
+            plan = plan.project(projected.to_vec());
         }
         plan
     }
@@ -229,61 +249,41 @@ impl Jet {
         assert!(m >= 1);
         if m == 1 {
             // Single leaf under a root.
-            return Jet::new(
-                query,
-                JetStructure {
-                    children: vec![vec![1], vec![]],
-                    atom: vec![None, Some(0)],
-                    root: 0,
-                },
-            );
-        }
-        // Interior nodes 0..m-1 (0 is root), leaves m..2m-1 for atoms.
-        // Interior node i joins interior node i+1 (or the two deepest
-        // leaves) with leaf for atom (m-1-i).
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); 2 * m - 1];
-        let mut atom: Vec<Option<usize>> = vec![None; 2 * m - 1];
-        for j in 0..m {
-            atom[m - 1 + j] = Some(j);
-        }
-        // Interior node i (0-based, root = 0) has children: [next interior
-        // or deepest leaf, leaf of atom m-1-i].
-        #[allow(clippy::needless_range_loop)] // index arithmetic across two halves
-        for i in 0..m - 1 {
-            let deeper: usize = if i + 1 < m - 1 {
-                i + 1
-            } else {
-                m - 1 // leaf of atom 0
-            };
-            let leaf = m - 1 + (m - 1 - i);
-            children[i] = vec![deeper, leaf];
-        }
-        Jet::new(
-            query,
-            JetStructure {
-                children,
-                atom,
+            let structure = JetStructure {
+                child_start: vec![0, 1, 1],
+                children: vec![1],
+                atom: vec![None, Some(0)],
                 root: 0,
-            },
-        )
+            };
+            return Jet::new(query, structure);
+        }
+        // Interior nodes 0..m-1 (0 is the root) have two children each,
+        // leaves m-1..2m-1 hold atoms 0..m in order. Interior node i joins
+        // the next interior node (the deepest joins the leaf of atom 0)
+        // with the leaf of atom m-1-i.
+        let n = 2 * m - 1;
+        let child_start = (0..=n).map(|v| 2 * v.min(m - 1)).collect();
+        let mut children = Vec::with_capacity(2 * (m - 1));
+        for i in 0..m - 1 {
+            children.extend([(i + 1).min(m - 1), 2 * m - 2 - i]);
+        }
+        let atom = (0..n).map(|v| v.checked_sub(m - 1)).collect();
+        let structure = JetStructure {
+            child_start,
+            children,
+            atom,
+            root: 0,
+        };
+        Jet::new(query, structure)
     }
 }
 
-/// Post-order traversal of a children-list tree.
-fn post_order(children: &[Vec<usize>], root: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(children.len());
-    let mut stack = vec![(root, false)];
-    while let Some((v, expanded)) = stack.pop() {
-        if expanded {
-            out.push(v);
-        } else {
-            stack.push((v, true));
-            for &c in &children[v] {
-                stack.push((c, false));
-            }
-        }
+/// Appends `a` to the label that starts at `labels[start]`, unless it is
+/// there already.
+fn add(labels: &mut Vec<AttrId>, start: usize, a: AttrId) {
+    if !labels[start..].contains(&a) {
+        labels.push(a);
     }
-    out
 }
 
 #[cfg(test)]
@@ -295,27 +295,41 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rustc_hash::FxHashSet;
 
-    /// Path query: π_{v0} edge(v0,v1) ⋈ edge(v1,v2) ⋈ edge(v2,v3).
-    fn path_query() -> ConjunctiveQuery {
+    /// Path query: π_{v0} edge(v0,v1) ⋈ … ⋈ edge(v{k-1},v{k}), Boolean in
+    /// the paper's SQL emulation (one projected variable).
+    fn path(k: usize) -> ConjunctiveQuery {
         let mut vars = Vars::new();
-        let v = vars.intern_numbered("v", 4);
-        ConjunctiveQuery::new(
-            vec![
-                Atom::new("edge", vec![v[0], v[1]]),
-                Atom::new("edge", vec![v[1], v[2]]),
-                Atom::new("edge", vec![v[2], v[3]]),
-            ],
-            vec![v[0]],
-            vars,
-            true,
-        )
+        let v = vars.intern_numbered("v", k + 1);
+        let atoms = (0..k)
+            .map(|i| Atom::new("edge", vec![v[i], v[i + 1]]))
+            .collect();
+        ConjunctiveQuery::new(atoms, vec![v[0]], vars, true)
+    }
+
+    fn path_query() -> ConjunctiveQuery {
+        path(3)
+    }
+
+    /// The flat structure of per-node children lists.
+    fn structure(lists: &[Vec<usize>], atom: Vec<Option<usize>>, root: usize) -> JetStructure {
+        let mut child_start = vec![0];
+        child_start.extend(lists.iter().scan(0, |end, list| {
+            *end += list.len();
+            Some(*end)
+        }));
+        JetStructure {
+            child_start,
+            children: lists.concat(),
+            atom,
+            root,
+        }
     }
 
     #[test]
     fn left_deep_structure() {
         let q = path_query();
         let jet = Jet::left_deep(&q);
-        assert_eq!(jet.nodes().len(), 5); // 2 interior + 3 leaves
+        assert_eq!(jet.num_nodes(), 5); // 2 interior + 3 leaves
         assert_eq!(jet.width(), 3); // v0 stays live to the root
     }
 
@@ -324,84 +338,73 @@ mod tests {
         let q = path_query();
         // Root joins (atom0 ⋈ atom1) with atom2.
         //   node0 = root, node1 = interior, nodes 2,3,4 = leaves 0,1,2.
-        let jet = Jet::new(
-            &q,
-            JetStructure {
-                children: vec![vec![1, 4], vec![2, 3], vec![], vec![], vec![]],
-                atom: vec![None, None, Some(0), Some(1), Some(2)],
-                root: 0,
-            },
-        );
-        let n1 = &jet.nodes()[1];
+        let lists = [vec![1, 4], vec![2, 3], vec![], vec![], vec![]];
+        let atom = vec![None, None, Some(0), Some(1), Some(2)];
+        let jet = Jet::new(&q, structure(&lists, atom, 0));
         // Interior node joins edge(v0,v1) ⋈ edge(v1,v2): working {v0,v1,v2}.
-        assert_eq!(n1.working.len(), 3);
+        assert_eq!(jet.working(1).len(), 3);
         // v1 dies there (only used inside); v0 is free, v2 needed by atom2.
-        let projected: FxHashSet<AttrId> = n1.projected.iter().copied().collect();
+        let projected: FxHashSet<AttrId> = jet.projected(1).iter().copied().collect();
         assert_eq!(projected.len(), 2);
         assert!(projected.contains(&AttrId(0)));
         assert!(projected.contains(&AttrId(2)));
         // Root projects exactly the free variables.
-        assert_eq!(jet.nodes()[0].projected, vec![AttrId(0)]);
+        assert_eq!(jet.projected(0), [AttrId(0)]);
     }
 
     #[test]
     fn width_of_good_tree_is_smaller() {
-        // For the path query with free v0, a right-leaning tree that joins
-        // atom2 deepest lets v3 and v2 die early: width 3 → the join graph
-        // (a path plus no extra clique) has treewidth 1... but v0 free
-        // forces it to stay, width still bounded by 3 for left-deep.
-        let q = path_query();
-        let left = Jet::left_deep(&q);
-        assert!(left.width() <= 3);
+        // edge(v0,v1) … edge(v3,v4) with v0 projected. Left-deep, v0 rides
+        // along while each join adds one variable and the previous one
+        // dies: {v0,v1,v2}, {v0,v2,v3}, {v0,v3}, so width 3.
+        let q = path(4);
+        assert_eq!(Jet::left_deep(&q).width(), 3);
+        // Joining atoms 0 and 3 first is a cross product, {v0,v1,v3}; then
+        // atom 1 adds v2 while v1 and v3 are still needed: {v0,v1,v2,v3},
+        // width 4. Nodes: 0 = root ⋈ atom 2, 1 = node 2 ⋈ atom 1,
+        // 2 = atom 0 ⋈ atom 3, leaves 3..7 = atoms 0..4.
+        let lists = [
+            vec![1, 5],
+            vec![2, 4],
+            vec![3, 6],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+        ];
+        let atom = vec![None, None, None, Some(0), Some(1), Some(2), Some(3)];
+        let cross = Jet::new(&q, structure(&lists, atom, 0));
+        assert_eq!(cross.working(2), [AttrId(0), AttrId(1), AttrId(3)]);
+        assert_eq!(cross.width(), 4);
     }
 
     #[test]
     #[should_panic(expected = "every atom")]
     fn missing_atom_rejected() {
         let q = path_query();
-        Jet::new(
-            &q,
-            JetStructure {
-                children: vec![vec![1], vec![]],
-                atom: vec![None, Some(0)],
-                root: 0,
-            },
-        );
+        Jet::new(&q, structure(&[vec![1], vec![]], vec![None, Some(0)], 0));
     }
 
     #[test]
     #[should_panic(expected = "two parents")]
     fn dag_rejected() {
         let q = path_query();
-        Jet::new(
-            &q,
-            JetStructure {
-                children: vec![vec![1, 1], vec![]],
-                atom: vec![None, Some(0)],
-                root: 0,
-            },
-        );
+        Jet::new(&q, structure(&[vec![1, 1], vec![]], vec![None, Some(0)], 0));
     }
 
     #[test]
     fn single_atom_jet() {
-        let mut vars = Vars::new();
-        let v = vars.intern_numbered("v", 2);
-        let q = ConjunctiveQuery::new(
-            vec![Atom::new("edge", vec![v[0], v[1]])],
-            vec![v[0]],
-            vars,
-            true,
-        );
+        let q = path(1);
         let jet = Jet::left_deep(&q);
         assert_eq!(jet.width(), 2);
-        assert_eq!(jet.nodes()[jet.root()].projected, vec![v[0]]);
+        assert_eq!(jet.projected(jet.root()), [AttrId(0)]);
     }
 
     /// A random tree whose leaves are the `m` atoms: two or three random
     /// subtrees go under a fresh node until one is left (a lone leaf gets
-    /// a root above it), then the nodes are renumbered at random.
-    fn random_structure(m: usize, rng: &mut StdRng) -> JetStructure {
+    /// a root above it), then the nodes are renumbered at random. Returns
+    /// the children lists, the atoms and the root.
+    fn random_tree(m: usize, rng: &mut StdRng) -> (Vec<Vec<usize>>, Vec<Option<usize>>, usize) {
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); m];
         let mut atom: Vec<Option<usize>> = (0..m).map(Some).collect();
         let mut roots: Vec<usize> = (0..m).collect();
@@ -426,18 +429,14 @@ mod tests {
             renamed[rename[v]] = children[v].iter().map(|&c| rename[c]).collect();
             renamed_atom[rename[v]] = atom[v];
         }
-        JetStructure {
-            children: renamed,
-            atom: renamed_atom,
-            root: rename[roots[0]],
-        }
+        (renamed, renamed_atom, rename[roots[0]])
     }
 
     /// The atoms in `v`'s subtree.
-    fn subtree_atoms(s: &JetStructure, v: usize, out: &mut Vec<usize>) {
-        out.extend(s.atom[v]);
-        for &c in &s.children[v] {
-            subtree_atoms(s, c, out);
+    fn subtree_atoms(lists: &[Vec<usize>], atom: &[Option<usize>], v: usize, out: &mut Vec<usize>) {
+        out.extend(atom[v]);
+        for &c in &lists[v] {
+            subtree_atoms(lists, atom, c, out);
         }
     }
 
@@ -468,35 +467,32 @@ mod tests {
                 .collect();
             let free = vars.ids().filter(|a| free_mask[a.index()]).collect();
             let q = ConjunctiveQuery::new(atoms, free, vars, false);
-            let structure = random_structure(q.num_atoms(), &mut StdRng::seed_from_u64(seed));
-            let jet = Jet::new(&q, structure.clone());
-            prop_assert_eq!(jet.root(), structure.root);
-            for v in 0..structure.atom.len() {
-                let node = &jet.nodes()[v];
-                prop_assert_eq!(&node.children, &structure.children[v]);
-                prop_assert_eq!(node.atom, structure.atom[v]);
-                let working: Vec<AttrId> = match structure.atom[v] {
+            let (lists, atom, root) = random_tree(q.num_atoms(), &mut StdRng::seed_from_u64(seed));
+            let jet = Jet::new(&q, structure(&lists, atom.clone(), root));
+            prop_assert_eq!(jet.root(), root);
+            prop_assert_eq!(jet.num_nodes(), lists.len());
+            for v in 0..lists.len() {
+                prop_assert_eq!(jet.children(v), &lists[v][..]);
+                prop_assert_eq!(jet.atom(v), atom[v]);
+                let working: Vec<AttrId> = match atom[v] {
                     Some(j) => q.atoms[j].args.clone(),
-                    None => structure.children[v]
-                        .iter()
-                        .flat_map(|&c| jet.nodes()[c].projected.clone())
-                        .collect(),
+                    None => lists[v].iter().flat_map(|&c| jet.projected(c).to_vec()).collect(),
                 };
                 let mut expected = sorted(&working);
                 expected.dedup();
-                prop_assert_eq!(sorted(&node.working), expected);
-                if v == structure.root {
-                    prop_assert_eq!(&node.projected, &q.free);
+                prop_assert_eq!(sorted(jet.working(v)), expected);
+                if v == root {
+                    prop_assert_eq!(jet.projected(v), &q.free[..]);
                     continue;
                 }
                 let mut inside = Vec::new();
-                subtree_atoms(&structure, v, &mut inside);
+                subtree_atoms(&lists, &atom, v, &mut inside);
                 let needed = |a: &AttrId| {
                     q.free.contains(a)
                         || (0..q.num_atoms()).any(|j| !inside.contains(&j) && q.atoms[j].mentions(*a))
                 };
-                let expected: Vec<AttrId> = node.working.iter().copied().filter(needed).collect();
-                prop_assert_eq!(sorted(&node.projected), sorted(&expected));
+                let expected: Vec<AttrId> = jet.working(v).iter().copied().filter(needed).collect();
+                prop_assert_eq!(sorted(jet.projected(v)), sorted(&expected));
             }
         }
     }

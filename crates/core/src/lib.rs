@@ -25,10 +25,11 @@
 //!   the paper as a direction worth exploring (§7).
 //! * [`minimize`] — join minimization via containment tests over canonical
 //!   databases (§7's third direction), powered by bucket elimination.
-//! * [`reduce`] — general semijoin (Wong–Youssefi style) pre-reduction;
-//!   the paper explains why it is useless on its 3-COLOR workloads, and
-//!   the `semijoin_usefulness` experiment shows both that and the 2-COLOR
-//!   counterpoint.
+//! * [`reduce`] — general semijoin (Wong–Youssefi style) pre-reduction,
+//!   each semijoin a plan run by the one executor; the paper explains why
+//!   it is useless on its 3-COLOR workloads, and the `semijoin_usefulness`
+//!   experiment shows that on 3- and 2-COLOR and the counterpoint of a
+//!   selective successor chain.
 
 pub mod convert;
 pub mod jet;

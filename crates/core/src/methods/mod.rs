@@ -4,9 +4,9 @@
 //! and/or the SQL the paper would have sent to PostgreSQL.
 //! [`build_plan`] runs the method's recipe through
 //! [`crate::passes::plan_query`], the only planner. The submodules hold
-//! the algorithms the recipes' steps call: [`naive::sql`] (§3),
-//! [`reordering::greedy_order`] (§4) and [`bucket::bucket_order`] /
-//! [`bucket::plan_with_order`] (§5).
+//! the algorithms the recipes' steps call: [`reordering::greedy_order`]
+//! (§4) and [`bucket::bucket_order`] / [`bucket::plan_with_order`] (§5);
+//! the naive method's flat SQL (§3) is [`emit_sql`]'s.
 //!
 //! | Method | Paper | Strategy |
 //! |---|---|---|
@@ -19,7 +19,7 @@
 pub mod bucket;
 #[cfg(test)]
 mod early_projection;
-pub mod naive;
+mod naive;
 pub mod reordering;
 #[cfg(test)]
 mod straightforward;

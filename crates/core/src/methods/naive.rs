@@ -13,7 +13,7 @@ use ppr_sql::{ColRef, Condition, FromExpr, FromItem, SelectStmt};
 
 /// Emits the naive SQL: `SELECT DISTINCT … FROM atom, atom, … WHERE
 /// equalities` (Appendix A.1).
-pub fn sql(query: &ConjunctiveQuery) -> SelectStmt {
+pub(crate) fn sql(query: &ConjunctiveQuery) -> SelectStmt {
     // Alias and column names per atom; track each variable's first
     // occurrence (alias, column).
     let mut first_occ: Vec<(ppr_relalg::AttrId, ColRef)> = Vec::new();

@@ -30,7 +30,7 @@ pub struct MiniBucketOutcome {
 /// Builds the MB(`bound`) plan along `order` (attributes, `x_1 … x_n`).
 /// `bound` is the maximum scope size of a mini-bucket; it is raised
 /// per-item when a single atom's scope already exceeds it.
-pub fn plan_with_order(
+fn plan_with_order(
     query: &ConjunctiveQuery,
     db: &Database,
     order: &[AttrId],
