@@ -6,7 +6,7 @@
 //! targets: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //!          sat3 sat2 theorems
 //!          ablation-orders ablation-pipeline ablation-minibucket
-//!          ablation-distinct ablation-join ablation-greedy
+//!          ablation-distinct ablation-greedy
 //!          durability semijoin limits all
 //! ```
 //!
@@ -139,7 +139,6 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
         "ablation-pipeline" => figures::ablation_pipeline(&mut w, cfg),
         "ablation-minibucket" => figures::ablation_minibucket(&mut w, cfg),
         "ablation-distinct" => figures::ablation_distinct(&mut w, cfg),
-        "ablation-join" => figures::ablation_join(&mut w, cfg),
         "ablation-greedy" => figures::ablation_greedy(&mut w, cfg),
         "durability" => {
             // Persist the machine-readable report before printing: a
@@ -176,7 +175,6 @@ fn run(target: &str, cfg: &Config, free: Option<f64>, mut w: &mut dyn Write) {
                 "ablation-pipeline",
                 "ablation-minibucket",
                 "ablation-distinct",
-                "ablation-join",
                 "ablation-greedy",
                 "durability",
                 "semijoin",

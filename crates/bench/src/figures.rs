@@ -600,52 +600,6 @@ pub fn ablation_distinct(w: &mut impl Write, cfg: &Config) {
     }
 }
 
-/// Ablation: hash vs sort-merge vs nested-loop joins on the materialized
-/// executor (the paper selected hash joins "as most efficient").
-pub fn ablation_join(w: &mut impl Write, cfg: &Config) {
-    use ppr_relalg::ops::{self, JoinAlgorithm};
-    writeln!(w, "order\talgorithm\tmedian_ms").expect("write");
-    for n in [8usize, 10, 12] {
-        for algo in [
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::SortMerge,
-            JoinAlgorithm::NestedLoop,
-        ] {
-            let mut times = Vec::new();
-            for seed in 0..cfg.seeds {
-                let spec = InstanceSpec {
-                    shape: QueryShape::Random {
-                        order: n,
-                        density: 3.0,
-                    },
-                    seed,
-                    free_fraction: 0.0,
-                };
-                let (q, db) = spec.build();
-                // Evaluate a bucket-shaped computation with materialized
-                // joins under the chosen algorithm: join each consecutive
-                // atom pair and project to shared vars.
-                let started = std::time::Instant::now();
-                let mut acc = ops::bind(&db.expect(&q.atoms[0].relation), &q.atoms[0].args);
-                for atom in &q.atoms[1..] {
-                    let next = ops::bind(&db.expect(&atom.relation), &atom.args);
-                    acc = ops::join_with(&acc, &next, algo);
-                    if acc.len() > 2_000_000 {
-                        break; // cap the blowup uniformly for all algorithms
-                    }
-                }
-                times.push(started.elapsed().as_secs_f64() * 1e3);
-            }
-            writeln!(
-                w,
-                "{n}\t{algo:?}\t{:.3}",
-                crate::harness::median(times).unwrap_or(f64::NAN)
-            )
-            .expect("write");
-        }
-    }
-}
-
 /// The §2 claim made executable: semijoin reduction removes nothing on
 /// the COLOR workloads (every projection of the edge relation is the full
 /// domain), but on selective relations — a successor chain — it prunes,
@@ -836,16 +790,6 @@ mod tests {
         assert_eq!(s.lines().count(), 1 + 2);
         assert!(s.contains("\treordering\t"));
         assert!(s.contains("\trandom-order\t"));
-    }
-
-    #[test]
-    fn ablation_join_covers_algorithms() {
-        let mut out = Vec::new();
-        ablation_join(&mut out, &tiny());
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("Hash"));
-        assert!(s.contains("SortMerge"));
-        assert!(s.contains("NestedLoop"));
     }
 
     #[test]

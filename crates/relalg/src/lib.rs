@@ -17,10 +17,9 @@
 //!   Boundaries are flat row buffers, and one grouping table (the
 //!   crate-private `rows` module) builds both the per-query hash joins
 //!   and the cached column indexes.
-//! * [`ops`] — the textbook materialized operators (natural join by hash,
-//!   sort-merge or nested loop; project-distinct; semijoin; bind), used by
-//!   the join-algorithm ablation, the semijoin reducer of `ppr-core`, and
-//!   the tests' flow model of the executor. They key rows in plain hash
+//! * The textbook materialized operators (hash natural join,
+//!   project-distinct, bind) are test support only: the tests' flow model
+//!   of the executor evaluates plans with them. They key rows in plain hash
 //!   maps and share no code with the executor's tables, so the flow model
 //!   is an independent reference.
 //!
@@ -37,7 +36,8 @@ pub mod exec;
 #[cfg(test)]
 mod flow_model;
 pub mod index;
-pub mod ops;
+#[cfg(test)]
+mod ops;
 pub mod pipelined;
 pub mod plan;
 pub mod relation;

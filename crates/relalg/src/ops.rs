@@ -1,24 +1,19 @@
-//! Fully materialized relational operators.
-//!
-//! These implement the textbook semantics the executor must agree with:
-//! the tests' flow model composes them into an independent evaluation of a
-//! plan and checks [`crate::exec::execute`] against it. They are also used
-//! directly by `ppr-core`'s semijoin pre-reduction (`core::reduce`) and by
-//! the join-algorithm ablation (`experiments ablation-join`).
+//! Fully materialized relational operators, test support only: the
+//! textbook semantics the executor must agree with. The flow model
+//! (`flow_model.rs`) composes them into an independent evaluation of a
+//! plan and checks [`crate::exec::execute`] against it, in this crate's
+//! unit tests and, `#[path]`-included, in `tests/streaming.rs`;
+//! `tests/algebra.rs` checks the algebra laws on them.
 //!
 //! To stay an independent reference they share no code with the executor's
-//! row buffers and grouping tables (`crate::rows`): the hash operators key
-//! rows by their key columns as boxed slices in plain `FxHashMap`s and
-//! `FxHashSet`s, probed through one reused scratch slice, and sort-merge
-//! sorts by the key columns.
-
-use std::cmp::Ordering;
+//! row buffers and grouping tables (`crate::rows`): they key rows by their
+//! key columns as boxed slices in plain `FxHashMap`s and `FxHashSet`s,
+//! probed through one reused scratch slice.
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use crate::relation::Relation;
-use crate::schema::{AttrId, Schema};
-use crate::value::{Tuple, Value};
+use crate::value::Tuple;
+use crate::{AttrId, Relation, Schema, Value};
 
 /// `row`'s values at `pos`, written into `scratch`: the probe key of the
 /// hash operators, built without allocating.
@@ -28,63 +23,21 @@ fn key<'a>(pos: &[usize], row: &[Value], scratch: &'a mut Vec<Value>) -> &'a [Va
     scratch
 }
 
-/// What every natural join needs: the output schema, the key positions on
-/// each side, and the right columns the output appends.
-struct JoinShape {
-    schema: Schema,
-    left_key: Vec<usize>,
-    right_key: Vec<usize>,
-    right_extra: Vec<usize>,
-}
-
-impl JoinShape {
-    fn of(left: &Relation, right: &Relation) -> JoinShape {
-        let keys = left.schema().common(right.schema());
-        let right_extra = (0..right.arity())
-            .filter(|&i| !left.schema().contains(right.schema().attrs()[i]))
-            .collect();
-        JoinShape {
-            schema: left.schema().join(right.schema()),
-            left_key: left.schema().positions(&keys),
-            right_key: right.schema().positions(&keys),
-            right_extra,
-        }
-    }
-
-    /// The output row joining `lt` with `rt`.
-    fn row(&self, lt: &[Value], rt: &[Value]) -> Tuple {
-        let mut out = Vec::with_capacity(self.schema.arity());
-        out.extend_from_slice(lt);
-        out.extend(self.right_extra.iter().map(|&p| rt[p]));
-        out.into_boxed_slice()
-    }
-
-    fn relation(self, left: &Relation, right: &Relation, rows: Vec<Tuple>) -> Relation {
-        let name = format!("({}⋈{})", left.name(), right.name());
-        Relation::new(name, self.schema, rows)
-    }
-}
-
 /// Natural join `left ⋈ right` on all shared attributes (cross product when
 /// none are shared). Hash join: builds on `right`, probes with `left`.
-///
-/// ```
-/// use ppr_relalg::{ops, Relation, Schema, AttrId};
-/// let x = AttrId(0); let y = AttrId(1); let z = AttrId(2);
-/// let r = Relation::new("r", Schema::new(vec![x, y]),
-///     vec![Box::from([1u32, 10]), Box::from([2, 20])]);
-/// let s = Relation::new("s", Schema::new(vec![y, z]),
-///     vec![Box::from([10u32, 7])]);
-/// let j = ops::natural_join(&r, &s);
-/// assert_eq!(j.len(), 1);
-/// assert_eq!(&*j.tuples()[0], &[1, 10, 7]);
-/// ```
-pub fn natural_join(left: &Relation, right: &Relation) -> Relation {
-    let shape = JoinShape::of(left, right);
+pub(crate) fn natural_join(left: &Relation, right: &Relation) -> Relation {
+    let keys = left.schema().common(right.schema());
+    let (left_key, right_key) = (
+        left.schema().positions(&keys),
+        right.schema().positions(&keys),
+    );
+    let right_extra: Vec<usize> = (0..right.arity())
+        .filter(|&i| !left.schema().contains(right.schema().attrs()[i]))
+        .collect();
     let mut table: FxHashMap<Box<[Value]>, Vec<&[Value]>> = FxHashMap::default();
     let mut scratch = Vec::new();
     for rt in right.rows() {
-        let k = key(&shape.right_key, rt, &mut scratch);
+        let k = key(&right_key, rt, &mut scratch);
         match table.get_mut(k) {
             Some(matches) => matches.push(rt),
             None => {
@@ -94,92 +47,21 @@ pub fn natural_join(left: &Relation, right: &Relation) -> Relation {
     }
     let mut rows = Vec::new();
     for lt in left.rows() {
-        if let Some(matches) = table.get(key(&shape.left_key, lt, &mut scratch)) {
-            rows.extend(matches.iter().map(|rt| shape.row(lt, rt)));
+        for rt in table
+            .get(key(&left_key, lt, &mut scratch))
+            .into_iter()
+            .flatten()
+        {
+            let extra = right_extra.iter().map(|&p| rt[p]);
+            rows.push(lt.iter().copied().chain(extra).collect());
         }
     }
-    shape.relation(left, right, rows)
-}
-
-/// Which join implementation [`join_with`] uses. The paper selected hash
-/// joins "as hash joins proved most efficient in our setting" (§2);
-/// `experiments ablation-join` reproduces that comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgorithm {
-    /// Build a hash table on the right input, probe with the left.
-    Hash,
-    /// Sort both inputs on the join key, merge.
-    SortMerge,
-    /// Compare every pair (quadratic; the baseline planners avoid).
-    NestedLoop,
-}
-
-/// Natural join via an explicit algorithm; all three produce the same bag
-/// up to row order.
-pub fn join_with(left: &Relation, right: &Relation, algorithm: JoinAlgorithm) -> Relation {
-    match algorithm {
-        JoinAlgorithm::Hash => natural_join(left, right),
-        JoinAlgorithm::SortMerge => sort_merge_join(left, right),
-        JoinAlgorithm::NestedLoop => nested_loop_join(left, right),
-    }
-}
-
-/// How `a`'s values at `a_pos` compare, lexicographically, with `b`'s at
-/// `b_pos`.
-fn cmp_keys(a: &[Value], a_pos: &[usize], b: &[Value], b_pos: &[usize]) -> Ordering {
-    let a_key = a_pos.iter().map(|&p| a[p]);
-    a_key.cmp(b_pos.iter().map(|&p| b[p]))
-}
-
-/// Sort-merge natural join: both sides sorted by their key columns, then
-/// merged run by run.
-fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
-    let shape = JoinShape::of(left, right);
-    let (lk, rk) = (&shape.left_key, &shape.right_key);
-    let mut l: Vec<&[Value]> = left.rows().collect();
-    let mut r: Vec<&[Value]> = right.rows().collect();
-    l.sort_by(|a, b| cmp_keys(a, lk, b, lk));
-    r.sort_by(|a, b| cmp_keys(a, rk, b, rk));
-
-    let mut rows = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < l.len() && j < r.len() {
-        match cmp_keys(l[i], lk, r[j], rk) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                // The runs of equal keys on both sides.
-                let ends = |x: usize, y: usize| cmp_keys(l[x], lk, r[y], rk).is_ne();
-                let i_end = (i..l.len()).find(|&x| ends(x, j)).unwrap_or(l.len());
-                let j_end = (j..r.len()).find(|&y| ends(i, y)).unwrap_or(r.len());
-                for lt in &l[i..i_end] {
-                    rows.extend(r[j..j_end].iter().map(|rt| shape.row(lt, rt)));
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    shape.relation(left, right, rows)
-}
-
-/// Nested-loop natural join.
-fn nested_loop_join(left: &Relation, right: &Relation) -> Relation {
-    let shape = JoinShape::of(left, right);
-    let mut rows = Vec::new();
-    for lt in left.rows() {
-        for rt in right.rows() {
-            let keys = shape.left_key.iter().zip(&shape.right_key);
-            if keys.into_iter().all(|(&lp, &rp)| lt[lp] == rt[rp]) {
-                rows.push(shape.row(lt, rt));
-            }
-        }
-    }
-    shape.relation(left, right, rows)
+    let name = format!("({}⋈{})", left.name(), right.name());
+    Relation::new(name, left.schema().join(right.schema()), rows)
 }
 
 /// `π_keep` with set semantics (`SELECT DISTINCT keep`).
-pub fn project_distinct(rel: &Relation, keep: &[AttrId]) -> Relation {
+pub(crate) fn project_distinct(rel: &Relation, keep: &[AttrId]) -> Relation {
     let pos = rel.schema().positions(keep);
     let mut seen: FxHashSet<Tuple> = FxHashSet::default();
     let mut scratch = Vec::new();
@@ -202,41 +84,11 @@ pub fn project_distinct(rel: &Relation, keep: &[AttrId]) -> Relation {
     r
 }
 
-/// Semijoin `left ⋉ right`: tuples of `left` with at least one join partner
-/// in `right`. This is the Wong–Youssefi reduction step; the paper notes it
-/// is useless on its 3-COLOR workloads (projecting the edge relation yields
-/// all values). `core::reduce` applies it as a semijoin pre-reduction.
-/// With no shared attributes it keeps all of `left` iff `right` is
-/// nonempty: every right row is a partner under the empty key.
-pub fn semijoin(left: &Relation, right: &Relation) -> Relation {
-    let keys = left.schema().common(right.schema());
-    let left_pos = left.schema().positions(&keys);
-    let right_pos = right.schema().positions(&keys);
-    let mut table: FxHashSet<Tuple> = FxHashSet::default();
-    let mut scratch = Vec::new();
-    for t in right.rows() {
-        let k = key(&right_pos, t, &mut scratch);
-        if !table.contains(k) {
-            table.insert(k.into());
-        }
-    }
-    let rows = left
-        .rows()
-        .filter(|t| table.contains(key(&left_pos, t, &mut scratch)))
-        .map(Box::from)
-        .collect();
-    Relation::new(
-        format!("({}⋉{})", left.name(), right.name()),
-        left.schema().clone(),
-        rows,
-    )
-}
-
 /// Renames attributes positionally: column `i` becomes `binding[i]`.
 /// Repeated attributes in `binding` select rows where those columns agree
 /// and collapse them to one column — the semantics of an atom with repeated
 /// variables such as `edge(x, x)`.
-pub fn bind(rel: &Relation, binding: &[AttrId]) -> Relation {
+pub(crate) fn bind(rel: &Relation, binding: &[AttrId]) -> Relation {
     assert_eq!(
         binding.len(),
         rel.arity(),
@@ -303,6 +155,14 @@ mod tests {
     }
 
     #[test]
+    fn join_preserves_multiplicity() {
+        // Bag semantics: duplicate left rows produce duplicate outputs.
+        let a = rel("a", &[1, 2], &[&[1, 10], &[1, 10]]);
+        let b = rel("b", &[2], &[&[10]]);
+        assert_eq!(natural_join(&a, &b).len(), 2);
+    }
+
+    #[test]
     fn join_with_empty_is_empty() {
         let a = rel("a", &[1, 2], &[&[1, 10]]);
         let b = rel("b", &[2], &[]);
@@ -338,24 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_keeps_matching() {
-        let a = rel("a", &[1, 2], &[&[1, 10], &[2, 20]]);
-        let b = rel("b", &[2, 3], &[&[10, 7]]);
-        let s = semijoin(&a, &b);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.schema(), a.schema());
-    }
-
-    #[test]
-    fn semijoin_disjoint_schemas() {
-        let a = rel("a", &[1], &[&[1], &[2]]);
-        let nonempty = rel("b", &[2], &[&[9]]);
-        let empty = rel("c", &[2], &[]);
-        assert_eq!(semijoin(&a, &nonempty).len(), 2);
-        assert_eq!(semijoin(&a, &empty).len(), 0);
-    }
-
-    #[test]
     fn bind_renames() {
         let a = rel("a", &[100, 101], &[&[1, 2]]);
         let b = bind(&a, &[AttrId(5), AttrId(6)]);
@@ -370,56 +212,6 @@ mod tests {
         let mut rows = b.tuples().to_vec();
         rows.sort();
         assert_eq!(rows, vec![tuple(&[1]), tuple(&[3])]);
-    }
-
-    #[test]
-    fn join_algorithms_agree() {
-        let a = rel(
-            "a",
-            &[1, 2],
-            &[&[1, 10], &[2, 10], &[3, 30], &[1, 20], &[2, 20]],
-        );
-        let b = rel("b", &[2, 3], &[&[10, 5], &[10, 6], &[30, 7], &[40, 8]]);
-        let hash = join_with(&a, &b, JoinAlgorithm::Hash);
-        let merge = join_with(&a, &b, JoinAlgorithm::SortMerge);
-        let loopj = join_with(&a, &b, JoinAlgorithm::NestedLoop);
-        let mut h: Vec<_> = hash.tuples().to_vec();
-        let mut m: Vec<_> = merge.tuples().to_vec();
-        let mut l: Vec<_> = loopj.tuples().to_vec();
-        h.sort();
-        m.sort();
-        l.sort();
-        assert_eq!(h, m);
-        assert_eq!(h, l);
-        assert_eq!(hash.schema(), merge.schema());
-        assert_eq!(hash.schema(), loopj.schema());
-    }
-
-    #[test]
-    fn join_algorithms_agree_on_cross_product() {
-        let a = rel("a", &[1], &[&[1], &[2]]);
-        let b = rel("b", &[2], &[&[10], &[20], &[30]]);
-        for algo in [
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::SortMerge,
-            JoinAlgorithm::NestedLoop,
-        ] {
-            assert_eq!(join_with(&a, &b, algo).len(), 6, "{algo:?}");
-        }
-    }
-
-    #[test]
-    fn join_algorithms_preserve_multiplicity() {
-        // Bag semantics: duplicate left rows produce duplicate outputs.
-        let a = rel("a", &[1, 2], &[&[1, 10], &[1, 10]]);
-        let b = rel("b", &[2], &[&[10]]);
-        for algo in [
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::SortMerge,
-            JoinAlgorithm::NestedLoop,
-        ] {
-            assert_eq!(join_with(&a, &b, algo).len(), 2, "{algo:?}");
-        }
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!
 //! **What is pinned.** The rows and the plan-level counters
 //! (`tuples_flowed`, materializations, their peak size, the widest
-//! intermediate) are those of the textbook algebra: the crate's flow model
-//! evaluates each plan with [`crate::ops`] and the tests check every
-//! execution against it. Index postings are kept in ascending row order,
+//! intermediate) are those of the textbook algebra: the crate's test-only
+//! flow model evaluates each plan with the test-only `ops` operators and
+//! the tests check every execution against it. Index postings are kept in ascending row order,
 //! repeated-attribute filters drop exactly the rows `bind` would drop, and
 //! the meter ticks once per row entering a pipeline and once per row a
 //! stage emits. Row order and every counter, physical ones included, are

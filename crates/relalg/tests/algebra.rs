@@ -2,10 +2,15 @@
 //! on (§4–§5: commutativity/associativity of ⋈ and the conditions under
 //! which projections commute with joins).
 
-use ppr_relalg::ops;
-use ppr_relalg::{AttrId, Relation, Schema, Value};
+use ppr_relalg::{value, AttrId, Relation, Schema, Value};
 use proptest::prelude::*;
 use rustc_hash::FxHashSet;
+
+/// The textbook operators the laws are checked on (`bind` serves the flow
+/// model).
+#[allow(dead_code)]
+#[path = "../src/ops.rs"]
+mod ops;
 
 /// Strategy: a relation over `attrs` with values in 0..domain.
 fn relation_strategy(
@@ -80,36 +85,17 @@ proptest! {
         prop_assert!(direct.set_eq(&pushed));
     }
 
-    /// Semijoin absorption: (a ⋉ b) ⋈ b = a ⋈ b.
+    /// Semijoin absorption: (a ⋉ b) ⋈ b = a ⋈ b, with the semijoin as
+    /// `core::reduce` plans it: a ⋉ b = π_{attrs(a)}(a ⋈ b).
     #[test]
     fn semijoin_absorption(
         a in relation_strategy("a", vec![1, 2], 4, 12),
         b in relation_strategy("b", vec![2, 3], 4, 12),
     ) {
         let direct = ops::natural_join(&a, &b);
-        let reduced = ops::natural_join(&ops::semijoin(&a, &b), &b);
+        let semijoin = ops::project_distinct(&direct, a.schema().attrs());
+        let reduced = ops::natural_join(&semijoin, &b);
         prop_assert_eq!(canon(&direct), canon(&reduced));
-    }
-
-    /// All three join algorithms agree on random inputs.
-    #[test]
-    fn join_algorithms_equivalent(
-        a in relation_strategy("a", vec![1, 2], 4, 12),
-        b in relation_strategy("b", vec![2, 3], 4, 12),
-    ) {
-        use ppr_relalg::ops::JoinAlgorithm;
-        let h = ops::join_with(&a, &b, JoinAlgorithm::Hash);
-        let m = ops::join_with(&a, &b, JoinAlgorithm::SortMerge);
-        let n = ops::join_with(&a, &b, JoinAlgorithm::NestedLoop);
-        // Bag equality: compare sorted row vectors.
-        let mut hv: Vec<_> = h.tuples().to_vec();
-        let mut mv: Vec<_> = m.tuples().to_vec();
-        let mut nv: Vec<_> = n.tuples().to_vec();
-        hv.sort();
-        mv.sort();
-        nv.sort();
-        prop_assert_eq!(&hv, &mv);
-        prop_assert_eq!(&hv, &nv);
     }
 
     /// Dedup is idempotent and order-preserving on first occurrences.

@@ -16,12 +16,15 @@ use std::sync::Arc;
 use ppr_relalg::budget::BudgetKind;
 use ppr_relalg::exec::{self, ExecOptions};
 use ppr_relalg::stats::ExecStats;
-use ppr_relalg::{ops, AttrId, Budget, Plan, RelalgError, Relation, Schema, Value};
+use ppr_relalg::{value, AttrId, Budget, Plan, RelalgError, Relation, Schema, Value};
 use proptest::prelude::*;
 
 /// The executor's reference: rows and plan-level counters from `ops`.
 #[path = "../src/flow_model.rs"]
 mod flow_model;
+/// The textbook operators the flow model composes.
+#[path = "../src/ops.rs"]
+mod ops;
 
 /// Attribute pool kept small so random scans share variables often —
 /// that is what makes the joins selective and the plans interesting.
