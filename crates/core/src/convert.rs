@@ -204,24 +204,15 @@ pub fn tree_decomposition_to_jet(
     let simplified = mark_and_sweep(td, query, jg);
     let std_ = &simplified.decomposition;
     let n = std_.bags().len();
-    let m = query.num_atoms();
-    // Adjacency in compressed sparse row form, neighbors in edge order.
-    let mut adj_start = vec![0; n + 1];
-    for &(a, b) in std_.edges() {
-        adj_start[a + 1] += 1;
-        adj_start[b + 1] += 1;
-    }
-    for v in 0..n {
-        adj_start[v + 1] += adj_start[v];
-    }
-    let mut fill = adj_start.clone();
-    let mut adj = vec![0; adj_start[n]];
-    for &(a, b) in std_.edges() {
-        adj[fill[a]] = b;
-        fill[a] += 1;
-        adj[fill[b]] = a;
-        fill[b] += 1;
-    }
+    // Both directions of every edge, grouped by their first node; the
+    // stable sort keeps each node's neighbors in edge order.
+    let mut arcs: Vec<(usize, usize)> = std_
+        .edges()
+        .iter()
+        .flat_map(|&(a, b)| [(a, b), (b, a)])
+        .collect();
+    arcs.sort_by_key(|&(a, _)| a);
+    let from = |v: usize| arcs.partition_point(|&(a, _)| a < v);
     // Root the tree at the target anchor: each node's parent is the node
     // it was first reached from.
     let root = simplified.target_anchor;
@@ -229,7 +220,7 @@ pub fn tree_decomposition_to_jet(
     parent[root] = root;
     let mut stack = vec![root];
     while let Some(v) = stack.pop() {
-        for &w in &adj[adj_start[v]..adj_start[v + 1]] {
+        for &(_, w) in &arcs[from(v)..from(v + 1)] {
             if parent[w] == usize::MAX {
                 parent[w] = v;
                 stack.push(w);
@@ -238,24 +229,18 @@ pub fn tree_decomposition_to_jet(
     }
     // A node's children are the neighbors it reached, then one leaf per
     // atom anchored at it; the leaf of atom `j` is node `n + j`.
-    let mut anchored: Vec<usize> = (0..m).collect();
-    anchored.sort_by_key(|&j| simplified.atom_anchor[j]);
-    let mut anchored = anchored.into_iter().peekable();
-    let mut child_start = Vec::with_capacity(n + m + 1);
-    let mut children = Vec::with_capacity(n + m);
-    for v in 0..n {
-        child_start.push(children.len());
-        let reached = adj[adj_start[v]..adj_start[v + 1]].iter();
-        children.extend(reached.filter(|&&w| parent[w] == v));
-        while let Some(j) = anchored.next_if(|&j| simplified.atom_anchor[j] == v) {
-            children.push(n + j);
-        }
-    }
-    child_start.resize(n + m + 1, children.len());
+    let reached = arcs.iter().copied().filter(|&(v, w)| parent[w] == v);
+    let leaves = simplified.atom_anchor.iter().enumerate();
+    let mut tree: Vec<(usize, usize)> = reached.chain(leaves.map(|(j, &v)| (v, n + j))).collect();
+    tree.sort_by_key(|&(v, _)| v);
+    let nodes = n + simplified.atom_anchor.len();
+    let child_start = (0..=nodes)
+        .map(|v| tree.partition_point(|&(p, _)| p < v))
+        .collect();
     let structure = JetStructure {
         child_start,
-        children,
-        atom: (0..n + m).map(|v| v.checked_sub(n)).collect(),
+        children: tree.into_iter().map(|(_, c)| c).collect(),
+        atom: (0..nodes).map(|v| v.checked_sub(n)).collect(),
         root,
     };
     Jet::new(query, structure)

@@ -7,20 +7,16 @@
 //!
 //! To stay an independent reference they share no code with the executor's
 //! row buffers and grouping tables (`crate::rows`): they key rows by their
-//! key columns as boxed slices in plain `FxHashMap`s and `FxHashSet`s,
-//! probed through one reused scratch slice.
+//! key columns as boxed slices in plain `FxHashMap`s and `FxHashSet`s.
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::value::Tuple;
 use crate::{AttrId, Relation, Schema, Value};
 
-/// `row`'s values at `pos`, written into `scratch`: the probe key of the
-/// hash operators, built without allocating.
-fn key<'a>(pos: &[usize], row: &[Value], scratch: &'a mut Vec<Value>) -> &'a [Value] {
-    scratch.clear();
-    scratch.extend(pos.iter().map(|&p| row[p]));
-    scratch
+/// `row`'s values at `pos`.
+fn pick(pos: &[usize], row: &[Value]) -> Tuple {
+    pos.iter().map(|&p| row[p]).collect()
 }
 
 /// Natural join `left ⋈ right` on all shared attributes (cross product when
@@ -34,24 +30,13 @@ pub(crate) fn natural_join(left: &Relation, right: &Relation) -> Relation {
     let right_extra: Vec<usize> = (0..right.arity())
         .filter(|&i| !left.schema().contains(right.schema().attrs()[i]))
         .collect();
-    let mut table: FxHashMap<Box<[Value]>, Vec<&[Value]>> = FxHashMap::default();
-    let mut scratch = Vec::new();
+    let mut table: FxHashMap<Tuple, Vec<&[Value]>> = FxHashMap::default();
     for rt in right.rows() {
-        let k = key(&right_key, rt, &mut scratch);
-        match table.get_mut(k) {
-            Some(matches) => matches.push(rt),
-            None => {
-                table.insert(k.into(), vec![rt]);
-            }
-        }
+        table.entry(pick(&right_key, rt)).or_default().push(rt);
     }
     let mut rows = Vec::new();
     for lt in left.rows() {
-        for rt in table
-            .get(key(&left_key, lt, &mut scratch))
-            .into_iter()
-            .flatten()
-        {
+        for rt in table.get(&pick(&left_key, lt)).into_iter().flatten() {
             let extra = right_extra.iter().map(|&p| rt[p]);
             rows.push(lt.iter().copied().chain(extra).collect());
         }
@@ -64,17 +49,8 @@ pub(crate) fn natural_join(left: &Relation, right: &Relation) -> Relation {
 pub(crate) fn project_distinct(rel: &Relation, keep: &[AttrId]) -> Relation {
     let pos = rel.schema().positions(keep);
     let mut seen: FxHashSet<Tuple> = FxHashSet::default();
-    let mut scratch = Vec::new();
-    let mut rows = Vec::new();
-    for t in rel.rows() {
-        // Duplicates cost a set probe only; first occurrences are boxed
-        // twice, for the set and for the output.
-        let k = key(&pos, t, &mut scratch);
-        if !seen.contains(k) {
-            seen.insert(k.into());
-            rows.push(k.into());
-        }
-    }
+    let rows = rel.rows().map(|t| pick(&pos, t));
+    let rows = rows.filter(|k| seen.insert(k.clone())).collect();
     let mut r = Relation::new(
         format!("π({})", rel.name()),
         rel.schema().project(keep),

@@ -147,10 +147,8 @@ fn planning_costs_the_plan_it_builds_plus_a_constant() {
     db.add(relation("edge", 4));
     // Planning beyond the plan: the span list and the step names, and for
     // early projection the left-deep join-expression tree, whose structure
-    // and labels are a fixed set of flat buffers. A vector per tree node
-    // cost 215 allocations at 40 atoms; building the join chain only to
-    // count its nodes cost about as much as the plan again; a copy of the
-    // query cost two allocations an atom and two a variable.
+    // and labels are a fixed set of flat buffers. None of it may grow with
+    // the query.
     let overhead = |atoms: usize, method: Method, steps: usize| {
         let body: Vec<String> = (0..atoms)
             .map(|i| format!("edge(x{i}, x{})", i + 1))
