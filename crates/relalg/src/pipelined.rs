@@ -226,9 +226,9 @@ impl PipeProf {
     }
 }
 
-/// The columns `ops::bind` gives a scan, computed without touching any
-/// rows: the binding's distinct attributes in first-occurrence order, each
-/// with its base-row position.
+/// The columns the textbook `bind` operator gives a scan, computed without
+/// touching any rows: the binding's distinct attributes in first-occurrence
+/// order, each with its base-row position.
 fn bound(binding: &[AttrId]) -> impl Iterator<Item = (usize, AttrId)> + Clone + '_ {
     let first = |&(i, a): &(usize, &AttrId)| !binding[..i].contains(a);
     binding
@@ -789,8 +789,8 @@ impl<'p> Run<'p, '_> {
         }
     }
 
-    /// `ops::bind` into flat rows: the base rows that pass the binding's
-    /// repeated-attribute checks, repeated columns collapsed.
+    /// The textbook `bind` into flat rows: the base rows that pass the
+    /// binding's repeated-attribute checks, repeated columns collapsed.
     fn bind_rows(&mut self, base: &Relation, binding: &[AttrId]) -> Rows {
         let s = &mut self.s;
         let eq_span = push_span(&mut s.eq, eq_checks(binding));
