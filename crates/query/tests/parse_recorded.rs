@@ -107,6 +107,69 @@ const RECORDED: &[(&str, Result<&str, &str>)] = &[
         "q(u) :- e(x, y), g(w), e(u, v)",
         Ok("e(0,1) g(2) e(3,4) | free 3 | names x y w u v"),
     ),
+    // Whitespace beyond ASCII's: U+00A0, U+3000, U+0085 and U+2029 are
+    // `char::is_whitespace`, as are `\r`, `\x0b` and `\x0c`; U+200B is not.
+    ("q(x) :- e(x,\u{a0}y)", Ok("e(0,1) | free 0 | names x y")),
+    (
+        "\u{a0}q(\u{3000}x\u{3000}) :-\u{3000}e\u{a0}(x, y)\u{3000}.\u{a0}",
+        Ok("e(0,1) | free 0 | names x y"),
+    ),
+    ("q(x)\r\n:-\re(x,\ry)\r", Ok("e(0,1) | free 0 | names x y")),
+    (
+        "q(x) :- e(x, \u{b}y\u{c})",
+        Ok("e(0,1) | free 0 | names x y"),
+    ),
+    (
+        "q(x) :- e(x),\u{85}f(x)\u{2029}",
+        Ok("e(0) f(0) | free 0 | names x"),
+    ),
+    ("q(x) :- e(\u{200b}x)", Err("bad variable `\u{200b}x`")),
+    // Space between a name and its `(`, and none around `:-`.
+    ("q (x) :- e (x, y)", Ok("e(0,1) | free 0 | names x y")),
+    ("q(x):-e(x)", Ok("e(0) | free 0 | names x")),
+    // A trailing comma ends the body; an empty atom anywhere else is one.
+    ("q(x) :- e(x, y),", Ok("e(0,1) | free 0 | names x y")),
+    ("q(x) :- e(x, y), \t", Ok("e(0,1) | free 0 | names x y")),
+    ("q(x) :- e(x, y),, f(y)", Err("expected `name(args)` in ``")),
+    ("q(x) :- , e(x, y)", Err("expected `name(args)` in ``")),
+    ("q(x) :- e(,x)", Err("bad variable ``")),
+    ("q(x,) :- e(x)", Err("bad variable ``")),
+    ("q(x) :- e(x)..,", Err("missing `)` in `e(x)..`")),
+    // A second `:-` belongs to the body.
+    ("q(x) :- e(x, y) :- f(y)", Err("bad variable `y) :- f(y`")),
+    ("q(x) :- e(x, y), f(y) :-", Err("missing `)` in `f(y) :-`")),
+    // Heads without parentheses or without a name.
+    ("q :- e(x, y)", Err("expected `name(args)` in `q`")),
+    ("(x) :- e(x, y)", Err("bad relation name ``")),
+    (" (x) :- e(x, y)", Err("bad relation name ``")),
+    (":- e(x)", Err("expected `name(args)` in ``")),
+    ("q(x). :- e(x)", Err("missing `)` in `q(x).`")),
+    ("q(x) foo :- e(x)", Err("missing `)` in `q(x) foo`")),
+    // Names that start with a digit, and letters beyond ASCII; a combining
+    // mark is not alphanumeric.
+    (
+        "q(1x) :- e(1x, 2y), f(2y, _3)",
+        Ok("e(0,1) f(1,2) | free 0 | names 1x 2y _3"),
+    ),
+    ("q(xé) :- e(xé, y)", Ok("e(0,1) | free 0 | names xé y")),
+    (
+        "q(x\u{301}) :- e(x\u{301}, y)",
+        Err("bad variable `x\u{301}`"),
+    ),
+    // Periods are trimmed only from the end of the rule.
+    ("q(x) :- e(x) . .", Err("missing `)` in `e(x) .`")),
+    // Text after an atom's `)` belongs to it.
+    ("q(x) :- e(x)(y)", Err("bad variable `x)(y`")),
+    ("q(x) :- e(x) f(x)", Err("bad variable `x) f(x`")),
+    ("q(x) :- e(x), f", Err("expected `name(args)` in `f`")),
+    // Error order: the head before the body, and within the body whatever
+    // the scan meets first, a malformed atom's comma or an unbalanced `)`.
+    ("q(x y) :- e-f(x)", Err("bad variable `x y`")),
+    ("q(x) :- e-f(x), g(x", Err("bad relation name `e-f`")),
+    ("q(x) :- e(x y), f(x))", Err("bad variable `x y`")),
+    ("q(x) :- e(x), f(x)), g(x y)", Err("unbalanced parentheses")),
+    ("q(x) :- e(x)) , f(x y)", Err("unbalanced parentheses")),
+    ("q() :- e()", Err("atom e has no arguments")),
 ];
 
 #[test]
@@ -116,4 +179,32 @@ fn parse_query_outcomes_match_the_recorded_table() {
         let got = got.as_ref().map(String::as_str).map_err(String::as_str);
         assert_eq!(got, recorded, "{rule:?}");
     }
+}
+
+/// A 2 000-atom chain, `e(x0, x1), …, e(x1999, x2000)`, with a repeat in
+/// every hundredth atom: ids in first-occurrence order, the head last.
+#[test]
+fn a_long_rule_numbers_its_variables_in_order() {
+    const ATOMS: usize = 2_000;
+    let atoms: Vec<String> = (0..ATOMS)
+        .map(|i| match i % 100 {
+            99 => format!("f(x{i}, x{}, x{i})", i + 1),
+            _ => format!("e(x{i}, x{})", i + 1),
+        })
+        .collect();
+    let rule = format!("q(x{ATOMS}, x0) :- {}.", atoms.join(", "));
+    let described: Vec<String> = (0..ATOMS)
+        .map(|i| match i % 100 {
+            99 => format!("f({i},{},{i})", i + 1),
+            _ => format!("e({i},{})", i + 1),
+        })
+        .collect();
+    let names: Vec<String> = (0..=ATOMS).map(|i| format!("x{i}")).collect();
+    let recorded = format!(
+        "{} | free {ATOMS},0 | names {}",
+        described.join(" "),
+        names.join(" ")
+    );
+    let query = parse_query(&rule).expect("well-formed");
+    assert_eq!(describe(&query), recorded);
 }

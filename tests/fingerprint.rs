@@ -447,6 +447,97 @@ mod parity {
         (text, columns)
     }
 
+    /// The families of [`source`], in its `kind` order.
+    const KINDS: [&str; 8] = [
+        "augpath",
+        "ladder",
+        "augladder",
+        "augcircladder",
+        "color-random",
+        "3sat",
+        "2sat",
+        "asymmetric",
+    ];
+
+    /// Per family of [`source`] and per head (Boolean, then free), a fold
+    /// of the fingerprints and canonical variable orders of 125 queries
+    /// drawn at sizes 3 to 15 from one seed, as the refinement computed
+    /// them when this table was recorded (commit c62812f). The 28 queries
+    /// of `golden::RECORDED` show a digit that moves; these 2 000 show
+    /// that a faster refinement moves none, on the shapes the parity test
+    /// draws from.
+    const DIGESTS: [(&str, u128, u128); 8] = [
+        (
+            "augpath",
+            0x2535_75d4_648f_1a5f_7835_709b_1fa7_ca25,
+            0xd732_cdac_5092_7f4c_0411_2a9c_221e_477e,
+        ),
+        (
+            "ladder",
+            0x5e50_c652_4c1f_a1e7_459f_b991_f977_fbc0,
+            0x826f_21b4_7a64_db23_22fb_3e29_4f9a_2c75,
+        ),
+        (
+            "augladder",
+            0x6fc2_be64_11dc_7006_7301_cb27_e668_f9d0,
+            0x5d0a_b583_7296_08ac_ce74_2a0d_4495_e78e,
+        ),
+        (
+            "augcircladder",
+            0x2838_7820_4c2a_3059_47f9_7899_0dd0_6fe9,
+            0xb620_2073_da61_0e89_6632_8460_f55b_e411,
+        ),
+        (
+            "color-random",
+            0x1614_c676_fc3c_f46a_3f1a_e25d_0e7b_1992,
+            0x9657_7267_4229_1007_b46c_6f4d_e822_5d12,
+        ),
+        (
+            "3sat",
+            0xe364_af45_3c85_c3de_3dfb_9001_9f43_c73e,
+            0xd5f6_47a7_897c_69fa_749b_e58b_212f_987e,
+        ),
+        (
+            "2sat",
+            0x4c57_0b78_6063_b3b7_2f6f_c765_31ed_bd85,
+            0x0c59_de53_b8de_5bcb_b9d7_b77f_13bd_a5ec,
+        ),
+        (
+            "asymmetric",
+            0x644d_ba3b_9f56_471f_d817_9fc9_6249_7f5a,
+            0x3ed0_5ab4_f377_5606_24d5_3a73_43eb_507e,
+        ),
+    ];
+
+    /// FNV-1a over 128-bit words: stable across platforms and releases.
+    fn fold(acc: u128, word: u128) -> u128 {
+        (acc ^ word).wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b)
+    }
+
+    fn digest(kind: usize, free: bool) -> u128 {
+        let mut rng = StdRng::seed_from_u64(2 * kind as u64 + free as u64);
+        let mut acc = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+        for draw in 0..125 {
+            let query = source(kind, 3 + draw % 13, free, &mut rng);
+            acc = fold(acc, fingerprint(&query).0);
+            let order = canonical_var_order(&query);
+            acc = fold(acc, order.len() as u128);
+            for v in order {
+                acc = fold(acc, v.0 as u128);
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn refinement_digests_match_the_recorded_table() {
+        let mut got = Vec::new();
+        for (kind, name) in KINDS.iter().enumerate() {
+            got.push((*name, digest(kind, false), digest(kind, true)));
+        }
+        assert_eq!(got, DIGESTS, "\n{got:#x?}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
