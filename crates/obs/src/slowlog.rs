@@ -9,7 +9,9 @@
 //! majority of requests — once the log is full, its smallest retained
 //! latency is cached in an atomic `floor`, and anything faster skips
 //! the mutex entirely. Only candidate entries (slower than the current
-//! floor) pay the lock.
+//! floor) pay the lock, and they are written into the slot they take, so
+//! once the log has filled an admission can reuse the displaced entry's
+//! strings instead of allocating new ones.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -80,7 +82,7 @@ impl SlowLog {
             cap: cap.max(1),
             floor: AtomicU64::new(0),
             seq: AtomicU64::new(0),
-            entries: Mutex::new(Vec::new()),
+            entries: Mutex::new(Vec::with_capacity(cap.max(1))),
         }
     }
 
@@ -103,26 +105,32 @@ impl SlowLog {
         total_us >= self.floor.load(Ordering::Relaxed)
     }
 
-    /// Offers an entry; it is kept iff it ranks among the worst `cap`
-    /// seen so far. Fast-fails on the atomic floor without locking.
-    pub fn record(&self, entry: SlowEntry) {
-        if !self.admits(entry.total_us) {
+    /// Offers a request of latency `total_us`; it is kept iff it ranks
+    /// among the worst `cap` seen so far, and then `fill` writes its entry
+    /// into the slot it takes: a default entry while the log fills, the
+    /// displaced one after. Fast-fails on the atomic floor without locking
+    /// and without calling `fill`.
+    pub fn record(&self, total_us: u64, fill: impl FnOnce(&mut SlowEntry)) {
+        if !self.admits(total_us) {
             return;
         }
         let mut entries = self.entries.lock().expect("slowlog lock");
-        if entries.len() >= self.cap {
+        let slot = if entries.len() < self.cap {
+            entries.push(SlowEntry::default());
+            entries.last_mut().expect("non-empty")
+        } else {
             // Displace the current fastest retained entry.
-            let (mi, _) = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.total_us)
+            let fastest = entries
+                .iter_mut()
+                .min_by_key(|e| e.total_us)
                 .expect("non-empty");
-            if entries[mi].total_us >= entry.total_us {
+            if fastest.total_us >= total_us {
                 return;
             }
-            entries.swap_remove(mi);
-        }
-        entries.push(entry);
+            fastest
+        };
+        fill(slot);
+        slot.total_us = total_us;
         if entries.len() >= self.cap {
             let fastest = entries.iter().map(|e| e.total_us).min().expect("non-empty");
             self.floor
@@ -142,6 +150,10 @@ impl SlowLog {
 mod tests {
     use super::*;
 
+    fn offer(log: &SlowLog, total_us: u64, seq: u64) {
+        log.record(total_us, |e| *e = entry(total_us, seq));
+    }
+
     fn entry(total_us: u64, seq: u64) -> SlowEntry {
         SlowEntry {
             db: "db".into(),
@@ -160,7 +172,7 @@ mod tests {
     fn keeps_worst_n_sorted_desc() {
         let log = SlowLog::new(3);
         for (i, us) in [5u64, 100, 2, 50, 80, 1].into_iter().enumerate() {
-            log.record(entry(us, i as u64));
+            offer(&log, us, i as u64);
         }
         let snap = log.snapshot();
         let latencies: Vec<u64> = snap.iter().map(|e| e.total_us).collect();
@@ -170,14 +182,14 @@ mod tests {
     #[test]
     fn floor_rejects_fast_entries_once_full() {
         let log = SlowLog::new(2);
-        log.record(entry(10, 0));
-        log.record(entry(20, 1));
+        offer(&log, 10, 0);
+        offer(&log, 20, 1);
         // Full; floor is 10. Equal-or-faster entries bounce.
-        log.record(entry(10, 2));
-        log.record(entry(3, 3));
+        offer(&log, 10, 2);
+        offer(&log, 3, 3);
         assert_eq!(log.snapshot().len(), 2);
         // A genuinely slower one displaces the floor entry.
-        log.record(entry(15, 4));
+        offer(&log, 15, 4);
         let latencies: Vec<u64> = log.snapshot().iter().map(|e| e.total_us).collect();
         assert_eq!(latencies, vec![20, 15]);
     }
@@ -185,18 +197,30 @@ mod tests {
     #[test]
     fn below_floor_entries_never_touch_the_lock() {
         let log = SlowLog::new(2);
-        log.record(entry(10, 0));
-        log.record(entry(20, 1));
+        offer(&log, 10, 0);
+        offer(&log, 20, 1);
         let before = log.snapshot();
         assert!(!log.admits(10) && log.admits(11));
         // Offered while this thread holds the guard: taking the lock again
         // would deadlock (or panic), so returning at all proves the floor
         // check came first.
         let guard = log.entries.lock().unwrap();
-        log.record(entry(10, 2));
-        log.record(entry(0, 3));
+        offer(&log, 10, 2);
+        offer(&log, 0, 3);
         drop(guard);
         assert_eq!(log.snapshot(), before);
+    }
+
+    #[test]
+    fn a_full_log_hands_the_displaced_entry_to_fill() {
+        let log = SlowLog::new(2);
+        offer(&log, 10, 0);
+        offer(&log, 20, 1);
+        let mut displaced = None;
+        log.record(30, |e| displaced = Some((e.total_us, e.seq)));
+        assert_eq!(displaced, Some((10, 0)));
+        let latencies: Vec<u64> = log.snapshot().iter().map(|e| e.total_us).collect();
+        assert_eq!(latencies, vec![30, 20]);
     }
 
     #[test]

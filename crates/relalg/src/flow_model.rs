@@ -32,7 +32,7 @@ fn eval(plan: &Plan, dedup: bool, s: &mut ExecStats) -> Relation {
     let out = if dedup {
         ops::project_distinct(&inner, keep)
     } else {
-        let pos = inner.schema().positions(keep);
+        let pos = ops::positions(inner.schema(), keep);
         let rows = inner.rows();
         let rows = rows.map(|t| pos.iter().map(|&p| t[p]).collect());
         Relation::new("bag", Schema::new(keep.clone()), rows.collect())

@@ -848,29 +848,35 @@ fn record_completion(
     };
     if let Some(id) = slow_id {
         let seq = obs.slowlog.next_seq();
-        // Once the log is full nearly every request is below its floor:
-        // build the entry (three strings) only when it can be kept.
-        if !obs.slowlog.admits(total_us) {
-            return;
-        }
-        obs.slowlog.record(SlowEntry {
-            db: id.db.to_string(),
-            version: id.version,
-            fingerprint: id.fingerprint,
-            method: request.method.name().to_string(),
-            outcome: outcome.to_string(),
-            total_us,
-            spans,
-            rows,
-            tuples_flowed: digest.tuples_flowed,
-            peak_materialized: digest.peak_materialized,
-            join_stages: digest.join_stages,
-            threads_used: digest.threads_used,
-            rows_scanned: digest.rows_scanned,
-            passes_run: id.passes_run,
-            decomp_hit: id.decomp_hit,
-            op_digest,
-            seq,
+        // Nearly every request is below the full log's floor and builds
+        // nothing. An admitted one is written over the entry it displaces,
+        // reusing its strings, so that admitting a hit allocates nothing
+        // once the log has filled.
+        obs.slowlog.record(total_us, |entry| {
+            let reuse = |mut text: String, with: &str| {
+                text.clear();
+                text.push_str(with);
+                text
+            };
+            *entry = SlowEntry {
+                db: reuse(std::mem::take(&mut entry.db), id.db),
+                version: id.version,
+                fingerprint: id.fingerprint,
+                method: reuse(std::mem::take(&mut entry.method), request.method.name()),
+                outcome: reuse(std::mem::take(&mut entry.outcome), outcome),
+                total_us,
+                spans,
+                rows,
+                tuples_flowed: digest.tuples_flowed,
+                peak_materialized: digest.peak_materialized,
+                join_stages: digest.join_stages,
+                threads_used: digest.threads_used,
+                rows_scanned: digest.rows_scanned,
+                passes_run: id.passes_run,
+                decomp_hit: id.decomp_hit,
+                op_digest,
+                seq,
+            };
         });
     }
 }

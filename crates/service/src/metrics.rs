@@ -213,7 +213,7 @@ mod tests {
         let m = ServiceMetrics::new();
         let mut spans = ppr_obs::TraceSpans::new();
         spans.set(Phase::Exec, 400);
-        m.slowlog.record(SlowEntry {
+        let entry = SlowEntry {
             db: "graphs".into(),
             version: 3,
             fingerprint: 0xabc,
@@ -231,7 +231,8 @@ mod tests {
             decomp_hit: true,
             op_digest: "ix_join:edge:6:12".into(),
             seq: 0,
-        });
+        };
+        m.slowlog.record(entry.total_us, |e| *e = entry);
         let text = render_slowlog(&m.slowlog.snapshot());
         assert!(text.contains("512 graphs@3"));
         assert!(text.contains("exec=400"));
