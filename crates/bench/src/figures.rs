@@ -772,14 +772,71 @@ mod tests {
         assert!(s.contains("straightforward"));
     }
 
+    /// The default sweep under a wall clock no run reaches in a debug
+    /// build, so that, as in the committed run, only the tuple budget can
+    /// end one early.
+    fn unclocked() -> Config {
+        Config {
+            timeout: Duration::from_secs(600),
+            ..Config::default()
+        }
+    }
+
+    /// The lines of `results/results.tsv`'s `== title ==` block, column
+    /// header first.
+    fn committed_block(title: &str) -> Vec<&'static str> {
+        let heading = format!("== {title} ==");
+        include_str!("../../../results/results.tsv")
+            .lines()
+            .skip_while(|l| *l != heading)
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect()
+    }
+
+    /// Columns `cols` of each TSV line.
+    fn columns<'a>(lines: impl IntoIterator<Item = &'a str>, cols: &[usize]) -> Vec<Vec<&'a str>> {
+        lines
+            .into_iter()
+            .map(|l| {
+                let c: Vec<&str> = l.split('\t').collect();
+                cols.iter().map(|&i| c[i]).collect()
+            })
+            .collect()
+    }
+
+    /// The `ablation-distinct` block's machine-independent columns
+    /// (`density`, `dedup`, `timeouts`, `median_tuples`) are deterministic
+    /// at the default seeds: the committed verdict on `dedup_subqueries`
+    /// reproduces row by row.
     #[test]
     fn ablation_distinct_shows_blowup() {
         let mut out = Vec::new();
-        ablation_distinct(&mut out, &tiny());
+        ablation_distinct(&mut out, &unclocked());
         let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("true"));
-        assert!(s.contains("false"));
         assert_eq!(s.lines().count(), 1 + 3 * 2);
+        let cols = [0, 1, 3, 4];
+        assert_eq!(
+            columns(s.lines(), &cols),
+            columns(committed_block("ablation-distinct"), &cols),
+            "{s}"
+        );
+    }
+
+    /// The same pin for `ablation-minibucket`, the committed number that
+    /// keeps `core::minibucket`: per bound and density, how many of the
+    /// runs the relaxation decided.
+    #[test]
+    fn ablation_minibucket_matches_committed_results() {
+        let mut out = Vec::new();
+        ablation_minibucket(&mut out, &unclocked());
+        let s = String::from_utf8(out).unwrap();
+        let cols = [0, 1, 3, 4];
+        assert_eq!(
+            columns(s.lines(), &cols),
+            columns(committed_block("ablation-minibucket"), &cols),
+            "{s}"
+        );
     }
 
     #[test]
@@ -870,11 +927,8 @@ mod tests {
     /// default three seeds the experiment reprints it byte for byte.
     #[test]
     fn semijoin_block_matches_committed_results() {
-        let committed: String = include_str!("../../../results/results.tsv")
-            .lines()
-            .skip_while(|l| *l != "== semijoin ==")
-            .skip(1)
-            .take_while(|l| !l.is_empty())
+        let committed: String = committed_block("semijoin")
+            .into_iter()
             .map(|l| format!("{l}\n"))
             .collect();
         let mut out = Vec::new();
