@@ -772,16 +772,6 @@ mod tests {
         assert!(s.contains("straightforward"));
     }
 
-    /// The default sweep under a wall clock no run reaches in a debug
-    /// build, so that, as in the committed run, only the tuple budget can
-    /// end one early.
-    fn unclocked() -> Config {
-        Config {
-            timeout: Duration::from_secs(600),
-            ..Config::default()
-        }
-    }
-
     /// The lines of `results/results.tsv`'s `== title ==` block, column
     /// header first.
     fn committed_block(title: &str) -> Vec<&'static str> {
@@ -794,49 +784,44 @@ mod tests {
             .collect()
     }
 
-    /// Columns `cols` of each TSV line.
-    fn columns<'a>(lines: impl IntoIterator<Item = &'a str>, cols: &[usize]) -> Vec<Vec<&'a str>> {
-        lines
-            .into_iter()
-            .map(|l| {
-                let c: Vec<&str> = l.split('\t').collect();
-                cols.iter().map(|&i| c[i]).collect()
-            })
-            .collect()
+    /// Reruns `sweep` at the default seeds under a wall clock no run
+    /// reaches in a debug build, so that, as in the committed run, only the
+    /// tuple budget can end one early; then checks columns `cols` of every
+    /// line, header first, against the committed `== title ==` block.
+    fn assert_reproduces(title: &str, sweep: fn(&mut Vec<u8>, &Config), cols: &[usize]) {
+        fn pick<'a>(line: &'a str, cols: &[usize]) -> Vec<&'a str> {
+            let c: Vec<&str> = line.split('\t').collect();
+            cols.iter().map(|&i| c[i]).collect()
+        }
+        let mut out = Vec::new();
+        let cfg = Config {
+            timeout: Duration::from_secs(600),
+            ..Config::default()
+        };
+        sweep(&mut out, &cfg);
+        let measured = String::from_utf8(out).unwrap();
+        let committed: Vec<_> = committed_block(title)
+            .iter()
+            .map(|l| pick(l, cols))
+            .collect();
+        let rows: Vec<_> = measured.lines().map(|l| pick(l, cols)).collect();
+        assert_eq!(rows, committed, "{measured}");
     }
 
-    /// The `ablation-distinct` block's machine-independent columns
-    /// (`density`, `dedup`, `timeouts`, `median_tuples`) are deterministic
-    /// at the default seeds: the committed verdict on `dedup_subqueries`
-    /// reproduces row by row.
+    /// The `ablation-distinct` block, the committed number that keeps
+    /// `ExecOptions::dedup_subqueries`: its machine-independent columns
+    /// (`density`, `dedup`, `timeouts`, `median_tuples`) reproduce row by
+    /// row.
     #[test]
     fn ablation_distinct_shows_blowup() {
-        let mut out = Vec::new();
-        ablation_distinct(&mut out, &unclocked());
-        let s = String::from_utf8(out).unwrap();
-        assert_eq!(s.lines().count(), 1 + 3 * 2);
-        let cols = [0, 1, 3, 4];
-        assert_eq!(
-            columns(s.lines(), &cols),
-            columns(committed_block("ablation-distinct"), &cols),
-            "{s}"
-        );
+        assert_reproduces("ablation-distinct", ablation_distinct, &[0, 1, 3, 4]);
     }
 
-    /// The same pin for `ablation-minibucket`, the committed number that
-    /// keeps `core::minibucket`: per bound and density, how many of the
-    /// runs the relaxation decided.
+    /// The same for `ablation-minibucket`, which keeps `core::minibucket`:
+    /// per bound and density, how many runs the relaxation decided.
     #[test]
     fn ablation_minibucket_matches_committed_results() {
-        let mut out = Vec::new();
-        ablation_minibucket(&mut out, &unclocked());
-        let s = String::from_utf8(out).unwrap();
-        let cols = [0, 1, 3, 4];
-        assert_eq!(
-            columns(s.lines(), &cols),
-            columns(committed_block("ablation-minibucket"), &cols),
-            "{s}"
-        );
+        assert_reproduces("ablation-minibucket", ablation_minibucket, &[0, 1, 3, 4]);
     }
 
     #[test]

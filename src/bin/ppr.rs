@@ -3,11 +3,12 @@
 //! ```text
 //! ppr color  (--random N,D | --family NAME,ORDER | --edges FILE)
 //!            [--k COLORS] [--free F] [--method M] [--seed S]
-//!            [--timeout-ms T] [--sql]
-//! ppr sat    (--random N,D,K | --dimacs FILE) [--method M] [--seed S]
-//!            [--timeout-ms T] [--sql]
+//!            [--timeout-ms T] [--sql] [--rows]
+//! ppr sat    (--random N,D,K | --dimacs FILE) [--free F] [--method M]
+//!            [--seed S] [--timeout-ms T] [--sql] [--rows]
 //! ppr query  --rule 'q(x) :- e(x,y), e(y,z).' --rel 'e = {(1,2),(2,3)}'
-//!            [--rel-file name=path.csv] [--method M] [--sql] [--minimize]
+//!            [--rel-file name=path.csv] [--method M] [--seed S]
+//!            [--timeout-ms T] [--sql] [--rows]
 //! ppr width  (--random N,D | --family NAME,ORDER | --edges FILE) [--seed S]
 //! ppr serve  [--listen HOST:PORT] [--rel '…'] [--rel-file name=path.csv]
 //!            [--colors K] [--queue N] [--cache N] [--result-cache-bytes N]
@@ -20,7 +21,8 @@
 //! ```
 //!
 //! Methods: `naive`, `straightforward`, `early`, `reorder`, `bucket`
-//! (default), `bucket-mindeg`, `bucket-minfill`.
+//! (default), `bucket-mindeg`, `bucket-minfill`. A subcommand exits 2 on
+//! a flag it does not read.
 
 use std::process::exit;
 use std::time::Duration;
@@ -38,17 +40,48 @@ fn main() {
     let Some(cmd) = args.first() else {
         die(USAGE);
     };
+    let Some((_, run, known)) = SUBCOMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        die(USAGE);
+    };
     let flags = Flags::parse(&args[1..]);
-    match cmd.as_str() {
-        "color" => cmd_color(&flags),
-        "sat" => cmd_sat(&flags),
-        "query" => cmd_query(&flags),
-        "width" => cmd_width(&flags),
-        "serve" => cmd_serve(&flags),
-        "client" => cmd_client(&flags),
-        _ => die(USAGE),
-    }
+    flags.reject_unknown(cmd, known);
+    run(&flags);
 }
+
+/// A subcommand: its name, its entry point and the flags it reads, as the
+/// header lists them.
+type Subcommand = (&'static str, fn(&Flags), &'static str);
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    (
+        "color",
+        cmd_color,
+        "random family edges k free method seed timeout-ms sql rows",
+    ),
+    (
+        "sat",
+        cmd_sat,
+        "random dimacs free method seed timeout-ms sql rows",
+    ),
+    (
+        "query",
+        cmd_query,
+        "rule rel rel-file method seed timeout-ms sql rows",
+    ),
+    ("width", cmd_width, "random family edges seed"),
+    (
+        "serve",
+        cmd_serve,
+        "listen rel rel-file colors queue cache result-cache-bytes metrics-addr data-dir \
+         profile-ops",
+    ),
+    (
+        "client",
+        cmd_client,
+        "connect rule method db use max-tuples timeout-ms seed explain stats ping dbs create \
+         drop load add",
+    ),
+];
 
 const USAGE: &str = "usage: ppr <color|sat|query|width|serve|client> [flags]\n  see `src/bin/ppr.rs` header for flags";
 
@@ -104,11 +137,11 @@ impl Flags {
         self.switches.iter().any(|s| s == name)
     }
 
-    /// Exits 2 naming the first flag not in `known`: a misspelt or retired
-    /// flag must not silently fall back to a default.
-    fn reject_unknown(&self, cmd: &str, known: &[&str]) {
+    /// Exits 2 naming the first flag not in the space-separated `known`: a
+    /// misspelt or retired flag must not silently fall back to a default.
+    fn reject_unknown(&self, cmd: &str, known: &str) {
         let mut names = self.pairs.iter().map(|(n, _)| n).chain(&self.switches);
-        if let Some(name) = names.find(|n| !known.contains(&n.as_str())) {
+        if let Some(name) = names.find(|n| !known.split_whitespace().any(|k| k == n.as_str())) {
             die(&format!("ppr {cmd}: unknown flag --{name}"));
         }
     }
@@ -296,15 +329,10 @@ fn relations_from_flags(flags: &Flags) -> Database {
 fn cmd_query(flags: &Flags) {
     use projection_pushing::query::parse_query;
     let rule = flags.get("rule").unwrap_or_else(|| die("need --rule"));
-    let mut query = parse_query(rule).unwrap_or_else(|e| die(&e.to_string()));
+    let query = parse_query(rule).unwrap_or_else(|e| die(&e.to_string()));
     let db = relations_from_flags(flags);
     if db.is_empty() {
         die("need at least one --rel 'name = {(…)…}' or --rel-file name=path.csv");
-    }
-    if flags.has("minimize") {
-        let before = query.num_atoms();
-        query = projection_pushing::core::minimize::minimize(&query);
-        eprintln!("minimized: {before} → {} atoms", query.num_atoms());
     }
     run_and_report(&query, &db, flags);
 }
@@ -362,21 +390,6 @@ fn serve_database(flags: &Flags) -> Database {
 
 fn cmd_serve(flags: &Flags) {
     use projection_pushing::service::{EngineConfig, Server};
-    flags.reject_unknown(
-        "serve",
-        &[
-            "listen",
-            "rel",
-            "rel-file",
-            "colors",
-            "queue",
-            "cache",
-            "result-cache-bytes",
-            "metrics-addr",
-            "data-dir",
-            "profile-ops",
-        ],
-    );
     let listen = flags.get("listen").unwrap_or("127.0.0.1:7171");
     let mut cfg = EngineConfig::default();
     cfg.queue_capacity = flags.num("queue", cfg.queue_capacity);
@@ -461,27 +474,6 @@ fn parse_mutation(spec: &str) -> (String, String, Vec<Box<[u32]>>) {
 
 fn cmd_client(flags: &Flags) {
     use projection_pushing::service::{Client, Request};
-    flags.reject_unknown(
-        "client",
-        &[
-            "connect",
-            "rule",
-            "method",
-            "db",
-            "use",
-            "max-tuples",
-            "timeout-ms",
-            "seed",
-            "explain",
-            "stats",
-            "ping",
-            "dbs",
-            "create",
-            "drop",
-            "load",
-            "add",
-        ],
-    );
     let addr = flags.get("connect").unwrap_or("127.0.0.1:7171");
     let mut client =
         Client::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
@@ -698,6 +690,33 @@ mod tests {
         assert!(family_graph("ladder,4").is_some());
         assert!(family_graph("augcircladder,5").is_some());
         assert!(family_graph("mystery,4").is_none());
+    }
+
+    /// The header's usage block names exactly the flags each subcommand
+    /// accepts.
+    #[test]
+    fn usage_header_lists_every_flag() {
+        let mut header = std::collections::BTreeSet::new();
+        let mut cmd = "";
+        for line in include_str!("ppr.rs")
+            .lines()
+            .take_while(|l| l.starts_with("//!"))
+        {
+            match line.strip_prefix("//! ppr ") {
+                Some(rest) => cmd = rest.split_whitespace().next().unwrap(),
+                None if line.starts_with("//!      ") => {}
+                None => continue,
+            }
+            for flag in line.split("--").skip(1) {
+                let end = flag.find(|c: char| !c.is_ascii_lowercase() && c != '-');
+                header.insert((cmd, &flag[..end.unwrap_or(flag.len())]));
+            }
+        }
+        let known = SUBCOMMANDS
+            .iter()
+            .flat_map(|(cmd, _, flags)| flags.split_whitespace().map(move |f| (*cmd, f)))
+            .collect();
+        assert_eq!(header, known);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and leave results untouched when they do not trip.
 
 use projection_pushing::prelude::*;
-use projection_pushing::relalg::{budget::BudgetKind, RelalgError};
+use projection_pushing::relalg::{budget::BudgetKind, exec, ExecStats, RelalgError, Relation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,15 +14,23 @@ fn hard_instance(seed: u64) -> (ConjunctiveQuery, Database) {
     color_query(&g, &ColorQueryOptions::boolean(), &mut rng)
 }
 
+/// Plans `q` over `db` with `method` under `seed` and runs the plan under
+/// `budget`.
+fn run(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    method: Method,
+    seed: u64,
+    budget: Budget,
+) -> Result<(Relation, ExecStats), RelalgError> {
+    let plan = build_plan(method, q, db, &mut StdRng::seed_from_u64(seed));
+    exec::execute(&plan, &budget)
+}
+
 #[test]
 fn tuple_budget_reports_flow() {
     let (q, db) = hard_instance(1);
-    let err = Eval::new(&q, &db)
-        .method(Method::Straightforward)
-        .budget(Budget::tuples(100))
-        .seed(1)
-        .run()
-        .unwrap_err();
+    let err = run(&q, &db, Method::Straightforward, 1, Budget::tuples(100)).unwrap_err();
     match err {
         RelalgError::BudgetExceeded {
             kind,
@@ -42,11 +50,7 @@ fn zero_timeout_trips_on_hard_instances() {
     // The clock is only polled every 2^16 tuples, so tiny instances may
     // finish; this one flows millions of tuples with the straightforward
     // method and must hit the wall-clock check.
-    let result = Eval::new(&q, &db)
-        .method(Method::Straightforward)
-        .budget(budget)
-        .seed(1)
-        .run();
+    let result = run(&q, &db, Method::Straightforward, 1, budget);
     match result {
         Err(RelalgError::BudgetExceeded { kind, .. }) => {
             assert!(matches!(kind, BudgetKind::WallClock | BudgetKind::Tuples));
@@ -70,17 +74,9 @@ proptest! {
         let g = projection_pushing::graph::generate::random_graph(8, 14, &mut rng);
         prop_assume!(!g.edges().is_empty());
         let (q, db) = color_query(&g, &ColorQueryOptions::boolean(), &mut rng);
-        let small = Eval::new(&q, &db)
-            .method(Method::EarlyProjection)
-            .budget(Budget::tuples(cap))
-            .seed(seed)
-            .run();
+        let small = run(&q, &db, Method::EarlyProjection, seed, Budget::tuples(cap));
         if let Ok((rel_small, _)) = small {
-            let (rel_big, _) = Eval::new(&q, &db)
-                .method(Method::EarlyProjection)
-                .budget(Budget::tuples(cap * 10))
-                .seed(seed)
-                .run()
+            let (rel_big, _) = run(&q, &db, Method::EarlyProjection, seed, Budget::tuples(cap * 10))
                 .expect("larger budget cannot fail where smaller succeeded");
             prop_assert!(rel_small.set_eq(&rel_big));
         }
@@ -91,11 +87,8 @@ proptest! {
     fn tripped_budgets_report_at_least_cap(seed in 0u64..100) {
         let (q, db) = hard_instance(seed);
         let cap = 500u64;
-        if let Err(RelalgError::BudgetExceeded { tuples_flowed, .. }) = Eval::new(&q, &db)
-            .method(Method::Straightforward)
-            .budget(Budget::tuples(cap))
-            .seed(seed)
-            .run()
+        if let Err(RelalgError::BudgetExceeded { tuples_flowed, .. }) =
+            run(&q, &db, Method::Straightforward, seed, Budget::tuples(cap))
         {
             prop_assert!(tuples_flowed >= cap);
         }

@@ -2,12 +2,14 @@
 //! exactly the same result as the unoptimized baseline, and the baseline
 //! must match an independent reference — a backtracking solver for the
 //! Boolean answer, the benchmark's assignment enumerator for the rows. The
-//! same enumerator checks the serving engine in every cache state.
+//! same enumerator checks the serving engine in every cache state, and
+//! every method on two workloads that are not 3-COLOR: N-queens and a
+//! long chain over asymmetric relations of arity 1–3.
 
 use std::collections::HashMap;
 
 use projection_pushing::prelude::*;
-use projection_pushing::relalg::{AttrId, Relation};
+use projection_pushing::relalg::{exec, AttrId, Relation, Schema};
 use projection_pushing::service::{EngineHandle, DEFAULT_DB};
 use projection_pushing::workload::{color::is_colorable, random_sat, sat_query};
 use proptest::prelude::*;
@@ -51,6 +53,13 @@ fn oracle_rows(q: &ConjunctiveQuery, db: &Database) -> Vec<Vec<u32>> {
         })
         .collect();
     oracle::answers(index.len(), &atoms, &free, &rels)
+}
+
+/// Plans `q` over `db` with `method` under `seed` and runs the plan
+/// without a budget.
+fn evaluate(method: Method, q: &ConjunctiveQuery, db: &Database, seed: u64) -> Relation {
+    let plan = build_plan(method, q, db, &mut StdRng::seed_from_u64(seed));
+    exec::execute(&plan, &Budget::unlimited()).unwrap().0
 }
 
 /// `rel`'s rows, sorted, for comparison with [`oracle_rows`].
@@ -126,7 +135,7 @@ proptest! {
         let (q, db) = color_query(&g, &ColorQueryOptions::boolean(), &mut rng);
         let expected = is_colorable(&g, 3);
         for method in all_methods() {
-            let (rel, _) = Eval::new(&q, &db).method(method).seed(seed).run().unwrap();
+            let rel = evaluate(method, &q, &db, seed);
             prop_assert_eq!(!rel.is_empty(), expected, "{} disagrees", method.name());
         }
     }
@@ -142,15 +151,11 @@ proptest! {
         let g = projection_pushing::graph::generate::random_graph(order, m, &mut rng);
         prop_assume!(!g.edges().is_empty());
         let (q, db) = color_query(&g, &ColorQueryOptions::non_boolean(), &mut rng);
-        let (baseline, _) = Eval::new(&q, &db)
-            .method(Method::Straightforward)
-            .seed(seed)
-            .run()
-            .unwrap();
+        let baseline = evaluate(Method::Straightforward, &q, &db, seed);
         prop_assert_eq!(baseline.schema().attrs(), &q.free[..]);
         prop_assert_eq!(sorted_rows(&baseline), oracle_rows(&q, &db));
         for method in all_methods() {
-            let (rel, _) = Eval::new(&q, &db).method(method).seed(seed).run().unwrap();
+            let rel = evaluate(method, &q, &db, seed);
             prop_assert!(rel.set_eq(&baseline), "{} differs", method.name());
         }
     }
@@ -164,7 +169,7 @@ proptest! {
         let (q, db) = sat_query(&inst, 0.0, &mut rng);
         let expected = inst.is_satisfiable();
         for method in [Method::Straightforward, Method::BucketElimination(OrderHeuristic::Mcs)] {
-            let (rel, _) = Eval::new(&q, &db).method(method).seed(seed).run().unwrap();
+            let rel = evaluate(method, &q, &db, seed);
             prop_assert_eq!(!rel.is_empty(), expected, "{} disagrees", method.name());
         }
     }
@@ -176,11 +181,7 @@ proptest! {
         let inst = random_sat(n, m, 2, &mut rng);
         let (q, db) = sat_query(&inst, 0.0, &mut rng);
         let expected = inst.is_satisfiable();
-        let (rel, _) = Eval::new(&q, &db)
-            .method(Method::BucketElimination(OrderHeuristic::Mcs))
-            .seed(seed)
-            .run()
-            .unwrap();
+        let rel = evaluate(Method::BucketElimination(OrderHeuristic::Mcs), &q, &db, seed);
         prop_assert_eq!(!rel.is_empty(), expected);
     }
 
@@ -195,8 +196,6 @@ proptest! {
         boolean in prop::bool::ANY,
         seed in 0u64..1000,
     ) {
-        use projection_pushing::core::methods::build_plan;
-        use projection_pushing::relalg::exec;
         let mut rng = StdRng::seed_from_u64(seed);
         let max = order * (order - 1) / 2;
         let m = (order - 1 + extra).min(max);
@@ -311,15 +310,109 @@ fn structured_families_answers() {
         let (q, db) = color_query(&g, &ColorQueryOptions::boolean(), &mut rng);
         for method in all_methods() {
             assert!(
-                Eval::new(&q, &db)
-                    .method(method)
-                    .seed(3)
-                    .nonempty()
-                    .unwrap(),
+                !evaluate(method, &q, &db, 3).is_empty(),
                 "{} on order-{} family",
                 method.name(),
                 g.order()
             );
+        }
+    }
+}
+
+/// A base relation `name` holding `rows`, its column ids numbered from
+/// `base` up.
+fn relation(name: &str, base: u32, rows: Vec<Vec<u32>>) -> Relation {
+    let arity = rows[0].len() as u32;
+    let schema = Schema::new((base..base + arity).map(AttrId).collect());
+    let rows = rows.into_iter().map(Vec::into_boxed_slice).collect();
+    Relation::from_distinct_rows(name, schema, rows)
+}
+
+/// N-queens as a binary CSP with every variable free: `r{i}` is the
+/// column of row `i`'s queen, and `att_{d}(r_i, r_j)` holds the column
+/// pairs of two queens `d = j − i` rows apart that attack neither along a
+/// column nor along a diagonal. Its join graph is a clique, so no method
+/// is polynomial; the answer is the set of solutions.
+fn nqueens_query(n: u32) -> (ConjunctiveQuery, Database) {
+    let mut vars = Vars::new();
+    let rows = vars.intern_numbered("r", n as usize);
+    let mut db = Database::new();
+    for d in 1..n {
+        let safe = (0..n)
+            .flat_map(|a| (0..n).map(move |b| vec![a, b]))
+            .filter(|p| p[0] != p[1] && p[0].abs_diff(p[1]) != d)
+            .collect();
+        db.add(relation(&format!("att_{d}"), 10 * d, safe));
+    }
+    let mut atoms = Vec::new();
+    for i in 0..rows.len() {
+        for j in i + 1..rows.len() {
+            atoms.push(Atom::new(format!("att_{}", j - i), vec![rows[i], rows[j]]));
+        }
+    }
+    (ConjunctiveQuery::new(atoms, rows, vars, false), db)
+}
+
+/// Every method counts the N-queens solutions the oracle finds, and they
+/// are the known counts.
+#[test]
+fn nqueens_counts_agree_with_reference() {
+    for (n, count) in [(4, 2), (5, 10), (6, 4), (7, 40)] {
+        let (q, db) = nqueens_query(n);
+        let expected = oracle_rows(&q, &db);
+        assert_eq!(expected.len(), count, "n = {n}");
+        for method in all_methods() {
+            let rows = sorted_rows(&evaluate(method, &q, &db, 0));
+            assert_eq!(rows, expected, "{} at n = {n}", method.name());
+        }
+    }
+}
+
+/// A mediator-style chain of `atoms` atoms over three relations of
+/// different arity on ports `0..5`, answering its last port:
+/// `gate(p0), hop(p0, p1), via(p1, c2, p2), hop(p2, p3), …`. `gate`
+/// holds ports 0–2, `hop(x, y)` has `y = x ± 1 mod 5`, and `via(x, m, y)`
+/// has `m = x + y mod 5`. Unlike 3-COLOR's colour relation, no renaming
+/// of the ports but the identity maps this database onto itself.
+fn mediator_query(atoms: usize) -> (ConjunctiveQuery, Database) {
+    let mut db = Database::new();
+    db.add(relation("gate", 0, (0..3).map(|x| vec![x]).collect()));
+    let hop = (0..5).flat_map(|x| [vec![x, (x + 1) % 5], vec![x, (x + 4) % 5]]);
+    db.add(relation("hop", 10, hop.collect()));
+    let via = (0..5).flat_map(|x| (0..5).map(move |y| vec![x, (x + y) % 5, y]));
+    db.add(relation("via", 20, via.collect()));
+
+    let mut vars = Vars::new();
+    let mut port = vars.intern("p0");
+    let mut body = vec![Atom::new("gate", vec![port])];
+    for i in 1..atoms {
+        let next = vars.intern(&format!("p{i}"));
+        body.push(if i % 2 == 1 {
+            Atom::new("hop", vec![port, next])
+        } else {
+            Atom::new("via", vec![port, vars.intern(&format!("c{i}")), next])
+        });
+        port = next;
+    }
+    (ConjunctiveQuery::new(body, vec![port], vars, false), db)
+}
+
+/// Every method answers the mediator chain with the oracle's ports.
+/// Without early projection an intermediate result doubles at every `hop`
+/// and grows fivefold at every `via`, so the two baselines get an 11-atom
+/// chain and the others the 99-atom one.
+#[test]
+fn mediator_chain_agrees_with_reference() {
+    for atoms in [11, 99] {
+        let (q, db) = mediator_query(atoms);
+        let expected = oracle_rows(&q, &db);
+        assert_eq!(expected.len(), 5, "every port is reachable");
+        for method in all_methods() {
+            if atoms > 11 && matches!(method, Method::Naive | Method::Straightforward) {
+                continue;
+            }
+            let rows = sorted_rows(&evaluate(method, &q, &db, 3));
+            assert_eq!(rows, expected, "{} on {atoms} atoms", method.name());
         }
     }
 }

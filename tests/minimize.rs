@@ -1,4 +1,5 @@
-//! Properties of the join minimizer (cores of conjunctive queries).
+//! Properties of the join minimizer (cores of conjunctive queries) and
+//! of the containment test it is built on.
 
 use projection_pushing::core::minimize::{contained_in, equivalent, minimize};
 use projection_pushing::prelude::*;
@@ -77,4 +78,20 @@ proptest! {
         let m = minimize(&q);
         prop_assert!(m.num_atoms() <= pairs.len());
     }
+}
+
+/// Chandra–Merlin on a pair contained one way only: a directed triangle
+/// through `x` holds a path of three edges from `x` (round the triangle
+/// back to `x`), but a path has no cycle to hold a triangle.
+#[test]
+fn triangle_is_contained_in_path_but_not_conversely() {
+    let mut vars = Vars::new();
+    let [x, y, z, w] = ["x", "y", "z", "w"].map(|name| vars.intern(name));
+    let edge = |a, b| Atom::new("e", vec![a, b]);
+    let triangle = vec![edge(x, y), edge(y, z), edge(z, x)];
+    let path = vec![edge(x, y), edge(y, z), edge(z, w)];
+    let triangle = ConjunctiveQuery::new(triangle, vec![x], vars.clone(), false);
+    let path = ConjunctiveQuery::new(path, vec![x], vars, false);
+    assert!(contained_in(&triangle, &path));
+    assert!(!contained_in(&path, &triangle));
 }

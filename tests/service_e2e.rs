@@ -8,9 +8,12 @@
 
 use projection_pushing::prelude::*;
 use projection_pushing::query::{parse_query, Database};
+use projection_pushing::relalg::exec;
+use projection_pushing::service;
 use projection_pushing::service::engine::EngineStats;
 use projection_pushing::workload::edge_relation;
-use projection_pushing::{service, Eval};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use service::{Catalog, Engine, EngineConfig, ServiceError};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -57,7 +60,8 @@ fn wire_answers_match_library_evaluation_per_method() {
     for method in all_methods() {
         // The engine's default seed is 0; evaluate with the same seed and
         // an equivalent budget for byte-identical plans and rows.
-        let (expected, _) = Eval::new(&query, &db).method(method).run().unwrap();
+        let plan = build_plan(method, &query, &db, &mut StdRng::seed_from_u64(0));
+        let (expected, _) = exec::execute(&plan, &Budget::unlimited()).unwrap();
         let response = client.run(&Request::new(PENTAGON, method)).unwrap();
         assert_eq!(
             response.rows,
